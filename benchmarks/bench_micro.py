@@ -2,7 +2,7 @@
 
 Unlike the experiment benchmarks (one timed run each), these use
 pytest-benchmark's statistical timing: the learner on one suffix, the
-congruence classifier, the Damerau-Levenshtein kernel, radix-trie
+congruence classifier, the Damerau-Levenshtein kernel, longest-prefix-match
 lookups, routing-model construction and traceroute expansion.
 """
 
@@ -18,7 +18,7 @@ from repro.topology.world import WorldConfig, generate_world
 from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.routing import RoutingModel
 from repro.util.ipaddr import IPv4Prefix
-from repro.util.radix import RadixTrie
+from repro.util.radix import PrefixTable
 from repro.util.strings import damerau_levenshtein
 
 
@@ -86,20 +86,37 @@ def test_damerau_levenshtein(benchmark):
     assert result == 1
 
 
+#: Prefix count per length in the seed-2020 SMALL world's route table.
+SMALL_ROUTE_SHAPE = {14: 4, 16: 22, 17: 50, 18: 26, 20: 80, 24: 8}
+
+
+def small_shaped_table():
+    """A route table shaped like SMALL's: 190 disjoint prefixes, /14-/24,
+    lengths interleaved, allocated upward from 4.0.0.0."""
+    lengths = [length for length, count in SMALL_ROUTE_SHAPE.items()
+               for _ in range(count)]
+    lengths = [lengths[(i * 37) % len(lengths)] for i in range(len(lengths))]
+    table = PrefixTable()
+    cursor = 4 << 24
+    for index, length in enumerate(lengths):
+        size = 1 << (32 - length)
+        cursor = -(-cursor // size) * size  # align to the prefix size
+        table.insert(IPv4Prefix(cursor, length), index)
+        cursor += size
+    return table, cursor
+
+
 def test_radix_lookup(benchmark):
-    trie = RadixTrie()
-    for i in range(2000):
-        trie.insert(IPv4Prefix((i * 7919) % 0xFFFF << 16, 16), i)
-    probe = (1234 * 7919) % 0xFFFF << 16 | 99
+    """One hit inside every prefix plus as many misses past the last."""
+    table, end = small_shaped_table()
+    hits = [prefix.network + prefix.size // 3 for prefix, _ in table.items()]
+    probes = hits + [end + 97 * i for i in range(len(hits))]
 
     def lookups():
-        total = 0
-        for offset in range(100):
-            value = trie.lookup(probe + offset)
-            total += 0 if value is None else 1
-        return total
+        return sum(table.lookup(address) is not None for address in probes)
 
-    assert benchmark(lookups) >= 0
+    assert len(table) == 190
+    assert benchmark(lookups) == len(hits)
 
 
 @pytest.fixture(scope="module")

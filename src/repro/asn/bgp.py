@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.util.ipaddr import IPv4Prefix, int_to_ip
-from repro.util.radix import RadixTrie
+from repro.util.radix import PrefixTable
 
 IXP_ASN = -1
 """Sentinel origin for addresses inside an IXP peering LAN."""
@@ -37,14 +37,14 @@ class RouteTable:
     """
 
     def __init__(self) -> None:
-        self._trie: RadixTrie[int] = RadixTrie()
+        self._origins: PrefixTable[int] = PrefixTable()
         self._ixp_prefixes: List[IPv4Prefix] = []
         self._by_origin: Dict[int, List[IPv4Prefix]] = {}
-        self._ixp_org: RadixTrie[int] = RadixTrie()
+        self._ixp_org: PrefixTable[int] = PrefixTable()
 
     def announce(self, prefix: IPv4Prefix, origin: int) -> None:
         """Record that ``origin`` announces ``prefix`` in BGP."""
-        self._trie.insert(prefix, origin)
+        self._origins.insert(prefix, origin)
         self._by_origin.setdefault(origin, []).append(prefix)
 
     def add_ixp_prefix(self, prefix: IPv4Prefix,
@@ -57,7 +57,7 @@ class RouteTable:
         addresses, reproducing the pre-bdrmap misattribution of member
         ports.
         """
-        self._trie.insert(prefix, IXP_ASN)
+        self._origins.insert(prefix, IXP_ASN)
         self._ixp_prefixes.append(prefix)
         if org_asn is not None:
             self._ixp_org.insert(prefix, org_asn)
@@ -68,16 +68,16 @@ class RouteTable:
 
     def origin(self, address: int) -> int:
         """Origin AS of ``address`` (``IXP_ASN``/``UNKNOWN_ASN`` sentinels)."""
-        found = self._trie.lookup(address)
+        found = self._origins.lookup(address)
         return UNKNOWN_ASN if found is None else found
 
     def origin_prefix(self, address: int) -> Optional[Tuple[IPv4Prefix, int]]:
         """Longest matching (prefix, origin) for ``address``, if any."""
-        return self._trie.lookup_prefix(address)
+        return self._origins.lookup_prefix(address)
 
     def is_ixp(self, address: int) -> bool:
         """True when ``address`` lies inside a known IXP peering LAN."""
-        return self.origin(address) == IXP_ASN
+        return self._origins.lookup(address) == IXP_ASN
 
     def prefixes_of(self, origin: int) -> List[IPv4Prefix]:
         """All prefixes announced by ``origin`` (insertion order)."""
@@ -88,11 +88,11 @@ class RouteTable:
         return list(self._ixp_prefixes)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._origins)
 
     def items(self) -> Iterator[Tuple[IPv4Prefix, int]]:
         """Yield every (prefix, origin) announcement."""
-        return self._trie.items()
+        return self._origins.items()
 
     # -- serialization -----------------------------------------------------
 

@@ -6,6 +6,8 @@ tracer produced -- including worker-side spans that were re-parented by
 
 * the stage tree with per-span wall/cpu totals, attribute highlights,
   and events (retries, pool rebuilds, degradation) inline;
+* a self-time table: per span name, wall minus the children's wall,
+  with its share of the total wall (the rows sum to that total);
 * a top-N table of the slowest ``learn.suffix`` spans (the unit of
   work the paper's Hoiho algorithm iterates over);
 * a resilience table summing retry/pool-rebuild/timeout/poison events
@@ -19,7 +21,7 @@ one machine renders identically anywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Span attributes surfaced inline in the tree (order matters).
 _HIGHLIGHT_ATTRS = ("suffix", "snapshot", "kind", "candidates", "kept",
@@ -63,8 +65,9 @@ def _tree(records: List[Dict[str, object]],
 def _render_span(record: Dict[str, object],
                  children: Dict[Optional[str], List[Dict[str, object]]],
                  depth: int, lines: List[str], max_depth: int,
-                 fold: int) -> None:
+                 fold: int, shown: Set[str]) -> None:
     indent = "  " * depth
+    shown.add(str(record.get("name", "?")))
     attrs = _format_attrs(record.get("attrs") or {})
     status = "" if record.get("status") == "ok" else "  [ERROR: %s]" % (
         record.get("error") or "unknown")
@@ -89,12 +92,43 @@ def _render_span(record: Dict[str, object],
     if len(kids) > fold:
         shown_wall = sum(float(k.get("wall", 0.0)) for k in kids[fold:])
         for kid in kids[:fold]:
-            _render_span(kid, children, depth + 1, lines, max_depth, fold)
+            _render_span(kid, children, depth + 1, lines, max_depth, fold,
+                         shown)
         lines.append("%s  ... %d more sibling span(s), %.3fs total"
                      % (indent, len(kids) - fold, shown_wall))
         return
     for kid in kids:
-        _render_span(kid, children, depth + 1, lines, max_depth, fold)
+        _render_span(kid, children, depth + 1, lines, max_depth, fold, shown)
+
+
+def _self_time_table(records: List[Dict[str, object]],
+                     children: Dict[Optional[str], List[Dict[str, object]]],
+                     total_wall: float, shown: Set[str]) -> List[str]:
+    """Per span name: wall minus the children's wall, summed.
+
+    The rows telescope to the roots' total wall.  A row goes negative
+    where children overlapped, e.g. spans adopted from parallel workers.
+    Names the tree folded away are pooled into one ``(folded)`` row.
+    """
+    self_wall: Dict[str, float] = {}
+    spans: Dict[str, int] = {}
+    for record in records:
+        name = str(record.get("name", "?"))
+        if name not in shown:
+            name = "(folded)"
+        kids = children.get(record.get("id"), [])
+        self_wall[name] = self_wall.get(name, 0.0) + float(
+            record.get("wall", 0.0)) - sum(float(k.get("wall", 0.0))
+                                           for k in kids)
+        spans[name] = spans.get(name, 0) + 1
+    lines = ["", "self time by span name",
+             "  %-36s %9s %7s %6s" % ("name", "self", "share", "spans")]
+    for name in sorted(self_wall, key=lambda n: (-self_wall[n], n)):
+        share = ("%6.1f%%" % (100.0 * self_wall[name] / total_wall)
+                 if total_wall > 0 else "      -")
+        lines.append("  %-36s %8.3fs %s %6d"
+                     % (name, self_wall[name], share, spans[name]))
+    return lines
 
 
 def _slowest_suffixes(records: Iterable[Dict[str, object]],
@@ -193,8 +227,10 @@ def render_summary(records: List[Dict[str, object]], top: int = 10,
     lines = ["trace: %d span(s), %d root stage(s), %.3fs total wall%s"
              % (len(records), len(roots), total_wall,
                 (", %d error(s)" % errors) if errors else ""), ""]
+    shown: Set[str] = set()
     for root in roots:
-        _render_span(root, children, 0, lines, max_depth, fold)
+        _render_span(root, children, 0, lines, max_depth, fold, shown)
+    lines += _self_time_table(records, children, total_wall, shown)
     lines += _slowest_suffixes(records, top)
     lines += _resilience_table(records)
     lines += _cache_table(records)

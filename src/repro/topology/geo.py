@@ -9,6 +9,7 @@ an RTT sample bounds how far a router can be from the vantage point.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
@@ -49,10 +50,15 @@ _FIBER_KM_PER_MS = 200.0
 _PATH_STRETCH = 1.3
 
 
+@functools.lru_cache(maxsize=None)
 def distance_km(a: str, b: str) -> Optional[float]:
     """Great-circle distance between two location codes, in km.
 
-    Returns ``None`` when either code is unknown.
+    Returns ``None`` when either code is unknown.  Memoized per pair:
+    :data:`COORDS` is a module constant, so the result depends only on
+    the two codes.  Callers pass router and vantage-point locations,
+    which are :data:`COORDS` keys, so the cache stays within its 2,500
+    pairs while traceroute simulation asks for them millions of times.
     """
     if a not in COORDS or b not in COORDS:
         return None

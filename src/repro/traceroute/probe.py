@@ -27,7 +27,7 @@ from repro.topology import geo
 from repro.topology.world import World
 from repro.traceroute.routing import RoutingModel
 from repro.util.ipaddr import IPv4Prefix
-from repro.util.radix import RadixTrie
+from repro.util.radix import PrefixTable
 from repro.util.rand import substream
 
 
@@ -85,9 +85,9 @@ class Prober:
                     (link, link.a.router))
         self._path_cache: Dict[Tuple[str, str],
                                Optional[List[Tuple[Link, Router]]]] = {}
-        self._edge_trie: "RadixTrie[Router]" = RadixTrie()
+        self._edge_routers: "PrefixTable[Router]" = PrefixTable()
         for prefix, router in self._topo.edge_router_of_prefix.items():
-            self._edge_trie.insert(prefix, router)
+            self._edge_routers.insert(prefix, router)
 
     # -- intra-AS pathing ---------------------------------------------------
 
@@ -237,7 +237,7 @@ class Prober:
 
     def _edge_router_for(self, address: int,
                          dst_asn: int) -> Optional[Router]:
-        router = self._edge_trie.lookup(address)
+        router = self._edge_routers.lookup(address)
         if router is not None and router.asn == dst_asn:
             return router
         routers = self._topo.routers_by_asn.get(dst_asn)

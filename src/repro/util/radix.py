@@ -1,118 +1,85 @@
-"""A binary radix trie over IPv4 prefixes with longest-prefix match.
+"""Longest-prefix match over IPv4 prefixes: one hash table per length.
 
 This is the substrate for the BGP-derived prefix-to-AS mapping used by
-RouterToAsAssignment and bdrmapIT (section 2.1 of the paper).  The trie
+RouterToAsAssignment and bdrmapIT (section 2.1 of the paper).  The table
 stores one value per prefix; lookups return the value attached to the
 longest prefix covering an address.
+
+It is the linear form of Waldvogel et al., *Scalable High Speed IP
+Routing Lookups* (SIGCOMM 1997): a ``dict`` of network -> value per
+prefix length, probed longest length first, so a lookup costs one mask
+and one hash probe per length present rather than one step per bit.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from repro.util.ipaddr import IPv4Prefix
 
 V = TypeVar("V")
 
 
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
-
-
-class RadixTrie(Generic[V]):
+class PrefixTable(Generic[V]):
     """Maps IPv4 prefixes to values, answering longest-prefix-match queries.
 
-    >>> trie = RadixTrie()
-    >>> trie.insert(IPv4Prefix.parse("10.0.0.0/8"), "coarse")
-    >>> trie.insert(IPv4Prefix.parse("10.1.0.0/16"), "fine")
+    >>> table = PrefixTable()
+    >>> table.insert(IPv4Prefix.parse("10.0.0.0/8"), "coarse")
+    >>> table.insert(IPv4Prefix.parse("10.1.0.0/16"), "fine")
     >>> from repro.util.ipaddr import ip_to_int
-    >>> trie.lookup(ip_to_int("10.1.2.3"))
+    >>> table.lookup(ip_to_int("10.1.2.3"))
     'fine'
-    >>> trie.lookup(ip_to_int("10.2.2.3"))
+    >>> table.lookup(ip_to_int("10.2.2.3"))
     'coarse'
-    >>> trie.lookup(ip_to_int("11.0.0.1")) is None
+    >>> table.lookup(ip_to_int("11.0.0.1")) is None
     True
     """
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        self._by_length: Dict[int, Dict[int, V]] = {}
+        # (mask, length, networks) for every length present, longest
+        # first: the probe order of a lookup.
+        self._probes: Tuple[Tuple[int, int, Dict[int, V]], ...] = ()
 
     def __len__(self) -> int:
-        return self._size
-
-    @staticmethod
-    def _bit(address: int, depth: int) -> int:
-        return (address >> (31 - depth)) & 1
+        return sum(len(networks) for networks in self._by_length.values())
 
     def insert(self, prefix: IPv4Prefix, value: V) -> None:
         """Attach ``value`` to ``prefix``, replacing any existing value."""
-        node = self._root
-        for depth in range(prefix.length):
-            bit = self._bit(prefix.network, depth)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        networks = self._by_length.get(prefix.length)
+        if networks is None:
+            networks = self._by_length[prefix.length] = {}
+            self._probes = tuple(
+                ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF, length,
+                 self._by_length[length])
+                for length in sorted(self._by_length, reverse=True))
+        networks[prefix.network] = value
 
     def lookup(self, address: int) -> Optional[V]:
         """Return the value of the longest prefix covering ``address``."""
-        result = self.lookup_prefix(address)
-        return result[1] if result is not None else None
+        for mask, _, networks in self._probes:
+            network = address & mask
+            if network in networks:
+                return networks[network]
+        return None
 
     def lookup_prefix(self, address: int) -> Optional[Tuple[IPv4Prefix, V]]:
         """Like :meth:`lookup` but also return the matching prefix."""
-        node = self._root
-        best: Optional[Tuple[IPv4Prefix, V]] = None
-        if node.has_value:
-            best = (IPv4Prefix(0, 0), node.value)  # type: ignore[arg-type]
-        network = 0
-        for depth in range(32):
-            bit = self._bit(address, depth)
-            node = node.children[bit]  # type: ignore[assignment]
-            if node is None:
-                break
-            network |= bit << (31 - depth)
-            if node.has_value:
-                best = (IPv4Prefix(network & self._mask(depth + 1), depth + 1),
-                        node.value)  # type: ignore[arg-type]
-        return best
-
-    @staticmethod
-    def _mask(length: int) -> int:
-        if length == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+        for mask, length, networks in self._probes:
+            network = address & mask
+            if network in networks:
+                return IPv4Prefix(network, length), networks[network]
+        return None
 
     def exact(self, prefix: IPv4Prefix) -> Optional[V]:
         """Return the value stored exactly at ``prefix``, if any."""
-        node = self._root
-        for depth in range(prefix.length):
-            bit = self._bit(prefix.network, depth)
-            node = node.children[bit]  # type: ignore[assignment]
-            if node is None:
-                return None
-        return node.value if node.has_value else None
+        return self._by_length.get(prefix.length, {}).get(prefix.network)
 
     def items(self) -> Iterator[Tuple[IPv4Prefix, V]]:
-        """Yield every (prefix, value) pair, in depth-first order."""
-        stack: List[Tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, network, depth = stack.pop()
-            if node.has_value:
-                yield (IPv4Prefix(network, depth), node.value)  # type: ignore[misc]
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append(
-                        (child, network | (bit << (31 - depth)), depth + 1))
+        """Yield every (prefix, value) pair, by network then length."""
+        keys = sorted((network, length)
+                      for length, networks in self._by_length.items()
+                      for network in networks)
+        for network, length in keys:
+            yield IPv4Prefix(network, length), self._by_length[length][network]
+

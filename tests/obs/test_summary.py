@@ -126,6 +126,62 @@ class TestTables:
         assert row.split() == ["world", "1", "1", "1"]
 
 
+def _span(span_id, parent, name, wall):
+    return {"id": span_id, "parent": parent, "name": name, "wall": wall,
+            "cpu": wall, "status": "ok", "attrs": {}, "events": []}
+
+
+def _self_time_rows(text):
+    lines = text.splitlines()
+    start = lines.index("self time by span name") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        name, self_wall, share, spans = line.split()
+        rows[name] = (float(self_wall.rstrip("s")),
+                      float(share.rstrip("%")), int(spans))
+    return rows
+
+
+class TestSelfTime:
+    def test_nested_self_times_sum_to_root_wall(self):
+        # stage (8.0) -> build (3.0) -> lookup (1.0), lookup (0.5)
+        #             -> graph (4.0) -> lookup (2.0)
+        records = [
+            _span("s", None, "stage", 8.0),
+            _span("b", "s", "build", 3.0),
+            _span("l1", "b", "lookup", 1.0),
+            _span("l2", "b", "lookup", 0.5),
+            _span("g", "s", "graph", 4.0),
+            _span("l3", "g", "lookup", 2.0),
+        ]
+        rows = _self_time_rows(render_summary(records))
+        assert rows == {"lookup": (3.5, 43.8, 3), "graph": (2.0, 25.0, 1),
+                        "build": (1.5, 18.8, 1), "stage": (1.0, 12.5, 1)}
+        assert sum(row[0] for row in rows.values()) == 8.0
+        # Rows are ordered by self time, largest first.
+        assert list(rows) == ["lookup", "graph", "build", "stage"]
+
+    def test_folded_names_pool_into_one_row(self):
+        records = [_span("p", None, "parent", 4.0)] + [
+            _span("k%d" % i, "p", "kid%d" % i, 0.5) for i in range(6)]
+        text = render_summary(records, fold=4)
+        rows = _self_time_rows(text)
+        assert "kid5" not in text
+        assert rows["(folded)"] == (1.0, 25.0, 2)
+        assert sum(row[0] for row in rows.values()) == 4.0
+
+    def test_rendered_for_a_real_trace(self):
+        records = _trace_with_learning()
+        rows = _self_time_rows(render_summary(records))
+        assert set(rows) == {"stage.learn", "learn.run", "learn.suffix"}
+        root_wall = next(r["wall"] for r in records
+                         if r["name"] == "stage.learn")
+        assert abs(sum(row[0] for row in rows.values()) - root_wall) \
+            < 0.002
+
+
 class TestRoundTrip:
     def test_file_round_trip_renders_identically(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")

@@ -24,7 +24,7 @@ from repro.core.types import SuffixDataset, TrainingItem
 from repro.core.evaluate import evaluate_regex
 from repro.psl import default_psl
 from repro.util.ipaddr import IPv4Prefix, int_to_ip, ip_to_int
-from repro.util.radix import RadixTrie
+from repro.util.radix import PrefixTable
 from repro.util.strings import damerau_levenshtein, digit_runs, split_segments
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_congruent_requires_close_numbers(a, b):
 
 
 # ---------------------------------------------------------------------------
-# IPv4 and radix trie.
+# IPv4 and the longest-prefix-match table.
 # ---------------------------------------------------------------------------
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -107,26 +107,59 @@ def test_ip_round_trip(value):
     assert ip_to_int(int_to_ip(value)) == value
 
 
-@given(st.lists(st.tuples(addresses,
-                          st.integers(min_value=0, max_value=32)),
-                max_size=40),
-       addresses)
-def test_radix_matches_linear_scan(entries, probe):
-    trie = RadixTrie()
-    prefixes = []
-    for address, length in entries:
-        mask = 0 if length == 0 \
-            else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-        prefix = IPv4Prefix(address & mask, length)
-        trie.insert(prefix, str(prefix))
-        prefixes.append(prefix)
-    expected = None
-    best_len = -1
-    for prefix in prefixes:
-        if prefix.contains(probe) and prefix.length > best_len:
-            best_len = prefix.length
-            expected = str(prefix)
-    assert trie.lookup(probe) == expected
+#: Prefix lengths, biased toward the edge cases /0 and /32.
+prefix_lengths = st.one_of(st.sampled_from([0, 32]),
+                           st.integers(min_value=0, max_value=32))
+
+
+def _scan(stored, address):
+    """Brute-force longest-prefix match over a {prefix: value} dict."""
+    covering = [prefix for prefix in stored if prefix.contains(address)]
+    if not covering:
+        return None
+    best = max(covering, key=lambda prefix: prefix.length)
+    return best, stored[best]
+
+
+def _check_against_scan(table, stored, probes):
+    assert len(table) == len(stored)
+    assert dict(table.items()) == stored
+    assert [prefix for prefix, _ in table.items()] == sorted(stored)
+    for prefix, value in stored.items():
+        assert table.exact(prefix) == value
+    for address in probes:
+        hit = _scan(stored, address)
+        assert table.lookup_prefix(address) == hit
+        assert table.lookup(address) == (None if hit is None else hit[1])
+
+
+@given(st.lists(st.tuples(addresses, prefix_lengths), max_size=40),
+       st.lists(addresses, max_size=8), prefix_lengths)
+def test_radix_matches_linear_scan(entries, probes, exact_length):
+    table = PrefixTable()
+    stored = {}
+    for index, (address, length) in enumerate(entries):
+        prefix = IPv4Prefix(address & IPv4Prefix(0, length).mask, length)
+        table.insert(prefix, index)
+        stored[prefix] = index
+    # Probe random addresses plus both ends of every stored prefix, so
+    # hits, nested hits and near misses all occur.
+    probes = list(probes)
+    for prefix in stored:
+        probes += [prefix.network, prefix.network + prefix.size - 1,
+                   (prefix.network + prefix.size) & 0xFFFFFFFF]
+    _check_against_scan(table, stored, probes)
+    # exact() at an arbitrary length: a stored value or None, never a
+    # covering prefix's value.
+    mask = IPv4Prefix(0, exact_length).mask
+    for address in probes:
+        prefix = IPv4Prefix(address & mask, exact_length)
+        assert table.exact(prefix) == stored.get(prefix)
+    # Re-inserting an existing prefix replaces its value in place.
+    for prefix in list(stored)[:3]:
+        table.insert(prefix, -1)
+        stored[prefix] = -1
+    _check_against_scan(table, stored, probes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.hoiho import HoihoConfig
+from repro.eval.context import ExperimentContext, Scale
 from repro.store import (
     KIND_HOIHO,
     KIND_SUFFIX,
@@ -56,6 +57,19 @@ class TestFingerprint:
         monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION",
                             STORE_SCHEMA_VERSION + 1)
         assert fingerprint(payload) != before
+
+    def test_v2_worlds_are_not_read_by_v3(self, monkeypatch, store):
+        # v3 changed the pickled RouteTable from a bit trie to one hash
+        # table per prefix length: a world pickled by a v2 checkout
+        # must miss, not unpickle into attributes nobody reads.
+        assert STORE_SCHEMA_VERSION == 3
+        payload = ExperimentContext(7, Scale.TINY)._world_payload()
+        v3 = fingerprint(payload)
+        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 2)
+        assert fingerprint(payload) != v3
+        store.put(KIND_WORLD, payload, "world pickled by v2")
+        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 3)
+        assert store.get(KIND_WORLD, payload) is None
 
     def test_payload_schema_key_does_not_mask_version(self, monkeypatch):
         # Regression: a payload key named "schema" used to overwrite

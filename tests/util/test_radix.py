@@ -1,19 +1,19 @@
-"""Unit tests for the radix trie."""
+"""Unit tests for the longest-prefix-match table."""
 
 import pytest
 
 from repro.util.ipaddr import IPv4Prefix, ip_to_int
-from repro.util.radix import RadixTrie
+from repro.util.radix import PrefixTable
 
 
 class TestRadixTrie:
     def test_empty_lookup(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         assert trie.lookup(ip_to_int("10.0.0.1")) is None
         assert len(trie) == 0
 
     def test_longest_prefix_wins(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         trie.insert(IPv4Prefix.parse("10.0.0.0/8"), "eight")
         trie.insert(IPv4Prefix.parse("10.1.0.0/16"), "sixteen")
         trie.insert(IPv4Prefix.parse("10.1.2.0/24"), "twentyfour")
@@ -23,14 +23,14 @@ class TestRadixTrie:
         assert trie.lookup(ip_to_int("11.0.0.0")) is None
 
     def test_lookup_prefix_returns_prefix(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         prefix = IPv4Prefix.parse("10.1.0.0/16")
         trie.insert(prefix, "value")
         hit = trie.lookup_prefix(ip_to_int("10.1.2.3"))
         assert hit == (prefix, "value")
 
     def test_replace_value(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         prefix = IPv4Prefix.parse("10.0.0.0/8")
         trie.insert(prefix, "old")
         trie.insert(prefix, "new")
@@ -38,26 +38,26 @@ class TestRadixTrie:
         assert len(trie) == 1
 
     def test_default_route(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         trie.insert(IPv4Prefix(0, 0), "default")
         assert trie.lookup(ip_to_int("192.0.2.1")) == "default"
 
     def test_host_route(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         address = ip_to_int("10.0.0.1")
         trie.insert(IPv4Prefix(address, 32), "host")
         assert trie.lookup(address) == "host"
         assert trie.lookup(address + 1) is None
 
     def test_exact(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         trie.insert(IPv4Prefix.parse("10.0.0.0/8"), "v")
         assert trie.exact(IPv4Prefix.parse("10.0.0.0/8")) == "v"
         assert trie.exact(IPv4Prefix.parse("10.0.0.0/9")) is None
         assert trie.exact(IPv4Prefix.parse("11.0.0.0/8")) is None
 
     def test_items_round_trip(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         prefixes = [IPv4Prefix.parse(p) for p in
                     ("10.0.0.0/8", "10.1.0.0/16", "192.168.0.0/24",
                      "0.0.0.0/0")]
@@ -67,7 +67,7 @@ class TestRadixTrie:
         assert collected == {p: i for i, p in enumerate(prefixes)}
 
     def test_adjacent_slash31(self):
-        trie = RadixTrie()
+        trie = PrefixTable()
         trie.insert(IPv4Prefix.parse("10.0.0.0/31"), "a")
         trie.insert(IPv4Prefix.parse("10.0.0.2/31"), "b")
         assert trie.lookup(ip_to_int("10.0.0.1")) == "a"
