@@ -73,8 +73,7 @@ empty the store (``cache info --json`` for machine consumption, with
 per-namespace entry counts and bytes; ``cache clear --namespace
 suffixes`` flushes one namespace).  With a store attached, timeline
 learning is incremental at suffix granularity -- only suffixes whose
-training data changed since the cached snapshot relearn;
-``--no-suffix-cache`` disables that layer for one run.
+training data changed since the cached snapshot relearn.
 
 Observability (see ``docs/OBSERVABILITY.md``)::
 
@@ -128,7 +127,7 @@ from repro.obs.trace import NULL_TRACER, Tracer, load_trace
 from repro.serve import AnnotationService, BulkAnnotator, iter_hostnames
 from repro.serve.engine import Checkpoint, DEFAULT_CHUNK_SIZE, SINKS
 from repro.serve.memo import DEFAULT_MEMO_SIZE
-from repro.serve.metrics import render_snapshot
+from repro.obs.metrics import render_snapshot
 from repro.store import KIND_HOIHO, KINDS, ArtifactStore
 
 _EXPERIMENTS = {
@@ -214,9 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: $REPRO_CACHE_DIR, else off)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore the artifact store for this run")
-    parser.add_argument("--no-suffix-cache", action="store_true",
-                        help="disable the per-suffix incremental cache "
-                             "layer (whole-result caching still applies)")
     parser.add_argument("--namespace", choices=KINDS, metavar="KIND",
                         help="cache clear: restrict the sweep to one "
                              "namespace (%s)" % "/".join(KINDS))
@@ -399,9 +395,8 @@ def _learn_items(items: List[TrainingItem],
         cached = store.get(KIND_HOIHO, payload)
         if cached is not None:
             return cached
-    suffix_store = None if args.no_suffix_cache else store
     result = Hoiho(parallel=args.parallel, retry=args.retry,
-                   store=suffix_store).run(items)
+                   store=store).run(items)
     if store is not None:
         store.put(KIND_HOIHO, payload, result)
     return result
@@ -1038,8 +1033,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                 parallel=args.parallel,
                                 store=_store_from_args(args),
                                 retry=args.retry,
-                                tracer=_tracer_from_args(args),
-                                suffix_cache=not args.no_suffix_cache)
+                                tracer=_tracer_from_args(args))
     started = time.perf_counter()
     timeline = context.timeline
     learned = context.learn_timeline()
@@ -1117,8 +1111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 parallel=args.parallel,
                                 store=_store_from_args(args),
                                 retry=args.retry,
-                                tracer=_tracer_from_args(args),
-                                suffix_cache=not args.no_suffix_cache)
+                                tracer=_tracer_from_args(args))
     names = sorted(_EXPERIMENTS) if args.command == "all" \
         else [args.command]
     started = time.perf_counter()

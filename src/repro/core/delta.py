@@ -13,12 +13,12 @@ not the corpus.
 
 Three layers use these plans:
 
-* :class:`~repro.core.hoiho.Hoiho` resolves one training set's worth
-  of plans against the store (``run_datasets`` with ``store=``);
-* :meth:`~repro.eval.context.ExperimentContext.learn_timeline` plans a
-  whole timeline, dedupes identical suffix training sets *across*
-  snapshots (content addressing makes cross-snapshot sharing free, even
-  on a cold store), and dispatches only the unique misses;
+* :class:`~repro.core.hoiho.Hoiho` (``run_datasets`` with ``store=``)
+  and :meth:`~repro.eval.context.ExperimentContext.learn_timeline`
+  both learn through :func:`learn_artifacts`: plan, resolve against
+  the store, dedupe identical suffix training sets (across snapshots
+  too -- content addressing makes cross-snapshot sharing free, even on
+  a cold store), dispatch only the unique misses, and write them back;
 * the bench/CI incremental sections report the
   :class:`DeltaSummary` numbers (changed/unchanged per consecutive
   snapshot pair) and the cache hit rates.
@@ -26,15 +26,21 @@ Three layers use these plans:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.hoiho import (
+    SITE_LEARN,
     HoihoConfig,
     SuffixArtifact,
+    _learn_artifact_worker,
     suffix_cache_payload,
 )
+from repro.core.parallel import ParallelConfig, parallel_map
+from repro.core.resilience import RetryPolicy
 from repro.core.types import SuffixDataset, group_by_suffix
+from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.store import KIND_SUFFIX, fingerprint
 
 
@@ -245,3 +251,34 @@ def assemble_result(label_plan: LabelPlan,
         if artifact.convention is not None:
             result.conventions[plan.suffix] = artifact.convention
     return result
+
+
+def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
+                    config: HoihoConfig, parallel: ParallelConfig,
+                    retry: Optional[RetryPolicy],
+                    tracer=NULL_TRACER, span=NULL_SPAN, metrics=None,
+                    ) -> Tuple[TimelinePlan, Dict[str, SuffixArtifact]]:
+    """Learn every planned suffix through the store's ``suffixes/`` cache.
+
+    ``make_plan`` and the store lookups run under a ``learn.plan`` span.
+    Misses are deduped by fingerprint and the unique ones dispatched in
+    ONE fan-out traced under ``span`` (so a pool spins up once for a
+    whole timeline), then written back.  Returns the plan and every
+    plan's artifact keyed by fingerprint; dispatch is in plan order, so
+    parallel results are byte-identical to serial ones.
+    """
+    with tracer.span("learn.plan") as plan_span:
+        plan = make_plan()
+        hits, misses = resolve_plans(store, plan.all_plans(),
+                                     metrics=metrics)
+        plan_span.set(plans=len(hits) + len(misses))
+    span.set(suffix_cache_hits=len(hits), suffix_cache_misses=len(misses))
+    artifacts = {p.fingerprint: artifact for p, artifact in hits}
+    groups = dedupe_plans(misses)
+    learned = parallel_map(functools.partial(_learn_artifact_worker, config),
+                           [group[0].dataset for group in groups],
+                           parallel, retry=retry, site=SITE_LEARN, span=span)
+    for group, artifact in zip(groups, learned):
+        store.put(KIND_SUFFIX, group[0].payload, artifact)
+        artifacts[group[0].fingerprint] = artifact
+    return plan, artifacts

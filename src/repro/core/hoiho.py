@@ -17,15 +17,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.evaluate import NCScore, evaluate_regex
 from repro.core.matchcache import CacheStats, MatchCache
 from repro.core.parallel import ParallelConfig, parallel_map
-from repro.core.resilience import ResilienceStats, RetryPolicy
-from repro.obs.trace import (
-    NULL_TRACER,
-    Captured,
-    Tracer,
-    adopt_all,
-    resilience_to_span,
-    retry_to_span,
-)
+from repro.core.resilience import RetryPolicy
+from repro.obs.trace import NULL_TRACER
 from repro.core.phase1 import generate_base_regexes
 from repro.core.phase2 import merge_regexes
 from repro.core.phase3 import specialise_regex
@@ -241,19 +234,15 @@ def learn_suffix(dataset: SuffixDataset,
     classes) and phase 4 (regex sets), then applies the section-3.6
     selection rule and the section-4 usability gates.
     """
-    convention, _ = learn_suffix_traced(dataset, config, trace=False,
-                                        tracer=tracer)
-    return convention
+    return learn_suffix_traced(dataset, config, tracer=tracer)[0]
 
 
 def learn_suffix_traced(dataset: SuffixDataset,
                         config: Optional[HoihoConfig] = None,
-                        trace: bool = True,
                         tracer=NULL_TRACER,
-                        ) -> Tuple[Optional[LearnedConvention],
-                                   Optional[LearnTrace]]:
-    """Like :func:`learn_suffix`, optionally recording a
-    :class:`LearnTrace` of every phase (figure-4 style walkthrough).
+                        ) -> Tuple[Optional[LearnedConvention], LearnTrace]:
+    """Like :func:`learn_suffix`, also returning the :class:`LearnTrace`
+    of every phase (figure-4 style walkthrough).
 
     ``tracer`` additionally wraps the whole call in a ``learn.suffix``
     span with one child span per phase; the span carries the candidate
@@ -265,32 +254,30 @@ def learn_suffix_traced(dataset: SuffixDataset,
     config = config or HoihoConfig()
     with tracer.span("learn.suffix", suffix=dataset.suffix,
                      items=len(dataset)) as span:
-        convention, record = _learn_suffix_phases(dataset, config, trace,
-                                                  tracer, span)
+        convention, record = _learn_suffix_phases(dataset, config, tracer,
+                                                  span)
         span.set(kept=len(convention.regexes)
                  if convention is not None else 0)
-        if record is not None and record.rejected_reason:
+        if record.rejected_reason:
             span.set(rejected=record.rejected_reason)
     return convention, record
 
 
 def _learn_suffix_phases(dataset: SuffixDataset, config: HoihoConfig,
-                         trace: bool, tracer, span,
-                         ) -> Tuple[Optional[LearnedConvention],
-                                    Optional[LearnTrace]]:
+                         tracer, span,
+                         ) -> Tuple[Optional[LearnedConvention], LearnTrace]:
     """The phase 1-4 + select body of :func:`learn_suffix_traced`.
 
     Split out so the ``learn.suffix`` span brackets everything --
     including the cheap pre-check rejections that exit before phase 1.
     """
-    record = LearnTrace(suffix=dataset.suffix) if trace else None
+    record = LearnTrace(suffix=dataset.suffix)
     cache = MatchCache(dataset) if config.enable_cache else None
-    if record is not None and cache is not None:
+    if cache is not None:
         record.cache_stats = cache.stats
 
     def reject(reason: str):
-        if record is not None:
-            record.rejected_reason = reason
+        record.rejected_reason = reason
         return None, record
 
     try:
@@ -304,10 +291,9 @@ def _learn_suffix_phases(dataset: SuffixDataset, config: HoihoConfig,
 
 
 def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
-                span, record: Optional[LearnTrace],
+                span, record: LearnTrace,
                 cache: Optional[MatchCache], reject,
-                ) -> Tuple[Optional[LearnedConvention],
-                           Optional[LearnTrace]]:
+                ) -> Tuple[Optional[LearnedConvention], LearnTrace]:
     if len(dataset) < config.min_hostnames:
         return reject("too few hostnames")
     if dataset.distinct_train_asns < config.min_distinct_asns:
@@ -319,8 +305,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
         candidates = generate_base_regexes(
             dataset, max_candidates=config.max_candidates,
             sample=config.generation_sample)
-        if record is not None:
-            record.phase1_generated = len(candidates)
+        record.phase1_generated = len(candidates)
         span.set(candidates=len(candidates))
         if not candidates:
             return reject("no base regexes")
@@ -330,8 +315,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
             score = evaluate_regex(regex, dataset, cache=cache)
             if score.tp > 0:
                 scored[regex] = score
-        if record is not None:
-            record.phase1_scored = list(scored.items())
+        record.phase1_scored = list(scored.items())
     if not scored:
         return reject("no base regex extracts a congruent ASN")
 
@@ -346,8 +330,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
                 score = evaluate_regex(regex, dataset, cache=cache)
                 if score.tp > 0:
                     scored[regex] = score
-                    if record is not None:
-                        record.phase2_added.append((regex, score))
+                    record.phase2_added.append((regex, score))
 
     if config.enable_classes:
         with tracer.span("learn.phase3"):
@@ -358,8 +341,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
                 score = evaluate_regex(specialised, dataset, cache=cache)
                 if score.atp >= scored[regex].atp:
                     scored[specialised] = score
-                    if record is not None:
-                        record.phase3_added.append((specialised, score))
+                    record.phase3_added.append((specialised, score))
 
     with tracer.span("learn.phase4"):
         if config.enable_sets:
@@ -373,8 +355,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
                             + (r.specificity_cost(), r.pattern))
             conventions = [((regex,), scored[regex])
                            for regex in ranked[:config.set_pool]]
-        if record is not None:
-            record.conventions = conventions[:10]
+        record.conventions = conventions[:10]
 
     with tracer.span("learn.select"):
         selection = select_best(conventions, cache=cache)
@@ -390,68 +371,29 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
     return convention, record
 
 
-def _learn_dataset_worker(config: HoihoConfig,
-                          dataset: SuffixDataset,
-                          ) -> Optional[LearnedConvention]:
+def _learn_dataset_worker(config: HoihoConfig, dataset: SuffixDataset,
+                          tracer=NULL_TRACER) -> Optional[LearnedConvention]:
     """Module-level worker so the process backend can pickle it."""
-    return learn_suffix(dataset, config)
+    return learn_suffix(dataset, config, tracer=tracer)
 
 
-def _learn_dataset_worker_traced(config: HoihoConfig,
-                                 dataset: SuffixDataset) -> Captured:
-    """Like :func:`_learn_dataset_worker`, but spans ride home too.
-
-    The worker builds its own in-memory tracer (tracers do not cross
-    process boundaries) and ships the captured ``learn.suffix`` span
-    tree back inside the return value; the coordinator adopts it under
-    its ``learn.run`` span.
-    """
-    tracer = Tracer()
-    convention = learn_suffix(dataset, config, tracer=tracer)
-    tracer.close()
-    return Captured(convention, tracer.export())
-
-
-def _learn_artifact_worker(config: HoihoConfig,
-                           dataset: SuffixDataset) -> SuffixArtifact:
-    """Learn one suffix and return its cacheable artifact.
-
-    Runs the traced learner (trace recording never changes the learned
-    result, only observes it) so the artifact carries the rejection
-    reason and per-phase counters alongside the convention.
-    """
-    convention, record = learn_suffix_traced(dataset, config, trace=True)
+def _learn_artifact_worker(config: HoihoConfig, dataset: SuffixDataset,
+                           tracer=NULL_TRACER) -> SuffixArtifact:
+    """Learn one suffix and return its cacheable artifact, which carries
+    the rejection reason and per-phase counters alongside the
+    convention."""
+    convention, record = learn_suffix_traced(dataset, config, tracer=tracer)
     return _suffix_artifact(dataset, convention, record)
 
 
-def _learn_artifact_worker_traced(config: HoihoConfig,
-                                  dataset: SuffixDataset) -> Captured:
-    """Like :func:`_learn_artifact_worker`, but spans ride home too."""
-    tracer = Tracer()
-    convention, record = learn_suffix_traced(dataset, config, trace=True,
-                                             tracer=tracer)
-    tracer.close()
-    return Captured(_suffix_artifact(dataset, convention, record),
-                    tracer.export())
-
-
-def _learn_items_worker(config: HoihoConfig,
-                        items: List[TrainingItem]) -> HoihoResult:
+def _learn_items_worker(config: HoihoConfig, items: List[TrainingItem],
+                        tracer=NULL_TRACER) -> HoihoResult:
     """Learn a whole training set serially inside one worker process.
 
     Used by the eval harness to fan out across training sets; nested
     per-suffix pools are deliberately avoided.
     """
-    return Hoiho(config).run(items)
-
-
-def _learn_items_worker_traced(config: HoihoConfig,
-                               items: List[TrainingItem]) -> Captured:
-    """Traced variant of :func:`_learn_items_worker` (span capture)."""
-    tracer = Tracer()
-    result = Hoiho(config, tracer=tracer).run(items)
-    tracer.close()
-    return Captured(result, tracer.export())
+    return Hoiho(config, tracer=tracer).run(items)
 
 
 class Hoiho:
@@ -470,8 +412,7 @@ class Hoiho:
     ``suffixes/`` namespace before any learning happens; hits skip
     phases 1-4 entirely (negative results included), misses are
     dispatched as usual and their artifacts written back.  Results are
-    byte-identical to a storeless run.  ``suffix_cache=False`` disables
-    the per-suffix layer without touching the store otherwise.
+    byte-identical to a storeless run.
 
     >>> hoiho = Hoiho()
     >>> items = [TrainingItem("as%d.lon%d.example.com" % (a, i % 3), a)
@@ -487,7 +428,6 @@ class Hoiho:
                  retry: Optional[RetryPolicy] = None,
                  tracer=NULL_TRACER,
                  store=None,
-                 suffix_cache: bool = True,
                  metrics=None) -> None:
         self.config = config or HoihoConfig()
         self.psl = psl or default_psl()
@@ -495,80 +435,64 @@ class Hoiho:
         self.retry = retry
         self.tracer = tracer
         self.store = store
-        self.suffix_cache = suffix_cache
         self.metrics = metrics
 
     def run(self, items: Iterable[TrainingItem]) -> HoihoResult:
         """Group items by suffix and learn a convention per suffix."""
-        datasets = group_by_suffix(items, self.psl)
-        return self.run_datasets(datasets.values())
+        with self.tracer.span("learn.run") as span:
+            with self.tracer.span("learn.group") as group:
+                datasets = group_by_suffix(items, self.psl)
+                group.set(items=sum(len(d) for d in datasets.values()),
+                          suffixes=len(datasets))
+            return self._learn(datasets.values(), span)
 
     def run_datasets(self,
                      datasets: Iterable[SuffixDataset]) -> HoihoResult:
         """Learn over pre-grouped datasets."""
+        with self.tracer.span("learn.run") as span:
+            return self._learn(datasets, span)
+
+    def _learn(self, datasets: Iterable[SuffixDataset],
+               span) -> HoihoResult:
+        """Learn every dataset under the ``learn.run`` ``span``.
+
+        Workers' span trees are adopted under ``span`` and retries
+        surface there as span events (see :mod:`repro.core.parallel`).
+        """
         ordered = sorted(datasets, key=lambda d: d.suffix)
-        with self.tracer.span("learn.run", suffixes=len(ordered)) as span:
-            if self.store is not None and self.suffix_cache:
-                conventions = self._run_cached(ordered, span)
-            else:
-                conventions = self._dispatch(ordered, span)
-            result = HoihoResult(suffixes_examined=len(ordered))
-            self._merge(ordered, conventions, result)
-            span.set(learned=len(result.conventions))
+        span.set(suffixes=len(ordered))
+        if self.store is not None:
+            conventions = self._run_cached(ordered, span)
+        else:
+            conventions = parallel_map(
+                functools.partial(_learn_dataset_worker, self.config),
+                ordered, self.parallel, retry=self.retry,
+                site=SITE_LEARN, span=span)
+        result = HoihoResult(suffixes_examined=len(ordered))
+        self._merge(ordered, conventions, result)
+        span.set(learned=len(result.conventions))
         return result
 
     def _run_cached(self, ordered: List[SuffixDataset],
                     span) -> List[Optional[LearnedConvention]]:
-        """The incremental path: serve cached suffixes, learn the rest.
+        """The incremental path: serve cached suffixes, learn the rest
+        (:func:`repro.core.delta.learn_artifacts`)."""
+        from repro.core.delta import (
+            LabelPlan,
+            TimelinePlan,
+            learn_artifacts,
+            plan_datasets,
+        )
 
-        Suffixes whose fingerprinted artifact is already in the store
-        skip phases 1-4 entirely; only the misses are dispatched (in
-        sorted-suffix order, so parallel stays bit-identical to
-        serial), and their artifacts are written back for the next run.
-        """
-        from repro.core.delta import plan_datasets, resolve_plans
-        from repro.store import KIND_SUFFIX
-        plans = plan_datasets(ordered, self.config)
-        hits, misses = resolve_plans(self.store, plans,
-                                     metrics=self.metrics)
-        span.set(suffix_cache_hits=len(hits),
-                 suffix_cache_misses=len(misses))
-        artifacts = {plan.suffix: artifact for plan, artifact in hits}
-        learned = self._dispatch([plan.dataset for plan in misses], span,
-                                 worker=_learn_artifact_worker,
-                                 traced_worker=_learn_artifact_worker_traced)
-        for plan, artifact in zip(misses, learned):
-            self.store.put(KIND_SUFFIX, plan.payload, artifact)
-            artifacts[plan.suffix] = artifact
-        return [artifacts[dataset.suffix].convention
-                for dataset in ordered]
+        def plan() -> TimelinePlan:
+            return TimelinePlan(
+                [LabelPlan("", plan_datasets(ordered, self.config))], [])
 
-    def _dispatch(self, ordered: List[SuffixDataset], span,
-                  worker=_learn_dataset_worker,
-                  traced_worker=_learn_dataset_worker_traced) -> List:
-        """Fan the per-suffix learning out, capturing spans when traced.
-
-        With tracing on, workers run the traced entry point and their
-        span trees are adopted under ``learn.run``; retries surface as
-        live span events and the post-run :class:`ResilienceStats`
-        summary.  With tracing off the dispatch is byte-identical to
-        the untraced PR-4 path.
-        """
-        if not self.tracer.enabled:
-            bound = functools.partial(worker, self.config)
-            return parallel_map(bound, ordered, self.parallel,
-                                retry=self.retry, site=SITE_LEARN)
-        bound = functools.partial(traced_worker, self.config)
-        stats = ResilienceStats()
-        captured = parallel_map(bound, ordered, self.parallel,
-                                retry=self.retry, site=SITE_LEARN,
-                                on_retry=retry_to_span(span, SITE_LEARN),
-                                stats=stats)
-        results = adopt_all(self.tracer, captured,
-                            parent_id=span.span_id)
-        if self.retry is not None:
-            resilience_to_span(span, SITE_LEARN, stats)
-        return results
+        timeline, artifacts = learn_artifacts(
+            self.store, plan, self.config, self.parallel, self.retry,
+            tracer=self.tracer, span=span, metrics=self.metrics)
+        return [artifacts[p.fingerprint].convention
+                for p in timeline.all_plans()]
 
     def _merge(self, ordered: List[SuffixDataset],
                conventions: List[Optional[LearnedConvention]],

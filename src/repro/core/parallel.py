@@ -22,6 +22,16 @@ caller's ``on_poison`` substitute so a stream can outlive its poison
 (the serving engine's dead-letter path).  Ordering, and therefore
 byte-identity with serial output, is preserved throughout: retries
 happen out of order, but results are emitted strictly in input order.
+
+Both primitives also take the coordinating ``span`` of the fan-out.
+With the default :data:`~repro.obs.trace.NULL_SPAN` nothing is traced
+and dispatch is exactly the untraced path.  With a live span every
+work item runs under a worker-local :class:`~repro.obs.trace.Tracer`
+(``func`` must accept ``tracer=``), its captured spans ride home with
+the value and are adopted under ``span``, retries are recorded on
+``span`` as they happen, and a retry-armed fan-out ends with its
+:class:`~repro.core.resilience.ResilienceStats` summarised there too.
+So each call site keeps one worker, traced or not.
 """
 
 from __future__ import annotations
@@ -42,6 +52,13 @@ from repro.core.resilience import (
     ResilientCall,
     RetryPolicy,
     call_with_retry,
+)
+from repro.obs.trace import (
+    NULL_SPAN,
+    Captured,
+    Tracer,
+    resilience_to_span,
+    retry_to_span,
 )
 
 #: Run everything in the calling process.
@@ -176,7 +193,8 @@ def parallel_map(func: Callable[[_T], _R], items: Sequence[_T],
                  retry: Optional[RetryPolicy] = None,
                  site: str = "map",
                  on_retry: Optional[Callable] = None,
-                 stats: Optional[ResilienceStats] = None) -> List[_R]:
+                 stats: Optional[ResilienceStats] = None,
+                 span=NULL_SPAN) -> List[_R]:
     """Ordered map over ``items`` under ``config``.
 
     Results arrive in input order whichever backend runs, so callers get
@@ -189,12 +207,13 @@ def parallel_map(func: Callable[[_T], _R], items: Sequence[_T],
     :class:`~repro.core.resilience.PoisonItemError` -- fan-out callers
     like the snapshot pipeline must not silently drop work, so there is
     no substitution here (use :func:`stream_map` with ``on_poison`` for
-    that).
+    that).  ``span`` traces the fan-out (see the module docstring).
     """
-    if retry is not None:
+    if retry is not None or span.span_id is not None:
         return list(stream_map(func, items, config,
                                window=max(len(items), 1), retry=retry,
-                               site=site, on_retry=on_retry, stats=stats))
+                               site=site, on_retry=on_retry, stats=stats,
+                               span=span))
     if not config.is_parallel or len(items) <= 1:
         return [func(item) for item in items]
     workers = min(config.workers, len(items))
@@ -211,7 +230,8 @@ def stream_map(func: Callable[[_T], _R], items: Iterable[_T],
                site: str = "stream",
                on_poison: Optional[Callable] = None,
                on_retry: Optional[Callable] = None,
-               stats: Optional[ResilienceStats] = None) -> Iterator[_R]:
+               stats: Optional[ResilienceStats] = None,
+               span=NULL_SPAN) -> Iterator[_R]:
     """Lazy, ordered map over an *unbounded* iterable.
 
     Unlike :func:`parallel_map`, which materialises its input and
@@ -236,9 +256,16 @@ def stream_map(func: Callable[[_T], _R], items: Iterable[_T],
     raises :class:`~repro.core.resilience.PoisonItemError`.
     ``on_retry(item, attempts, exc)`` observes each retry, and
     ``stats`` (a :class:`~repro.core.resilience.ResilienceStats`)
-    accumulates what the run survived.
+    accumulates what the run survived.  ``span`` traces the fan-out
+    (see the module docstring).
     """
     window = window if window and window > 0 else config.workers * 4
+    if span.span_id is not None:
+        yield from _stream_traced(func, items, config, window, initializer,
+                                  initargs, retry, site, on_poison,
+                                  on_retry, stats or ResilienceStats(),
+                                  span)
+        return
     if retry is not None:
         yield from _stream_resilient(func, items, config, window,
                                      initializer, initargs, retry, site,
@@ -263,6 +290,54 @@ def stream_map(func: Callable[[_T], _R], items: Iterable[_T],
             yield pending.popleft().result()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+
+
+# -- traced dispatch ---------------------------------------------------------
+
+class _Traced:
+    """Worker wrapper: run ``func`` under a worker-local tracer and ship
+    the captured span records home with the value.  Module-level and
+    attribute-only, so the process backend can pickle it."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+
+    def __call__(self, item: object) -> Captured:
+        tracer = Tracer()
+        value = self.func(item, tracer=tracer)
+        tracer.close()
+        return Captured(value, tracer.export())
+
+
+def _stream_traced(func: Callable, items: Iterable, config: ParallelConfig,
+                   window: int, initializer: Optional[Callable],
+                   initargs: Tuple, retry: Optional[RetryPolicy],
+                   site: str, on_poison: Optional[Callable],
+                   on_retry: Optional[Callable], stats: ResilienceStats,
+                   span) -> Iterator:
+    """:func:`stream_map` with worker-side capture adopted under ``span``.
+
+    Poison substitutes from ``on_poison`` are plain values (they carry
+    no spans) and pass through as they are.
+    """
+    record_retry = retry_to_span(span, site)
+
+    def traced_retry(item: object, attempts: int,
+                     exc: Optional[BaseException]) -> None:
+        record_retry(item, attempts, exc)
+        if on_retry is not None:
+            on_retry(item, attempts, exc)
+
+    for result in stream_map(_Traced(func), items, config, window=window,
+                             initializer=initializer, initargs=initargs,
+                             retry=retry, site=site, on_poison=on_poison,
+                             on_retry=traced_retry, stats=stats):
+        if isinstance(result, Captured):
+            span.tracer.adopt(result.spans, parent_id=span.span_id)
+            result = result.value
+        yield result
+    if retry is not None:
+        resilience_to_span(span, site, stats)
 
 
 # -- resilient dispatch ------------------------------------------------------

@@ -13,17 +13,12 @@ import functools
 from typing import Dict, List, Optional
 
 from repro.core.hoiho import Hoiho, HoihoConfig, HoihoResult, \
-    SITE_LEARN, _learn_items_worker, _learn_items_worker_traced
+    SITE_LEARN, _learn_items_worker
 from repro.core.parallel import ParallelConfig, parallel_map
-from repro.core.resilience import ResilienceStats, RetryPolicy
+from repro.core.resilience import RetryPolicy
 from repro.eval.timeline import TrainingSet, build_timeline
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import (
-    NULL_TRACER,
-    adopt_all,
-    resilience_to_span,
-    retry_to_span,
-)
+from repro.obs.trace import NULL_TRACER
 from repro.store import ArtifactStore, KIND_HOIHO, KIND_TIMELINE, KIND_WORLD
 from repro.topology.world import World, WorldConfig, generate_world
 from repro.traceroute.routing import RoutingModel
@@ -69,7 +64,6 @@ class ExperimentContext:
     identical training problem recurs -- repeat runs, *and* later
     snapshots in which that suffix's observations did not change.  The
     whole-result hoiho cache stays layered on top as the fast path.
-    ``suffix_cache=False`` disables the per-suffix layer only.
     """
 
     def __init__(self, seed: int = 2020,
@@ -81,8 +75,7 @@ class ExperimentContext:
                  store: Optional[ArtifactStore] = None,
                  retry: Optional[RetryPolicy] = None,
                  tracer=NULL_TRACER,
-                 metrics: Optional[MetricsRegistry] = None,
-                 suffix_cache: bool = True) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.seed = seed
         self.scale = scale
         self.hoiho_config = hoiho_config or HoihoConfig()
@@ -91,7 +84,6 @@ class ExperimentContext:
         self.parallel = parallel or ParallelConfig.serial()
         self.store = store
         self.retry = retry
-        self.suffix_cache = suffix_cache
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if store is not None:
@@ -221,7 +213,7 @@ class ExperimentContext:
                 training_set = self.training_set(label)
                 hoiho = Hoiho(self.hoiho_config, parallel=self.parallel,
                               retry=self.retry, tracer=self.tracer,
-                              store=self._suffix_store(),
+                              store=self.store,
                               metrics=self.metrics)
                 self._learned[label] = hoiho.run(training_set.items)
                 if self.store is not None:
@@ -261,109 +253,48 @@ class ExperimentContext:
                 self._learn_missing(missing, span)
         return {label: self._learned[label] for label in labels}
 
-    def _suffix_store(self) -> Optional[ArtifactStore]:
-        """The store to use for per-suffix artifacts (None when the
-        suffix-cache layer is disabled or no store is attached)."""
-        return self.store if self.suffix_cache else None
-
     def _learn_missing(self, missing: List[str], span) -> None:
-        """Fan the uncached training sets out to the learner workers.
+        """Fan the uncached training sets out to the learner workers,
+        one task per set; workers' span trees (one ``learn.run`` per
+        set, grouping included) are adopted under ``stage.learn``.
 
-        With tracing on, workers run the traced entry point and their
-        span trees (one ``learn.run`` per training set) are adopted
-        under the ``stage.learn`` span; retries surface as live span
-        events plus a post-run :class:`ResilienceStats` summary.
-
-        With a store attached (and the suffix cache enabled), learning
-        goes through the delta planner instead: only suffixes whose
-        training set is not already content-addressed in the store are
-        dispatched, and identical suffix training sets shared between
-        snapshots learn exactly once.
+        With a store attached, learning goes through the delta planner
+        instead (:meth:`_learn_missing_incremental`).
         """
-        if self._suffix_store() is not None:
+        if self.store is not None:
             self._learn_missing_incremental(missing, span)
             return
         batches = [self.training_set(label).items for label in missing]
-        if not self.tracer.enabled:
-            worker = functools.partial(_learn_items_worker,
-                                       self.hoiho_config)
-            results = parallel_map(worker, batches, self.parallel,
-                                   retry=self.retry, site=SITE_LEARN)
-        else:
-            worker = functools.partial(_learn_items_worker_traced,
-                                       self.hoiho_config)
-            stats = ResilienceStats()
-            captured = parallel_map(
-                worker, batches, self.parallel, retry=self.retry,
-                site=SITE_LEARN,
-                on_retry=retry_to_span(span, SITE_LEARN), stats=stats)
-            results = adopt_all(self.tracer, captured,
-                                parent_id=span.span_id)
-            if self.retry is not None:
-                resilience_to_span(span, SITE_LEARN, stats)
+        results = parallel_map(
+            functools.partial(_learn_items_worker, self.hoiho_config),
+            batches, self.parallel, retry=self.retry, site=SITE_LEARN,
+            span=span)
         for label, result in zip(missing, results):
             self._learned[label] = result
-            if self.store is not None:
-                self.store.put(KIND_HOIHO, self._hoiho_payload(label),
-                               result)
 
     def _learn_missing_incremental(self, missing: List[str],
                                    span) -> None:
         """Delta-driven timeline learning (see :mod:`repro.core.delta`).
 
-        Plans every missing training set's suffixes, resolves them
-        against the store's ``suffixes/`` namespace, dedupes the misses
-        by content fingerprint (a suffix whose training set is
-        identical across snapshots learns once), and fans only the
-        unique misses out in ONE dispatch -- so the pool spins up once
-        for the whole timeline rather than once per snapshot.  Results
-        are assembled per label in the same sorted-suffix order the
-        from-scratch path produces, so they are byte-identical.
+        Plans every missing training set's suffixes and learns them
+        through :func:`~repro.core.delta.learn_artifacts`: a suffix
+        whose training set is identical across snapshots, or already
+        in the store, learns at most once.  Results are assembled per
+        label in the same sorted-suffix order the from-scratch path
+        produces, so they are byte-identical.
         """
         from repro.core.delta import (
             assemble_result,
-            dedupe_plans,
+            learn_artifacts,
             plan_timeline,
-            resolve_plans,
         )
-        from repro.core.hoiho import (
-            _learn_artifact_worker,
-            _learn_artifact_worker_traced,
-        )
-        from repro.store import KIND_SUFFIX
-        store = self._suffix_store()
         sets = [self.training_set(label) for label in missing]
-        plan = plan_timeline(sets, self.hoiho_config)
+        plan, artifacts = learn_artifacts(
+            self.store, functools.partial(plan_timeline, sets,
+                                          self.hoiho_config),
+            self.hoiho_config, self.parallel, self.retry,
+            tracer=self.tracer, span=span, metrics=self.metrics)
         span.set(**plan.attrs())
-        hits, misses = resolve_plans(store, plan.all_plans(),
-                                     metrics=self.metrics)
-        span.set(suffix_cache_hits=len(hits),
-                 suffix_cache_misses=len(misses))
-        artifacts = {p.fingerprint: artifact for p, artifact in hits}
-        # Dedupe by fingerprint: one dispatch per unique training
-        # problem, shared by every (label, suffix) plan in its group.
-        groups = dedupe_plans(misses)
-        batches = [group[0].dataset for group in groups]
-        if not self.tracer.enabled:
-            worker = functools.partial(_learn_artifact_worker,
-                                       self.hoiho_config)
-            results = parallel_map(worker, batches, self.parallel,
-                                   retry=self.retry, site=SITE_LEARN)
-        else:
-            worker = functools.partial(_learn_artifact_worker_traced,
-                                       self.hoiho_config)
-            stats = ResilienceStats()
-            captured = parallel_map(
-                worker, batches, self.parallel, retry=self.retry,
-                site=SITE_LEARN,
-                on_retry=retry_to_span(span, SITE_LEARN), stats=stats)
-            results = adopt_all(self.tracer, captured,
-                                parent_id=span.span_id)
-            if self.retry is not None:
-                resilience_to_span(span, SITE_LEARN, stats)
-        for group, artifact in zip(groups, results):
-            store.put(KIND_SUFFIX, group[0].payload, artifact)
-            artifacts[group[0].fingerprint] = artifact
         for label_plan in plan.labels:
             result = assemble_result(label_plan, artifacts)
             self._learned[label_plan.label] = result

@@ -20,15 +20,8 @@ from repro.core.types import TrainingItem
 from repro.itdk.builder import BuildConfig
 from repro.naming.assigner import NamingConfig
 from repro.traceroute.campaign import CampaignConfig
-from repro.core.resilience import ResilienceStats, RetryPolicy
-from repro.obs.trace import (
-    NULL_TRACER,
-    Captured,
-    Tracer,
-    adopt_all,
-    resilience_to_span,
-    retry_to_span,
-)
+from repro.core.resilience import RetryPolicy
+from repro.obs.trace import NULL_TRACER
 from repro.pipeline import (
     METHOD_BDRMAPIT,
     METHOD_RTAA,
@@ -132,32 +125,14 @@ def _timeline_tasks(world: World, seed: int,
     return tasks
 
 
-def _timeline_worker(task: object) -> object:
+def _timeline_worker(task: object, tracer=NULL_TRACER) -> object:
     """Dispatch one timeline task (runs in the calling or a worker
     process; the task and result both pickle)."""
     if isinstance(task, SnapshotTask):
-        return run_snapshot_task(task)
+        return run_snapshot_task(task, tracer=tracer)
     assert isinstance(task, PeeringDBTask)
-    return run_peeringdb_snapshot_task(task)
-
-
-def _timeline_worker_traced(task: object) -> Captured:
-    """Like :func:`_timeline_worker`, with worker-side span capture.
-
-    Each worker builds its own in-memory tracer and ships the captured
-    per-snapshot span tree home inside the result;
-    :func:`build_timeline` adopts the records under its ``timeline``
-    span so the merged trace reads as one tree.
-    """
-    tracer = Tracer()
-    if isinstance(task, SnapshotTask):
-        result = run_snapshot_task(task, tracer=tracer)
-    else:
-        assert isinstance(task, PeeringDBTask)
-        with tracer.span("snapshot.peeringdb", snapshot=task.label):
-            result = run_peeringdb_snapshot_task(task)
-    tracer.close()
-    return Captured(result, tracer.export())
+    with tracer.span("snapshot.peeringdb", snapshot=task.label):
+        return run_peeringdb_snapshot_task(task)
 
 
 def build_timeline(world: World, seed: int,
@@ -189,18 +164,8 @@ def build_timeline(world: World, seed: int,
     parallel = parallel or ParallelConfig.serial()
     tasks = _timeline_tasks(world, seed, routing, itdk_labels, include_pdb)
     with tracer.span("timeline", snapshots=len(tasks)) as span:
-        if not tracer.enabled:
-            results = parallel_map(_timeline_worker, tasks, parallel,
-                                   retry=retry, site=SITE_TIMELINE)
-        else:
-            stats = ResilienceStats()
-            captured = parallel_map(
-                _timeline_worker_traced, tasks, parallel, retry=retry,
-                site=SITE_TIMELINE,
-                on_retry=retry_to_span(span, SITE_TIMELINE), stats=stats)
-            results = adopt_all(tracer, captured, parent_id=span.span_id)
-            if retry is not None:
-                resilience_to_span(span, SITE_TIMELINE, stats)
+        results = parallel_map(_timeline_worker, tasks, parallel,
+                               retry=retry, site=SITE_TIMELINE, span=span)
 
     sets: List[TrainingSet] = []
     for task, result in zip(tasks, results):

@@ -21,11 +21,11 @@ report measures this at well under the 2% budget
 (``repro.bench.run_obs_bench``).
 
 **Worker capture.**  Worker processes cannot share the coordinator's
-tracer.  A traced worker entry point builds its own in-memory
-``Tracer``, wraps its work in spans, and ships ``Captured(value,
-spans)`` back through ``parallel_map``/``stream_map``; the coordinator
-calls :meth:`Tracer.adopt` to re-parent the worker's root spans under
-its current span.  Span ids carry a per-tracer random prefix, so
+tracer.  Given a live coordinating span, ``parallel_map``/``stream_map``
+(:mod:`repro.core.parallel`) run each worker under its own in-memory
+``Tracer``, ship ``Captured(value, spans)`` back, and call
+:meth:`Tracer.adopt` to re-parent the worker's root spans under that
+span.  Span ids carry a per-tracer random prefix, so
 records from any number of workers merge without collisions.
 """
 
@@ -161,7 +161,9 @@ class _NullSpan:
         return False
 
 
-_NULL_SPAN = _NullSpan()
+#: The shared inert span: the default for APIs that take an optional
+#: coordinating span (its ``span_id`` is ``None``).
+NULL_SPAN = _NullSpan()
 
 
 class Tracer:
@@ -270,7 +272,7 @@ class NullTracer:
     current = None
 
     def span(self, name: str, **attrs: object) -> _NullSpan:
-        return _NULL_SPAN
+        return NULL_SPAN
 
     def event(self, name: str, **attrs: object) -> None:
         pass

@@ -21,8 +21,9 @@ pairs, this package *applies* them at production rates, in four layers:
   fan-out (byte-identical to serial; packed single-buffer chunk IPC,
   fork-inherited dispatch index, adaptive chunk sizing) and TSV/JSONL
   sinks;
-* :mod:`repro.serve.metrics` -- :class:`MetricsRegistry`, live
-  counters, per-suffix extraction counts, and latency percentiles;
+* :class:`MetricsRegistry` (re-exported from :mod:`repro.obs.metrics`)
+  -- live counters, per-suffix extraction counts, and latency
+  percentiles;
 * :mod:`repro.serve.http` -- the network front-end: a pre-fork
   keep-alive HTTP server (single + batch annotate, ``/metrics``,
   health/readiness, admin hot reload, graceful SIGTERM drain) whose
@@ -75,7 +76,7 @@ from repro.serve.loadgen import (
     run_loadgen,
     workload_fingerprint,
 )
-from repro.serve.metrics import (
+from repro.obs.metrics import (
     Counter,
     Histogram,
     LabelledCounter,

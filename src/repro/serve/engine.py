@@ -19,7 +19,7 @@ to millions of PTR records):
   :class:`~repro.serve.memo.AnnotationMemo` (bulk PTR streams are as
   Zipf-skewed as live ones).  Results come back in input order, so
   parallel output is byte-identical to serial output.
-* **cheap chunk IPC** -- untraced chunks ship to workers as a single
+* **cheap chunk IPC** -- chunks ship to workers as a single
   packed ``bytes`` payload (newline-joined hostnames) and come back as
   one ``array('q')`` of ASNs (``-1`` = miss), one buffer each way
   instead of a per-hostname object graph; the parent retains each
@@ -80,7 +80,7 @@ from repro.core.parallel import (
 )
 from repro.core.resilience import PoisonItemError, RetryPolicy
 from repro.obs.metrics import merge_outcomes
-from repro.obs.trace import NULL_TRACER, Captured, Tracer
+from repro.obs.trace import NULL_TRACER
 from repro.serve.index import DispatchIndex, normalize_hostname
 from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE
 from repro.serve.service import AnnotationService
@@ -203,8 +203,9 @@ def _annotate_one(hostname: object, index: DispatchIndex,
 
 
 def _annotate_chunk(payload: Union[bytes, List[str]],
-                    ) -> Union["array", List]:
-    """Annotate one dispatched payload against the worker's state.
+                    tracer=NULL_TRACER) -> Union["array", List]:
+    """Annotate one dispatched payload against the worker's state,
+    under a ``serve.chunk`` span.
 
     A packed ``bytes`` payload returns an ``array('q')`` of ASNs with
     ``-1`` for misses/malformed (extracted ASNs are non-negative, so
@@ -216,28 +217,20 @@ def _annotate_chunk(payload: Union[bytes, List[str]],
     state = _WORKER_STATE
     assert state is not None, "worker initializer did not run"
     index, memo = state
-    if not isinstance(payload, bytes):
-        return [(hostname, _annotate_one(hostname, index, memo))
-                for hostname in payload]
-    asns = [_annotate_one(hostname, index, memo)
-            for hostname in payload.decode("utf-8").split("\n")]
+    with tracer.span("serve.chunk") as span:
+        if not isinstance(payload, bytes):
+            pairs = [(hostname, _annotate_one(hostname, index, memo))
+                     for hostname in payload]
+            span.set(size=len(pairs), annotated=sum(
+                1 for _, asn in pairs if asn is not None))
+            return pairs
+        asns = [_annotate_one(hostname, index, memo)
+                for hostname in payload.decode("utf-8").split("\n")]
+        span.set(size=len(asns), annotated=len(asns) - asns.count(None))
     try:
         return array("q", (-1 if asn is None else asn for asn in asns))
     except OverflowError:
         return asns
-
-
-def _annotate_chunk_traced(chunk: List[str]) -> Captured:
-    """Like :func:`_annotate_chunk`, shipping a ``serve.chunk`` span
-    home with the result for the coordinator to adopt.  Traced runs
-    always dispatch legacy list payloads (spans want hostnames, not
-    packed buffers)."""
-    tracer = Tracer()
-    with tracer.span("serve.chunk", size=len(chunk)) as span:
-        pairs = _annotate_chunk(chunk)
-        span.set(annotated=sum(1 for _, asn in pairs if asn is not None))
-    tracer.close()
-    return Captured(pairs, tracer.export())
 
 
 # -- sinks -------------------------------------------------------------------
@@ -364,9 +357,6 @@ class BulkAnnotator:
         self.retry = retry
         self.tracer = tracer
         self.dead_letters: List[DeadLetter] = []
-        # The live ``serve.bulk`` span while a run is in flight, so the
-        # parent-side fault hooks can attach events to it.
-        self._span = None
         # Created up front so stats snapshots show zeros before (and
         # without) any faults.
         self._errors = service.metrics.counter("errors")
@@ -385,19 +375,11 @@ class BulkAnnotator:
             error="%s: %s" % (type(error.cause).__name__, error.cause),
             attempts=error.attempts))
         self._errors.inc(len(hostnames))
-        if self._span is not None:
-            self._span.event("poisoned", site=SITE_BULK_ANNOTATE,
-                             chunk=error.index, count=len(hostnames))
         return [(hostname, None) for hostname in hostnames]
 
     def _on_retry(self, chunk: List[str], attempts: int,
                   exc: Optional[BaseException]) -> None:
         self._retries.inc()
-        if self._span is not None:
-            self._span.event("retry", site=SITE_BULK_ANNOTATE,
-                             attempts=attempts,
-                             error=type(exc).__name__ if exc is not None
-                             else "pool-loss")
 
     # -- annotation ----------------------------------------------------------
 
@@ -411,14 +393,13 @@ class BulkAnnotator:
         covers first pull to exhaustion, which includes consumer-side
         time between pulls -- the price of complete bracketing.
         Per-chunk ``serve.chunk`` spans record where annotation time
-        went.
+        went; retries and poisoned chunks are events on ``serve.bulk``.
         """
         span = self.tracer.span(
             "serve.bulk",
             chunk_size=self.chunk_size if self.chunk_size is not None
             else "adaptive",
             parallel=self.parallel.is_parallel)
-        self._span = span if self.tracer.enabled else None
         chunks_done = 0
         try:
             for pairs in self._dispatch_chunks(hostnames, span):
@@ -434,7 +415,6 @@ class BulkAnnotator:
                 span.set(memo_hits=memo.hits, memo_misses=memo.misses,
                          memo_evictions=memo.evictions)
             span.finish()
-            self._span = None
 
     def _chunk_stream(self, hostnames: Iterable[str],
                       ) -> Iterator[List[str]]:
@@ -453,25 +433,16 @@ class BulkAnnotator:
             yield from self._serial_chunks(hostnames)
             return
         global _FORK_TOKEN, _FORK_INDEX
-        chunks = self._chunk_stream(hostnames)
-        packed = not self.tracer.enabled
-        if packed:
-            # Retain each chunk's hostname list parent-side; results
-            # come back strictly in dispatch order (stream_map's
-            # contract, faults included), so a deque realigns them.
-            retained: Optional[deque] = deque()
-            worker: Callable = _annotate_chunk
+        # Retain each chunk's hostname list parent-side; results come
+        # back strictly in dispatch order (stream_map's contract, faults
+        # included), so a deque realigns them.
+        retained: deque = deque()
 
-            def payloads() -> Iterator[Union[bytes, List[str]]]:
-                for chunk in chunks:
-                    retained.append(chunk)
-                    yield _pack_chunk(chunk)
+        def payloads() -> Iterator[Union[bytes, List[str]]]:
+            for chunk in self._chunk_stream(hostnames):
+                retained.append(chunk)
+                yield _pack_chunk(chunk)
 
-            items: Iterable = payloads()
-        else:
-            retained = None
-            worker = _annotate_chunk_traced
-            items = chunks
         token = None
         if fork_inheritance_available():
             # Park the live index for fork inheritance: workers adopt
@@ -482,11 +453,11 @@ class BulkAnnotator:
             token = (os.getpid(), next(_fork_tokens))
             _FORK_INDEX = index
             _FORK_TOKEN = token
-        span.set(payloads="packed" if packed else "list",
-                 fork_shared=token is not None)
+        span.set(fork_shared=token is not None)
         try:
             results = stream_map(
-                worker, items, self.parallel, window=self.window,
+                _annotate_chunk, payloads(), self.parallel,
+                window=self.window,
                 initializer=_init_annotation_worker,
                 initargs=(self.service.to_json(), token,
                           self.service.memo_size),
@@ -494,13 +465,10 @@ class BulkAnnotator:
                 on_poison=self._on_poison if self.retry is not None
                 else None,
                 on_retry=self._on_retry if self.retry is not None
-                else None)
+                else None, span=span)
             for result in results:
-                chunk = retained.popleft() if retained is not None else None
-                if isinstance(result, Captured):
-                    self.tracer.adopt(result.spans, parent_id=span.span_id)
-                    pairs = result.value
-                elif isinstance(result, array):
+                chunk = retained.popleft()
+                if isinstance(result, array):
                     # Packed result: ASNs only, -1 = miss.
                     pairs = [(hostname, None if asn < 0 else asn)
                              for hostname, asn in zip(chunk, result)]
@@ -509,7 +477,7 @@ class BulkAnnotator:
                     pairs = list(zip(chunk, result))
                 else:
                     # Pairs: legacy list payload, or an ``on_poison``
-                    # dead-letter substitute (those carry no spans).
+                    # dead-letter substitute.
                     pairs = result
                 annotated = sum(1 for _, asn in pairs if asn is not None)
                 merge_outcomes(self.service.metrics, len(pairs), annotated)

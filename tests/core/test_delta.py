@@ -175,11 +175,6 @@ class TestHoihoSuffixCache:
         assert artifact.convention is None
         assert artifact.rejected_reason
 
-    def test_suffix_cache_flag_bypasses_store(self, store):
-        items = _dataset(n=16).items
-        Hoiho(FAST, store=store, suffix_cache=False).run(items)
-        assert store.stats.writes == 0
-
     def test_metrics_counters(self, store):
         items = _dataset(n=16).items
         metrics = MetricsRegistry()

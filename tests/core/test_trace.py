@@ -45,11 +45,6 @@ class TestLearnTrace:
         assert trace is not None
         assert trace.rejected_reason == "too few hostnames"
 
-    def test_no_trace_mode(self, figure4):
-        convention, trace = learn_suffix_traced(figure4, trace=False)
-        assert convention is not None
-        assert trace is None
-
     def test_gate_rejection_reason(self):
         # Enough hostnames but only one distinct ASN.
         items = [TrainingItem("as9.p%d.x.com" % i, 9) for i in range(6)]

@@ -101,13 +101,6 @@ class TestIncrementalTimeline:
         assert attrs["suffix_cache_hits"] == 0
         assert attrs["suffix_plans"] == 5
 
-    def test_suffix_cache_off_skips_namespace(self, store):
-        context = _context(store, [_snapshot("s0")], suffix_cache=False)
-        context.learn_timeline()
-        assert store.entries(KIND_SUFFIX) == []
-        # whole-result caching still works
-        assert len(store.entries("hoiho")) == 1
-
     def test_config_change_invalidates_every_suffix(self, store):
         _context(store, [_snapshot("s0")]).learn_timeline()
         changed = _context(store, [_snapshot("s0")],

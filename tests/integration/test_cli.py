@@ -168,15 +168,6 @@ class TestCliCache:
             main(["cache", "clear", "--cache-dir", str(tmp_path / "c"),
                   "--namespace", "scratch"])
 
-    def test_no_suffix_cache_flag(self, tmp_path, capsys):
-        training = self._training_file(tmp_path)
-        cache = tmp_path / "cache"
-        assert main(["learn", "--hostnames", str(training),
-                     "--cache-dir", str(cache), "--no-suffix-cache"]) == 0
-        # whole-result caching still applies; the suffix layer is off
-        assert list(cache.glob("hoiho/*.pkl"))
-        assert not list(cache.glob("suffixes/*.pkl"))
-
     def test_cache_defaults_to_info(self, tmp_path, capsys):
         assert main(["cache", "--cache-dir", str(tmp_path / "c")]) == 0
         assert "empty" in capsys.readouterr().out

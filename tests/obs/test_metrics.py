@@ -1,19 +1,13 @@
 """Histogram edge semantics and the promoted metrics registry.
 
 The serving-side behaviour of these primitives is covered by
-``tests/serve/test_metrics.py`` (which now exercises the compat
-re-export); this file pins down the bucket-edge and percentile
+``tests/serve/test_metrics.py``; this file pins down the bucket-edge and percentile
 guarantees the observability layer documents.
 """
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    merge_outcomes,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestHistogramEdges:
@@ -96,12 +90,3 @@ class TestSnapshotShape:
         snap = registry.snapshot()
         assert snap["counters"]["requests"] == 4
         assert snap["labelled"]["by_kind"]["world"] == 2
-
-
-class TestCompatReexport:
-    def test_serve_metrics_is_the_same_module_objects(self):
-        import repro.serve.metrics as compat
-        assert compat.MetricsRegistry is MetricsRegistry
-        assert compat.Counter is Counter
-        assert compat.Histogram is Histogram
-        assert compat.merge_outcomes is merge_outcomes
