@@ -121,13 +121,13 @@ from repro.eval import (
     table2,
 )
 from repro.obs.manifest import write_manifest
+from repro.obs.metrics import render_snapshot
 from repro.obs.prom import to_prometheus
 from repro.obs.summary import render_summary
 from repro.obs.trace import NULL_TRACER, Tracer, load_trace
 from repro.serve import AnnotationService, BulkAnnotator, iter_hostnames
 from repro.serve.engine import Checkpoint, DEFAULT_CHUNK_SIZE, SINKS
 from repro.serve.memo import DEFAULT_MEMO_SIZE
-from repro.obs.metrics import render_snapshot
 from repro.store import KIND_HOIHO, KINDS, ArtifactStore
 
 _EXPERIMENTS = {
