@@ -14,7 +14,7 @@ registers, e.g. ``example.com``) is the public suffix plus one more label.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.psl.list_data import EMBEDDED_PSL
 
@@ -46,6 +46,11 @@ class PublicSuffixList:
             labels = tuple(reversed(line.lower().lstrip(".").split(".")))
             if labels and all(labels):
                 self._rules[labels] = exception
+        # Every leading slice of every rule: the label walk keeps only
+        # the paths that can still reach a rule.
+        self._prefixes: Set[Tuple[str, ...]] = {
+            rule[:depth] for rule in self._rules
+            for depth in range(1, len(rule) + 1)}
 
     @classmethod
     def from_text(cls, text: str) -> "PublicSuffixList":
@@ -61,17 +66,38 @@ class PublicSuffixList:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def _matching_rules(
-            self, labels: List[str]) -> List[Tuple[Tuple[str, ...], bool]]:
-        """All rules matching the reversed label list ``labels``."""
-        matches = []
-        for rule, exception in self._rules.items():
-            if len(rule) > len(labels):
-                continue
-            if all(r == "*" or r == lab
-                   for r, lab in zip(rule, labels)):
-                matches.append((rule, exception))
-        return matches
+    def _suffix_width(self, labels: List[str]) -> int:
+        """How many of the reversed labels ``labels`` the suffix spans.
+
+        Walks the labels from the right, extending each live rule prefix
+        by the exact label and by ``*``; the walk ends when no prefix
+        survives, so its cost depends on the hostname, not the list.
+        """
+        rules, prefixes = self._rules, self._prefixes
+        normal = exception = 0
+        live: List[Tuple[str, ...]] = [()]
+        depth = 0
+        for label in labels:
+            depth += 1
+            step = []
+            for prefix in live:
+                for key in (prefix + (label,), prefix + ("*",)):
+                    if key in prefixes:
+                        step.append(key)
+                        if key in rules:
+                            if rules[key]:
+                                exception = depth
+                            else:
+                                normal = depth
+            if not step:
+                break
+            live = step
+        if exception:
+            # An exception rule's suffix is the rule minus its first label.
+            width = exception - 1
+        else:
+            width = normal or 1  # default rule: "*" (rightmost label)
+        return min(width, len(labels))
 
     def public_suffix(self, hostname: str) -> Optional[str]:
         """Return the public suffix of ``hostname`` (lower-cased).
@@ -81,19 +107,9 @@ class PublicSuffixList:
         hostname = hostname.strip(".").lower()
         if not hostname:
             return None
-        labels = list(reversed(hostname.split(".")))
-        matches = self._matching_rules(labels)
-        exception = [m for m in matches if m[1]]
-        if exception:
-            # An exception rule's suffix is the rule minus its first label.
-            rule = max(exception, key=lambda m: len(m[0]))[0]
-            width = len(rule) - 1
-        elif matches:
-            width = max(len(rule) for rule, _ in matches)
-        else:
-            width = 1  # default rule: "*" (rightmost label)
-        width = min(width, len(labels))
-        return ".".join(reversed(labels[:width]))
+        labels = hostname.split(".")
+        width = self._suffix_width(labels[::-1])
+        return ".".join(labels[len(labels) - width:])
 
     def registered_domain(self, hostname: str) -> Optional[str]:
         """Return the registerable domain of ``hostname``.
@@ -103,14 +119,15 @@ class PublicSuffixList:
         hostname *is* a public suffix (nothing was registered under it).
         """
         hostname = hostname.strip(".").lower()
-        suffix = self.public_suffix(hostname)
-        if suffix is None:
+        if not hostname:
             return None
         labels = hostname.split(".")
-        suffix_width = suffix.count(".") + 1
-        if len(labels) <= suffix_width:
+        # A one-label exception rule leaves an empty suffix; the
+        # registered domain is then the rightmost label.
+        width = max(self._suffix_width(labels[::-1]), 1)
+        if len(labels) <= width:
             return None
-        return ".".join(labels[-(suffix_width + 1):])
+        return ".".join(labels[-(width + 1):])
 
 
 _DEFAULT: Optional[PublicSuffixList] = None
