@@ -203,7 +203,7 @@ def resolve_plans(store, plans: Sequence[SuffixPlan],
     hits: List[Tuple[SuffixPlan, SuffixArtifact]] = []
     misses: List[SuffixPlan] = []
     for plan in plans:
-        artifact = store.get(KIND_SUFFIX, plan.payload)
+        artifact = store.get(KIND_SUFFIX, plan.payload, key=plan.fingerprint)
         if isinstance(artifact, SuffixArtifact):
             hits.append((plan, artifact))
         else:
@@ -279,6 +279,7 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
                            [group[0].dataset for group in groups],
                            parallel, retry=retry, site=SITE_LEARN, span=span)
     for group, artifact in zip(groups, learned):
-        store.put(KIND_SUFFIX, group[0].payload, artifact)
+        store.put(KIND_SUFFIX, group[0].payload, artifact,
+                  key=group[0].fingerprint)
         artifacts[group[0].fingerprint] = artifact
     return plan, artifacts

@@ -85,10 +85,21 @@ def _key_token(key: object) -> str:
     return "r:" + repr(key)
 
 
+#: Exact types :func:`_canonical` passes through unchanged.  None of
+#: them can be a dataclass or a container, so checking them first skips
+#: the slow ABC checks without changing any result.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _canonical(value: object) -> object:
     """Make ``value`` JSON-stable: dataclasses become sorted dicts,
     tuples become lists, sets become sorted lists, and dict keys become
     type-tagged tokens sorted by their stringified form."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list or kind is tuple:
+        return [_canonical(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _canonical(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
@@ -105,18 +116,25 @@ def _canonical(value: object) -> object:
     return repr(value)
 
 
-def fingerprint(payload: Mapping) -> str:
-    """SHA-256 of the canonical JSON of ``payload`` + schema version.
+def _envelope(payload: Mapping) -> Dict[str, object]:
+    """The canonical payload nested beside the schema version.
 
     The payload nests under its own key so none of its entries can
     collide with the envelope -- a payload key named ``"schema"`` must
     not overwrite the store schema version, or version bumps would stop
     invalidating exactly the entries that carry that key.
     """
-    keyed = {"schema": STORE_SCHEMA_VERSION,
-             "payload": _canonical(payload)}
-    text = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+    return {"schema": STORE_SCHEMA_VERSION, "payload": _canonical(payload)}
+
+
+def _digest(envelope: Mapping) -> str:
+    text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def fingerprint(payload: Mapping) -> str:
+    """SHA-256 of the canonical JSON of ``payload`` + schema version."""
+    return _digest(_envelope(payload))
 
 
 @dataclasses.dataclass
@@ -157,15 +175,21 @@ class ArtifactStore:
         """Expose :func:`fingerprint` on the class for convenience."""
         return fingerprint(payload)
 
-    def path_for(self, kind: str, payload: Mapping) -> Path:
+    def path_for(self, kind: str, payload: Mapping,
+                 key: Optional[str] = None) -> Path:
         """Where the artifact for ``payload`` lives (existing or not).
 
         ``kind`` must be a registered namespace (:data:`KINDS`) --
         writing into an unregistered subdirectory would create entries
-        invisible to :meth:`info`/:meth:`clear`.
+        invisible to :meth:`info`/:meth:`clear`.  ``key`` is
+        ``payload``'s fingerprint when the caller already holds it
+        (a :class:`~repro.core.delta.SuffixPlan` does); it must equal
+        ``fingerprint(payload)``, which is computed when it is omitted.
         """
         _check_kind(kind)
-        return self.root / kind / (fingerprint(payload) + ".pkl")
+        if key is None:
+            key = fingerprint(payload)
+        return self.root / kind / (key + ".pkl")
 
     # -- access ------------------------------------------------------------
 
@@ -173,9 +197,14 @@ class ArtifactStore:
         """True when an artifact for ``payload`` is on disk."""
         return self.path_for(kind, payload).is_file()
 
-    def get(self, kind: str, payload: Mapping) -> Optional[object]:
-        """The stored artifact, or ``None`` on miss/corruption."""
-        path = self.path_for(kind, payload)
+    def get(self, kind: str, payload: Mapping,
+            key: Optional[str] = None) -> Optional[object]:
+        """The stored artifact, or ``None`` on miss/corruption.
+
+        ``key`` is ``payload``'s precomputed fingerprint, as in
+        :meth:`path_for`.
+        """
+        path = self.path_for(kind, payload, key)
         with self.tracer.span("store.get", kind=kind,
                               fingerprint=path.stem) as span:
             artifact = self._read(path)
@@ -200,16 +229,21 @@ class ArtifactStore:
             logger.warning("store: unreadable entry %s (%s)", path, exc)
             return None
 
-    def put(self, kind: str, payload: Mapping, artifact: object) -> Path:
+    def put(self, kind: str, payload: Mapping, artifact: object,
+            key: Optional[str] = None) -> Path:
         """Persist ``artifact`` under ``payload``'s fingerprint.
 
         Both the pickle and its ``.json`` sidecar go through a
         temporary file + atomic rename, so a crashed run never leaves a
         half-written pickle *or* a truncated sidecar next to a valid
         one.  Orphaned temporaries from crashes are reaped by
-        :meth:`clear` and reported by :meth:`info`.
+        :meth:`clear` and reported by :meth:`info`.  ``payload`` is
+        canonicalised once, for the sidecar and (unless ``key``, its
+        precomputed fingerprint, is given) the hash.
         """
-        path = self.path_for(kind, payload)
+        envelope = _envelope(payload)
+        path = self.path_for(kind, payload,
+                             key if key is not None else _digest(envelope))
         with self.tracer.span("store.put", kind=kind,
                               fingerprint=path.stem):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -226,9 +260,7 @@ class ArtifactStore:
             meta_tmp = path.with_suffix(".json.tmp.%d" % os.getpid())
             try:
                 with open(meta_tmp, "w", encoding="utf-8") as handle:
-                    json.dump({"schema": STORE_SCHEMA_VERSION,
-                               "payload": _canonical(payload)},
-                              handle, indent=2, sort_keys=True)
+                    json.dump(envelope, handle, indent=2, sort_keys=True)
                     handle.write("\n")
                 os.replace(meta_tmp, meta)
             finally:

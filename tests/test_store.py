@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.core.hoiho import HoihoConfig
+from repro.core.delta import plan_datasets, resolve_plans
+from repro.core.hoiho import HoihoConfig, SuffixArtifact, suffix_cache_payload
+from repro.core.types import SuffixDataset, TrainingItem
 from repro.eval.context import ExperimentContext, Scale
 from repro.store import (
     KIND_HOIHO,
@@ -142,6 +146,68 @@ class TestStoreRoundTrip:
         assert not store.contains(KIND_WORLD, payload)
         store.put(KIND_WORLD, payload, "x")
         assert store.contains(KIND_WORLD, payload)
+
+
+#: Store entries written by the schema-v3 code before ``put``/``get``
+#: took a precomputed fingerprint (one suffix artifact, see
+#: :func:`_fixture_suffix`).
+V3_FIXTURE = Path(__file__).parent / "fixtures" / "store_v3"
+V3_SUFFIX_KEY = \
+    "6a7aeb8c443a916ac86a509fa491f30aad40ee516cd4de391a3e1a83022baec9"
+
+
+def _fixture_suffix():
+    items = [TrainingItem("as%d.r%d.alpha-inc.org" % (100 + i % 3, i),
+                          100 + i % 3) for i in range(6)]
+    return SuffixDataset("alpha-inc.org", items)
+
+
+class TestPinnedKeys:
+    """Fingerprints and entry bytes are frozen: changing either
+    orphans every store on disk, which needs a schema bump."""
+
+    def test_fixed_payload_digest(self):
+        payload = {"kind": "world", "seed": 7, "f": 2.5,
+                   "m": {1: "a", "z": (1, 2), None: {3, 2}}}
+        assert fingerprint(payload) == \
+            "3b61633192e1128a6fb22141f5b58881baf8da53d9837cc1b3bd94e36d4c81c9"
+
+    def test_suffix_payload_digest(self):
+        payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
+        assert fingerprint(payload) == V3_SUFFIX_KEY
+
+    def test_put_with_key_writes_identical_files(self, tmp_path):
+        payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
+        artifact = SuffixArtifact("alpha-inc.org", None, "fixture")
+        plain = ArtifactStore(tmp_path / "plain").put(
+            KIND_SUFFIX, payload, artifact)
+        keyed = ArtifactStore(tmp_path / "keyed").put(
+            KIND_SUFFIX, payload, artifact, key=fingerprint(payload))
+        assert plain.name == keyed.name == V3_SUFFIX_KEY + ".pkl"
+        for suffix in (".pkl", ".json"):
+            assert plain.with_suffix(suffix).read_bytes() \
+                == keyed.with_suffix(suffix).read_bytes()
+
+    def test_sidecar_matches_committed_entry(self, store):
+        payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
+        path = store.put(KIND_SUFFIX, payload,
+                         SuffixArtifact("alpha-inc.org", None, "fixture"))
+        committed = V3_FIXTURE / KIND_SUFFIX / (V3_SUFFIX_KEY + ".json")
+        assert path.with_suffix(".json").read_bytes() \
+            == committed.read_bytes()
+
+    def test_entry_from_v3_code_still_hits(self, tmp_path):
+        # The committed entry was pickled by the code before this
+        # keying path existed; the planner must find it unchanged.
+        assert STORE_SCHEMA_VERSION == 3
+        shutil.copytree(V3_FIXTURE, tmp_path / "cache")
+        store = ArtifactStore(tmp_path / "cache")
+        plans = plan_datasets([_fixture_suffix()], HoihoConfig())
+        assert plans[0].fingerprint == V3_SUFFIX_KEY
+        hits, misses = resolve_plans(store, plans)
+        assert misses == []
+        assert hits[0][1] == SuffixArtifact("alpha-inc.org", None,
+                                            "fixture")
 
 
 class TestStoreMaintenance:
