@@ -53,11 +53,9 @@ from repro.obs.trace import (
     NullTracer,
     Span,
     Tracer,
-    adopt_all,
     load_trace,
     resilience_to_span,
     retry_to_span,
-    unwrap,
 )
 
 __all__ = [
@@ -77,7 +75,6 @@ __all__ = [
     "SloTarget",
     "Span",
     "Tracer",
-    "adopt_all",
     "diff_snapshot",
     "evaluate_history",
     "history_deltas",
@@ -89,5 +86,4 @@ __all__ = [
     "render_snapshot",
     "resilience_to_span",
     "retry_to_span",
-    "unwrap",
 ]

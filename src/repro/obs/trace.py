@@ -303,29 +303,6 @@ class Captured:
         self.spans = spans
 
 
-def unwrap(result: object) -> object:
-    """The bare value of a worker result, captured or not.
-
-    Poison substitutes injected by ``on_poison`` hooks are plain
-    values, so traced fan-outs unwrap through this instead of assuming
-    every element is a :class:`Captured`.
-    """
-    return result.value if isinstance(result, Captured) else result
-
-
-def adopt_all(tracer: "Tracer", results: Iterable[object],
-              parent_id: Optional[str] = None) -> List[object]:
-    """Adopt every captured result's spans; returns the bare values."""
-    values = []
-    for result in results:
-        if isinstance(result, Captured):
-            tracer.adopt(result.spans, parent_id=parent_id)
-            values.append(result.value)
-        else:
-            values.append(result)
-    return values
-
-
 # -- resilience bridging -----------------------------------------------------
 
 def retry_to_span(span: Span, site: str):

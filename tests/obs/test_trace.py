@@ -9,11 +9,9 @@ from repro.obs.trace import (
     Captured,
     NullTracer,
     Tracer,
-    adopt_all,
     load_trace,
     resilience_to_span,
     retry_to_span,
-    unwrap,
 )
 
 
@@ -182,19 +180,6 @@ class TestAdoption:
         assert [r["name"] for r in roots] == ["stage"]
         assert any(r["parent"] == span.span_id
                    for r in coordinator.records)
-
-    def test_adopt_all_unwraps_mixed_results(self):
-        coordinator = Tracer()
-        captured = Captured("value-a", self._worker_records())
-        with coordinator.span("stage") as span:
-            values = adopt_all(coordinator, [captured, "poison-sub"],
-                               parent_id=span.span_id)
-        assert values == ["value-a", "poison-sub"]
-        assert any(r["name"] == "snapshot" for r in coordinator.records)
-
-    def test_unwrap(self):
-        assert unwrap(Captured(42, [])) == 42
-        assert unwrap("bare") == "bare"
 
 
 class TestResilienceBridging:
