@@ -385,7 +385,7 @@ def _serve_dispatch_kernels(result: "HoihoResult", hostnames: List[str],
 
     count = len(hostnames)
 
-    # Kernel 1: the pre-serve apply loop -- PSL scan per hostname.
+    # Kernel 1: the pre-serve apply loop -- PSL lookup per hostname.
     linear_seconds = _best_of(
         lambda: [result.extract(h) for h in hostnames], rounds)
 

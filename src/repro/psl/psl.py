@@ -76,9 +76,7 @@ class PublicSuffixList:
         rules, prefixes = self._rules, self._prefixes
         normal = exception = 0
         live: List[Tuple[str, ...]] = [()]
-        depth = 0
-        for label in labels:
-            depth += 1
+        for depth, label in enumerate(labels, 1):
             step = []
             for prefix in live:
                 for key in (prefix + (label,), prefix + ("*",)):
@@ -122,8 +120,8 @@ class PublicSuffixList:
         if not hostname:
             return None
         labels = hostname.split(".")
-        # A one-label exception rule leaves an empty suffix; the
-        # registered domain is then the rightmost label.
+        # An empty suffix (left by a one-label exception rule such as
+        # ``!com``) still counts as one label.
         width = max(self._suffix_width(labels[::-1]), 1)
         if len(labels) <= width:
             return None
