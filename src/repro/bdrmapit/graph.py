@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.alias.midar import AliasResolution
 from repro.asn.bgp import IXP_ASN, RouteTable, UNKNOWN_ASN
-from repro.traceroute.probe import Trace
+from repro.traceroute.probe import Trace, TraceSet
 
 
 @dataclass
@@ -79,9 +79,15 @@ class RouterGraph:
 
 
 def build_router_graph(resolution: AliasResolution,
-                       traces: Iterable[Trace],
+                       traces: Sequence[Trace],
                        route_table: RouteTable) -> RouterGraph:
-    """Accumulate per-node state from a trace collection."""
+    """Accumulate per-node state from a trace collection.
+
+    Reads a :class:`TraceSet`'s hop columns; any other sequence of
+    traces is packed into one first.
+    """
+    if not isinstance(traces, TraceSet):
+        traces = TraceSet(traces)
     states: Dict[str, NodeState] = {}
     ixp_subsequent: Dict[str, Counter] = defaultdict(Counter)
 
@@ -98,31 +104,32 @@ def build_router_graph(resolution: AliasResolution,
         for address in node.addresses:
             state.origins[route_table.origin(address)] += 1
 
-    for trace in traces:
-        hops = trace.responsive_hops()
-        if not hops:
-            continue
-        node_path: List[Tuple[str, int]] = []
-        for address in hops:
-            node_id = resolution.node_of_address.get(address)
-            if node_id is None:
+    # One pass over the hop column maps every hop to its node (None for
+    # anonymous and unresolved hops).  Then each trace walks its node
+    # path, one step per run of consecutive hops on the same node.
+    hops, offsets = traces.hops, traces.offsets
+    node_of_hop = list(map(resolution.node_of_address.get, hops))
+    ixp_of: Dict[int, bool] = {}
+    for index, dest_origin in enumerate(traces.dst_asn):
+        previous: Optional[NodeState] = None
+        previous_id = None
+        for position in range(offsets[index], offsets[index + 1]):
+            node_id = node_of_hop[position]
+            if node_id is None or node_id == previous_id:
                 continue
-            if node_path and node_path[-1][0] == node_id:
-                continue
-            node_path.append((node_id, address))
-
-        dest_origin = trace.dst_asn
-        for position, (node_id, _) in enumerate(node_path):
-            state = state_for(node_id)
+            state = states.get(node_id) or state_for(node_id)
             state.dests[dest_origin] += 1
-            if position + 1 < len(node_path):
-                next_address = node_path[position + 1][1]
-                state.subsequent_ifaces[next_address] += 1
-                if route_table.is_ixp(next_address):
-                    ixp_subsequent[node_id][next_address] += 1
-        if node_path:
-            last_id, _ = node_path[-1]
-            state_for(last_id).last_hop_dests[dest_origin] += 1
+            if previous is not None:
+                address = hops[position]
+                previous.subsequent_ifaces[address] += 1
+                is_ixp = ixp_of.get(address)
+                if is_ixp is None:
+                    is_ixp = ixp_of[address] = route_table.is_ixp(address)
+                if is_ixp:
+                    ixp_subsequent[previous_id][address] += 1
+            previous, previous_id = state, node_id
+        if previous is not None:
+            previous.last_hop_dests[dest_origin] += 1
 
     # Mark link mates: a subsequent address in the same /30 as one of the
     # node's own addresses.

@@ -10,14 +10,14 @@ either method's inferences (as the real ITDKs did across eras).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional, Sequence
 
 from repro.alias.midar import resolve_aliases
 from repro.itdk.snapshot import ITDKSnapshot
 from repro.naming.assigner import NamingOutcome, host_hostname
 from repro.topology.world import World
 from repro.traceroute.campaign import CampaignConfig, run_campaign
-from repro.traceroute.probe import Trace
+from repro.traceroute.probe import Trace, TraceSet
 from repro.traceroute.routing import RoutingModel
 
 
@@ -35,7 +35,7 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
                    label: str,
                    routing: Optional[RoutingModel] = None,
                    config: Optional[BuildConfig] = None,
-                   traces: Optional[List[Trace]] = None,
+                   traces: Optional[Sequence[Trace]] = None,
                    ) -> "BuiltSnapshot":
     """Run a campaign (unless ``traces`` given) and build the snapshot."""
     config = config or BuildConfig()
@@ -43,12 +43,10 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
         if routing is None:
             routing = RoutingModel(world.graph)
         traces = run_campaign(world, routing, seed, config.campaign)
+    elif not isinstance(traces, TraceSet):
+        traces = TraceSet(traces)
 
-    observed: Set[int] = set()
-    for trace in traces:
-        observed.update(trace.responsive_hops())
-
-    resolution = resolve_aliases(world, observed, seed,
+    resolution = resolve_aliases(world, traces.observed(), seed,
                                  split_rate=config.alias_split_rate,
                                  merge_rate=config.alias_merge_rate,
                                  augment_rate=config.alias_augment_rate)
@@ -72,4 +70,4 @@ class BuiltSnapshot:
     """
 
     snapshot: ITDKSnapshot
-    traces: List[Trace]
+    traces: TraceSet

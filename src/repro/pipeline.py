@@ -10,7 +10,8 @@ synthetic netixlan records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.asn.org import ASOrgMap
@@ -26,7 +27,7 @@ from repro.peeringdb.snapshot import PeeringDBSnapshot
 from repro.rtaa.rtaa import assign_asns as rtaa_assign
 from repro.topology.world import World
 from repro.traceroute.campaign import CampaignConfig
-from repro.traceroute.probe import Trace
+from repro.traceroute.probe import TraceSet
 from repro.traceroute.routing import RoutingModel
 from repro.util.ipaddr import int_to_ip
 
@@ -61,16 +62,42 @@ class SnapshotSpec:
 
 @dataclass
 class SnapshotResult:
-    """Everything produced for one snapshot."""
+    """Everything produced for one snapshot.
+
+    ``graph`` is derived on first use from the alias resolution, the
+    traces and the world's route table, and never pickled: only
+    bdrmapIT snapshots need it to annotate, so the others never build
+    it unless a caller asks.
+    """
 
     spec: SnapshotSpec
     world: World
     naming: NamingOutcome
     snapshot: ITDKSnapshot
-    graph: RouterGraph
     annotations: Dict[str, int]
     training: List[TrainingItem] = field(default_factory=list)
-    traces: List["Trace"] = field(default_factory=list)
+    traces: TraceSet = field(default_factory=TraceSet)
+
+    @functools.cached_property
+    def graph(self) -> RouterGraph:
+        """The bdrmapIT router graph of this snapshot's traces."""
+        return build_router_graph(self.snapshot.resolution, self.traces,
+                                  self.world.plan.route_table)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("graph", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Pickles written before the graph became derived carry it
+        # (with its own copy of the route table) and a list of traces.
+        state = dict(state)
+        state.pop("graph", None)
+        traces = state.get("traces", ())
+        if not isinstance(traces, TraceSet):
+            state["traces"] = TraceSet(traces)  # type: ignore[arg-type]
+        self.__dict__.update(state)
 
 
 def run_snapshot(world: World, spec: SnapshotSpec,
@@ -81,7 +108,8 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     ``tracer`` wraps the run in a ``snapshot`` span (labelled with the
     spec's label/method) with one child span per stage -- the record
     ``trace summary`` renders per snapshot when the timeline fans these
-    out to worker processes.
+    out to worker processes.  Only a bdrmapIT snapshot builds its router
+    graph, in a ``snapshot.graph`` span before ``snapshot.annotate``.
     """
     with tracer.span("snapshot", snapshot=spec.label,
                      method=spec.method) as span:
@@ -95,9 +123,12 @@ def run_snapshot(world: World, spec: SnapshotSpec,
                 world, naming, spec.seed, spec.label, routing=routing,
                 config=spec.build_config())
             snapshot = built.snapshot
-        with tracer.span("snapshot.graph"):
-            graph = build_router_graph(snapshot.resolution, built.traces,
-                                       world.plan.route_table)
+        result = SnapshotResult(spec=spec, world=world, naming=naming,
+                                snapshot=snapshot, annotations={},
+                                traces=built.traces)
+        if spec.method == METHOD_BDRMAPIT:
+            with tracer.span("snapshot.graph"):
+                graph = result.graph
 
         with tracer.span("snapshot.annotate", method=spec.method):
             if spec.method == METHOD_RTAA:
@@ -111,14 +142,12 @@ def run_snapshot(world: World, spec: SnapshotSpec,
             else:
                 raise ValueError("unknown method %r" % spec.method)
             snapshot.set_annotations(annotations, spec.method)
+        result.annotations = annotations
 
         with tracer.span("snapshot.training"):
-            training = training_items_from_itdk(snapshot)
-        span.set(items=len(training))
-    return SnapshotResult(spec=spec, world=world, naming=naming,
-                          snapshot=snapshot, graph=graph,
-                          annotations=annotations, training=training,
-                          traces=built.traces)
+            result.training = training_items_from_itdk(snapshot)
+        span.set(items=len(result.training))
+    return result
 
 
 def training_items_from_itdk(snapshot: ITDKSnapshot) -> List[TrainingItem]:

@@ -24,8 +24,10 @@ Layout on disk::
 
 ``repro-hoiho cache info`` and ``repro-hoiho cache clear`` operate on a
 store; :class:`~repro.eval.context.ExperimentContext` consults one when
-constructed with ``store=``.  Bump :data:`STORE_SCHEMA_VERSION` whenever
-the pickled representation of an artifact changes shape.
+constructed with ``store=``.  Bump :data:`STORE_SCHEMA_VERSION` when new
+code cannot read an old pickle correctly.  A layout change that old
+pickles still load into (a class that converts or drops old fields in
+``__setstate__``) keeps the version, and the stored artifacts with it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ logger = logging.getLogger(__name__)
 #: scheme; part of every fingerprint.  v2: dict keys are type-tagged
 #: tokens and the payload nests beside the schema version.  v3: a
 #: world's RouteTable holds one hash table per prefix length, not a trie.
+#: Still v3: snapshot results store their traces as a ``TraceSet`` and
+#: no router graph, and load v3 pickles that carry a trace list and one.
 STORE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).

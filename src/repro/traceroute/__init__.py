@@ -7,20 +7,22 @@
 * :mod:`repro.traceroute.probe` expands AS paths to router-level hop
   sequences, reporting the *ingress* interface of every router -- which
   is how supplier-addressed interconnects end up attributed to the wrong
-  AS by naive IP-to-AS mapping;
+  AS by naive IP-to-AS mapping -- and holds a campaign's traces as flat
+  columns (:class:`~repro.traceroute.probe.TraceSet`);
 * :mod:`repro.traceroute.campaign` runs measurement campaigns from
   configurable vantage points, producing the trace sets ITDK snapshots
   are built from.
 """
 
 from repro.traceroute.routing import RoutingModel
-from repro.traceroute.probe import Prober, Trace
+from repro.traceroute.probe import Prober, Trace, TraceSet
 from repro.traceroute.campaign import CampaignConfig, run_campaign
 
 __all__ = [
     "RoutingModel",
     "Prober",
     "Trace",
+    "TraceSet",
     "CampaignConfig",
     "run_campaign",
 ]

@@ -13,7 +13,7 @@ from typing import List, Optional, Set
 
 from repro.topology.asgraph import Tier
 from repro.topology.world import World
-from repro.traceroute.probe import Prober, Trace
+from repro.traceroute.probe import Prober, TraceSet
 from repro.traceroute.routing import RoutingModel
 from repro.util.rand import substream
 
@@ -41,8 +41,12 @@ def select_vps(world: World, n_vps: int, seed: int) -> List[int]:
 
 
 def run_campaign(world: World, routing: RoutingModel, seed: int,
-                 config: Optional[CampaignConfig] = None) -> List[Trace]:
-    """Probe (a sample of) every AS's edge prefixes from every VP."""
+                 config: Optional[CampaignConfig] = None) -> TraceSet:
+    """Probe (a sample of) every AS's edge prefixes from every VP.
+
+    Each walk goes straight into the returned :class:`TraceSet`'s
+    columns; a walk with no hops is dropped.
+    """
     config = config or CampaignConfig()
     rng = substream(seed, "campaign")
     prober = Prober(world, routing, seed,
@@ -70,13 +74,13 @@ def run_campaign(world: World, routing: RoutingModel, seed: int,
                     seen.add(address)
                     destinations.append(address)
 
-    traces: List[Trace] = []
+    traces = TraceSet()
     for vp_asn in vp_asns:
         routers = world.topology.routers_by_asn[vp_asn]
         cores = [r for r in routers if r.role == "core"]
         vp_router = cores[0] if cores else routers[0]
         for dst_address in destinations:
-            trace = prober.trace(vp_asn, vp_router, dst_address)
-            if trace is not None and trace.hops:
-                traces.append(trace)
+            walk = prober.walk(vp_asn, vp_router, dst_address)
+            if walk is not None and walk[1]:  # walk[1]: its hops
+                traces.add(vp_asn, dst_address, vp_router.loc, *walk)
     return traces

@@ -11,9 +11,12 @@ for IP-to-AS mapping (section 1 of the paper).
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    overload)
 
 from repro.topology.routers import (
     Interface,
@@ -52,6 +55,127 @@ class Trace:
         """(address, rtt) pairs for the responsive hops."""
         return [(hop, rtt) for hop, rtt in zip(self.hops, self.rtts)
                 if hop is not None and rtt is not None]
+
+
+#: The hop address a :class:`TraceSet` stores for an anonymous hop.
+ANONYMOUS = 0
+#: The RTT a :class:`TraceSet` stores for a hop without one.
+NO_RTT = math.nan
+
+
+class TraceSet(Sequence[Trace]):
+    """One campaign's traces as flat columns.
+
+    Per trace: ``vp_asn``, ``dst_address``, ``dst_asn``, ``vp_loc``,
+    ``reached`` and the trace's first index into the hop columns
+    (``offsets`` holds one more entry, the end of the last trace).  Per
+    hop: ``hops``, an ``array('I')`` of addresses with
+    :data:`ANONYMOUS` (0) for an anonymous hop, and ``rtts``, an
+    ``array('d')`` with NaN for a missing RTT.
+
+    It is a ``Sequence[Trace]``: indexing or iterating builds a
+    :class:`Trace` equal to the one added, and it pickles as arrays.
+    A trace added with fewer RTTs than hops reads back padded with
+    ``None``.
+    """
+
+    __slots__ = ("vp_asn", "dst_address", "dst_asn", "vp_loc", "reached",
+                 "offsets", "hops", "rtts")
+
+    def __init__(self, traces: Iterable[Trace] = ()) -> None:
+        self.vp_asn = array("q")
+        self.dst_address = array("I")
+        self.dst_asn = array("q")
+        self.vp_loc: List[str] = []
+        self.reached = array("B")
+        self.offsets = array("I", [0])
+        self.hops = array("I")
+        self.rtts = array("d")
+        for trace in traces:
+            self.append(trace)
+
+    def add(self, vp_asn: int, dst_address: int, vp_loc: str,
+            dst_asn: int, hops: Sequence[int], rtts: Sequence[float],
+            reached: bool) -> None:
+        """Append one trace given as columns: ``hops`` with 0 for an
+        anonymous hop, ``rtts`` (as long as ``hops``) with NaN for none.
+        The last four arguments are what :meth:`Prober.walk` returns."""
+        self.vp_asn.append(vp_asn)
+        self.dst_address.append(dst_address)
+        self.dst_asn.append(dst_asn)
+        self.vp_loc.append(vp_loc)
+        self.reached.append(reached)
+        self.hops.extend(hops)
+        self.rtts.extend(rtts)
+        self.offsets.append(len(self.hops))
+
+    def append(self, trace: Trace) -> None:
+        """Append ``trace``; a hop at address 0 raises ``ValueError`` (0
+        is how the columns spell an anonymous hop)."""
+        if ANONYMOUS in trace.hops:
+            raise ValueError("hop address 0 collides with the anonymous "
+                             "marker")
+        if len(trace.rtts) > len(trace.hops):
+            raise ValueError("more RTTs than hops")
+        rtts = [NO_RTT if rtt is None else rtt for rtt in trace.rtts]
+        rtts.extend([NO_RTT] * (len(trace.hops) - len(rtts)))
+        self.add(trace.vp_asn, trace.dst_address, trace.vp_loc,
+                 trace.dst_asn,
+                 [ANONYMOUS if hop is None else hop for hop in trace.hops],
+                 rtts, trace.reached)
+
+    def observed(self) -> Set[int]:
+        """Every responsive hop address."""
+        observed = set(self.hops)
+        observed.discard(ANONYMOUS)
+        return observed
+
+    def __len__(self) -> int:
+        return len(self.dst_address)
+
+    @overload
+    def __getitem__(self, index: int) -> Trace: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[Trace]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("TraceSet index out of range")
+        start, end = self.offsets[index], self.offsets[index + 1]
+        return Trace(vp_asn=self.vp_asn[index],
+                     dst_address=self.dst_address[index],
+                     dst_asn=self.dst_asn[index],
+                     hops=[hop or None for hop in self.hops[start:end]],
+                     rtts=[None if rtt != rtt else rtt
+                           for rtt in self.rtts[start:end]],
+                     vp_loc=self.vp_loc[index],
+                     reached=bool(self.reached[index]))
+
+    def columns(self) -> Tuple[object, ...]:
+        """Every column, in slot order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceSet):
+            return NotImplemented
+        # NaN != NaN, so the RTT column (the last slot) compares by bytes.
+        return (self.columns()[:-1] == other.columns()[:-1]
+                and self.rtts.tobytes() == other.rtts.tobytes())
+
+    def __repr__(self) -> str:
+        return "TraceSet(%d traces, %d hops)" % (len(self), len(self.hops))
+
+    def __getstate__(self) -> Tuple[object, ...]:
+        return self.columns()
+
+    def __setstate__(self, state: Tuple[object, ...]) -> None:
+        for name, column in zip(self.__slots__, state):
+            setattr(self, name, column)
 
 
 class Prober:
@@ -155,15 +279,14 @@ class Prober:
 
     # -- hop recording -------------------------------------------------------
 
-    def _record(self, trace: Trace, router: Router,
+    def _record(self, hops: List[int], rtts: List[float], router: Router,
                 iface: Interface, delay_ms: float) -> None:
         if self._anonymous[router.rid]:
-            trace.hops.append(None)
-            trace.rtts.append(None)
+            hops.append(ANONYMOUS)
+            rtts.append(NO_RTT)
         else:
-            trace.hops.append(iface.address)
-            trace.rtts.append(round(2.0 * delay_ms
-                                    + self._jitter[router.rid], 3))
+            hops.append(iface.address)
+            rtts.append(round(2.0 * delay_ms + self._jitter[router.rid], 3))
 
     # -- main entry ------------------------------------------------------------
 
@@ -173,16 +296,29 @@ class Prober:
 
         Returns ``None`` when the VP has no route to the destination's
         origin AS; otherwise a :class:`Trace`, possibly truncated when an
-        internal path is missing (treated as unreachable).
+        internal path is missing (treated as unreachable).  The trace is
+        :meth:`walk`'s columns read back through a one-trace
+        :class:`TraceSet`.
         """
+        walk = self.walk(vp_asn, vp_router, dst_address)
+        if walk is None:
+            return None
+        traces = TraceSet()
+        traces.add(vp_asn, dst_address, vp_router.loc, *walk)
+        return traces[0]
+
+    def walk(self, vp_asn: int, vp_router: Router, dst_address: int,
+             ) -> Optional[Tuple[int, List[int], List[float], bool]]:
+        """One traceroute as ``(dst_asn, hops, rtts, reached)``, the
+        columns :meth:`TraceSet.add` takes; ``None`` as in :meth:`trace`."""
         dst_asn = self._world.origin(dst_address)
         if dst_asn <= 0:
             return None
         as_path = self._routing.as_path(vp_asn, dst_asn)
         if as_path is None:
             return None
-        trace = Trace(vp_asn=vp_asn, dst_address=dst_address,
-                      dst_asn=dst_asn, vp_loc=vp_router.loc)
+        hops: List[int] = []
+        rtts: List[float] = []
         flow = dst_address  # deterministic per-destination flow id
 
         current_router = vp_router
@@ -191,31 +327,33 @@ class Prober:
             this_asn, next_asn = as_path[position], as_path[position + 1]
             link = self._interdomain_link(this_asn, next_asn, flow)
             if link is None:
-                return trace  # no physical link; trace dies here
+                return dst_asn, hops, rtts, False  # no physical link
             egress_iface = self._link_interface(link, this_asn)
             ingress_iface = self._link_interface(link, next_asn)
             if egress_iface is None or ingress_iface is None:
-                return trace
+                return dst_asn, hops, rtts, False
             steps = self._internal_path(current_router, egress_iface.router)
             if steps is None:
-                return trace
+                return dst_asn, hops, rtts, False
             previous = current_router
             for internal_link, router in steps:
                 arrived = internal_link.a if internal_link.a.router is router \
                     else internal_link.b
                 delay += geo.propagation_ms(previous.loc, router.loc) + 0.05
-                self._record(trace, router, arrived, delay)
+                self._record(hops, rtts, router, arrived, delay)
                 previous = router
             # Cross the interdomain link: next router answers with the
             # interface address on the shared subnet (supplier-addressed,
             # or the IXP LAN address).
             delay += geo.propagation_ms(previous.loc,
                                         ingress_iface.router.loc) + 0.05
-            self._record(trace, ingress_iface.router, ingress_iface, delay)
+            self._record(hops, rtts, ingress_iface.router, ingress_iface,
+                         delay)
             current_router = ingress_iface.router
 
         # Inside the destination AS: walk to the edge router hosting the
         # destination prefix, then the destination itself may answer.
+        reached = False
         edge_router = self._edge_router_for(dst_address, dst_asn)
         if edge_router is not None:
             steps = self._internal_path(current_router, edge_router)
@@ -227,13 +365,13 @@ class Prober:
                         else internal_link.b
                     delay += geo.propagation_ms(previous.loc,
                                                 router.loc) + 0.05
-                    self._record(trace, router, arrived, delay)
+                    self._record(hops, rtts, router, arrived, delay)
                     previous = router
                 if self._destination_responds(dst_address):
-                    trace.hops.append(dst_address)
-                    trace.rtts.append(round(2.0 * (delay + 0.05) + 0.5, 3))
-                    trace.reached = True
-        return trace
+                    hops.append(dst_address)
+                    rtts.append(round(2.0 * (delay + 0.05) + 0.5, 3))
+                    reached = True
+        return dst_asn, hops, rtts, reached
 
     def _edge_router_for(self, address: int,
                          dst_asn: int) -> Optional[Router]:

@@ -1,0 +1,162 @@
+"""The router graph on demand: warm equals cold, old pickles equal new.
+
+Only bdrmapIT snapshots build their router graph while the timeline is
+built; every other one derives it on first use from the alias
+resolution, the traces and the world's route table, and no snapshot
+result pickles it.  One RTAA and one bdrmapIT TINY snapshot must give
+the same graph (and the same section-5 rows) cold and after a store
+round trip, equal to the committed digest pins.  A snapshot result
+pickled in the earlier layout (a list of traces, the graph in the
+instance dict) must load, derive the same graph and relearn to the
+same conventions.
+"""
+
+import gzip
+import hashlib
+import pickle
+from pathlib import Path
+
+import pytest
+
+from repro.core.hoiho import Hoiho
+from repro.core.io import conventions_to_json
+from repro.eval import section5
+from repro.eval.context import ExperimentContext, Scale
+from repro.obs.trace import Tracer
+from repro.pipeline import SnapshotResult
+from repro.store import ArtifactStore
+from repro.traceroute.probe import TraceSet
+from tests.integration.test_repro_digest import (
+    SEED,
+    expected_digest,
+    graph_digest,
+    traces_digest,
+)
+
+RTAA_LABEL = "2017-02"
+BDRMAPIT_LABEL = "2020-01"
+LABELS = [RTAA_LABEL, BDRMAPIT_LABEL]
+#: A ``SnapshotResult`` for the TINY 2017-02 set, pickled (world
+#: stripped, as the store keeps it) by the code before this layout.
+PARENT_PICKLE = Path(__file__).resolve().parent.parent / "fixtures" \
+    / "snapshot_result_v3_2017-02.pkl.gz"
+
+
+def _context(store=None, tracer=None) -> ExperimentContext:
+    kwargs = {"tracer": tracer} if tracer is not None else {}
+    return ExperimentContext(SEED, Scale.TINY, itdk_labels=LABELS,
+                             include_pdb=False, store=store, **kwargs)
+
+
+def _graph_state(graph):
+    return graph.states, graph.ixp_subsequent
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return expected_digest()["sets"]
+
+
+@pytest.fixture(scope="module")
+def cold_and_warm(tmp_path_factory):
+    store = ArtifactStore(tmp_path_factory.mktemp("store"))
+    cold = _context(store)
+    cold.learn_timeline()
+    warm = _context(ArtifactStore(store.root), tracer=Tracer())
+    warm.learn_timeline()
+    warm.tracer.close()
+    timeline_span = next(r for r in warm.tracer.records
+                         if r["name"] == "stage.timeline")
+    assert timeline_span["attrs"].get("cached"), "timeline not read back"
+    return cold, warm
+
+
+class TestWarmEqualsCold:
+    def test_only_bdrmapit_graph_is_built_cold(self, cold_and_warm):
+        cold, _ = cold_and_warm
+        assert "graph" not in vars(cold.training_set(RTAA_LABEL).snapshot)
+        assert "graph" in vars(cold.training_set(BDRMAPIT_LABEL).snapshot)
+
+    def test_store_round_trip_drops_graph(self, cold_and_warm):
+        _, warm = cold_and_warm
+        for label in LABELS:
+            result = warm.training_set(label).snapshot
+            assert "graph" not in vars(result), label
+            assert isinstance(result.traces, TraceSet), label
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_warm_graph_equals_cold(self, cold_and_warm, pins, label):
+        cold, warm = cold_and_warm
+        cold_result = cold.training_set(label).snapshot
+        warm_result = warm.training_set(label).snapshot
+        assert warm_result.traces == cold_result.traces
+        assert _graph_state(warm_result.graph) \
+            == _graph_state(cold_result.graph)
+        assert warm_result.graph.route_table is warm.world.plan.route_table
+        assert graph_digest(warm_result.graph) == pins[label]["graph_sha256"]
+        assert traces_digest(warm_result.traces) \
+            == pins[label]["traces_sha256"]
+
+    def test_section5_rows_identical(self, cold_and_warm):
+        cold, warm = cold_and_warm
+        assert section5.render(section5.run(warm)) \
+            == section5.render(section5.run(cold))
+
+
+class TestSnapshotSpans:
+    def test_graph_span_only_for_bdrmapit(self):
+        tracer = Tracer()
+        _context(tracer=tracer).timeline
+        tracer.close()
+        by_id = {r["id"]: r for r in tracer.records}
+        snapshots = {r["attrs"]["snapshot"]: r for r in tracer.records
+                     if r["name"] == "snapshot"}
+        for label, span in snapshots.items():
+            children = sorted((r for r in tracer.records
+                               if r["parent"] == span["id"]),
+                              key=lambda r: r["start"])
+            names = [r["name"] for r in children]
+            if label == RTAA_LABEL:
+                assert "snapshot.graph" not in names
+                continue
+            graph = children[names.index("snapshot.graph")]
+            annotate = children[names.index("snapshot.annotate")]
+            assert names.index("snapshot.graph") + 1 \
+                == names.index("snapshot.annotate")
+            assert graph["start"] + graph["wall"] <= annotate["start"]
+        assert all(by_id[r["parent"]]["name"] == "snapshot"
+                   for r in tracer.records if r["name"] == "snapshot.graph")
+
+
+class TestParentLayoutPickle:
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        result = pickle.loads(gzip.decompress(PARENT_PICKLE.read_bytes()))
+        context = ExperimentContext(SEED, Scale.TINY)
+        result.world = context.world
+        return result, context
+
+    def test_loads_as_columns_without_graph(self, loaded):
+        result, _ = loaded
+        assert isinstance(result, SnapshotResult)
+        assert isinstance(result.traces, TraceSet)
+        assert "graph" not in vars(result)
+
+    def test_derives_the_pinned_graph(self, loaded, pins):
+        result, _ = loaded
+        assert traces_digest(result.traces) \
+            == pins[RTAA_LABEL]["traces_sha256"]
+        assert graph_digest(result.graph) == pins[RTAA_LABEL]["graph_sha256"]
+
+    def test_relearns_to_the_pinned_digest(self, loaded, pins):
+        result, context = loaded
+        learned = Hoiho(context.hoiho_config).run(result.training)
+        assert hashlib.sha256(conventions_to_json(learned).encode(
+            "utf-8")).hexdigest() == pins[RTAA_LABEL]["sha256"]
+
+    def test_repickles_without_graph(self, loaded):
+        result, _ = loaded
+        result.graph
+        again = pickle.loads(pickle.dumps(result))
+        assert "graph" not in vars(again)
+        assert again.traces == result.traces

@@ -11,6 +11,7 @@ import pytest
 from repro.core.io import training_to_jsonl
 from repro.core.parallel import ParallelConfig
 from repro.eval.timeline import build_timeline
+from repro.traceroute.probe import TraceSet
 from repro.topology.world import WorldConfig, generate_world
 
 
@@ -29,7 +30,17 @@ def _assert_identical(serial, parallel):
         assert b.snapshot is not None
         assert a.snapshot.annotations == b.snapshot.annotations
         assert a.snapshot.snapshot.hostnames == b.snapshot.snapshot.hostnames
-        assert len(a.snapshot.traces) == len(b.snapshot.traces)
+        # Worker replies carry the traces as columns and no graph, so
+        # this side derives the graph again from them.
+        for name, a_column, b_column in zip(TraceSet.__slots__,
+                                            a.snapshot.traces.columns(),
+                                            b.snapshot.traces.columns()):
+            if name == "rtts":  # NaN marks a missing RTT; NaN != NaN
+                a_column, b_column = a_column.tobytes(), b_column.tobytes()
+            assert a_column == b_column, name
+        assert a.snapshot.graph.states == b.snapshot.graph.states
+        assert a.snapshot.graph.ixp_subsequent \
+            == b.snapshot.graph.ixp_subsequent
 
 
 class TestParallelTimelineTiny:
