@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from repro.alias.midar import resolve_aliases
 from repro.itdk.snapshot import ITDKSnapshot
 from repro.naming.assigner import NamingOutcome, host_hostname
+from repro.obs.trace import NULL_TRACER
 from repro.topology.world import World
 from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.probe import Trace, TraceSet
@@ -36,28 +37,35 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
                    routing: Optional[RoutingModel] = None,
                    config: Optional[BuildConfig] = None,
                    traces: Optional[Sequence[Trace]] = None,
-                   ) -> "BuiltSnapshot":
-    """Run a campaign (unless ``traces`` given) and build the snapshot."""
-    config = config or BuildConfig()
-    if traces is None:
-        if routing is None:
-            routing = RoutingModel(world.graph)
-        traces = run_campaign(world, routing, seed, config.campaign)
-    elif not isinstance(traces, TraceSet):
-        traces = TraceSet(traces)
+                   tracer=NULL_TRACER) -> "BuiltSnapshot":
+    """Run a campaign (unless ``traces`` given) and build the snapshot.
 
-    resolution = resolve_aliases(world, traces.observed(), seed,
-                                 split_rate=config.alias_split_rate,
-                                 merge_rate=config.alias_merge_rate,
-                                 augment_rate=config.alias_augment_rate)
+    ``tracer`` records the three steps as ``snapshot.campaign``,
+    ``snapshot.alias`` and ``snapshot.names`` spans.
+    """
+    config = config or BuildConfig()
+    with tracer.span("snapshot.campaign"):
+        if traces is None:
+            if routing is None:
+                routing = RoutingModel(world.graph)
+            traces = run_campaign(world, routing, seed, config.campaign)
+        elif not isinstance(traces, TraceSet):
+            traces = TraceSet(traces)
+
+    with tracer.span("snapshot.alias"):
+        resolution = resolve_aliases(world, traces.observed(), seed,
+                                     split_rate=config.alias_split_rate,
+                                     merge_rate=config.alias_merge_rate,
+                                     augment_rate=config.alias_augment_rate)
     snapshot = ITDKSnapshot(label=label, resolution=resolution)
-    for address in sorted(resolution.node_of_address):
-        record = naming.record(address)
-        if record is None:
-            # Destination hosts may still have (IP-derived) PTR names.
-            record = host_hostname(world, address, naming, seed)
-        if record is not None:
-            snapshot.hostnames[address] = record.hostname
+    with tracer.span("snapshot.names"):
+        for address in sorted(resolution.node_of_address):
+            record = naming.record(address)
+            if record is None:
+                # Destination hosts may still have (IP-derived) PTR names.
+                record = host_hostname(world, address, naming, seed)
+            if record is not None:
+                snapshot.hostnames[address] = record.hostname
     return BuiltSnapshot(snapshot=snapshot, traces=traces)
 
 

@@ -121,7 +121,7 @@ def run_snapshot(world: World, spec: SnapshotSpec,
         with tracer.span("snapshot.build"):
             built: BuiltSnapshot = build_snapshot(
                 world, naming, spec.seed, spec.label, routing=routing,
-                config=spec.build_config())
+                config=spec.build_config(), tracer=tracer)
             snapshot = built.snapshot
         result = SnapshotResult(spec=spec, world=world, naming=naming,
                                 snapshot=snapshot, annotations={},

@@ -106,6 +106,10 @@ class TestTracedContext:
                       "snapshot.graph", "snapshot.annotate",
                       "snapshot.training"):
             assert by_name[child][0]["parent"] == snapshot_id
+        build_id = by_name["snapshot.build"][0]["id"]
+        for child in ("snapshot.campaign", "snapshot.alias",
+                      "snapshot.names"):
+            assert by_name[child][0]["parent"] == build_id
 
     def test_store_spans_and_counters(self, tmp_path):
         cold = self._context(tmp_path)
