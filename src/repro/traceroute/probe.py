@@ -15,8 +15,8 @@ import math
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-                    overload)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple, overload)
 
 from repro.topology.routers import (
     Interface,
@@ -178,8 +178,54 @@ class TraceSet(Sequence[Trace]):
             setattr(self, name, column)
 
 
+class _Segment(NamedTuple):
+    """A compiled run of hops: every value a walk needs, fixed once.
+
+    ``hops`` are the answering addresses (:data:`ANONYMOUS` for an
+    anonymous router); ``steps`` pairs each hop's delay increment
+    (``propagation_ms(previous, router) + 0.05``) with the router's reply
+    jitter, ``None`` when it is anonymous; ``end`` is the last router.
+    """
+
+    hops: "array[int]"
+    steps: Tuple[Tuple[float, Optional[float]], ...]
+    end: Router
+
+
+#: A walk's state after an AS-path prefix: hop and RTT columns, the
+#: cumulative one-way delay, the router reached, and whether every
+#: crossing so far succeeded.  Memo entries are never mutated.
+_PrefixState = Tuple["array[int]", "array[float]", float, Router, bool]
+
+
+def _extend(hops: "array[int]", rtts: "array[float]", delay: float,
+            segment: _Segment) -> float:
+    """Append ``segment``'s hops and RTTs; return the new delay.
+
+    The delay accumulates step by step, in walk order, so every RTT is
+    the same float a per-hop walk computes.
+    """
+    hops.extend(segment.hops)
+    for increment, jitter in segment.steps:
+        delay += increment
+        rtts.append(NO_RTT if jitter is None
+                    else round(2.0 * delay + jitter, 3))
+    return delay
+
+
 class Prober:
-    """Expands AS-level routes into router-level traceroute output."""
+    """Expands AS-level routes into router-level traceroute output.
+
+    Hop simulation is compiled once per prober into segments: each AS
+    crossing, keyed on (current router, this AS, next AS), is the
+    internal path to the egress border router plus the interdomain hop;
+    each destination tail, keyed on (current router, edge router), is
+    the internal path to the edge router.  A walk's state after every
+    AS-path prefix is memoised, keyed on the prefix, so a walk extends
+    its parent prefix by one crossing.  The prefix memo belongs to one
+    vantage point: :meth:`walk` clears it whenever it sees a different
+    ``vp_router``, which bounds it by that VP's tree of AS paths.
+    """
 
     def __init__(self, world: World, routing: RoutingModel,
                  seed: int, anonymous_rate: float = 0.04,
@@ -207,22 +253,24 @@ class Prober:
                     (link, link.b.router))
                 self._internal[link.b.router.rid].append(
                     (link, link.a.router))
-        self._path_cache: Dict[Tuple[str, str],
-                               Optional[List[Tuple[Link, Router]]]] = {}
         self._edge_routers: "PrefixTable[Router]" = PrefixTable()
         for prefix, router in self._topo.edge_router_of_prefix.items():
             self._edge_routers.insert(prefix, router)
+        # Compiled segments (None: no route), kept for the prober's life.
+        self._crossings: Dict[Tuple[str, int, int], Optional[_Segment]] = {}
+        self._tails: Dict[Tuple[str, str], Optional[_Segment]] = {}
+        # The per-VP prefix memo and the VP router it belongs to.
+        self._prefix_vp: Optional[str] = None
+        self._prefixes: Dict[Tuple[int, ...], _PrefixState] = {}
 
     # -- intra-AS pathing ---------------------------------------------------
 
-    def _internal_path(self, src: Router,
-                       dst: Router) -> Optional[List[Tuple[Link, Router]]]:
-        """Shortest internal path src->dst as (link, next router) steps."""
+    def _internal_path(self, src: Router, dst: Router,
+                       ) -> Optional[List[Tuple[Router, Interface]]]:
+        """Shortest internal path src->dst, as the routers after ``src``
+        paired with the interface each one is reached on."""
         if src.rid == dst.rid:
             return []
-        key = (src.rid, dst.rid)
-        if key in self._path_cache:
-            return self._path_cache[key]
         parents: Dict[str, Tuple[Link, Router, Router]] = {}
         frontier = deque([src])
         seen = {src.rid}
@@ -239,22 +287,20 @@ class Prober:
                     break
                 frontier.append(neighbor)
         if not found:
-            self._path_cache[key] = None
             return None
-        steps: List[Tuple[Link, Router]] = []
+        steps: List[Tuple[Router, Interface]] = []
         walk = dst.rid
         while walk != src.rid:
             link, router, previous = parents[walk]
-            steps.append((link, router))
+            steps.append((router, link.a if link.a.router is router
+                          else link.b))
             walk = previous.rid
         steps.reverse()
-        self._path_cache[key] = steps
         return steps
 
     # -- interdomain link selection ------------------------------------------
 
-    def _interdomain_link(self, a: int, b: int,
-                          flow: int) -> Optional[Link]:
+    def _interdomain_link(self, a: int, b: int) -> Optional[Link]:
         """The link used between adjacent ASes.
 
         The first provisioned link is primary; any others are cold
@@ -277,16 +323,80 @@ class Prober:
             return link.b
         return None
 
-    # -- hop recording -------------------------------------------------------
+    # -- segments ------------------------------------------------------------
 
-    def _record(self, hops: List[int], rtts: List[float], router: Router,
-                iface: Interface, delay_ms: float) -> None:
-        if self._anonymous[router.rid]:
-            hops.append(ANONYMOUS)
-            rtts.append(NO_RTT)
+    def _compile(self, start: Router,
+                 steps: List[Tuple[Router, Interface]]) -> _Segment:
+        """The segment walking ``steps`` (router, interface it answers
+        with) onward from ``start``."""
+        hops = array("I")
+        compiled: List[Tuple[float, Optional[float]]] = []
+        previous = start
+        for router, iface in steps:
+            anonymous = self._anonymous[router.rid]
+            hops.append(ANONYMOUS if anonymous else iface.address)
+            compiled.append((
+                geo.propagation_ms(previous.loc, router.loc) + 0.05,
+                None if anonymous else self._jitter[router.rid]))
+            previous = router
+        return _Segment(hops, tuple(compiled), previous)
+
+    def _crossing(self, router: Router, this_asn: int,
+                  next_asn: int) -> Optional[_Segment]:
+        """From ``router`` to the egress border router of ``this_asn``,
+        then across the interdomain link into ``next_asn``; ``None``
+        when a link or internal path is missing."""
+        key = (router.rid, this_asn, next_asn)
+        if key in self._crossings:
+            return self._crossings[key]
+        segment = None
+        link = self._interdomain_link(this_asn, next_asn)
+        if link is not None:
+            egress = self._link_interface(link, this_asn)
+            ingress = self._link_interface(link, next_asn)
+            if egress is not None and ingress is not None:
+                steps = self._internal_path(router, egress.router)
+                if steps is not None:
+                    # The next router answers with its interface on the
+                    # shared subnet (supplier-addressed, or the IXP LAN).
+                    steps.append((ingress.router, ingress))
+                    segment = self._compile(router, steps)
+        self._crossings[key] = segment
+        return segment
+
+    def _tail(self, router: Router, edge: Router) -> Optional[_Segment]:
+        """From ``router`` to the destination's ``edge`` router inside
+        the destination AS; ``None`` when no internal path exists."""
+        key = (router.rid, edge.rid)
+        if key not in self._tails:
+            steps = self._internal_path(router, edge)
+            self._tails[key] = None if steps is None \
+                else self._compile(router, steps)
+        return self._tails[key]
+
+    def _prefix(self, path: Tuple[int, ...],
+                vp_router: Router) -> _PrefixState:
+        """The walk's state after ``path``, extending its parent prefix
+        by one crossing.  A failed crossing keeps the parent's hops and
+        marks the walk incomplete."""
+        state = self._prefixes.get(path)
+        if state is not None:
+            return state
+        if len(path) == 1:
+            state = (array("I"), array("d"), 0.0, vp_router, True)
         else:
-            hops.append(iface.address)
-            rtts.append(round(2.0 * delay_ms + self._jitter[router.rid], 3))
+            hops, rtts, delay, router, complete = \
+                self._prefix(path[:-1], vp_router)
+            segment = self._crossing(router, path[-2], path[-1]) \
+                if complete else None
+            if segment is None:
+                state = (hops, rtts, delay, router, False)
+            else:
+                hops, rtts = hops[:], rtts[:]
+                delay = _extend(hops, rtts, delay, segment)
+                state = (hops, rtts, delay, segment.end, True)
+        self._prefixes[path] = state
+        return state
 
     # -- main entry ------------------------------------------------------------
 
@@ -308,65 +418,34 @@ class Prober:
         return traces[0]
 
     def walk(self, vp_asn: int, vp_router: Router, dst_address: int,
-             ) -> Optional[Tuple[int, List[int], List[float], bool]]:
+             ) -> Optional[Tuple[int, "array[int]", "array[float]", bool]]:
         """One traceroute as ``(dst_asn, hops, rtts, reached)``, the
-        columns :meth:`TraceSet.add` takes; ``None`` as in :meth:`trace`."""
+        columns :meth:`TraceSet.add` takes; ``None`` as in :meth:`trace`.
+
+        A call with a different ``vp_router`` than the previous one
+        clears the prefix memo.  The returned arrays are the caller's.
+        """
         dst_asn = self._world.origin(dst_address)
         if dst_asn <= 0:
             return None
         as_path = self._routing.as_path(vp_asn, dst_asn)
         if as_path is None:
             return None
-        hops: List[int] = []
-        rtts: List[float] = []
-        flow = dst_address  # deterministic per-destination flow id
-
-        current_router = vp_router
-        delay = 0.0          # cumulative one-way propagation (ms)
-        for position in range(len(as_path) - 1):
-            this_asn, next_asn = as_path[position], as_path[position + 1]
-            link = self._interdomain_link(this_asn, next_asn, flow)
-            if link is None:
-                return dst_asn, hops, rtts, False  # no physical link
-            egress_iface = self._link_interface(link, this_asn)
-            ingress_iface = self._link_interface(link, next_asn)
-            if egress_iface is None or ingress_iface is None:
-                return dst_asn, hops, rtts, False
-            steps = self._internal_path(current_router, egress_iface.router)
-            if steps is None:
-                return dst_asn, hops, rtts, False
-            previous = current_router
-            for internal_link, router in steps:
-                arrived = internal_link.a if internal_link.a.router is router \
-                    else internal_link.b
-                delay += geo.propagation_ms(previous.loc, router.loc) + 0.05
-                self._record(hops, rtts, router, arrived, delay)
-                previous = router
-            # Cross the interdomain link: next router answers with the
-            # interface address on the shared subnet (supplier-addressed,
-            # or the IXP LAN address).
-            delay += geo.propagation_ms(previous.loc,
-                                        ingress_iface.router.loc) + 0.05
-            self._record(hops, rtts, ingress_iface.router, ingress_iface,
-                         delay)
-            current_router = ingress_iface.router
-
+        if vp_router.rid != self._prefix_vp:
+            self._prefix_vp = vp_router.rid
+            self._prefixes = {}
+        hops, rtts, delay, router, complete = \
+            self._prefix(tuple(as_path), vp_router)
+        hops, rtts = hops[:], rtts[:]
         # Inside the destination AS: walk to the edge router hosting the
         # destination prefix, then the destination itself may answer.
         reached = False
-        edge_router = self._edge_router_for(dst_address, dst_asn)
-        if edge_router is not None:
-            steps = self._internal_path(current_router, edge_router)
-            if steps is not None:
-                previous = current_router
-                for internal_link, router in steps:
-                    arrived = internal_link.a \
-                        if internal_link.a.router is router \
-                        else internal_link.b
-                    delay += geo.propagation_ms(previous.loc,
-                                                router.loc) + 0.05
-                    self._record(hops, rtts, router, arrived, delay)
-                    previous = router
+        if complete:
+            edge_router = self._edge_router_for(dst_address, dst_asn)
+            tail = None if edge_router is None \
+                else self._tail(router, edge_router)
+            if tail is not None:
+                delay = _extend(hops, rtts, delay, tail)
                 if self._destination_responds(dst_address):
                     hops.append(dst_address)
                     rtts.append(round(2.0 * (delay + 0.05) + 0.5, 3))
