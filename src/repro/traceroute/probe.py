@@ -359,8 +359,8 @@ class Prober:
                 if steps is not None:
                     # The next router answers with its interface on the
                     # shared subnet (supplier-addressed, or the IXP LAN).
-                    steps.append((ingress.router, ingress))
-                    segment = self._compile(router, steps)
+                    segment = self._compile(
+                        router, steps + [(ingress.router, ingress)])
         self._crossings[key] = segment
         return segment
 
