@@ -1,24 +1,26 @@
-"""Delta planning for incremental per-suffix relearning.
+"""Delta planning: the one route by which suffixes reach the learner.
 
 Per-suffix independence is the structural property the learner's
 fan-out already exploits: each suffix's convention is a pure function
 of (its training observations, the :class:`~repro.core.hoiho.HoihoConfig`).
-This module turns that into *incremental* timeline learning.  Every
+This module turns that into deduplicated, incremental learning.  Every
 suffix dataset is fingerprinted (:func:`repro.core.hoiho.suffix_fingerprint`);
-consecutive snapshots are diffed fingerprint-by-fingerprint; and only
-suffixes whose training set actually changed are dispatched to the
-learner -- the rest are served from the artifact store's ``suffixes/``
-namespace.  Warm relearning cost becomes proportional to the delta,
-not the corpus.
+identical training problems -- within one run, across the snapshots of
+a timeline, and, with an artifact store, across runs -- learn once.
+Consecutive snapshots are also diffed fingerprint-by-fingerprint into
+:class:`DeltaSummary` reports.
 
-Three layers use these plans:
+Two layers use these plans:
 
-* :class:`~repro.core.hoiho.Hoiho` (``run_datasets`` with ``store=``)
-  and :meth:`~repro.eval.context.ExperimentContext.learn_timeline`
-  both learn through :func:`learn_artifacts`: plan, resolve against
-  the store, dedupe identical suffix training sets (across snapshots
-  too -- content addressing makes cross-snapshot sharing free, even on
-  a cold store), dispatch only the unique misses, and write them back;
+* every learner call -- :class:`~repro.core.hoiho.Hoiho` (``run`` and
+  ``run_datasets``) and
+  :meth:`~repro.eval.context.ExperimentContext.learn_timeline` -- learns
+  through :func:`learn_artifacts`: plan, dedupe identical suffix
+  training sets, dispatch the unique ones in one fan-out, and assemble
+  the results.  With a store attached, plans are first resolved
+  against its ``suffixes/`` namespace and only the misses are learned
+  and written back, so warm relearning cost is proportional to the
+  delta, not the corpus;
 * the bench/CI incremental sections report the
   :class:`DeltaSummary` numbers (changed/unchanged per consecutive
   snapshot pair) and the cache hit rates.
@@ -28,7 +30,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.core.hoiho import (
     SITE_LEARN,
@@ -39,7 +42,7 @@ from repro.core.hoiho import (
 )
 from repro.core.parallel import ParallelConfig, parallel_map
 from repro.core.resilience import RetryPolicy
-from repro.core.types import SuffixDataset, group_by_suffix
+from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.store import KIND_SUFFIX, fingerprint
 
@@ -49,7 +52,9 @@ class SuffixPlan:
     """One suffix's unit of incremental work.
 
     ``fingerprint`` is the content-addressed identity of the training
-    problem; ``payload`` is what it hashes (and what keys the store).
+    problem: the hash of :func:`~repro.core.hoiho.suffix_cache_payload`,
+    which keys the store.  The payload itself is not kept -- it copies
+    every item -- and is rebuilt only to write a learned artifact.
     ``label`` names the training set the plan came from (empty for
     single-set :class:`~repro.core.hoiho.Hoiho` runs).
     """
@@ -57,7 +62,6 @@ class SuffixPlan:
     label: str
     suffix: str
     dataset: SuffixDataset
-    payload: Dict[str, object]
     fingerprint: str
 
 
@@ -65,13 +69,22 @@ def plan_datasets(datasets: Sequence[SuffixDataset],
                   config: HoihoConfig,
                   label: str = "") -> List[SuffixPlan]:
     """Fingerprint every dataset, in sorted-suffix order."""
-    plans: List[SuffixPlan] = []
-    for dataset in sorted(datasets, key=lambda d: d.suffix):
-        payload = suffix_cache_payload(dataset, config)
-        plans.append(SuffixPlan(label=label, suffix=dataset.suffix,
-                                dataset=dataset, payload=payload,
-                                fingerprint=fingerprint(payload)))
-    return plans
+    return [SuffixPlan(label=label, suffix=dataset.suffix, dataset=dataset,
+                       fingerprint=fingerprint(
+                           suffix_cache_payload(dataset, config)))
+            for dataset in sorted(datasets, key=lambda d: d.suffix)]
+
+
+def plan_items(items: Iterable[TrainingItem], config: HoihoConfig,
+               label: str = "", psl=None,
+               tracer=NULL_TRACER) -> List[SuffixPlan]:
+    """Group ``items`` by public suffix, in a ``learn.group`` span, and
+    plan the resulting datasets."""
+    with tracer.span("learn.group") as group:
+        datasets = group_by_suffix(items, psl)
+        group.set(items=sum(len(d) for d in datasets.values()),
+                  suffixes=len(datasets))
+    return plan_datasets(list(datasets.values()), config, label=label)
 
 
 @dataclass
@@ -160,24 +173,23 @@ class TimelinePlan:
 
 
 def plan_timeline(training_sets: Sequence, config: HoihoConfig,
-                  psl=None) -> TimelinePlan:
-    """Plan incremental learning over a timeline of training sets.
+                  psl=None, tracer=NULL_TRACER) -> TimelinePlan:
+    """Plan learning over a timeline of training sets.
 
     ``training_sets`` is any sequence of objects with ``label`` and
     ``items`` (e.g. :class:`~repro.eval.timeline.TrainingSet`), in
-    timeline order.  Grouping matches
-    :meth:`~repro.core.hoiho.Hoiho.run` exactly (same PSL, same
-    drop-unregisterable rule), so an incremental assembly of the
-    resulting artifacts is indistinguishable from a from-scratch
-    ``Hoiho.run`` per label.
+    timeline order.  Each set is grouped by :func:`plan_items`, as
+    :meth:`~repro.core.hoiho.Hoiho.run` groups (same PSL, same
+    drop-unregisterable rule, one ``learn.group`` span per set on
+    ``tracer``), so assembling the resulting artifacts per label
+    gives exactly a ``Hoiho.run`` of that label's items.
     """
-    label_plans: List[LabelPlan] = []
-    for training_set in training_sets:
-        datasets = group_by_suffix(training_set.items, psl)
-        label_plans.append(LabelPlan(
-            label=training_set.label,
-            suffixes=plan_datasets(list(datasets.values()), config,
-                                   label=training_set.label)))
+    label_plans = [
+        LabelPlan(label=training_set.label,
+                  suffixes=plan_items(training_set.items, config,
+                                      label=training_set.label, psl=psl,
+                                      tracer=tracer))
+        for training_set in training_sets]
     deltas = [
         diff_fingerprints(label_plans[i - 1].fingerprints(),
                           label_plans[i].fingerprints(),
@@ -203,7 +215,7 @@ def resolve_plans(store, plans: Sequence[SuffixPlan],
     hits: List[Tuple[SuffixPlan, SuffixArtifact]] = []
     misses: List[SuffixPlan] = []
     for plan in plans:
-        artifact = store.get(KIND_SUFFIX, plan.payload, key=plan.fingerprint)
+        artifact = store.get(KIND_SUFFIX, None, key=plan.fingerprint)
         if isinstance(artifact, SuffixArtifact):
             hits.append((plan, artifact))
         else:
@@ -258,28 +270,36 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
                     retry: Optional[RetryPolicy],
                     tracer=NULL_TRACER, span=NULL_SPAN, metrics=None,
                     ) -> Tuple[TimelinePlan, Dict[str, SuffixArtifact]]:
-    """Learn every planned suffix through the store's ``suffixes/`` cache.
+    """Learn every planned suffix, each unique training problem once.
 
-    ``make_plan`` and the store lookups run under a ``learn.plan`` span.
-    Misses are deduped by fingerprint and the unique ones dispatched in
-    ONE fan-out traced under ``span`` (so a pool spins up once for a
-    whole timeline), then written back.  Returns the plan and every
-    plan's artifact keyed by fingerprint; dispatch is in plan order, so
-    parallel results are byte-identical to serial ones.
+    ``make_plan`` (grouping included) and, when ``store`` is an
+    :class:`~repro.store.ArtifactStore`, the lookups in its
+    ``suffixes/`` namespace run under a ``learn.plan`` span.  The plans
+    left to learn are deduped by fingerprint and the unique ones
+    dispatched in ONE fan-out traced under ``span`` (so a pool spins up
+    once for a whole timeline), then written back to the store.  With
+    ``store=None`` nothing is looked up or written.  Returns the plan
+    and every plan's artifact keyed by fingerprint; dispatch is in plan
+    order, so parallel results are byte-identical to serial ones.
     """
     with tracer.span("learn.plan") as plan_span:
         plan = make_plan()
-        hits, misses = resolve_plans(store, plan.all_plans(),
-                                     metrics=metrics)
+        hits: List[Tuple[SuffixPlan, SuffixArtifact]] = []
+        misses = plan.all_plans()
+        if store is not None:
+            hits, misses = resolve_plans(store, misses, metrics=metrics)
+            span.set(suffix_cache_hits=len(hits),
+                     suffix_cache_misses=len(misses))
         plan_span.set(plans=len(hits) + len(misses))
-    span.set(suffix_cache_hits=len(hits), suffix_cache_misses=len(misses))
     artifacts = {p.fingerprint: artifact for p, artifact in hits}
     groups = dedupe_plans(misses)
     learned = parallel_map(functools.partial(_learn_artifact_worker, config),
                            [group[0].dataset for group in groups],
                            parallel, retry=retry, site=SITE_LEARN, span=span)
     for group, artifact in zip(groups, learned):
-        store.put(KIND_SUFFIX, group[0].payload, artifact,
-                  key=group[0].fingerprint)
-        artifacts[group[0].fingerprint] = artifact
+        first = group[0]
+        artifacts[first.fingerprint] = artifact
+        if store is not None:
+            store.put(KIND_SUFFIX, suffix_cache_payload(first.dataset, config),
+                      artifact, key=first.fingerprint)
     return plan, artifacts

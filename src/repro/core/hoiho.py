@@ -9,14 +9,13 @@ grouping by public suffix first.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.evaluate import NCScore, evaluate_regex
 from repro.core.matchcache import CacheStats, MatchCache
-from repro.core.parallel import ParallelConfig, parallel_map
+from repro.core.parallel import ParallelConfig
 from repro.core.resilience import RetryPolicy
 from repro.obs.trace import NULL_TRACER
 from repro.core.phase1 import generate_base_regexes
@@ -31,13 +30,15 @@ from repro.core.select import (
     select_best,
 )
 from repro.core.taxonomy import Taxonomy, taxonomy_of
-from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
+from repro.core.types import SuffixDataset, TrainingItem
 from repro.psl import PublicSuffixList, default_psl
 
 logger = logging.getLogger(__name__)
 
-#: Fault-injection site label for the per-suffix learning fan-out (one
-#: item per suffix dataset, in sorted-suffix order).
+#: Fault-injection site label for the learning fan-out of
+#: :func:`repro.core.delta.learn_artifacts`: one item per unique suffix
+#: training problem (fingerprint) left to learn, in plan order --
+#: sorted-suffix order within each training set.
 SITE_LEARN = "learn"
 
 
@@ -371,48 +372,39 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
     return convention, record
 
 
-def _learn_dataset_worker(config: HoihoConfig, dataset: SuffixDataset,
-                          tracer=NULL_TRACER) -> Optional[LearnedConvention]:
-    """Module-level worker so the process backend can pickle it."""
-    return learn_suffix(dataset, config, tracer=tracer)
-
-
 def _learn_artifact_worker(config: HoihoConfig, dataset: SuffixDataset,
                            tracer=NULL_TRACER) -> SuffixArtifact:
     """Learn one suffix and return its cacheable artifact, which carries
     the rejection reason and per-phase counters alongside the
-    convention."""
+    convention.  The dataset's per-item memos are released afterwards:
+    a plan keeps every dataset alive until its whole timeline is
+    learned."""
     convention, record = learn_suffix_traced(dataset, config, tracer=tracer)
+    dataset.release_memos()
     return _suffix_artifact(dataset, convention, record)
-
-
-def _learn_items_worker(config: HoihoConfig, items: List[TrainingItem],
-                        tracer=NULL_TRACER) -> HoihoResult:
-    """Learn a whole training set serially inside one worker process.
-
-    Used by the eval harness to fan out across training sets; nested
-    per-suffix pools are deliberately avoided.
-    """
-    return Hoiho(config, tracer=tracer).run(items)
 
 
 class Hoiho:
     """Convenience driver over an arbitrary training set.
 
-    ``parallel`` fans the per-suffix learning out over worker processes;
-    the merged result is bit-identical to a serial run because datasets
-    are dispatched and merged in sorted-suffix order.  ``retry`` arms
-    the resilient dispatcher (worker loss and transient faults are
-    retried; a suffix that fails permanently still raises).
+    Learning goes through the delta planner
+    (:func:`repro.core.delta.learn_artifacts`), the one route every
+    learner call takes: each suffix's training set + config is
+    fingerprinted (:func:`suffix_fingerprint`) under a ``learn.plan``
+    span, then learned.  ``parallel`` fans the per-suffix learning out
+    over worker processes; the merged result is bit-identical to a
+    serial run because datasets are dispatched and merged in
+    sorted-suffix order.  ``retry`` arms the resilient dispatcher
+    (worker loss and transient faults are retried; a suffix that fails
+    permanently still raises).
 
     ``store`` plugs in a persistent
     :class:`~repro.store.ArtifactStore` and turns the run incremental:
-    each suffix's training set + config is fingerprinted
-    (:func:`suffix_fingerprint`) and looked up in the store's
-    ``suffixes/`` namespace before any learning happens; hits skip
-    phases 1-4 entirely (negative results included), misses are
-    dispatched as usual and their artifacts written back.  Results are
-    byte-identical to a storeless run.
+    each fingerprint is looked up in the store's ``suffixes/``
+    namespace before any learning happens; hits skip phases 1-4
+    entirely (negative results included), misses are learned and their
+    artifacts written back.  Results are byte-identical to a storeless
+    run.
 
     >>> hoiho = Hoiho()
     >>> items = [TrainingItem("as%d.lon%d.example.com" % (a, i % 3), a)
@@ -439,69 +431,40 @@ class Hoiho:
 
     def run(self, items: Iterable[TrainingItem]) -> HoihoResult:
         """Group items by suffix and learn a convention per suffix."""
-        with self.tracer.span("learn.run") as span:
-            with self.tracer.span("learn.group") as group:
-                datasets = group_by_suffix(items, self.psl)
-                group.set(items=sum(len(d) for d in datasets.values()),
-                          suffixes=len(datasets))
-            return self._learn(datasets.values(), span)
+        from repro.core.delta import plan_items
+        return self._learn(lambda: plan_items(items, self.config,
+                                              psl=self.psl,
+                                              tracer=self.tracer))
 
     def run_datasets(self,
                      datasets: Iterable[SuffixDataset]) -> HoihoResult:
         """Learn over pre-grouped datasets."""
-        with self.tracer.span("learn.run") as span:
-            return self._learn(datasets, span)
+        from repro.core.delta import plan_datasets
+        return self._learn(lambda: plan_datasets(list(datasets),
+                                                 self.config))
 
-    def _learn(self, datasets: Iterable[SuffixDataset],
-               span) -> HoihoResult:
-        """Learn every dataset under the ``learn.run`` ``span``.
+    def _learn(self, make_plans: Callable[[], list]) -> HoihoResult:
+        """Learn the suffix plans ``make_plans`` builds, under a
+        ``learn.run`` span.
 
-        Workers' span trees are adopted under ``span`` and retries
+        Workers' span trees are adopted under that span and retries
         surface there as span events (see :mod:`repro.core.parallel`).
         """
-        ordered = sorted(datasets, key=lambda d: d.suffix)
-        span.set(suffixes=len(ordered))
-        if self.store is not None:
-            conventions = self._run_cached(ordered, span)
-        else:
-            conventions = parallel_map(
-                functools.partial(_learn_dataset_worker, self.config),
-                ordered, self.parallel, retry=self.retry,
-                site=SITE_LEARN, span=span)
-        result = HoihoResult(suffixes_examined=len(ordered))
-        self._merge(ordered, conventions, result)
-        span.set(learned=len(result.conventions))
-        return result
-
-    def _run_cached(self, ordered: List[SuffixDataset],
-                    span) -> List[Optional[LearnedConvention]]:
-        """The incremental path: serve cached suffixes, learn the rest
-        (:func:`repro.core.delta.learn_artifacts`)."""
         from repro.core.delta import (
             LabelPlan,
             TimelinePlan,
+            assemble_result,
             learn_artifacts,
-            plan_datasets,
         )
-
-        def plan() -> TimelinePlan:
-            return TimelinePlan(
-                [LabelPlan("", plan_datasets(ordered, self.config))], [])
-
-        timeline, artifacts = learn_artifacts(
-            self.store, plan, self.config, self.parallel, self.retry,
-            tracer=self.tracer, span=span, metrics=self.metrics)
-        return [artifacts[p.fingerprint].convention
-                for p in timeline.all_plans()]
-
-    def _merge(self, ordered: List[SuffixDataset],
-               conventions: List[Optional[LearnedConvention]],
-               result: HoihoResult) -> None:
-        for dataset, convention in zip(ordered, conventions):
-            if convention is not None:
-                result.conventions[dataset.suffix] = convention
-                logger.debug("learned %s convention for %s: %s",
-                             convention.nc_class.value, dataset.suffix,
-                             convention.patterns())
+        with self.tracer.span("learn.run") as span:
+            plan, artifacts = learn_artifacts(
+                self.store,
+                lambda: TimelinePlan([LabelPlan("", make_plans())], []),
+                self.config, self.parallel, self.retry,
+                tracer=self.tracer, span=span, metrics=self.metrics)
+            result = assemble_result(plan.labels[0], artifacts)
+            span.set(suffixes=result.suffixes_examined,
+                     learned=len(result.conventions))
         logger.info("examined %d suffixes, learned %d conventions",
                     result.suffixes_examined, len(result.conventions))
+        return result

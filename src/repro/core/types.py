@@ -109,6 +109,11 @@ class SuffixDataset:
             self._apparent_runs[index] = runs
         return runs
 
+    def release_memos(self) -> None:
+        """Drop the per-item memos; they rebuild on demand."""
+        self._ip_spans.clear()
+        self._apparent_runs.clear()
+
     def tokens(self, item: TrainingItem) -> List[str]:
         """Alternating segment/punctuation tokens of the local part."""
         return split_segments(self.local_part(item))

@@ -12,9 +12,10 @@ import enum
 import functools
 from typing import Dict, List, Optional
 
-from repro.core.hoiho import Hoiho, HoihoConfig, HoihoResult, \
-    SITE_LEARN, _learn_items_worker
-from repro.core.parallel import ParallelConfig, parallel_map
+from repro.core.delta import assemble_result, learn_artifacts, \
+    plan_timeline
+from repro.core.hoiho import HoihoConfig, HoihoResult
+from repro.core.parallel import ParallelConfig
 from repro.core.resilience import RetryPolicy
 from repro.eval.timeline import TrainingSet, build_timeline
 from repro.obs.metrics import MetricsRegistry
@@ -42,11 +43,15 @@ class Scale(enum.Enum):
 class ExperimentContext:
     """Memoised world + timeline + learned conventions.
 
+    Learning goes through the delta planner (see
+    :mod:`repro.core.delta`), with or without a store: every suffix's
+    training set is content-fingerprinted and each unique training
+    problem learned once, however many snapshots share it.
+    :meth:`learned` is :meth:`learn_timeline` over one label.
+
     ``parallel`` fans independent work out over worker processes:
-    :meth:`timeline` builds one snapshot per task,
-    :meth:`learn_timeline` learns one training set per task, and each
-    :meth:`learned` call passes the policy down to
-    :class:`~repro.core.hoiho.Hoiho` for per-suffix fan-out.  Parallel
+    :meth:`timeline` builds one snapshot per task and
+    :meth:`learn_timeline` learns one unique suffix per task.  Parallel
     results are bit-identical to serial ones.  ``retry`` arms the
     resilient dispatcher on every one of those fan-outs (worker loss
     and transient faults are absorbed; permanent failures still raise).
@@ -56,14 +61,10 @@ class ExperimentContext:
     timelines, and learned conventions round-trip through it keyed by a
     fingerprint of the full configuration, so a warm store skips
     regeneration entirely and any config change invalidates by
-    construction (the fingerprint moves).
-
-    With a store attached, learning is also **incremental** at suffix
-    granularity (see :mod:`repro.core.delta`): every suffix's training
-    set is content-fingerprinted, learned once, and reused wherever the
-    identical training problem recurs -- repeat runs, *and* later
-    snapshots in which that suffix's observations did not change.  The
-    whole-result hoiho cache stays layered on top as the fast path.
+    construction (the fingerprint moves).  Learned suffixes persist
+    too, so reuse extends across runs: a later snapshot relearns only
+    the suffixes whose observations changed.  The whole-result hoiho
+    cache stays layered on top as the fast path.
     """
 
     def __init__(self, seed: int = 2020,
@@ -199,38 +200,18 @@ class ExperimentContext:
 
     def learned(self, label: str) -> HoihoResult:
         """Learned conventions for one training set (memoised)."""
-        if label not in self._learned:
-            # No eager self.timeline here: a warm hoiho cache must keep
-            # skipping the timeline build entirely.
-            with self.tracer.span("stage.learn", label=label) as span:
-                if self.store is not None:
-                    cached = self.store.get(KIND_HOIHO,
-                                            self._hoiho_payload(label))
-                    if cached is not None:
-                        span.set(cached=True)
-                        self._learned[label] = cached
-                        return self._learned[label]
-                training_set = self.training_set(label)
-                hoiho = Hoiho(self.hoiho_config, parallel=self.parallel,
-                              retry=self.retry, tracer=self.tracer,
-                              store=self.store,
-                              metrics=self.metrics)
-                self._learned[label] = hoiho.run(training_set.items)
-                if self.store is not None:
-                    self.store.put(KIND_HOIHO, self._hoiho_payload(label),
-                                   self._learned[label])
-        return self._learned[label]
+        return self.learn_timeline([label])[label]
 
     def learn_timeline(self,
                        labels: Optional[List[str]] = None,
                        ) -> Dict[str, HoihoResult]:
-        """Learn every (or the named) training sets, fanning out.
+        """Learn every (or the named) training sets (memoised).
 
-        One worker task per training set -- the whole 19-set timeline
-        learns concurrently under a ``process`` backend.  Workers run
-        the learner serially inside (no nested pools); results merge
-        into the memo in timeline order, so repeated calls and mixed
-        :meth:`learned` access stay deterministic.
+        Labels already learned in this context are served from the
+        memo, and, with a store, whole results from its hoiho cache --
+        without building the timeline.  The rest learn together in one
+        :meth:`_learn_missing` fan-out.  The ``stage.learn`` span's
+        ``cached`` attribute counts the store's whole-result hits.
         """
         if labels is None:
             labels = [t.label for t in self.timeline]
@@ -247,59 +228,38 @@ class ExperimentContext:
                         self._learned[label] = cached
                     else:
                         still_missing.append(label)
+                span.set(cached=len(missing) - len(still_missing))
                 missing = still_missing
-                span.set(cached=len(labels) - len(missing))
             if missing:
                 self._learn_missing(missing, span)
         return {label: self._learned[label] for label in labels}
 
     def _learn_missing(self, missing: List[str], span) -> None:
-        """Fan the uncached training sets out to the learner workers,
-        one task per set; workers' span trees (one ``learn.run`` per
-        set, grouping included) are adopted under ``stage.learn``.
+        """Learn ``missing`` training sets through the delta planner.
 
-        With a store attached, learning goes through the delta planner
-        instead (:meth:`_learn_missing_incremental`).
+        Plans every set's suffixes under ``learn.plan`` (one
+        ``learn.group`` per set) and learns them through
+        :func:`~repro.core.delta.learn_artifacts` in one fan-out under
+        ``span``: a suffix whose training set is identical across
+        snapshots, or already in the store, learns at most once.
+        Results are assembled per label in sorted-suffix order, so they
+        are byte-identical to a ``Hoiho.run`` per label, and written to
+        the store's hoiho cache when one is attached.
         """
-        if self.store is not None:
-            self._learn_missing_incremental(missing, span)
-            return
-        batches = [self.training_set(label).items for label in missing]
-        results = parallel_map(
-            functools.partial(_learn_items_worker, self.hoiho_config),
-            batches, self.parallel, retry=self.retry, site=SITE_LEARN,
-            span=span)
-        for label, result in zip(missing, results):
-            self._learned[label] = result
-
-    def _learn_missing_incremental(self, missing: List[str],
-                                   span) -> None:
-        """Delta-driven timeline learning (see :mod:`repro.core.delta`).
-
-        Plans every missing training set's suffixes and learns them
-        through :func:`~repro.core.delta.learn_artifacts`: a suffix
-        whose training set is identical across snapshots, or already
-        in the store, learns at most once.  Results are assembled per
-        label in the same sorted-suffix order the from-scratch path
-        produces, so they are byte-identical.
-        """
-        from repro.core.delta import (
-            assemble_result,
-            learn_artifacts,
-            plan_timeline,
-        )
         sets = [self.training_set(label) for label in missing]
         plan, artifacts = learn_artifacts(
             self.store, functools.partial(plan_timeline, sets,
-                                          self.hoiho_config),
+                                          self.hoiho_config,
+                                          tracer=self.tracer),
             self.hoiho_config, self.parallel, self.retry,
             tracer=self.tracer, span=span, metrics=self.metrics)
         span.set(**plan.attrs())
         for label_plan in plan.labels:
             result = assemble_result(label_plan, artifacts)
             self._learned[label_plan.label] = result
-            self.store.put(KIND_HOIHO,
-                           self._hoiho_payload(label_plan.label), result)
+            if self.store is not None:
+                self.store.put(KIND_HOIHO,
+                               self._hoiho_payload(label_plan.label), result)
 
     def run_fingerprint(self) -> str:
         """One fingerprint covering everything a run depends on.

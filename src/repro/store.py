@@ -179,7 +179,7 @@ class ArtifactStore:
         """Expose :func:`fingerprint` on the class for convenience."""
         return fingerprint(payload)
 
-    def path_for(self, kind: str, payload: Mapping,
+    def path_for(self, kind: str, payload: Optional[Mapping],
                  key: Optional[str] = None) -> Path:
         """Where the artifact for ``payload`` lives (existing or not).
 
@@ -189,6 +189,7 @@ class ArtifactStore:
         ``payload``'s fingerprint when the caller already holds it
         (a :class:`~repro.core.delta.SuffixPlan` does); it must equal
         ``fingerprint(payload)``, which is computed when it is omitted.
+        With ``key`` given, ``payload`` is not read and may be ``None``.
         """
         _check_kind(kind)
         if key is None:
@@ -201,7 +202,7 @@ class ArtifactStore:
         """True when an artifact for ``payload`` is on disk."""
         return self.path_for(kind, payload).is_file()
 
-    def get(self, kind: str, payload: Mapping,
+    def get(self, kind: str, payload: Optional[Mapping],
             key: Optional[str] = None) -> Optional[object]:
         """The stored artifact, or ``None`` on miss/corruption.
 

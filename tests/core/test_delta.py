@@ -15,11 +15,13 @@ from repro.core.hoiho import (
     Hoiho,
     HoihoConfig,
     SuffixArtifact,
+    suffix_cache_payload,
     suffix_fingerprint,
 )
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.obs.metrics import MetricsRegistry
 from repro.store import KIND_SUFFIX, ArtifactStore
+from tests.reference_learner import learn_from_scratch
 
 # Small enough to learn in milliseconds, big enough to pass the gates.
 FAST = HoihoConfig(max_candidates=60, generation_sample=20, eval_pool=20,
@@ -127,7 +129,7 @@ class TestResolve:
         metrics = MetricsRegistry()
         hits, misses = resolve_plans(store, plans, metrics=metrics)
         assert hits == [] and len(misses) == 1
-        store.put(KIND_SUFFIX, plans[0].payload,
+        store.put(KIND_SUFFIX, suffix_cache_payload(plans[0].dataset, FAST),
                   SuffixArtifact(suffix=plans[0].suffix, convention=None))
         hits, misses = resolve_plans(store, plans, metrics=metrics)
         assert len(hits) == 1 and misses == []
@@ -137,7 +139,8 @@ class TestResolve:
 
     def test_mistyped_entry_reads_as_miss(self, store):
         plans = plan_datasets([_dataset()], FAST)
-        store.put(KIND_SUFFIX, plans[0].payload, {"not": "an artifact"})
+        store.put(KIND_SUFFIX, suffix_cache_payload(plans[0].dataset, FAST),
+                  {"not": "an artifact"})
         hits, misses = resolve_plans(store, plans)
         assert hits == [] and len(misses) == 1
 
@@ -159,7 +162,7 @@ class TestHoihoSuffixCache:
     def test_matches_uncached_result(self, store):
         items = _dataset(n=16).items
         assert Hoiho(FAST, store=store).run(items) \
-            == Hoiho(FAST).run(items)
+            == learn_from_scratch(items, FAST)
 
     def test_negative_result_is_cached(self, store):
         # Two hostnames fail the gates; the rejection must be cached

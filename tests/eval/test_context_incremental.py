@@ -7,7 +7,9 @@ from repro.core.io import conventions_to_json
 from repro.core.types import TrainingItem
 from repro.eval.context import ExperimentContext, Scale
 from repro.eval.timeline import TrainingSet
+from repro.obs.trace import Tracer
 from repro.store import ArtifactStore, KIND_SUFFIX
+from tests.reference_learner import learn_from_scratch
 
 FAST = HoihoConfig(max_candidates=60, generation_sample=20, eval_pool=20,
                    set_pool=6, n_seeds=2)
@@ -44,12 +46,14 @@ class TestIncrementalTimeline:
     def test_matches_from_scratch(self, store):
         sets = [_snapshot("s0"), _snapshot("s1", mutated={0, 2})]
         incremental = _context(store, sets).learn_timeline()
-        scratch = _context(None, sets).learn_timeline()
-        assert sorted(incremental) == ["s0", "s1"]
-        for label in scratch:
-            assert incremental[label] == scratch[label]
-            assert conventions_to_json(incremental[label]) \
-                == conventions_to_json(scratch[label])
+        storeless = _context(None, sets).learn_timeline()
+        assert sorted(incremental) == sorted(storeless) == ["s0", "s1"]
+        for training_set in sets:
+            scratch = learn_from_scratch(training_set.items, FAST)
+            for learned in (incremental, storeless):
+                assert learned[training_set.label] == scratch
+                assert conventions_to_json(learned[training_set.label]) \
+                    == conventions_to_json(scratch)
 
     def test_unchanged_suffixes_learn_once_across_labels(self, store):
         # s0 and s1 share 3 of 5 suffixes byte-for-byte; the shared
@@ -88,7 +92,6 @@ class TestIncrementalTimeline:
         assert counters["suffix_cache_misses"] == 1
 
     def test_span_attrs_record_cache_traffic(self, store, tmp_path):
-        from repro.obs.trace import Tracer
         tracer = Tracer(path=str(tmp_path / "trace.jsonl"))
         context = _context(store, [_snapshot("s0")], tracer=tracer)
         context.learn_timeline()
@@ -112,3 +115,25 @@ class TestIncrementalTimeline:
         counters = changed.metrics.snapshot()["counters"]
         assert counters.get("suffix_cache_hits", 0) == 0
         assert counters["suffix_cache_misses"] == 5
+
+
+class TestStorelessTimeline:
+    def test_identical_suffix_learns_once(self):
+        # s0 and s1 share 3 of 5 suffixes byte-for-byte: without a
+        # store, the shared training problems still learn once.
+        sets = [_snapshot("s0"), _snapshot("s1", mutated={0, 2})]
+        tracer = Tracer()
+        context = _context(None, sets, tracer=tracer)
+        context.learn_timeline()
+        tracer.close()
+        [learn] = [r for r in tracer.records if r["name"] == "stage.learn"]
+        attrs = learn["attrs"]
+        suffix_spans = [r for r in tracer.records
+                        if r["name"] == "learn.suffix"]
+        assert attrs["suffix_plans"] == 10
+        assert len(suffix_spans) == attrs["suffix_unique"] == 7
+        assert attrs["delta_unchanged"] == 3
+        assert attrs["delta_changed"] == 2
+        # No store: no cache traffic to report.
+        assert "suffix_cache_hits" not in attrs
+        assert "cached" not in attrs

@@ -50,6 +50,12 @@ class TestWarmRuns:
         assert conventions_to_json(warm.learned("2020-01")) \
             == conventions_to_json(cold_learned)
 
+    def test_warm_learned_skips_timeline(self, store):
+        cold_learned = _context(store).learned("2020-01")
+        warm = _context(store)
+        assert warm.learned("2020-01") == cold_learned
+        assert warm._timeline is None
+
     def test_warm_timeline_reattaches_world(self, store):
         _context(store).timeline
         warm = _context(store)

@@ -1,10 +1,9 @@
 """Tracing through every fan-out route, serial and process-backed.
 
 Five routes fan work out to workers: ``Hoiho.run`` (per suffix),
-storeless ``learn_timeline`` (per training set), store-backed
-``learn_timeline`` (per unique suffix), ``build_timeline`` (per
-snapshot) and ``BulkAnnotator.annotate`` (per chunk).  For each route
-and backend:
+storeless and store-backed ``learn_timeline`` (both per unique suffix,
+through the delta planner), ``build_timeline`` (per snapshot) and
+``BulkAnnotator.annotate`` (per chunk).  For each route and backend:
 
 * a traced run returns exactly what an untraced run returns;
 * every span a worker captured is adopted under the route's
@@ -116,7 +115,7 @@ class Route:
 ROUTES = {
     "hoiho": Route(_run_hoiho, "learn.run", ("learn.suffix",), "learn"),
     "timeline-storeless": Route(_run_timeline_storeless, "stage.learn",
-                                ("learn.run",), "learn"),
+                                ("learn.suffix",), "learn"),
     "timeline-stored": Route(_run_timeline_stored, "stage.learn",
                              ("learn.suffix",), "learn"),
     "build-timeline": Route(_run_build_timeline, "timeline",

@@ -2,12 +2,14 @@
 
 The delta planner's whole contract is invisibility: whatever sequence
 of snapshots arrives -- suffixes added, removed, mutated, repeated
-byte-for-byte -- learning through a warm per-suffix cache must produce
-the same :class:`HoihoResult` (and byte-identical conventions JSON) as
-learning each snapshot from scratch with no store at all.  These
+byte-for-byte -- learning through a warm per-suffix cache, or
+deduplicating identical suffixes across a timeline, must produce the
+same :class:`HoihoResult` (and byte-identical conventions JSON) as
+learning each snapshot from scratch.  "From scratch" is the test-side
+reference learner, which bypasses the planner entirely.  These
 properties drive randomly perturbed snapshot sequences through both
-paths and require exact equality, including after a config change that
-moves every fingerprint.
+and require exact equality, including after a config change that moves
+every fingerprint.
 """
 
 import tempfile
@@ -18,7 +20,10 @@ from hypothesis import strategies as st
 from repro.core.hoiho import Hoiho, HoihoConfig
 from repro.core.io import conventions_to_json
 from repro.core.types import TrainingItem
+from repro.eval.context import ExperimentContext, Scale
+from repro.eval.timeline import TrainingSet
 from repro.store import ArtifactStore
+from tests.reference_learner import learn_from_scratch
 
 FAST = HoihoConfig(max_candidates=60, generation_sample=20, eval_pool=20,
                    set_pool=6, n_seeds=2)
@@ -50,16 +55,28 @@ def _items(snap):
     return items
 
 
+def _assert_same(learned, scratch):
+    assert learned == scratch
+    assert conventions_to_json(learned) == conventions_to_json(scratch)
+
+
 def _assert_equivalent(snaps, config):
     with tempfile.TemporaryDirectory(prefix="repro-inc-prop-") as tmp:
         store = ArtifactStore(tmp)
         for snap in snaps:
             items = _items(snap)
-            incremental = Hoiho(config, store=store).run(items)
-            scratch = Hoiho(config).run(items)
-            assert incremental == scratch
-            assert conventions_to_json(incremental) \
-                == conventions_to_json(scratch)
+            _assert_same(Hoiho(config, store=store).run(items),
+                         learn_from_scratch(items, config))
+
+
+def _timeline_learned(snaps, config, store):
+    context = ExperimentContext(seed=1, scale=Scale.TINY,
+                                hoiho_config=config, store=store)
+    context._timeline = [
+        TrainingSet(label="s%d" % index, kind="itdk", method="rtaa",
+                    year=2020.0, items=_items(snap))
+        for index, snap in enumerate(snaps)]
+    return context.learn_timeline()
 
 
 @settings(max_examples=10, deadline=None,
@@ -67,6 +84,21 @@ def _assert_equivalent(snaps, config):
 @given(snaps=timeline)
 def test_incremental_equals_from_scratch(snaps):
     _assert_equivalent(snaps, FAST)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(snaps=timeline)
+def test_timeline_dedupe_equals_from_scratch(snaps):
+    # One learn_timeline over every snapshot dedupes suffixes repeated
+    # across snapshots, with and without a store; each label must
+    # still match its own from-scratch learning.
+    with tempfile.TemporaryDirectory(prefix="repro-inc-prop-") as tmp:
+        for store in (None, ArtifactStore(tmp)):
+            learned = _timeline_learned(snaps, FAST, store)
+            for index, snap in enumerate(snaps):
+                _assert_same(learned["s%d" % index],
+                             learn_from_scratch(_items(snap), FAST))
 
 
 @settings(max_examples=5, deadline=None,
@@ -83,8 +115,5 @@ def test_config_change_forces_full_relearn_and_stays_equivalent(snap):
         store = ArtifactStore(tmp)
         items = _items(snap)
         for config in (FAST, changed):
-            incremental = Hoiho(config, store=store).run(items)
-            scratch = Hoiho(config).run(items)
-            assert incremental == scratch
-            assert conventions_to_json(incremental) \
-                == conventions_to_json(scratch)
+            _assert_same(Hoiho(config, store=store).run(items),
+                         learn_from_scratch(items, config))
