@@ -1,61 +1,47 @@
-"""Benchmark-regression report: refresh ``BENCH_learner.json``.
+"""Benchmark-regression report: refresh and check ``BENCH_learner.json``.
 
 Thin runner around :mod:`repro.bench` so the report can be produced
 either from the benchmarks directory (``python benchmarks/bench_report.py``)
 or via the console script (``repro-hoiho bench``) / ``make bench``.
 
-The JSON report tracks, across PRs:
+The report has one section per row of :data:`repro.bench.SECTIONS`:
 
-* suffix-learn wall time, cached and uncached, and the cache speedup;
-* the cache work counters (vectors built, lookups served, ``re.match``
-  calls performed, hit rate);
-* ``evaluate_nc`` cold vs warm on a multi-regex set;
-* serial vs parallel ``Hoiho.run_datasets`` and the fan-out speedup;
-* the ``pipeline`` section: serial vs parallel timeline builds, eager
-  vs lazy routing, and cold vs warm artifact-store runs
-  (``--pipeline-only`` refreshes just this section, as
-  ``make bench-pipeline`` does);
-* the ``serve`` section: the linear apply loop vs fused-regex
-  suffix-trie dispatch (cold and warm), the memoized Zipf hot path,
-  and serial vs parallel bulk annotation (``--serve-only`` refreshes
-  the whole section, as ``make annotate-bench`` does;
-  ``--dispatch-only`` refreshes just the single-core kernels, keeping
-  the fan-out numbers, as ``make dispatch-bench`` does);
-* the ``obs`` section: tracer overhead with tracing disabled (the
-  no-op span path, asserted under the 2% budget) and enabled
-  (``--obs-only`` refreshes just this section, as ``make obs-bench``
-  does);
-* the ``incremental`` section: cold vs warm-repeat vs 5%-perturbed
-  timeline learning through the per-suffix cache, with hit/miss
-  counters and the byte-identity check (``--incremental-only``
-  refreshes just this section, as ``make incremental-bench`` does);
-* the ``http`` section: the pre-fork network server measured by the
-  open/closed-loop load generator -- single and batch closed-loop
-  throughput with latency percentiles, open-loop behaviour at a fixed
-  offered rate, and the graceful-drain exit code (``--http-only``
-  refreshes just this section, as ``make http-bench`` does);
-* the ``shadow`` section: dual-annotation overhead of shadow
-  deployment vs a single convention set on the Zipf workload
-  (asserted under the 2.2x budget) and the per-suffix disagreement
-  ledger checked exact against a constructed divergent world
-  (``--shadow-only`` refreshes just this section, as
-  ``make shadow-bench`` does);
-* the ``obs_window`` section: windowed-telemetry cost on the serving
-  hot path -- the per-request access-log line and the
-  per-flush-interval rolling-window fold, summed and asserted under
-  the 3% budget (``--obs-window-only`` refreshes just this section,
-  as ``make obs-window-bench`` does).
+* ``learner`` (top-level keys): suffix-learn wall time cached and
+  uncached, the cache work counters, ``evaluate_nc`` cold vs warm, and
+  serial vs parallel ``Hoiho.run_datasets``;
+* ``pipeline``: serial vs parallel timeline builds, eager vs lazy
+  routing, and cold vs warm artifact-store runs;
+* ``serve``: the linear apply loop vs fused-regex suffix-trie dispatch
+  (cold and warm), the memoized Zipf hot path, and serial vs parallel
+  bulk annotation; ``dispatch`` refreshes just the single-core kernels,
+  keeping the fan-out numbers;
+* ``obs``: tracer overhead with tracing disabled (the no-op span path)
+  and enabled;
+* ``incremental``: cold vs warm-repeat vs 5%-perturbed timeline
+  learning through the per-suffix cache, with hit/miss counters and
+  the byte-identity check;
+* ``http``: the pre-fork network server under the open/closed-loop
+  load generator, and the graceful-drain exit code;
+* ``shadow``: dual-annotation overhead of shadow deployment and the
+  per-suffix disagreement ledger checked exact;
+* ``obs_window``: windowed-telemetry cost on the serving hot path.
+
+With no ``--section`` every section is measured.  ``--check`` evaluates
+:data:`repro.bench.FLOORS`, printing one line per floor and exiting
+non-zero if any fails: after ``--section`` runs it applies the live
+bounds to the sections just measured (``--section serve --rounds 1
+--output live.json --check`` is one CI round); alone it measures
+nothing and applies the committed bounds to ``--output``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from repro.bench import render_report, write_dispatch_section, \
-    write_http_section, write_incremental_section, write_obs_section, \
-    write_obs_window_section, write_pipeline_section, write_report, \
-    write_serve_section, write_shadow_section
+from repro.bench import SECTIONS, check_floors, render_report, \
+    write_sections
 
 
 def main(argv=None) -> int:
@@ -64,67 +50,41 @@ def main(argv=None) -> int:
                     "BENCH_learner.json")
     parser.add_argument("--output", default="BENCH_learner.json",
                         metavar="FILE", help="report destination")
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="best-of rounds per timing")
+    parser.add_argument("--rounds", type=int, default=None,
+                        help="best-of rounds per timing (default: each "
+                             "section's own)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="parallel workers for the fan-out benchmark "
+                        help="parallel workers for the fan-out benchmarks "
                              "(default: one per CPU)")
-    parser.add_argument("--pipeline-only", action="store_true",
-                        help="refresh only the pipeline section of an "
-                             "existing report")
-    parser.add_argument("--serve-only", action="store_true",
-                        help="refresh only the serve section of an "
-                             "existing report")
-    parser.add_argument("--dispatch-only", action="store_true",
-                        help="refresh only the single-core dispatch/"
-                             "memo kernels of the serve section, "
-                             "keeping the bulk fan-out numbers")
-    parser.add_argument("--obs-only", action="store_true",
-                        help="refresh only the obs (tracer overhead) "
-                             "section of an existing report")
-    parser.add_argument("--incremental-only", action="store_true",
-                        help="refresh only the incremental "
-                             "(delta-learning) section of an existing "
-                             "report")
-    parser.add_argument("--http-only", action="store_true",
-                        help="refresh only the http (network serving) "
-                             "section of an existing report")
-    parser.add_argument("--http-workers", type=int, default=2,
-                        metavar="N",
-                        help="pre-fork workers for the http bench "
-                             "(default 2)")
-    parser.add_argument("--shadow-only", action="store_true",
-                        help="refresh only the shadow (dual-"
-                             "annotation) section of an existing "
-                             "report")
-    parser.add_argument("--obs-window-only", action="store_true",
-                        help="refresh only the obs_window (windowed "
-                             "telemetry) section of an existing "
-                             "report")
+    parser.add_argument("--section", action="append", choices=SECTIONS,
+                        metavar="NAME",
+                        help="refresh only this section (repeatable; "
+                             "one of %s)" % ", ".join(SECTIONS))
+    parser.add_argument("--check", action="store_true",
+                        help="evaluate the acceptance floors; exit "
+                             "non-zero if any fails")
     args = parser.parse_args(argv)
-    if args.pipeline_only:
-        report = write_pipeline_section(args.output, jobs=args.jobs)
-    elif args.serve_only:
-        report = write_serve_section(args.output, jobs=args.jobs)
-    elif args.dispatch_only:
-        report = write_dispatch_section(args.output, jobs=args.jobs)
-    elif args.obs_only:
-        report = write_obs_section(args.output)
-    elif args.incremental_only:
-        report = write_incremental_section(args.output, jobs=args.jobs)
-    elif args.http_only:
-        report = write_http_section(args.output,
-                                    workers=args.http_workers)
-    elif args.shadow_only:
-        report = write_shadow_section(args.output, rounds=args.rounds)
-    elif args.obs_window_only:
-        report = write_obs_window_section(args.output)
+    if args.check and not args.section:
+        try:
+            with open(args.output, encoding="utf-8") as handle:
+                report = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print("cannot read %s: %s" % (args.output, exc),
+                  file=sys.stderr)
+            return 1
     else:
-        report = write_report(args.output, rounds=args.rounds,
-                              jobs=args.jobs)
-    print(render_report(report))
-    print("# report written to %s" % args.output)
-    return 0
+        report = write_sections(args.output, args.section,
+                                rounds=args.rounds, jobs=args.jobs)
+        print(render_report(report))
+        print("# report written to %s" % args.output)
+        if not args.check:
+            return 0
+    results = check_floors(report, live=args.section)
+    for _, line in results:
+        print(line)
+    failed = sum(1 for ok, _ in results if not ok)
+    print("# %d floor(s) checked, %d failed" % (len(results), failed))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

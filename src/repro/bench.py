@@ -13,9 +13,10 @@ perturbed timeline learning through the per-suffix cache)
 and writes the numbers to ``BENCH_learner.json`` so the performance
 trajectory is tracked across PRs.  Run it via ``repro-hoiho bench``,
 ``make bench``, or ``python benchmarks/bench_report.py``;
-``make bench-pipeline`` / ``make annotate-bench`` / ``make obs-bench``
-/ ``make incremental-bench`` refresh only the ``pipeline`` / ``serve``
-/ ``obs`` / ``incremental`` sections.
+:data:`SECTIONS` lists the sections, and ``make bench SECTIONS=...`` /
+``bench_report --section NAME`` refresh only the named ones.
+:data:`FLOORS` holds every acceptance floor, evaluated by
+:func:`check_floors` (``bench_report --check``).
 
 The learner and serving workloads are synthetic and fixed (no world
 generation); the pipeline kernels use a TINY world with a restricted
@@ -26,10 +27,12 @@ the ratios (speedups, hit rates) travel well.
 from __future__ import annotations
 
 import json
+import operator
 import random
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, \
+    Sequence, Tuple
 
 from repro.core.evaluate import evaluate_nc
 from repro.core.hoiho import Hoiho, HoihoConfig, learn_suffix, \
@@ -454,9 +457,9 @@ def _serve_dispatch_kernels(result: "HoihoResult", hostnames: List[str],
 def run_dispatch_bench(rounds: int = 3,
                        jobs: Optional[int] = None) -> Dict[str, object]:
     """The single-core serve kernels only (no process fan-out): the
-    quick iteration loop behind ``make dispatch-bench`` and
-    ``bench_report --dispatch-only``.  ``jobs`` is accepted for CLI
-    symmetry but unused -- nothing here fans out."""
+    quick iteration loop behind ``bench_report --section dispatch``.
+    ``jobs`` is accepted for CLI symmetry but unused -- nothing here
+    fans out."""
     del jobs
     result = serve_conventions()
     hostnames = serve_hostnames()
@@ -1146,224 +1149,6 @@ def run_obs_bench(rounds: int = 5) -> Dict[str, object]:
     }
 
 
-def write_report(path: str = "BENCH_learner.json",
-                 rounds: int = 5,
-                 jobs: Optional[int] = None,
-                 pipeline: bool = True,
-                 serve: bool = True,
-                 obs: bool = True,
-                 incremental: bool = True,
-                 http: bool = True,
-                 shadow: bool = True,
-                 obs_window: bool = True) -> Dict[str, object]:
-    """Run the suite and write ``path``; returns the payload."""
-    report = run_bench(rounds=rounds, jobs=jobs)
-    if pipeline:
-        report["pipeline"] = run_pipeline_bench(jobs=jobs)
-    if serve:
-        report["serve"] = run_serve_bench(jobs=jobs)
-    if obs:
-        report["obs"] = run_obs_bench()
-    if incremental:
-        report["incremental"] = run_incremental_bench(jobs=jobs)
-    if http:
-        report["http"] = run_http_bench()
-    if shadow:
-        report["shadow"] = run_shadow_bench()
-    if obs_window:
-        report["obs_window"] = run_obs_window_bench()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_pipeline_section(path: str = "BENCH_learner.json",
-                           rounds: int = 2,
-                           jobs: Optional[int] = None) -> Dict[str, object]:
-    """Refresh only the ``pipeline`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``pipeline`` key, and writes the file back -- the learner sections
-    keep their previous numbers.  Used by ``make bench-pipeline``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["pipeline"] = run_pipeline_bench(rounds=rounds, jobs=jobs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_serve_section(path: str = "BENCH_learner.json",
-                        rounds: int = 3,
-                        jobs: Optional[int] = None) -> Dict[str, object]:
-    """Refresh only the ``serve`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``serve`` key, and writes the file back -- every other section
-    keeps its previous numbers.  Used by ``make annotate-bench``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["serve"] = run_serve_bench(rounds=rounds, jobs=jobs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_dispatch_section(path: str = "BENCH_learner.json",
-                           rounds: int = 3,
-                           jobs: Optional[int] = None) -> Dict[str, object]:
-    """Refresh only the single-core serve kernels of an existing report.
-
-    Merges :func:`run_dispatch_bench` output into the ``serve`` section
-    (replacing ``linear_apply``/``dispatch``/``memo`` and the workload
-    counts) while leaving the ``bulk`` numbers -- and every other
-    section -- untouched.  The fast inner loop for hot-path work:
-    ``make dispatch-bench`` / ``bench_report --dispatch-only``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    serve = report.get("serve")
-    if not isinstance(serve, dict):
-        serve = {}
-    fresh = run_dispatch_bench(rounds=rounds, jobs=jobs)
-    workload = serve.get("workload")
-    if isinstance(workload, dict):
-        workload.update(fresh.pop("workload"))
-    serve.update(fresh)
-    report["serve"] = serve
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_obs_section(path: str = "BENCH_learner.json",
-                      rounds: int = 5) -> Dict[str, object]:
-    """Refresh only the ``obs`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``obs`` key, and writes the file back -- every other section keeps
-    its previous numbers.  Used by ``make obs-bench``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["obs"] = run_obs_bench(rounds=rounds)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_incremental_section(path: str = "BENCH_learner.json",
-                              rounds: int = 2,
-                              jobs: Optional[int] = None,
-                              ) -> Dict[str, object]:
-    """Refresh only the ``incremental`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``incremental`` key, and writes the file back -- every other
-    section keeps its previous numbers.  Used by
-    ``make incremental-bench``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["incremental"] = run_incremental_bench(rounds=rounds,
-                                                  jobs=jobs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_http_section(path: str = "BENCH_learner.json",
-                       workers: int = 2) -> Dict[str, object]:
-    """Refresh only the ``http`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``http`` key, and writes the file back -- every other section
-    keeps its previous numbers.  Used by ``make http-bench``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["http"] = run_http_bench(workers=workers)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_shadow_section(path: str = "BENCH_learner.json",
-                         rounds: int = 5) -> Dict[str, object]:
-    """Refresh only the ``shadow`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``shadow`` key, and writes the file back -- every other section
-    keeps its previous numbers.  Used by ``make shadow-bench``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["shadow"] = run_shadow_bench(rounds=rounds)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
-def write_obs_window_section(path: str = "BENCH_learner.json",
-                             rounds: int = 3) -> Dict[str, object]:
-    """Refresh only the ``obs_window`` section of an existing report.
-
-    Reads ``path`` if present (starting fresh otherwise), replaces the
-    ``obs_window`` key, and writes the file back -- every other
-    section keeps its previous numbers.  Used by
-    ``make obs-window-bench``.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        report = {"version": BENCH_VERSION}
-    report["version"] = BENCH_VERSION
-    report["obs_window"] = run_obs_window_bench(rounds=rounds)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return report
-
-
 def render_incremental_section(section: Dict[str, object]) -> str:
     """Render an ``incremental`` section (delta-learning report)."""
     workload = section["workload"]
@@ -1491,9 +1276,9 @@ def render_shadow_section(section: Dict[str, object]) -> str:
 def render_serve_section(section: Dict[str, object]) -> str:
     """Render a ``serve`` section (also used by ``serve-stats``).
 
-    ``memo`` and ``bulk`` lines render only when present: a
-    ``--dispatch-only`` refresh of a pre-v5 file has no memo kernel
-    yet, and a dispatch-only section has no bulk numbers.
+    ``memo`` and ``bulk`` lines render only when present: a ``dispatch``
+    refresh of a pre-v5 file has no memo kernel yet, and a section
+    written by ``dispatch`` alone has no bulk numbers.
     """
     workload = section["workload"]
     linear = section["linear_apply"]
@@ -1521,23 +1306,36 @@ def render_serve_section(section: Dict[str, object]) -> str:
     bulk = section.get("bulk")
     if bulk:
         lines.append(
-            "  bulk streaming   : serial %.3fs  parallel %.3fs  "
-            "speedup %.2fx (%s workers)"
+            "  bulk streaming   : serial %.3fs  parallel %.3fs  %s"
             % (bulk["serial_seconds"], bulk["parallel_seconds"],
-               bulk["parallel_speedup"],
-               bulk.get("parallel_workers",
-                        workload.get("parallel_workers", "-"))))
+               _speedup(bulk["parallel_speedup"],
+                        bulk.get("parallel_workers", "?"))))
     return "\n".join(lines)
 
 
-def render_report(report: Dict[str, object]) -> str:
-    """Human-readable one-screen summary of a report payload."""
-    cache = report.get("cache", {})
-    lines = ["learner benchmark (v%s)" % report.get("version", "?")]
+
+
+def _fanned_out(workers: object) -> bool:
+    """Whether a fan-out ratio was measured: with fewer than two
+    workers it reflects the host, not the fan-out."""
+    return isinstance(workers, int) and workers >= 2
+
+
+def _speedup(ratio: float, workers: object) -> str:
+    """A fan-out speedup as rendered, or "not measured"."""
+    if _fanned_out(workers):
+        return "speedup %.2fx (%d workers)" % (ratio, workers)
+    return "speedup not measured (%s workers)" % workers
+
+
+def render_learner_section(report: Dict[str, object]) -> str:
+    """Render the report's top-level learner keys (empty if absent)."""
+    lines = []
     if "suffix_learn" in report:
         suffix = report["suffix_learn"]
         nc = report["evaluate_nc"]
         run = report["run_datasets"]
+        workers = report.get("workload", {}).get("parallel_workers", "?")
         lines += [
             "  learn one suffix : cached %.4fs  uncached %.4fs  "
             "speedup %.2fx" % (suffix["cached_seconds"],
@@ -1545,11 +1343,11 @@ def render_report(report: Dict[str, object]) -> str:
                                suffix["cache_speedup"]),
             "  evaluate_nc set  : cold %.6fs  warm %.6fs  speedup %.1fx"
             % (nc["cold_seconds"], nc["warm_seconds"], nc["warm_speedup"]),
-            "  run_datasets     : serial %.3fs  parallel %.3fs  "
-            "speedup %.2fx" % (run["serial_seconds"],
-                               run["parallel_seconds"],
-                               run["parallel_speedup"]),
+            "  run_datasets     : serial %.3fs  parallel %.3fs  %s"
+            % (run["serial_seconds"], run["parallel_seconds"],
+               _speedup(run["parallel_speedup"], workers)),
         ]
+    cache = report.get("cache")
     if cache:
         lines.append("  cache counters   : %d vectors built, %d served, "
                      "%d re.match calls, hit rate %.1f%%"
@@ -1557,43 +1355,245 @@ def render_report(report: Dict[str, object]) -> str:
                         cache.get("vector_hits", 0),
                         cache.get("match_calls", 0),
                         100.0 * cache.get("hit_rate", 0.0)))
-    pipeline = report.get("pipeline")
-    if pipeline:
-        timeline = pipeline["timeline"]
-        routing = pipeline["routing"]
-        store = pipeline["store"]
-        lines += [
-            "pipeline benchmark (%d-set timeline, %s workers)"
-            % (pipeline["workload"]["training_sets"],
-               pipeline["workload"]["parallel_workers"]),
-            "  build_timeline   : serial %.3fs  parallel %.3fs  "
-            "speedup %.2fx" % (timeline["serial_seconds"],
-                               timeline["parallel_seconds"],
-                               timeline["parallel_speedup"]),
-            "  routing model    : eager %.4fs  lazy first path %.4fs  "
-            "speedup %.1fx" % (routing["eager_seconds"],
-                               routing["lazy_first_path_seconds"],
-                               routing["lazy_speedup"]),
-            "  artifact store   : cold %.3fs  warm %.3fs  speedup %.1fx"
-            % (store["cold_seconds"], store["warm_seconds"],
-               store["warm_speedup"]),
-        ]
-    serve = report.get("serve")
-    if serve:
-        lines.append(render_serve_section(serve))
-    obs = report.get("obs")
-    if obs:
-        lines.append(render_obs_section(obs))
-    incremental = report.get("incremental")
-    if incremental:
-        lines.append(render_incremental_section(incremental))
-    http = report.get("http")
-    if http:
-        lines.append(render_http_section(http))
-    shadow = report.get("shadow")
-    if shadow:
-        lines.append(render_shadow_section(shadow))
-    obs_window = report.get("obs_window")
-    if obs_window:
-        lines.append(render_obs_window_section(obs_window))
     return "\n".join(lines)
+
+
+def render_pipeline_section(section: Dict[str, object]) -> str:
+    """Render a ``pipeline`` section (timeline, routing, store)."""
+    timeline = section["timeline"]
+    routing = section["routing"]
+    store = section["store"]
+    return "\n".join([
+        "pipeline benchmark (%d-set timeline)"
+        % section["workload"]["training_sets"],
+        "  build_timeline   : serial %.3fs  parallel %.3fs  %s"
+        % (timeline["serial_seconds"], timeline["parallel_seconds"],
+           _speedup(timeline["parallel_speedup"],
+                    timeline.get("parallel_workers", "?"))),
+        "  routing model    : eager %.4fs  lazy first path %.4fs  "
+        "speedup %.1fx" % (routing["eager_seconds"],
+                           routing["lazy_first_path_seconds"],
+                           routing["lazy_speedup"]),
+        "  artifact store   : cold %.3fs  warm %.3fs  speedup %.1fx"
+        % (store["cold_seconds"], store["warm_seconds"],
+           store["warm_speedup"]),
+    ])
+
+
+def render_report(report: Dict[str, object]) -> str:
+    """Human-readable one-screen summary of a report payload."""
+    lines = ["learner benchmark (v%s)" % report.get("version", "?")]
+    for name in FULL_RUN:
+        section = SECTIONS[name]
+        payload = report if section.key is None else report.get(section.key)
+        text = section.render(payload) if payload else ""
+        if text:
+            lines.append(text)
+    return "\n".join(lines)
+
+
+class Section(NamedTuple):
+    """One slice of ``BENCH_learner.json``: how to measure it, how to
+    render it, and where its numbers live in the report."""
+
+    #: ``run(rounds, jobs)`` returns the section's fresh numbers.
+    run: Callable[[int, Optional[int]], Dict[str, object]]
+    #: Best-of rounds when ``--rounds`` is not given.
+    rounds: int
+    render: Callable[[Dict[str, object]], str]
+    #: Report key the numbers replace; ``None`` merges them into the
+    #: top level.
+    key: Optional[str]
+    #: Dotted paths under ``key`` that a refresh carries over from the
+    #: previous report instead of replacing.
+    keep: Tuple[str, ...] = ()
+
+
+#: Every report section, in render order.  ``dispatch`` re-measures the
+#: serve section's single-core kernels and keeps its fan-out numbers.
+#: Only the section's runner knows what a round is: ``obs`` and
+#: ``obs_window`` clamp to their noise-safe minimum, and ``http`` is
+#: sized by its load generator's request counts (its two pre-fork
+#: workers are the runner's default).
+SECTIONS: Dict[str, Section] = {
+    "learner": Section(run_bench, 5, render_learner_section, None),
+    "pipeline": Section(run_pipeline_bench, 2, render_pipeline_section,
+                        "pipeline"),
+    "serve": Section(run_serve_bench, 3, render_serve_section, "serve"),
+    "dispatch": Section(run_dispatch_bench, 3, render_serve_section,
+                        "serve", keep=("bulk", "workload.parallel_workers")),
+    "obs": Section(lambda rounds, jobs: run_obs_bench(rounds), 5,
+                   render_obs_section, "obs"),
+    "incremental": Section(run_incremental_bench, 2,
+                           render_incremental_section, "incremental"),
+    "http": Section(lambda rounds, jobs: run_http_bench(), 1,
+                    render_http_section, "http"),
+    "shadow": Section(lambda rounds, jobs: run_shadow_bench(rounds), 5,
+                      render_shadow_section, "shadow"),
+    "obs_window": Section(lambda rounds, jobs: run_obs_window_bench(rounds),
+                          3, render_obs_window_section, "obs_window"),
+}
+
+#: A full run, and the render order: every report key once (``serve``
+#: already measures what ``dispatch`` does).
+FULL_RUN = tuple(name for name in SECTIONS if name != "dispatch")
+
+_MISSING = object()
+
+
+def _lookup(report: Dict[str, object], path: str) -> object:
+    """The value at dotted ``path`` in ``report``, or ``_MISSING``."""
+    value: object = report
+    for part in path.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return _MISSING
+        value = value[part]
+    return value
+
+
+def write_sections(path: str = "BENCH_learner.json",
+                   names: Optional[Sequence[str]] = None,
+                   rounds: Optional[int] = None,
+                   jobs: Optional[int] = None) -> Dict[str, object]:
+    """Measure the named sections (default :data:`FULL_RUN`) and merge
+    them into the report at ``path``; returns the report.
+
+    ``path`` is read if present (started fresh otherwise), so every
+    section not named keeps its previous numbers.  ``rounds`` overrides
+    each section's default; ``jobs`` reaches the sections that fan out.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
+    except (OSError, ValueError):
+        report = {}
+    for name in names or FULL_RUN:
+        section = SECTIONS[name]
+        fresh = section.run(section.rounds if rounds is None else rounds,
+                            jobs)
+        if section.key is None:
+            report.update(fresh)
+            continue
+        previous = report.get(section.key) or {}
+        for kept in section.keep:
+            value = _lookup(previous, kept)
+            if value is not _MISSING:
+                *parents, leaf = kept.split(".")
+                target = fresh
+                for part in parents:
+                    target = target.setdefault(part, {})
+                target[leaf] = value
+        report[section.key] = fresh
+    report["version"] = BENCH_VERSION
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return report
+
+
+class Key(str):
+    """A floor bound read from another report path."""
+
+    __repr__ = str.__str__
+
+
+#: Each fan-out ratio and the worker count it was measured with.  Below
+#: two workers the ratio is "not measured": a check passes it, except a
+#: live check on a host with two or more CPUs, where it fails.
+FANOUT_WORKERS = {
+    "run_datasets.parallel_speedup": "workload.parallel_workers",
+    "pipeline.timeline.parallel_speedup":
+        "pipeline.timeline.parallel_workers",
+    "serve.bulk.parallel_speedup": "serve.bulk.parallel_workers",
+}
+
+#: Every acceptance floor: (report path, comparison, live bound,
+#: committed bound).  A live bound applies to a section measured in the
+#: same invocation (e.g. one CI round); a committed bound to the
+#: checked-in ``BENCH_learner.json``.  ``None`` skips the row in that
+#: mode; a missing key fails it.
+FLOORS = [
+    ("version", "==", None, BENCH_VERSION),
+    ("suffix_learn.cache_speedup", ">=", None, 2.0),
+    ("pipeline.store.warm_speedup", ">", None, 2.0),
+    # Dispatch is floored absolutely: the linear path runs the
+    # label-walk PSL, so the ratio no longer isolates dispatch.
+    ("serve.dispatch.warm_hostnames_per_second", ">=", 250_000, None),
+    ("serve.dispatch.speedup_vs_linear", ">", 1.0, 1.0),
+    ("serve.memo.memo_speedup", ">=", 1.5, None),
+    ("serve.memo.warm_hostnames_per_second", ">=", 500_000, None),
+    ("serve.memo.warm_hostnames_per_second", ">", None, 1_000_000),
+    ("serve.bulk.parallel_speedup", ">=", 1.5, None),
+    ("obs.disabled.within_budget", "==", True, None),
+    ("obs.disabled.overhead_fraction", "<", OBS_OVERHEAD_BUDGET, None),
+    ("incremental.workload.parallel_workers", ">=", 1, 1),
+    ("incremental.warm_repeat.speedup", ">=", 5.0, 5.0),
+    ("incremental.perturbed.suffix_cache.hits", ">=", None, 0),
+    ("incremental.perturbed.suffix_cache.misses", ">=", None, 0),
+    ("incremental.perturbed.suffix_cache.hit_rate", ">=", 0.8, 0.8),
+    ("incremental.perturbed.identical", "==", True, True),
+    ("http.workload.workload_fingerprint", "!=", None, ""),
+    ("http.closed_single.errors", "==", None, 0),
+    ("http.closed_batch.errors", "==", None, 0),
+    ("http.closed_single.throughput_rps", ">=", None, 100.0),
+    ("http.closed_batch.hostnames_per_s", ">=", None, 10_000.0),
+    ("http.drain_exit_code", "==", None, 0),
+    ("shadow.ledger.exact", "==", True, True),
+    ("shadow.ledger.primary_identical", "==", True, True),
+    ("shadow.ledger.observed", "==", None, Key("shadow.ledger.expected")),
+    ("shadow.overhead.overhead_ratio", "<=", 3.0, SHADOW_OVERHEAD_BUDGET),
+    ("shadow.overhead.within_budget", "==", None, True),
+    ("obs_window.within_budget", "==", True, True),
+    ("obs_window.overhead_fraction", "<", OBS_WINDOW_OVERHEAD_BUDGET,
+     None),
+    ("obs_window.budget_fraction", "==", None, OBS_WINDOW_OVERHEAD_BUDGET),
+]
+
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le,
+            "<": operator.lt, "==": operator.eq, "!=": operator.ne}
+
+
+def _covers(section: Section, path: str) -> bool:
+    """Whether refreshing ``section`` rewrites report ``path``."""
+    top = path.split(".")[0]
+    if section.key is None:
+        return top not in {other.key for other in SECTIONS.values()}
+    return top == section.key and not any(
+        (path + ".").startswith("%s.%s." % (section.key, kept))
+        for kept in section.keep)
+
+
+def check_floors(report: Dict[str, object],
+                 live: Optional[Sequence[str]] = None,
+                 ) -> List[Tuple[bool, str]]:
+    """Evaluate :data:`FLOORS` against ``report``: one ``(ok, line)``
+    per applicable row.
+
+    With ``live`` -- the section names measured in this invocation --
+    the rows those sections cover apply at their live bounds; without
+    it every row applies at its committed bound.
+    """
+    results = []
+    for path, op, live_bound, committed_bound in FLOORS:
+        bound = committed_bound if live is None else live_bound
+        if bound is None or (live is not None and not any(
+                _covers(SECTIONS[name], path) for name in live)):
+            continue
+        label = "%s %s %r" % (path, op, bound)
+        value = _lookup(report, path)
+        target = _lookup(report, bound) if isinstance(bound, Key) else bound
+        fanout = FANOUT_WORKERS.get(path)
+        workers = _lookup(report, fanout) if fanout else None
+        if value is _MISSING or target is _MISSING:
+            ok, outcome = False, "missing"
+        elif fanout and not _fanned_out(workers):
+            ok = live is None or default_workers() < 2
+            outcome = "not measured (%s workers)" % (
+                "?" if workers is _MISSING else workers)
+        else:
+            ok = _COMPARE[op](value, target)
+            outcome = round(value, 4) if isinstance(value, float) \
+                else value
+        results.append((ok, "%s  %s: %s"
+                        % ("ok  " if ok else "FAIL", label, outcome)))
+    return results

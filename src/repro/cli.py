@@ -722,7 +722,7 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
         return 2
     section = report.get("serve")
     if not section:
-        print("no serve section in %s (run `make annotate-bench`)"
+        print("no serve section in %s (run `make bench SECTIONS=serve`)"
               % args.output, file=sys.stderr)
         return 2
     if args.json:
@@ -949,9 +949,9 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import render_report, write_report
+    from repro.bench import render_report, write_sections
     jobs = args.jobs if args.jobs != 1 else None
-    report = write_report(args.output, jobs=jobs)
+    report = write_sections(args.output, jobs=jobs)
     print(render_report(report))
     print("# report written to %s" % args.output)
     return 0
