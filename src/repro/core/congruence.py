@@ -20,9 +20,16 @@ penalises both error kinds, unlike the alias-resolution Hoiho).
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+import functools
+from typing import Optional, Sequence, Tuple
 
-from repro.util.strings import DigitRun, damerau_levenshtein, digit_runs
+from repro.util.ipaddr import embedded_ip_spans
+from repro.util.strings import (
+    FEATURE_MEMO_SIZE,
+    DigitRun,
+    damerau_levenshtein,
+    digit_runs,
+)
 
 
 class Outcome(enum.Enum):
@@ -64,7 +71,7 @@ def congruent(extracted: str, train_asn: int) -> bool:
 
 
 def _in_spans(start: int, end: int,
-              spans: List[Tuple[int, int]]) -> bool:
+              spans: Sequence[Tuple[int, int]]) -> bool:
     """Does [start, end) overlap any of the (sorted) spans?"""
     for span_start, span_end in spans:
         if start < span_end and end > span_start:
@@ -75,26 +82,43 @@ def _in_spans(start: int, end: int,
 
 
 def apparent_asn_runs(hostname: str, train_asn: int,
-                      ip_spans: List[Tuple[int, int]]) -> List[DigitRun]:
+                      ip_spans: Sequence[Tuple[int, int]],
+                      ) -> Tuple[DigitRun, ...]:
     """Digit runs in ``hostname`` congruent with ``train_asn``.
 
     Runs overlapping an embedded IP address are excluded: they are
     figure-3b coincidences, not annotations.
     """
-    out: List[DigitRun] = []
-    for run in digit_runs(hostname):
-        if _in_spans(run.start, run.end, ip_spans):
-            continue
-        if congruent(run.text, train_asn):
-            out.append(run)
-    return out
+    return tuple(run for run in digit_runs(hostname)
+                 if not _in_spans(run.start, run.end, ip_spans)
+                 and congruent(run.text, train_asn))
+
+
+@functools.lru_cache(maxsize=FEATURE_MEMO_SIZE)
+def apparent_runs(hostname: str, train_asn: int,
+                  address: Optional[str]) -> Tuple[DigitRun, ...]:
+    """:func:`apparent_asn_runs` of one training observation, excluding
+    the IP spans :func:`~repro.util.ipaddr.embedded_ip_spans` finds for
+    its interface ``address`` (None when unknown).
+
+    Memoised process-wide: the pre-check gate, phase-1 generation and
+    the evaluation cache's FN baseline all ask for it, for every
+    training set that holds the observation.
+
+    >>> [r.text for r in apparent_runs("as209.x.net", 209, None)]
+    ['209']
+    >>> apparent_runs("209-1-2-3.x.net", 209, None)
+    ()
+    """
+    return apparent_asn_runs(hostname, train_asn,
+                             embedded_ip_spans(hostname, address))
 
 
 def classify_extraction(extracted: Optional[str],
                         span: Optional[Tuple[int, int]],
                         hostname: str,
                         train_asn: int,
-                        ip_spans: List[Tuple[int, int]]) -> Outcome:
+                        ip_spans: Sequence[Tuple[int, int]]) -> Outcome:
     """Classify one regex-vs-hostname encounter.
 
     ``extracted``/``span`` are the capture text and character range when

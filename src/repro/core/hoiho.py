@@ -32,6 +32,7 @@ from repro.core.select import (
 from repro.core.taxonomy import Taxonomy, taxonomy_of
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.psl import PublicSuffixList, default_psl
+from repro.util.ipaddr import embedded_ip_spans
 
 logger = logging.getLogger(__name__)
 
@@ -248,17 +249,24 @@ def learn_suffix_traced(dataset: SuffixDataset,
     ``tracer`` additionally wraps the whole call in a ``learn.suffix``
     span with one child span per phase; the span carries the candidate
     count, regexes kept, and the MatchCache hit-rate (the numbers
-    ``trace summary`` aggregates).  :data:`LearnTrace` and the span
+    ``trace summary`` aggregates), and ``features.computed``: the
+    hostnames this suffix featurised rather than found in the
+    process-wide memo (misses of
+    :func:`~repro.util.ipaddr.embedded_ip_spans`, counted in the
+    process that learns the suffix).  :data:`LearnTrace` and the span
     are independent: one is the figure-4 walkthrough, the other the
     timing record.
     """
     config = config or HoihoConfig()
     with tracer.span("learn.suffix", suffix=dataset.suffix,
                      items=len(dataset)) as span:
+        misses = embedded_ip_spans.cache_info().misses
         convention, record = _learn_suffix_phases(dataset, config, tracer,
                                                   span)
         span.set(kept=len(convention.regexes)
                  if convention is not None else 0)
+        span.set(**{"features.computed":
+                    embedded_ip_spans.cache_info().misses - misses})
         if record.rejected_reason:
             span.set(rejected=record.rejected_reason)
     return convention, record
@@ -376,11 +384,8 @@ def _learn_artifact_worker(config: HoihoConfig, dataset: SuffixDataset,
                            tracer=NULL_TRACER) -> SuffixArtifact:
     """Learn one suffix and return its cacheable artifact, which carries
     the rejection reason and per-phase counters alongside the
-    convention.  The dataset's per-item memos are released afterwards:
-    a plan keeps every dataset alive until its whole timeline is
-    learned."""
+    convention."""
     convention, record = learn_suffix_traced(dataset, config, tracer=tracer)
-    dataset.release_memos()
     return _suffix_artifact(dataset, convention, record)
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.congruence import apparent_asn_runs
+from repro.core.congruence import apparent_runs
 from repro.psl import PublicSuffixList, default_psl
 from repro.util.ipaddr import embedded_ip_spans
-from repro.util.strings import split_segments
+from repro.util.strings import DigitRun, split_segments
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,11 @@ class TrainingItem:
 class SuffixDataset:
     """All training items sharing one registered-domain suffix.
 
-    Precomputes per-item state the evaluator needs many times: the local
-    part (hostname minus suffix), embedded-IP spans, and token structure.
+    Items are deduplicated and sorted.  Per-item features -- the local
+    part (hostname minus suffix), embedded-IP spans, apparent ASNs and
+    token structure -- are derived on demand; the embedded-IP spans and
+    apparent ASNs come from process-wide memos, so a hostname held by
+    many datasets is featurised once.
 
     >>> ds = SuffixDataset("example.com",
     ...                    [TrainingItem("as64500.lon1.example.com", 64500)])
@@ -64,8 +67,6 @@ class SuffixDataset:
         # Sorted for deterministic candidate generation order.
         self.items: List[TrainingItem] = sorted(
             unique, key=lambda it: (it.hostname, it.train_asn))
-        self._ip_spans: Dict[int, List[Tuple[int, int]]] = {}
-        self._apparent_runs: Dict[int, list] = {}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -85,34 +86,15 @@ class SuffixDataset:
         raise ValueError("%r does not end with suffix %r"
                          % (item.hostname, self.suffix))
 
-    def ip_spans(self, index: int) -> List[Tuple[int, int]]:
+    def ip_spans(self, index: int) -> Tuple[Tuple[int, int], ...]:
         """Embedded-IP character spans for item ``index`` (memoised)."""
-        spans = self._ip_spans.get(index)
-        if spans is None:
-            item = self.items[index]
-            spans = embedded_ip_spans(item.hostname, item.address)
-            self._ip_spans[index] = spans
-        return spans
+        item = self.items[index]
+        return embedded_ip_spans(item.hostname, item.address)
 
-    def apparent_runs(self, index: int) -> list:
-        """Apparent-ASN digit runs for item ``index`` (memoised).
-
-        The pre-check gate, phase-1 generation, and the evaluation
-        cache's FN baseline all need this; deriving it once per item
-        instead of once per consumer keeps it off the hot path.
-        """
-        runs = self._apparent_runs.get(index)
-        if runs is None:
-            item = self.items[index]
-            runs = apparent_asn_runs(item.hostname, item.train_asn,
-                                     self.ip_spans(index))
-            self._apparent_runs[index] = runs
-        return runs
-
-    def release_memos(self) -> None:
-        """Drop the per-item memos; they rebuild on demand."""
-        self._ip_spans.clear()
-        self._apparent_runs.clear()
+    def apparent_runs(self, index: int) -> Tuple[DigitRun, ...]:
+        """Apparent-ASN digit runs for item ``index`` (memoised)."""
+        item = self.items[index]
+        return apparent_runs(item.hostname, item.train_asn, item.address)
 
     def tokens(self, item: TrainingItem) -> List[str]:
         """Alternating segment/punctuation tokens of the local part."""

@@ -9,10 +9,11 @@ hostname (for example ``209-201-58-109.dia.stat.centurylink.net``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.util.strings import digit_runs
+from repro.util.strings import FEATURE_MEMO_SIZE, digit_runs
 
 
 def ip_to_int(text: str) -> int:
@@ -112,12 +113,21 @@ class IPv4Prefix:
         return "%s/%d" % (int_to_ip(self.network), self.length)
 
 
-def _octets_ok(parts: List[str]) -> bool:
-    return all(p.isdigit() and int(p) <= 255 and len(p) <= 3 for p in parts)
+def _address_octets(address: Optional[str]) -> Optional[List[str]]:
+    """The four octets of ``address``, or None when it is not four
+    decimal octets each at most 255 -- such an address is unknown."""
+    if address is None:
+        return None
+    octets = address.split(".")
+    if len(octets) != 4 or not all(o.isdecimal() and int(o) <= 255
+                                   for o in octets):
+        return None
+    return octets
 
 
-def embedded_ip_spans(hostname: str,
-                      address: Optional[str] = None) -> List[Tuple[int, int]]:
+@functools.lru_cache(maxsize=FEATURE_MEMO_SIZE)
+def embedded_ip_spans(hostname: str, address: Optional[str] = None,
+                      ) -> Tuple[Tuple[int, int], ...]:
     """Locate IP-address-like substrings embedded in ``hostname``.
 
     Returns character ranges ``(start, end)`` covering the digits of each
@@ -126,87 +136,51 @@ def embedded_ip_spans(hostname: str,
     * four consecutive digit runs separated by a consistent single
       punctuation character, each a valid octet, e.g. ``50-236-216-122`` or
       ``209.201.58.109`` -- the generic dotted/dashed quad;
-    * when the interface ``address`` is known, any occurrence of its four
-      octets in order (separated by consistent punctuation), and any
-      zero-padded concatenation such as ``050236216122``.
+    * when the interface ``address`` is known, its four octets as
+      consecutive digit runs, in order or reversed PTR-style, each pair
+      separated by one punctuation character, and any zero-padded
+      concatenation such as ``050236216122``.  An address that is not
+      four decimal octets, each at most 255, is unknown.
 
     The caller treats any extracted number overlapping one of these spans
-    as a false positive (figure 3b of the paper).
+    as a false positive (figure 3b of the paper).  Results are memoised
+    process-wide and shared, hence tuples.
 
     >>> embedded_ip_spans("209-201-58-109.dia.example.net")
-    [(0, 14)]
+    ((0, 14),)
     >>> embedded_ip_spans("p24115.mel.example.com")
-    []
+    ()
     """
     spans: List[Tuple[int, int]] = []
-    runs = digit_runs(hostname)
+    known: Tuple[List[int], ...] = ()
+    octets = _address_octets(address)
+    if octets is not None:
+        values = [int(o) for o in octets]
+        known = (values, values[::-1])
+        padded = "".join(o.zfill(3) for o in octets)
+        start = hostname.find(padded)
+        while start != -1:
+            spans.append((start, start + len(padded)))
+            start = hostname.find(padded, start + 1)
 
-    # Generic quad detection over maximal digit runs.
+    runs = digit_runs(hostname)
     for i in range(len(runs) - 3):
         window = runs[i:i + 4]
-        parts = [r.text for r in window]
-        if not _octets_ok(parts):
+        seps = {hostname[a.end:b.start] for a, b in zip(window, window[1:])}
+        if any(len(sep) != 1 or sep.isalnum() for sep in seps):
             continue
-        seps = set()
-        contiguous = True
-        for a, b in zip(window, window[1:]):
-            sep = hostname[a.end:b.start]
-            if len(sep) != 1 or sep.isalnum():
-                contiguous = False
-                break
-            seps.add(sep)
-        if not contiguous or len(seps) != 1:
-            continue
-        spans.append((window[0].start, window[3].end))
-
-    if address is not None:
-        spans.extend(_known_address_spans(hostname, address))
+        if ((len(seps) == 1
+             and all(len(r) <= 3 and r.value <= 255 for r in window))
+                or [r.value for r in window] in known):
+            spans.append((window[0].start, window[3].end))
 
     return _merge_spans(spans)
 
 
-def _known_address_spans(hostname: str, address: str) -> List[Tuple[int, int]]:
-    """Spans where the specific interface address appears in the hostname."""
-    spans: List[Tuple[int, int]] = []
-    octets = address.split(".")
-    if len(octets) != 4:
-        return spans
-    # Zero-padded concatenation, e.g. 050236216122.
-    padded = "".join(o.zfill(3) for o in octets)
-    start = hostname.find(padded)
-    while start != -1:
-        spans.append((start, start + len(padded)))
-        start = hostname.find(padded, start + 1)
-    # Octets in order, possibly reversed PTR-style, separated by one char.
-    for order in (octets, octets[::-1]):
-        spans.extend(_ordered_octet_spans(hostname, order))
-    return spans
-
-
-def _ordered_octet_spans(hostname: str,
-                         octets: List[str]) -> List[Tuple[int, int]]:
-    runs = digit_runs(hostname)
-    spans: List[Tuple[int, int]] = []
-    values = [int(o) for o in octets]
-    for i in range(len(runs) - 3):
-        window = runs[i:i + 4]
-        if [r.value for r in window if r.text.isdigit()] != values:
-            continue
-        ok = True
-        for a, b in zip(window, window[1:]):
-            sep = hostname[a.end:b.start]
-            if len(sep) != 1 or sep.isalnum():
-                ok = False
-                break
-        if ok:
-            spans.append((window[0].start, window[3].end))
-    return spans
-
-
-def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def _merge_spans(spans: List[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     """Merge overlapping/adjacent spans and sort them."""
     if not spans:
-        return []
+        return ()
     spans = sorted(spans)
     merged = [spans[0]]
     for start, end in spans[1:]:
@@ -215,4 +189,4 @@ def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
             merged[-1] = (last_start, max(last_end, end))
         else:
             merged.append((start, end))
-    return merged
+    return tuple(merged)

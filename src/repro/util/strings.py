@@ -9,13 +9,23 @@ numeric strings inside hostnames.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
+
+FEATURE_MEMO_SIZE = 1 << 16
+"""Entries kept by each hostname-feature memo (:func:`digit_runs`,
+:func:`repro.util.ipaddr.embedded_ip_spans` and
+:func:`repro.core.congruence.apparent_runs`).  A SMALL timeline holds
+~5k distinct hostnames, so the bound is never reached there."""
+
+_DIGIT_RUN = re.compile(r"\d+")
 
 
 @dataclass(frozen=True)
 class DigitRun:
-    """A maximal run of ASCII digits inside a string.
+    """A maximal run of decimal digits inside a string.
 
     Attributes:
         start: index of the first digit.
@@ -36,27 +46,24 @@ class DigitRun:
         return self.end - self.start
 
 
-def digit_runs(text: str) -> List[DigitRun]:
+@functools.lru_cache(maxsize=FEATURE_MEMO_SIZE)
+def digit_runs(text: str) -> Tuple[DigitRun, ...]:
     """Return every maximal digit run in ``text``, left to right.
+
+    A run is a maximal ``\\d+`` match -- Unicode decimal digits, the
+    characters a learned regex's ``\\d`` captures -- so a character
+    such as ``²``, which ``str.isdigit`` accepts, ends a run.  Results
+    are memoised process-wide and shared, hence a tuple.
 
     >>> [r.text for r in digit_runs("p24115.mel.equinix.com")]
     ['24115']
     >>> [r.text for r in digit_runs("te-4-0-0-85.53w")]
     ['4', '0', '0', '85', '53']
+    >>> digit_runs("alter.net")
+    ()
     """
-    runs: List[DigitRun] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            runs.append(DigitRun(i, j, text[i:j]))
-            i = j
-        else:
-            i += 1
-    return runs
+    return tuple(DigitRun(m.start(), m.end(), m.group())
+                 for m in _DIGIT_RUN.finditer(text))
 
 
 def iter_subruns(run: DigitRun, min_len: int = 1) -> Iterator[DigitRun]:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.congruence import (
     Outcome,
     apparent_asn_runs,
+    apparent_runs,
     classify_extraction,
     congruent,
 )
@@ -60,7 +61,7 @@ class TestApparentRuns:
         hostname = "209-201-58-109.dia.example.net"
         spans = embedded_ip_spans(hostname)
         runs = apparent_asn_runs(hostname, 209, spans)
-        assert runs == []
+        assert runs == ()
 
     def test_without_span_ip_octet_matches(self):
         # Demonstrates why the IP rule matters: without spans the 209
@@ -74,7 +75,23 @@ class TestApparentRuns:
         assert len(runs) == 2
 
     def test_no_apparent(self):
-        assert apparent_asn_runs("lo0.cr1.fra.example.com", 3356, []) == []
+        assert apparent_asn_runs("lo0.cr1.fra.example.com", 3356, []) == ()
+
+    def test_non_decimal_digit_is_not_part_of_an_asn(self):
+        assert apparent_asn_runs("as6²4500.example.com", 64500, []) == ()
+
+    def test_memoised_runs_match_pure_function(self):
+        hostname = "209-201-58-109.as209.example.net"
+        runs = apparent_runs(hostname, 209, "209.201.58.109")
+        assert runs == apparent_asn_runs(
+            hostname, 209, embedded_ip_spans(hostname, "209.201.58.109"))
+        assert [r.text for r in runs] == ["209"]
+        assert apparent_runs(hostname, 209, "209.201.58.109") is runs
+
+    def test_memoised_runs_treat_malformed_address_as_unknown(self):
+        hostname = "as64500.1-2-3-4.example.com"
+        assert (apparent_runs(hostname, 64500, "1.2.x.4")
+                == apparent_runs(hostname, 64500, None))
 
 
 class TestClassification:

@@ -42,6 +42,19 @@ class TestTrainingJsonl:
         items = training_from_jsonl('{"hostname": "a.x.com", "asn": 5}')
         assert items[0].address is None
 
+    def test_malformed_address_learns_as_unknown(self, learned):
+        # An address that is not four decimal octets <= 255 is treated
+        # as unknown, so learning matches a run without addresses.
+        items, result = learned
+        bad = ["4.0.x.1", "4.0.0.256", "4.0.0", "", "4.0.0.²"]
+        lines = ['{"hostname": "%s", "asn": %d, "address": "%s"}'
+                 % (item.hostname, item.train_asn, bad[i % len(bad)])
+                 for i, item in enumerate(items)]
+        parsed = training_from_jsonl("\n".join(lines))
+        assert [item.address for item in parsed[:5]] == bad
+        relearned = Hoiho().run(parsed)
+        assert conventions_to_json(relearned) == conventions_to_json(result)
+
 
 class TestConventionsJson:
     def test_round_trip_extraction_equivalent(self, learned):

@@ -37,7 +37,7 @@ class TestSuffixDataset:
     def test_ip_spans_memoised(self):
         item = TrainingItem("1-2-3-4.x.com", 5, address="1.2.3.4")
         dataset = SuffixDataset("x.com", [item])
-        assert dataset.ip_spans(0) == [(0, 7)]
+        assert dataset.ip_spans(0) == ((0, 7),)
         assert dataset.ip_spans(0) is dataset.ip_spans(0)
 
     def test_distinct_train_asns(self):

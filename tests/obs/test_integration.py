@@ -13,6 +13,7 @@ from repro.eval.context import ExperimentContext, Scale
 from repro.obs.manifest import MANIFEST_SCHEMA, validate_schema
 from repro.obs.trace import Tracer
 from repro.store import ArtifactStore
+from repro.util.ipaddr import embedded_ip_spans
 
 
 def _items(n_suffixes=3, per_suffix=12):
@@ -93,6 +94,19 @@ class TestTracedContext:
         roots = [r["name"] for r in context.tracer.records
                  if r["parent"] is None]
         assert roots == ["stage.world", "stage.timeline", "stage.learn"]
+
+    def test_suffix_spans_count_featurised_hostnames(self):
+        # Built before the memo is cleared, so only learning fills it.
+        context = self._context()
+        context.timeline
+        embedded_ip_spans.cache_clear()
+        context.learn_timeline()
+        context.tracer.close()
+        computed = [r["attrs"]["features.computed"]
+                    for r in context.tracer.records
+                    if r["name"] == "learn.suffix"]
+        assert computed and sum(computed) > 0
+        assert sum(computed) == embedded_ip_spans.cache_info().currsize
 
     def test_snapshot_worker_spans_nest_under_timeline(self):
         context = self._context()

@@ -65,7 +65,7 @@ class TestFigure3b:
         for index, item in enumerate(dataset.items):
             runs = apparent_asn_runs(item.hostname, item.train_asn,
                                      dataset.ip_spans(index))
-            assert runs == [], item.hostname
+            assert runs == (), item.hostname
 
     def test_no_convention(self):
         groups = group_by_suffix(FIGURE3B_ITEMS)

@@ -104,7 +104,7 @@ class TestIPv4Prefix:
 class TestEmbeddedIpSpans:
     def test_dashed_quad(self):
         spans = embedded_ip_spans("209-201-58-109.dia.example.net")
-        assert spans == [(0, 14)]
+        assert spans == ((0, 14),)
 
     def test_dotted_quad_prefix(self):
         # Figure 3b: 50-236-216-122-static style.
@@ -113,22 +113,22 @@ class TestEmbeddedIpSpans:
         assert spans and spans[0][0] == 0
 
     def test_no_ip(self):
-        assert embedded_ip_spans("p24115.mel.equinix.com") == []
+        assert embedded_ip_spans("p24115.mel.equinix.com") == ()
 
     def test_needs_four_octets(self):
-        assert embedded_ip_spans("10-20-30.example.net") == []
+        assert embedded_ip_spans("10-20-30.example.net") == ()
 
     def test_octet_range_check(self):
         # 300 is not a valid octet, so no span.
-        assert embedded_ip_spans("300-20-30-40.example.net") == []
+        assert embedded_ip_spans("300-20-30-40.example.net") == ()
 
     def test_mixed_separators_rejected(self):
-        assert embedded_ip_spans("10-20.30-40.example.net") == []
+        assert embedded_ip_spans("10-20.30-40.example.net") == ()
 
     def test_known_address_concatenated(self):
         spans = embedded_ip_spans("host050236216122.example.net",
                                   address="50.236.216.122")
-        assert spans == [(4, 16)]
+        assert spans == ((4, 16),)
 
     def test_known_address_reversed(self):
         spans = embedded_ip_spans("122-216-236-50.rev.example.net",
@@ -138,9 +138,29 @@ class TestEmbeddedIpSpans:
     def test_spans_merge(self):
         # Two detections of the same region collapse to one span.
         spans = embedded_ip_spans("1-2-3-4.example.net", address="1.2.3.4")
-        assert spans == [(0, 7)]
+        assert spans == ((0, 7),)
 
     def test_centurylink_example(self):
         # The exact hostname from figure 3b.
         spans = embedded_ip_spans("209-201-58-109.dia.stat.centurylink.net")
-        assert spans == [(0, 14)]
+        assert spans == ((0, 14),)
+
+    def test_non_decimal_digit_ends_a_run(self):
+        # "²" is str.isdigit() but not a decimal digit: it separates
+        # the runs "1" and "3" instead of joining them into "1²3".
+        spans = embedded_ip_spans("1²3-4-5-6.example.com", "1.2.3.4")
+        assert spans == ((2, 9),)
+
+    @pytest.mark.parametrize("address", [
+        "1.2.x.4", "1.2.3.256", "1.2.3", "1.2.3.4.5", "1..3.4", "1.2.².4",
+        " 1.2.3.4", ""])
+    def test_malformed_address_is_unknown(self, address):
+        for hostname in ("1-2-3-4.example.com", "h001002003004.example.com",
+                         "4-3-2-1.example.com"):
+            assert (embedded_ip_spans(hostname, address)
+                    == embedded_ip_spans(hostname, None)), hostname
+
+    def test_memoised_result_is_shared_tuple(self):
+        spans = embedded_ip_spans("10-0-0-1.example.net", "10.0.0.1")
+        assert isinstance(spans, tuple)
+        assert embedded_ip_spans("10-0-0-1.example.net", "10.0.0.1") is spans

@@ -24,7 +24,7 @@ class TestDigitRuns:
         assert [r.text for r in runs] == ["4", "0", "0", "85", "53"]
 
     def test_no_digits(self):
-        assert digit_runs("alter.net") == []
+        assert digit_runs("alter.net") == ()
 
     def test_all_digits(self):
         runs = digit_runs("12345")
@@ -34,7 +34,7 @@ class TestDigitRuns:
         assert runs[0].end == 5
 
     def test_empty_string(self):
-        assert digit_runs("") == []
+        assert digit_runs("") == ()
 
     def test_value_and_len(self):
         run = digit_runs("as064")[0]
@@ -44,6 +44,22 @@ class TestDigitRuns:
     def test_runs_are_maximal(self):
         runs = digit_runs("1a2b34")
         assert [r.text for r in runs] == ["1", "2", "34"]
+
+    def test_non_decimal_digits_end_a_run(self):
+        # "²" passes str.isdigit() but a regex's \d does not match it.
+        runs = digit_runs("as6²4500")
+        assert [(r.start, r.text) for r in runs] == [(2, "6"), (4, "4500")]
+        assert [r.value for r in runs] == [6, 4500]
+
+    def test_unicode_decimal_digits_form_a_run(self):
+        # \d matches every Unicode decimal digit, as a learned regex does.
+        runs = digit_runs("as\u0666\u0664\u0665\u0660\u0660")
+        assert [(r.start, r.value) for r in runs] == [(2, 64500)]
+
+    def test_result_is_shared_tuple(self):
+        runs = digit_runs("te-4-0-0-85")
+        assert isinstance(runs, tuple)
+        assert digit_runs("te-4-0-0-85") is runs
 
 
 class TestIterSubruns:
