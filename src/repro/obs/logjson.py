@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 import threading
 import time
-import uuid
 from collections import deque
 from typing import Callable, Dict, IO, Optional
 
@@ -64,8 +64,8 @@ DEFAULT_BUFFER_RECORDS = 65536
 
 
 def new_request_id() -> str:
-    """A fresh opaque request id (16 hex chars, uuid4-derived)."""
-    return uuid.uuid4().hex[:16]
+    """A fresh opaque request id: 16 hex chars, 64 random bits."""
+    return os.urandom(8).hex()
 
 
 class JsonLogger:

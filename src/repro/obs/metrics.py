@@ -30,6 +30,24 @@ Histogram bucket semantics (deterministic by construction):
 Everything here is single-process state: parallel stages aggregate
 worker results into the parent's registry rather than sharing one
 across processes.
+
+Concurrency contract: no instrument locks.  ``Counter.inc``,
+``LabelledCounter.inc`` and ``Histogram.observe`` are read-modify-write
+sequences (``observe`` touches five fields), and the interpreter may
+switch threads in the middle of one, losing an update or letting a
+snapshot see a bucket without its count.  An owner that updates a
+registry from several threads takes one lock of its own around those
+updates *and* around its snapshots.  The HTTP server
+(``repro.serve.http.AnnotationHTTPServer``) is such an owner: each
+request's ``http_requests`` increment, ``http_responses`` status count
+and ``http_request_seconds`` observation are one update under its
+accounting lock, and every snapshot it takes holds that lock.  So in
+any snapshot it publishes, ``http_requests`` equals the
+``http_request_seconds`` count, and equals the sum of
+``http_responses`` plus the requests whose client left before a reply
+could be written.  The annotation service's own counters
+(``requests``, ``annotated``, ``misses``, its latency histogram) are
+not yet under such a lock.
 """
 
 from __future__ import annotations

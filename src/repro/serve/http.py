@@ -54,6 +54,16 @@ new ones get 429 + ``Retry-After`` (bounded in-flight budget =
 backpressure instead of collapse).  Handler exceptions never kill a
 worker: anything unexpected becomes a 500 JSON response.
 
+The wire: ``AnnotationHandler`` reads each request itself instead of
+through ``BaseHTTPRequestHandler.parse_request``, whose header parse
+runs the ``email`` package.  Header lines go into a dict keyed by
+lower-cased name under the stdlib's limits and keep-alive and
+``Expect: 100-continue`` rules, and each response is one write.  A
+head it cannot read (bad request line or version, a folded, colon-less
+or oversized header line, disagreeing ``Content-Length`` fields, an
+unknown method) gets a JSON error that closes the connection and is
+counted and access-logged like any other reply.
+
 Scale-out is a **pre-fork worker pool**: the parent builds and warms
 the service once, then forks ``workers`` processes that inherit the
 fully-built fused :class:`~repro.serve.index.DispatchIndex` (the PR-6
@@ -89,6 +99,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import signal
 import socket
@@ -97,8 +108,10 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.logjson import JsonLogger, NULL_LOG, new_request_id, \
     open_json_logger
@@ -122,6 +135,36 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Sentinel for "the 4xx reply already went out" -- distinct from any
 #: parsed JSON value (a body of literal ``null`` parses to ``None``).
 _READ_ERROR = object()
+
+#: The stdlib reader's limits (``http.client``): bytes in the request
+#: line or one header line, and lines in the header block counting the
+#: blank line that ends it.
+MAX_LINE = 65536
+MAX_HEAD_LINES = 100
+
+#: ``HTTP/major.minor``: one dot, ASCII digits, at most ten of each.
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})\Z")
+
+#: One header line: a name of printable ASCII without the colon, the
+#: colon, optional blanks, then a value holding no CR or LF before the
+#: line end.  What the stdlib's ``email`` parser reads as a field;
+#: anything else (a folded continuation, a line with no colon, a
+#: space in the name, a bare CR) is a 400 here.
+_FIELD = re.compile(r"([\x21-\x39\x3b-\x7e]+):[ \t]*([^\r\n]*)\r?\n?\Z")
+
+#: The methods some route answers; any other is 501.
+_METHODS = ("GET", "POST")
+
+#: Status lines for every code ``HTTPStatus`` names.
+_STATUS_LINES = {status.value: b"HTTP/1.1 %d %s\r\n"
+                 % (status.value, status.phrase.encode("latin-1"))
+                 for status in HTTPStatus}
+
+#: The fixed start of every response head after the status line; the
+#: ``Server`` value is the one ``BaseHTTPRequestHandler`` would send.
+_HEAD = ("Server: repro-serve-http/1.0 %s\r\nDate: %%s\r\n"
+         "Content-Type: %%s\r\nContent-Length: %%d\r\n"
+         "X-Request-Id: %%s\r\n" % BaseHTTPRequestHandler.sys_version)
 
 
 def reuse_port_available() -> bool:
@@ -347,6 +390,12 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         self.draining = threading.Event()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        #: Serialises the HTTP accounting triple (``http_requests``,
+        #: ``http_responses``, ``http_request_seconds``) and every
+        #: snapshot this server takes (see :mod:`repro.obs.metrics`).
+        self._accounting_lock = threading.Lock()
+        #: ``(epoch second, Date header value)``, replaced whole.
+        self._date: Tuple[int, str] = (0, "")
         self._last_flush = 0.0
         self.started_monotonic = time.monotonic()
         self.started_ts = time.time()
@@ -413,10 +462,36 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
 
     # -- metrics -----------------------------------------------------------
 
+    def count_response(self, status: Optional[int],
+                       elapsed: float) -> None:
+        """Account one request: its status (``None`` when no reply
+        went out) and its latency, as one update."""
+        registry = self.service.metrics
+        with self._accounting_lock:
+            registry.counter("http_requests").inc()
+            if status is not None:
+                registry.labelled("http_responses").inc(str(status))
+            registry.histogram("http_request_seconds").observe(elapsed)
+
+    def stats(self) -> Dict[str, object]:
+        """``service.stats()``, never between a request's three
+        accounting updates."""
+        with self._accounting_lock:
+            return self.service.stats()
+
+    def http_date(self) -> str:
+        """The ``Date`` header value, formatted at most once a second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
+
     def flush_metrics(self) -> None:
         """Publish this worker's snapshot to the shared directory."""
         if self.metrics_dir is not None:
-            self.metrics_dir.flush(self.worker_id, self.service.stats())
+            self.metrics_dir.flush(self.worker_id, self.stats())
         self._last_flush = time.monotonic()
 
     def maybe_flush(self) -> None:
@@ -437,7 +512,7 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         are not.
         """
         if self.metrics_dir is None:
-            return to_prometheus(self.service.stats())
+            return to_prometheus(self.stats())
         self.flush_metrics()  # the merge must include this worker, live
         text = to_prometheus(self.metrics_dir.merged())
         ages = self.metrics_dir.ages()
@@ -462,7 +537,7 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         """
         if self.metrics_dir is not None:
             return self.metrics_dir.merged()
-        return self.service.stats()
+        return self.stats()
 
     def record_windows(self, ts: Optional[float] = None) -> None:
         """Fold the current cumulative snapshot into the windows."""
@@ -587,7 +662,7 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         def _loop() -> None:
             while not self.draining.wait(delay):
                 try:
-                    self.history.append(self.service.stats())
+                    self.history.append(self.stats())
                 except OSError:
                     pass
 
@@ -692,7 +767,7 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         if self.metrics_dir is not None:
             self.flush_metrics()
             return merge_shadow_reports(self.metrics_dir.snapshots())
-        return shadow_report_from_snapshot(self.service.stats())
+        return shadow_report_from_snapshot(self.stats())
 
     # -- drain -------------------------------------------------------------
 
@@ -716,12 +791,20 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
 
 
 class AnnotationHandler(BaseHTTPRequestHandler):
-    """Request handler: route, guard, annotate, count."""
+    """Request handler: read, route, guard, annotate, count.
+
+    The stdlib class supplies the connection loop and socket setup;
+    reading a request and writing its response are this class's own.
+    ``BaseHTTPRequestHandler.parse_request`` hands every header block
+    to the ``email`` package's feed parser and answers a bad head with
+    an uncounted HTML page; :meth:`_read_head` splits the lines itself,
+    and every reply, a refused head included, is JSON written once and
+    counted.
+    """
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-serve-http/1.0"
-    #: TCP_NODELAY: headers and body flush as separate writes, and
-    #: Nagle + delayed ACK would otherwise add ~40ms to every response.
+    #: TCP_NODELAY: a ``100 Continue`` and its response are two writes,
+    #: and Nagle + delayed ACK would otherwise hold the second ~40ms.
     disable_nagle_algorithm = True
     #: Socket timeout: bounds idle keep-alive reads and lying
     #: Content-Length headers.
@@ -729,35 +812,51 @@ class AnnotationHandler(BaseHTTPRequestHandler):
 
     server: AnnotationHTTPServer  # for type checkers
 
-    def log_message(self, format: str, *args: object) -> None:
-        """Quiet: request accounting happens in the registry."""
+    def handle_one_request(self) -> None:
+        """Read one request, answer it and count the answer.
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
-        registry = self.server.service.metrics
+        End of stream or a blank request line closes the connection
+        without a reply, as the stdlib does.
+        """
+        try:
+            line = self.rfile.readline(MAX_LINE + 1)
+        except socket.timeout:  # an idle keep-alive connection
+            self.close_connection = True
+            return
+        words = str(line, "iso-8859-1").split()
+        if not words:
+            self.close_connection = True
+            return
         started = time.perf_counter()
+        self.command = self.path = None
+        self.request_version = ""
+        self.headers = {}
+        self._request_id: Optional[str] = None
         self._last_status: Optional[int] = None
         self._bytes_sent = 0
-        # Honour a caller-supplied id (so a proxy's id threads through
-        # our logs) or mint one; either way it is echoed in the
-        # ``X-Request-Id`` response header and stamped on the access
-        # line and any sampled span.
-        self._request_id = (self.headers.get("X-Request-Id")
-                            or new_request_id())
-        path = self.path.split("?", 1)[0]
-        span = self.server.sample_span(method, path)
+        path: Optional[str] = None
+        span = None
         try:
+            refused = ((414, "request line over %d bytes" % MAX_LINE)
+                       if len(line) > MAX_LINE else self._read_head(words))
+            # Honour a caller-supplied id (so a proxy's id threads through
+            # our logs) or mint one; either way it is echoed in the
+            # ``X-Request-Id`` response header and stamped on the access
+            # line and any sampled span.
+            self._request_id = (self.headers.get("x-request-id")
+                                or new_request_id())
+            if refused is not None:
+                self.close_connection = True  # the stream is unread
+                self._send_json(refused[0], {"error": refused[1]})
+                return
+            path = self.path.split("?", 1)[0]
+            span = self.server.sample_span(self.command, path)
             by_method = _ROUTES.get(path)
             if by_method is None:
                 self._send_json(404, {"error": "no such endpoint",
                                       "path": path})
             else:
-                route = by_method.get(method)
+                route = by_method.get(self.command)
                 if route is None:
                     self._send_json(
                         405, {"error": "method not allowed"},
@@ -775,13 +874,9 @@ class AnnotationHandler(BaseHTTPRequestHandler):
                 self.close_connection = True
         finally:
             elapsed = time.perf_counter() - started
-            registry.counter("http_requests").inc()
-            if self._last_status is not None:
-                registry.labelled("http_responses").inc(
-                    str(self._last_status))
-            registry.histogram("http_request_seconds").observe(elapsed)
+            self.server.count_response(self._last_status, elapsed)
             self.server.access_log.log(
-                "access", method=method, path=path,
+                "access", method=self.command, path=path,
                 status=self._last_status, bytes=self._bytes_sent,
                 latency_seconds=round(elapsed, 9),
                 request_id=self._request_id)
@@ -792,28 +887,90 @@ class AnnotationHandler(BaseHTTPRequestHandler):
                     request_id=self._request_id)
             self.server.maybe_flush()
 
+    def _read_head(self, words: List[str]) -> Optional[Tuple[int, str]]:
+        """Parse the request line's ``words`` and read the header block.
+
+        Returns ``(status, error)`` for a head to refuse.  Otherwise sets
+        ``command``, ``path``, ``request_version``, ``close_connection``
+        and ``headers`` -- a dict keyed by lower-cased field name, in
+        which the first of repeated fields wins -- and answers ``Expect:
+        100-continue``.  The request-line checks, the limits and the
+        ``Connection``/``Expect`` rules are those of the stdlib's
+        ``parse_request`` and ``http.client.parse_headers``.  A line the
+        stdlib's ``email`` parser would fold into the field before it
+        or take as the start of the body (no colon, a blank in the
+        name), and ``Content-Length`` fields that disagree, are 400s.
+        """
+        version = (0, 9)
+        if len(words) >= 3:
+            match = _VERSION.match(words[-1])
+            if match is None:
+                return 400, "bad request version %r" % words[-1]
+            version = (int(match.group(1)), int(match.group(2)))
+            if version >= (2, 0):
+                return 505, "HTTP version not supported"
+        if not 2 <= len(words) <= 3:
+            return 400, "bad request syntax"
+        self.command, self.path = words[0], words[1]
+        if len(words) == 2 and self.command != "GET":
+            return 400, "bad HTTP/0.9 request type %r" % self.command
+        self.request_version = words[2] if len(words) == 3 else "HTTP/0.9"
+        if self.path.startswith("//"):  # not an absolute URI: one slash
+            self.path = "/" + self.path.lstrip("/")
+        headers = self.headers
+        for _ in range(MAX_HEAD_LINES):
+            line = self.rfile.readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                return 431, "header line over %d bytes" % MAX_LINE
+            if line in (b"\r\n", b"\n", b""):
+                break
+            field = _FIELD.match(str(line, "iso-8859-1"))
+            if field is None:
+                if line.startswith((b" ", b"\t")):
+                    return 400, "obsolete line folding"
+                return 400, "malformed header line"
+            name, value = field.group(1).lower(), field.group(2)
+            first = headers.setdefault(name, value)
+            if first != value and name == "content-length" \
+                    and first.rstrip(" \t") != value.rstrip(" \t"):
+                return 400, "conflicting Content-Length fields"
+        else:
+            return 431, "more than %d header lines" % MAX_HEAD_LINES
+        if self.command not in _METHODS:
+            return 501, "unsupported method %r" % self.command
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            connection != "keep-alive" and version < (1, 1))
+        if headers.get("expect", "").lower() == "100-continue" \
+                and version >= (1, 1):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return None
+
     # -- response plumbing -------------------------------------------------
 
     def _send_bytes(self, status: int, body: bytes, content_type: str,
                     headers: Optional[Dict[str, str]] = None) -> None:
+        """Write the status line, head and body as one write."""
         self._last_status = status
         self._bytes_sent = len(body)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id",
-                         getattr(self, "_request_id", None)
-                         or new_request_id())
+        if self._request_id is None:  # the head was never read
+            self._request_id = new_request_id()
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # an HTTP/0.9 reply has no head
+            return
+        head = _HEAD % (self.server.http_date(), content_type, len(body),
+                        self._request_id)
         if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
+            head += "".join("%s: %s\r\n" % item for item in headers.items())
         if self.server.draining.is_set() or self.close_connection:
             # Draining (get keep-alive clients off this worker) or the
             # stream is unusable (e.g. an unread 413 body): say so.
-            self.send_header("Connection", "close")
+            head += "Connection: close\r\n"
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        status_line = _STATUS_LINES.get(status) \
+            or b"HTTP/1.1 %d \r\n" % status
+        self.wfile.write(b"".join((status_line, head.encode("latin-1"),
+                                   b"\r\n", body)))
 
     def _send_json(self, status: int, payload: Dict[str, object],
                    headers: Optional[Dict[str, str]] = None) -> None:
@@ -831,7 +988,7 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         parse (a body of literal ``null``) that must reach the
         endpoint's own shape validation.
         """
-        raw_length = self.headers.get("Content-Length")
+        raw_length = self.headers.get("content-length")
         if raw_length is None:
             self._send_json(411, {"error": "Content-Length required"})
             return _READ_ERROR
@@ -1133,9 +1290,9 @@ def _serve_single(service: AnnotationService, config: HttpConfig,
     if server.history is not None:
         # Final entry: even a run shorter than history_interval leaves
         # one snapshot to compare against the next lifetime's.
-        server.history.append(service.stats())
+        server.history.append(server.stats())
     if config.metrics_out:
-        _write_metrics_out(config.metrics_out, service.stats())
+        _write_metrics_out(config.metrics_out, server.stats())
     return 0
 
 
