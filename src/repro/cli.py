@@ -150,6 +150,18 @@ _WORKFLOWS = ("learn", "report", "apply", "annotate", "serve",
 _RENDER_FORMATS = ("prom", "text")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 means "off" (``--memo-size``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r"
+                                         % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-hoiho",
@@ -221,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="annotate: hostnames per dispatched chunk "
                              "(default: adaptive ramp, %d fixed for "
                              "the serial path)" % DEFAULT_CHUNK_SIZE)
-    parser.add_argument("--memo-size", type=int,
+    parser.add_argument("--memo-size", type=_non_negative_int,
                         default=DEFAULT_MEMO_SIZE, metavar="N",
                         help="annotate/serve: hostname-memo capacity "
                              "(0 disables memoization; default %d)"
@@ -453,10 +465,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         print("--checkpoint requires --out FILE (stdout cannot be "
               "resumed)", file=sys.stderr)
         return 2
-    if args.memo_size < 0:
-        print("--memo-size must be >= 0, got %d" % args.memo_size,
-              file=sys.stderr)
-        return 2
     service = AnnotationService.from_json_file(args.conventions,
                                                memo_size=args.memo_size)
     service.warm()
@@ -519,10 +527,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.conventions is None:
         print("serve requires --conventions FILE", file=sys.stderr)
         return 2
-    if args.memo_size < 0:
-        print("--memo-size must be >= 0, got %d" % args.memo_size,
-              file=sys.stderr)
-        return 2
     service = AnnotationService.from_json_file(args.conventions,
                                                memo_size=args.memo_size)
     warmed = service.warm()
@@ -569,10 +573,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
     if args.conventions is None:
         print("serve-http requires --conventions FILE", file=sys.stderr)
-        return 2
-    if args.memo_size < 0:
-        print("--memo-size must be >= 0, got %d" % args.memo_size,
-              file=sys.stderr)
         return 2
     history = args.history
     if history is None and args.cache_dir and not args.no_cache:

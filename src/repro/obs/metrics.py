@@ -45,9 +45,25 @@ accounting lock, and every snapshot it takes holds that lock.  So in
 any snapshot it publishes, ``http_requests`` equals the
 ``http_request_seconds`` count, and equals the sum of
 ``http_responses`` plus the requests whose client left before a reply
-could be written.  The annotation service's own counters
-(``requests``, ``annotated``, ``misses``, its latency histogram) are
-not yet under such a lock.
+could be written.
+
+The annotation service (``repro.serve.service.AnnotationService``) is
+the other writer, and it takes no lock.  Its counters ``requests``,
+``annotated``, ``misses``, ``malformed``, the per-suffix
+``extracted`` family and the ``latency_seconds`` histogram are
+updated in one place: the fold at the end of each call to its one
+kernel, ``annotate_entries``, which every serving path goes through.
+A call adds ``n`` to ``requests``, its annotated and missed counts
+(which sum to ``n``) to ``annotated`` and ``misses``, and ``n``
+samples to ``latency_seconds``.  Each of those updates is a single
+``+=`` on one field with no call in between, so on a GIL interpreter
+a thread switch cannot split it.  Once concurrent callers have
+returned, ``requests == annotated + misses == latency count ==``
+hostnames annotated, reloads included;
+``tests/serve/test_service_accounting.py`` stress-tests exactly that.
+A snapshot taken *during* a fold may see ``requests`` ahead of
+``annotated``/``misses``.  ``extracted`` is a read-then-write through
+``dict.get`` and is not covered by that guarantee.
 """
 
 from __future__ import annotations

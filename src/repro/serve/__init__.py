@@ -14,13 +14,15 @@ pairs, this package *applies* them at production rates, in four layers:
   memo fronting dispatch on Zipf-skewed hostname streams;
 * :mod:`repro.serve.service` -- :class:`AnnotationService`, the
   embeddable façade: load/warm/reload conventions (JSON or
-  :class:`~repro.store.ArtifactStore`), ``annotate_one`` /
-  ``annotate_batch``, graceful malformed-hostname handling;
+  :class:`~repro.store.ArtifactStore`), graceful malformed-hostname
+  handling, and the one annotation kernel (``annotate_entries``) that
+  ``annotate_one`` / ``annotate_batch`` / ``annotate_pairs``, the HTTP
+  endpoints and bulk workers all go through;
 * :mod:`repro.serve.engine` -- :class:`BulkAnnotator`, chunked
   order-preserving streaming over files/stdin with optional process
   fan-out (byte-identical to serial; packed single-buffer chunk IPC,
-  fork-inherited dispatch index, adaptive chunk sizing) and TSV/JSONL
-  sinks;
+  workers holding a fork-inherited warmed service, adaptive chunk
+  sizing) and TSV/JSONL sinks;
 * :class:`MetricsRegistry` (re-exported from :mod:`repro.obs.metrics`)
   -- live counters, per-suffix extraction counts, and latency
   percentiles;
@@ -33,7 +35,8 @@ pairs, this package *applies* them at production rates, in four layers:
 * :mod:`repro.serve.shadow` -- :class:`ShadowService`, side-by-side
   shadow deployment of a candidate convention set with a per-suffix
   disagreement ledger and a gated promote path (the validate-before-
-  trust half of tracking a changing Internet).
+  trust half of tracking a changing Internet); it overrides only the
+  service kernel.
 
 CLI surface: ``repro-hoiho annotate`` (bulk), ``repro-hoiho serve``
 (line-oriented stdin/stdout loop), ``repro-hoiho serve-http``

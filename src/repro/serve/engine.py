@@ -12,11 +12,13 @@ to millions of PTR records):
   deterministic adaptive ramp by default, fixed-size on request); under
   a parallel :class:`~repro.core.parallel.ParallelConfig` the chunks
   flow through :func:`~repro.core.parallel.stream_map`, whose worker
-  processes each hold the dispatch index: inherited prebuilt from the
-  parent where the ``fork`` start method allows, else built **once**
-  per worker from the service's serialized conventions via the pool
-  initializer.  Each worker fronts its index with its own
-  :class:`~repro.serve.memo.AnnotationMemo` (bulk PTR streams are as
+  processes each hold an
+  :class:`~repro.serve.service.AnnotationService`: the parent's warmed
+  service, inherited where the ``fork`` start method allows, else one
+  built **once** per worker from the service's serialized conventions
+  via the pool initializer.  Workers annotate each chunk with one call
+  to the service's kernel, so the worker memo holds the same
+  ``(asn, suffix)`` entries as any other (bulk PTR streams are as
   Zipf-skewed as live ones).  Results come back in input order, so
   parallel output is byte-identical to serial output.
 * **cheap chunk IPC** -- chunks ship to workers as a single
@@ -45,10 +47,12 @@ to millions of PTR records):
   format) and JSONL (one ``{"hostname":..., "asn":...}`` object per
   line) writers.
 
+The serial path calls the same kernel in process: item by item when
+untraced (so the stream stays lazy), one call per chunk otherwise.
 Worker processes keep no shared metrics; the parent folds each chunk's
 aggregate outcome into the service's registry (requests / annotated /
 misses), so live counters work in both modes.  Per-suffix counts and
-latency histograms remain a per-request-API feature.
+latency histograms are recorded only for in-process annotation.
 """
 
 from __future__ import annotations
@@ -81,8 +85,7 @@ from repro.core.parallel import (
 from repro.core.resilience import PoisonItemError, RetryPolicy
 from repro.obs.metrics import merge_outcomes
 from repro.obs.trace import NULL_TRACER
-from repro.serve.index import DispatchIndex, normalize_hostname
-from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE
+from repro.serve.memo import DEFAULT_MEMO_SIZE
 from repro.serve.service import AnnotationService
 
 #: Hostnames per dispatched chunk when a fixed ``chunk_size`` is
@@ -124,44 +127,45 @@ def _chunked(items: Iterable[str], size: int) -> Iterator[List[str]]:
 
 # -- worker side -------------------------------------------------------------
 
-#: Per-worker ``(index, memo)`` pair, set by the pool initializer.  The
-#: worker memo caches bare ASNs (``None`` for misses) keyed on the
-#: normalized hostname -- workers keep no per-suffix metrics, so the
-#: service memo's ``(asn, suffix)`` entries would be dead weight here.
-_WORKER_STATE: Optional[Tuple[DispatchIndex,
-                              Optional[AnnotationMemo]]] = None
+#: The worker's own :class:`AnnotationService`, set by the pool
+#: initializer.  Its memo and metrics are private to the worker; the
+#: parent folds each chunk's outcome into its own registry.
+_WORKER_SERVICE: Optional[AnnotationService] = None
 
 #: Fork-inheritance handoff.  Right before creating a pool, the parent
-#: parks its prebuilt, warmed index here together with a dispatch-unique
+#: parks its warmed service here together with a dispatch-unique
 #: token; under the ``fork`` start method every worker inherits the
-#: globals and the initializer adopts the index (zero per-worker parse
-#: or compile).  Under ``spawn``/``forkserver`` the child re-imports
-#: this module, sees ``None``, and falls back to the shipped JSON.  Two
-#: interleaved bulk runs in one process overwrite the parking spot; the
-#: token mismatch then routes later-forked workers to the JSON fallback
-#: -- slower, never wrong.
+#: globals and the initializer adopts the service (zero per-worker
+#: parse or compile).  Under ``spawn``/``forkserver`` the child
+#: re-imports this module, sees ``None``, and falls back to the shipped
+#: JSON.  Two interleaved bulk runs in one process overwrite the
+#: parking spot; the token mismatch then routes later-forked workers
+#: to the JSON fallback -- slower, never wrong.
 _FORK_TOKEN: Optional[Tuple[int, int]] = None
-_FORK_INDEX: Optional[DispatchIndex] = None
+_FORK_SERVICE: Optional[AnnotationService] = None
 _fork_tokens = itertools.count(1)
 
 
 def _init_annotation_worker(conventions_json: str,
                             fork_token: Optional[Tuple[int, int]] = None,
                             memo_size: int = DEFAULT_MEMO_SIZE) -> None:
-    """Pool initializer: adopt the fork-inherited index when the token
+    """Pool initializer: adopt the fork-inherited service when the token
     matches, else build + warm one from ``conventions_json`` (which
-    ships once per worker, not per chunk)."""
-    global _WORKER_STATE
+    ships once per worker, not per chunk).
+
+    The parent itself never adopts its own service: a pool that
+    degrades to inline execution runs this initializer in the parent,
+    where the parked service's registry would count every chunk twice.
+    """
+    global _WORKER_SERVICE
     if fork_token is not None and fork_token == _FORK_TOKEN \
-            and _FORK_INDEX is not None:
-        index = _FORK_INDEX
-    else:
-        from repro.core.io import conventions_from_json
-        index = DispatchIndex.from_result(
-            conventions_from_json(conventions_json))
-        index.warm()
-    _WORKER_STATE = (index,
-                     AnnotationMemo(memo_size) if memo_size else None)
+            and fork_token[0] != os.getpid() and _FORK_SERVICE is not None:
+        _WORKER_SERVICE = _FORK_SERVICE
+        return
+    service = AnnotationService.from_json(conventions_json,
+                                          memo_size=memo_size)
+    service.warm()
+    _WORKER_SERVICE = service
 
 
 def _pack_chunk(chunk: List[str]) -> Union[bytes, List[str]]:
@@ -185,27 +189,10 @@ def _unpack_item(item: Union[bytes, List[str]]) -> List[str]:
     return list(item)
 
 
-def _annotate_one(hostname: object, index: DispatchIndex,
-                  memo: Optional[AnnotationMemo]) -> Optional[int]:
-    """One worker-side annotation through the memo front."""
-    normalized = normalize_hostname(hostname)
-    if normalized is None:
-        return None
-    if memo is None:
-        plan = index.lookup_normalized(normalized)
-        return plan.extract(normalized) if plan is not None else None
-    asn = memo.data.get(normalized, ABSENT)
-    if asn is ABSENT:
-        plan = index.lookup_normalized(normalized)
-        asn = plan.extract(normalized) if plan is not None else None
-        memo.put(normalized, asn)
-    return asn
-
-
 def _annotate_chunk(payload: Union[bytes, List[str]],
                     tracer=NULL_TRACER) -> Union["array", List]:
-    """Annotate one dispatched payload against the worker's state,
-    under a ``serve.chunk`` span.
+    """Annotate one dispatched payload with the worker's service, in
+    one kernel call under a ``serve.chunk`` span.
 
     A packed ``bytes`` payload returns an ``array('q')`` of ASNs with
     ``-1`` for misses/malformed (extracted ASNs are non-negative, so
@@ -214,19 +201,15 @@ def _annotate_chunk(payload: Union[bytes, List[str]],
     to a plain ``Optional[int]`` list.  A legacy list payload returns
     the historical ``(hostname, asn)`` pairs.
     """
-    state = _WORKER_STATE
-    assert state is not None, "worker initializer did not run"
-    index, memo = state
+    service = _WORKER_SERVICE
+    assert service is not None, "worker initializer did not run"
+    packed = isinstance(payload, bytes)
     with tracer.span("serve.chunk") as span:
-        if not isinstance(payload, bytes):
-            pairs = [(hostname, _annotate_one(hostname, index, memo))
-                     for hostname in payload]
-            span.set(size=len(pairs), annotated=sum(
-                1 for _, asn in pairs if asn is not None))
-            return pairs
-        asns = [_annotate_one(hostname, index, memo)
-                for hostname in payload.decode("utf-8").split("\n")]
+        asns = service.annotate_batch(
+            payload.decode("utf-8").split("\n") if packed else payload)
         span.set(size=len(asns), annotated=len(asns) - asns.count(None))
+    if not packed:
+        return list(zip(payload, asns))
     try:
         return array("q", (-1 if asn is None else asn for asn in asns))
     except OverflowError:
@@ -432,7 +415,7 @@ class BulkAnnotator:
             # cannot happen in-process, so the retry policy is moot.
             yield from self._serial_chunks(hostnames)
             return
-        global _FORK_TOKEN, _FORK_INDEX
+        global _FORK_TOKEN, _FORK_SERVICE
         # Retain each chunk's hostname list parent-side; results come
         # back strictly in dispatch order (stream_map's contract, faults
         # included), so a deque realigns them.
@@ -445,13 +428,14 @@ class BulkAnnotator:
 
         token = None
         if fork_inheritance_available():
-            # Park the live index for fork inheritance: workers adopt
-            # the parent's already-built, already-fused trie instead of
-            # re-parsing conventions JSON.
-            index = self.service.index
-            index.warm()
+            # Park the live service for fork inheritance: workers adopt
+            # its already-built, already-fused trie and its memo instead
+            # of re-parsing conventions JSON.  A shadow service parks
+            # its primary: shadow comparison stays in this process.
+            service = getattr(self.service, "primary", self.service)
+            service.warm()
             token = (os.getpid(), next(_fork_tokens))
-            _FORK_INDEX = index
+            _FORK_SERVICE = service
             _FORK_TOKEN = token
         span.set(fork_shared=token is not None)
         try:
@@ -485,40 +469,40 @@ class BulkAnnotator:
         finally:
             if token is not None and _FORK_TOKEN == token:
                 _FORK_TOKEN = None
-                _FORK_INDEX = None
+                _FORK_SERVICE = None
 
     def _serial_chunks(self, hostnames: Iterable[str],
                        ) -> Iterator[List[Tuple[str, Optional[int]]]]:
-        """The in-process path, one ``serve.chunk`` span per chunk.
+        """The in-process path: one kernel call per chunk, each under
+        its own ``serve.chunk`` span.
 
-        The annotation work happens while *pulling* the next chunk from
-        the lazy pair stream, so each span is opened before the pull
-        and finished after it; the final span (the one that discovers
+        Each span covers pulling the chunk from the input and
+        annotating it; the final span (the one that discovers
         end-of-input) is marked ``eos`` and measures only that
         discovery.
         """
-        iterator = _chunked_pairs(
-            self.service.annotate_pairs(hostnames),
-            self.chunk_size if self.chunk_size is not None
-            else DEFAULT_CHUNK_SIZE)
+        chunks = _chunked(hostnames, self.chunk_size
+                          if self.chunk_size is not None
+                          else DEFAULT_CHUNK_SIZE)
         index = 0
         while True:
             chunk_span = self.tracer.span("serve.chunk", chunk=index)
             try:
-                pairs = next(iterator)
-            except StopIteration:
-                chunk_span.set(eos=True)
-                chunk_span.finish()
-                return
+                chunk = next(chunks, None)
+                asns = self.service.annotate_batch(chunk) \
+                    if chunk is not None else None
             except BaseException as exc:
                 chunk_span.fail(exc)
                 chunk_span.finish()
                 raise
-            chunk_span.set(size=len(pairs),
-                           annotated=sum(1 for _, asn in pairs
-                                         if asn is not None))
+            if chunk is None:
+                chunk_span.set(eos=True)
+                chunk_span.finish()
+                return
+            chunk_span.set(size=len(asns),
+                           annotated=len(asns) - asns.count(None))
             chunk_span.finish()
-            yield pairs
+            yield list(zip(chunk, asns))
             index += 1
 
     def annotate(self, hostnames: Iterable[str],
@@ -599,19 +583,6 @@ class BulkAnnotator:
                               complete=True)
         return {"requests": requests, "annotated": annotated,
                 "misses": requests - annotated, "errors": errors}
-
-
-def _chunked_pairs(pairs: Iterable[Tuple[str, Optional[int]]],
-                   size: int) -> Iterator[List[Tuple[str, Optional[int]]]]:
-    """Chunk an annotated pair stream (the serial engine path)."""
-    chunk: List[Tuple[str, Optional[int]]] = []
-    for pair in pairs:
-        chunk.append(pair)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 def _drop(items: Iterable[str], count: int) -> Iterator[str]:

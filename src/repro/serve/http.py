@@ -3,13 +3,14 @@
 Promotes the stdin/stdout serving loop to a real concurrent network
 service over the existing :class:`~repro.serve.service.AnnotationService`
 -- stdlib only (``http.server`` + ``socket`` + ``os.fork``), because the
-hot path is the service's ``annotate_batch`` and the transport just has
+hot path is the service's annotation kernel and the transport just has
 to stay out of its way.
 
 Endpoints (JSON in/out, HTTP/1.1 keep-alive):
 
 * ``POST /annotate`` -- ``{"hostname": ...}`` ->
-  ``{"hostname": ..., "asn": ...}`` (``asn`` null on miss/malformed);
+  ``{"hostname": ..., "asn": ...}`` (``asn`` null on miss/malformed),
+  a kernel batch of one;
 * ``POST /annotate/batch`` -- ``{"hostnames": [...]}`` ->
   ``{"count": N, "asns": [...]}``, result-identical to
   ``AnnotationService.annotate_batch`` on the same list;
@@ -119,6 +120,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import to_prometheus
 from repro.obs.timeseries import HistoryStore, RollingWindows
 from repro.obs.trace import Tracer
+from repro.serve.memo import DEFAULT_MEMO_SIZE
 from repro.serve.service import AnnotationService
 from repro.serve.shadow import ShadowService, merge_shadow_reports, \
     merge_shadow_snapshots, shadow_report_from_snapshot
@@ -1502,7 +1504,7 @@ class ServerProcess:
     """
 
     def __init__(self, conventions_json: str, config: HttpConfig,
-                 memo_size: int = 65536) -> None:
+                 memo_size: int = DEFAULT_MEMO_SIZE) -> None:
         self.conventions_json = conventions_json
         self.config = config
         self.memo_size = memo_size

@@ -1,4 +1,4 @@
-"""The embeddable annotation service: lifecycle, per-request API, metrics.
+"""The embeddable annotation service: lifecycle, one kernel, metrics.
 
 :class:`AnnotationService` is the serving counterpart to the learning
 engine's :class:`~repro.core.hoiho.Hoiho`: where Hoiho turns training
@@ -10,44 +10,51 @@ into an always-on annotator with
   :class:`~repro.store.ArtifactStore` entry; ``warm()`` pre-compiles
   every plan; ``reload_*`` swaps in a new convention set without
   recreating the service (in-flight callers keep the old index);
-* **per-request API** -- :meth:`annotate_one` / :meth:`annotate_batch`
-  / :meth:`annotate_pairs`, all tolerant of malformed hostnames
-  (``None``/empty/non-string inputs annotate as ``None`` and count as
-  ``malformed``, they never raise);
-* **observability** -- every request updates the service's
-  :class:`~repro.obs.metrics.MetricsRegistry`: ``requests``,
-  ``annotated``, ``misses`` (known suffix, no pattern match, plus
-  unknown suffixes), ``malformed``, per-suffix ``extracted`` counts,
-  a ``latency_seconds`` histogram, and the memo's
-  ``memo_hits``/``memo_misses``/``memo_evictions``;
+* **one kernel** -- :meth:`AnnotationService.annotate_entries` turns
+  hostnames into ``(asn, suffix)`` entries.  Every other entry point
+  is defined once, on :class:`Annotator`, as a projection of it:
+  :meth:`~Annotator.annotate_one` is a batch of one,
+  :meth:`~Annotator.annotate_batch` takes the ASN column and
+  :meth:`~Annotator.annotate_pairs` streams one name at a time.  All
+  of them tolerate malformed hostnames (``None``/empty/non-string
+  inputs annotate as ``None`` and count as ``malformed``, they never
+  raise);
+* **observability** -- each kernel call folds its outcome into the
+  service's :class:`~repro.obs.metrics.MetricsRegistry` once:
+  ``requests``, ``annotated``, ``misses`` (known suffix, no pattern
+  match, plus unknown suffixes and malformed inputs), ``malformed``,
+  per-suffix ``extracted`` counts, a ``latency_seconds`` histogram,
+  and the memo's ``memo_hits``/``memo_misses``/``memo_evictions``;
 * **memoization** -- a bounded LRU
   :class:`~repro.serve.memo.AnnotationMemo` keyed on the normalized
   hostname fronts the trie + regex pipeline (production PTR streams
   are Zipf-skewed, so repeats dominate).  The live ``(index, memo)``
-  pair is published as one tuple, read once per request, and swapped
-  as one assignment on ``reload_*`` -- a request always sees a
+  pair is published as one tuple, read once per kernel call, and
+  swapped as one assignment on ``reload_*`` -- a call always sees a
   consistent pair and a reload atomically invalidates the memo.
 
-Latency semantics: :meth:`annotate_one` records its own wall time per
-request.  :meth:`annotate_batch` runs a tight aggregated loop for
-throughput and records the batch's *amortised per-item* latency once
-per item -- the histogram still counts every request, but batch
-percentiles describe the mean item, not the slowest one.
+Latency semantics: the kernel records its call's *amortised per-item*
+latency once per item.  For a single request that is the request's
+own wall time; for a batch the histogram still counts every request,
+but percentiles describe the mean item, not the slowest one.
 
 Bulk file/stdin workloads should go through
 :class:`~repro.serve.engine.BulkAnnotator`, which wraps a service in
-chunked streaming and optional process fan-out.
+chunked streaming and optional process fan-out; its worker processes
+each hold a service of their own and call the same kernel per chunk.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.hoiho import HoihoResult
 from repro.core.io import conventions_from_json, conventions_to_json
 from repro.serve.index import DispatchIndex, normalize_hostname
-from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE
+from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE, \
+    Entry
 from repro.obs.metrics import MetricsRegistry
 from repro.store import KIND_HOIHO, ArtifactStore
 
@@ -55,8 +62,44 @@ from repro.store import KIND_HOIHO, ArtifactStore
 #: misses -- one allocation for the whole module.
 _NO_MATCH: Tuple[None, None] = (None, None)
 
+#: What the kernel probes when the memo is off: always empty, never
+#: written.
+_NO_MEMO: "OrderedDict[str, Entry]" = OrderedDict()
 
-class AnnotationService:
+
+class Annotator:
+    """The per-request API, defined once over one kernel.
+
+    Subclasses supply :meth:`annotate_entries`; every entry point here
+    is a projection of a call to it, so a wrapper such as
+    :class:`~repro.serve.shadow.ShadowService` overrides the kernel
+    alone and inherits the rest.
+    """
+
+    def annotate_entries(self, hostnames: Iterable[object],
+                         ) -> List[Entry]:
+        """Annotate many hostnames into ``(asn, suffix)`` entries."""
+        raise NotImplementedError
+
+    def annotate_one(self, hostname: object) -> Optional[int]:
+        """Annotate one hostname; ``None`` on miss or malformed input."""
+        return self.annotate_entries((hostname,))[0][0]
+
+    def annotate_batch(self,
+                       hostnames: Iterable[object]) -> List[Optional[int]]:
+        """Annotate many hostnames, preserving input order: the
+        kernel's ASN column, the shape every existing consumer wants."""
+        return [entry[0] for entry in self.annotate_entries(hostnames)]
+
+    def annotate_pairs(self, hostnames: Iterable[str],
+                       ) -> Iterator[Tuple[str, Optional[int]]]:
+        """Lazily yield ``(hostname, annotation)`` in input order, one
+        kernel call per hostname."""
+        for hostname in hostnames:
+            yield hostname, self.annotate_one(hostname)
+
+
+class AnnotationService(Annotator):
     """Hostname -> ASN annotation over a learned convention set.
 
     >>> from repro.core.hoiho import Hoiho
@@ -85,13 +128,11 @@ class AnnotationService:
         self.memo_size = memo_size
         self.fuse = fuse
         self.result = result
-        self._index = DispatchIndex.from_result(result, usable_only,
-                                                fuse=fuse)
-        # The authoritative (index, memo) pair: read once per request,
-        # swapped as one assignment on reload, so every request sees a
-        # consistent index/memo combination (GIL-atomic either way).
+        # The authoritative (index, memo) pair: read once per kernel
+        # call, swapped as one assignment on reload, so every call sees
+        # a consistent index/memo combination (GIL-atomic either way).
         self._state: Tuple[DispatchIndex, Optional[AnnotationMemo]] = (
-            self._index,
+            DispatchIndex.from_result(result, usable_only, fuse=fuse),
             AnnotationMemo(memo_size) if memo_size else None)
         # Counters retired from memos replaced by reloads, so memo
         # totals stay cumulative over the service's lifetime.
@@ -176,7 +217,6 @@ class AnnotationService:
             retired["evictions"] += old_memo.evictions
         memo = AnnotationMemo(self.memo_size) if self.memo_size else None
         self.result = result
-        self._index = index
         self._state = (index, memo)
         self._sync_memo_counters(memo)
         return len(index)
@@ -199,158 +239,79 @@ class AnnotationService:
                 % store.fingerprint(payload))
         return self.reload_result(result)  # type: ignore[arg-type]
 
-    # -- per-request API ---------------------------------------------------
+    # -- the kernel ---------------------------------------------------------
 
-    def annotate_one(self, hostname: object) -> Optional[int]:
-        """Annotate one hostname; ``None`` on miss or malformed input."""
-        return self.annotate_outcome(hostname)[0]
-
-    def annotate_outcome(self, hostname: object, *,
-                         prenormalized: bool = False,
-                         ) -> Tuple[Optional[int], Optional[str]]:
-        """Annotate one hostname, returning ``(asn, suffix)``.
-
-        The suffix is the convention that supplied the extraction
-        (``None`` on miss or malformed input).  This is what
-        :class:`~repro.serve.shadow.ShadowService` compares across
-        convention sets; metrics accounting is identical to
-        :meth:`annotate_one`.
-
-        ``prenormalized=True`` asserts the input is already a
-        :func:`normalize_hostname` output (a lowercase key, or ``None``
-        for malformed).  Shadow mode uses it to normalize once and
-        annotate against two convention sets; anything else must leave
-        it off, because an unnormalized key would poison the memo.
-        """
-        start = time.perf_counter()
-        self._requests.inc()
-        index, memo = self._state
-        normalized = hostname if prenormalized \
-            else normalize_hostname(hostname)
-        if normalized is None:
-            self._malformed.inc()
-            self._misses.inc()
-            self._latency.observe(time.perf_counter() - start)
-            return _NO_MATCH
-        entry = memo.get(normalized) if memo is not None else ABSENT
-        if entry is ABSENT:
-            plan = index.lookup_normalized(normalized)
-            asn = plan.extract(normalized) if plan is not None else None
-            suffix = plan.suffix if asn is not None else None
-            entry = (asn, suffix)
-            if memo is not None:
-                memo.put(normalized, entry)
-        else:
-            asn, suffix = entry
-        if asn is None:
-            self._misses.inc()
-        else:
-            self._annotated.inc()
-            self._extracted.inc(suffix)
-        self._latency.observe(time.perf_counter() - start)
-        return entry
-
-    def annotate_batch(self,
-                       hostnames: Iterable[object]) -> List[Optional[int]]:
-        """Annotate many hostnames, preserving input order.
-
-        A thin projection of :meth:`annotate_batch_entries` down to the
-        ASN column -- the shape every existing consumer wants.
-        """
-        return [entry[0] for entry in self.annotate_batch_entries(hostnames)]
-
-    def annotate_batch_entries(
-            self, hostnames: Iterable[object], *,
-            prenormalized: bool = False,
-    ) -> List[Tuple[Optional[int], Optional[str]]]:
+    def annotate_entries(self, hostnames: Iterable[object], *,
+                         _prenormalized: bool = False) -> List[Entry]:
         """Annotate many hostnames into ``(asn, suffix)`` entries.
 
-        This is the single-core throughput path: one tight loop over a
-        consistent ``(index, memo)`` snapshot, metrics folded in as
-        aggregates at the end.  It reaches into the memo's internals
-        (one dict probe per hit, counters banked once per batch)
-        because a bound-method call per hostname is measurable at
-        millions of requests per second.  On a memo hit the stored
-        entry tuple is appended as-is, so the hot path allocates
-        nothing per hostname.  The latency histogram records the
-        batch's amortised per-item time once per request, keeping
-        ``count == requests``.
+        The one annotation kernel: every serving path -- single
+        requests, batches, HTTP, bulk workers -- is a projection of a
+        call here.  One loop over a consistent ``(index, memo)``
+        snapshot, then one metrics fold per call.  It reaches into the
+        memo's internals (one dict probe per hit, counters banked once
+        per call) because a bound-method call per hostname is
+        measurable at millions of requests per second.  With the memo
+        off, the probe goes to an empty dict and nothing is stored, so
+        the loop is the same either way.  Hits append the stored entry
+        tuple as-is and misses share one ``(None, None)``, so the hot
+        path allocates only for fresh extractions.  The latency
+        histogram records the call's amortised per-item time once per
+        request, keeping ``count == requests``.
 
-        ``prenormalized=True`` asserts every item is already a
+        ``_prenormalized=True`` asserts every item is already a
         :func:`normalize_hostname` output (a lowercase key, or ``None``
-        for malformed) so the loop skips re-normalizing.  Shadow mode
-        uses it to pay normalization once for two convention sets;
-        anything else must leave it off, because an unnormalized key
-        would poison the memo.
+        for malformed).  It is private to
+        :class:`~repro.serve.shadow.ShadowService`, which normalizes
+        once for two convention sets; an unnormalized key would poison
+        the memo.
         """
         start = time.perf_counter()
         index, memo = self._state
-        results: List[Tuple[Optional[int], Optional[str]]] = []
-        append = results.append
-        lookup = index.lookup_normalized
-        annotated = misses = malformed = 0
-        suffix_counts: dict = {}
         if memo is None:
-            for hostname in hostnames:
-                normalized = hostname if prenormalized \
-                    else normalize_hostname(hostname)
-                if normalized is None:
-                    malformed += 1
-                    misses += 1
-                    append(_NO_MATCH)
-                    continue
-                plan = lookup(normalized)
-                asn = plan.extract(normalized) if plan is not None else None
-                if asn is None:
-                    misses += 1
-                    append(_NO_MATCH)
-                else:
-                    annotated += 1
-                    suffix = plan.suffix
-                    suffix_counts[suffix] = suffix_counts.get(suffix, 0) + 1
-                    append((asn, suffix))
+            data, put = _NO_MEMO, None
         else:
-            data = memo.data
-            probe = data.get
-            touch = data.move_to_end
-            put = memo.put
-            hits = probes = 0
-            for hostname in hostnames:
-                normalized = hostname if prenormalized \
-                    else normalize_hostname(hostname)
-                if normalized is None:
-                    malformed += 1
-                    misses += 1
-                    append(_NO_MATCH)
-                    continue
-                probes += 1
-                entry = probe(normalized, ABSENT)
-                if entry is ABSENT:
-                    plan = lookup(normalized)
-                    asn = plan.extract(normalized) \
-                        if plan is not None else None
-                    suffix = plan.suffix if asn is not None else None
-                    entry = (asn, suffix)
+            data, put = memo.data, memo.put
+        probe = data.get
+        touch = data.move_to_end
+        results: List[Entry] = []
+        append = results.append
+        annotated = malformed = hits = 0
+        suffix_counts: dict = {}
+        for hostname in hostnames:
+            normalized = hostname if _prenormalized \
+                else normalize_hostname(hostname)
+            if normalized is None:
+                malformed += 1
+                append(_NO_MATCH)
+                continue
+            entry = probe(normalized, ABSENT)
+            if entry is ABSENT:
+                plan = index.lookup_normalized(normalized)
+                asn = plan.extract(normalized) if plan is not None else None
+                entry = _NO_MATCH if asn is None else (asn, plan.suffix)
+                if put is not None:
                     put(normalized, entry)
-                else:
-                    hits += 1
-                    try:
-                        touch(normalized)
-                    except KeyError:
-                        pass  # concurrently evicted
-                    asn, suffix = entry
-                if asn is None:
-                    misses += 1
-                else:
-                    annotated += 1
-                    suffix_counts[suffix] = suffix_counts.get(suffix, 0) + 1
-                append(entry)
-            memo.hits += hits
-            memo.misses += probes - hits
+            else:
+                hits += 1
+                try:
+                    touch(normalized)
+                except KeyError:
+                    pass  # concurrently evicted
+            suffix = entry[1]
+            if suffix is not None:
+                annotated += 1
+                suffix_counts[suffix] = suffix_counts.get(suffix, 0) + 1
+            append(entry)
         count = len(results)
+        if memo is not None:
+            memo.hits += hits
+            memo.misses += count - malformed - hits
         self._requests.inc(count)
-        self._annotated.inc(annotated)
-        self._misses.inc(misses)
+        if annotated:
+            self._annotated.inc(annotated)
+        if count > annotated:
+            self._misses.inc(count - annotated)
         if malformed:
             self._malformed.inc(malformed)
         extracted = self._extracted
@@ -360,12 +321,6 @@ class AnnotationService:
             self._latency.observe_many(
                 (time.perf_counter() - start) / count, count)
         return results
-
-    def annotate_pairs(self, hostnames: Iterable[str],
-                       ) -> Iterator[Tuple[str, Optional[int]]]:
-        """Lazily yield ``(hostname, annotation)`` in input order."""
-        for hostname in hostnames:
-            yield hostname, self.annotate_one(hostname)
 
     # -- observability -----------------------------------------------------
 
@@ -410,4 +365,4 @@ class AnnotationService:
 
     def __repr__(self) -> str:
         return "AnnotationService(%d suffixes, %d requests)" % (
-            len(self._index), self._requests.value)
+            len(self._state[0]), self._requests.value)

@@ -13,14 +13,17 @@ and decides to promote (or discard) the candidate.
 
 Design points:
 
-* **API-compatible** -- the service exposes the full
-  ``AnnotationService`` surface (``annotate_one`` / ``annotate_batch``
-  / ``annotate_pairs`` / ``warm`` / ``reload_*`` / ``stats`` /
-  ``index`` / ``memo`` / ``to_json``), so
+* **One kernel override** -- ``ShadowService`` is an
+  :class:`~repro.serve.service.Annotator` that overrides only
+  ``annotate_entries``: normalize once, annotate the keys against both
+  sides, fold the ledger.  ``annotate_one`` / ``annotate_batch`` /
+  ``annotate_pairs`` are inherited, and the rest of the
+  ``AnnotationService`` surface (``warm`` / ``reload_*`` / ``stats`` /
+  ``index`` / ``memo`` / ``to_json``) delegates to the primary, so
   :class:`~repro.serve.engine.BulkAnnotator` and the HTTP server
   compose with it unchanged.  (The bulk engine's *process fan-out*
-  serializes only the primary conventions to its workers; shadow
-  comparison is a serving-process feature.)
+  hands its workers the primary service alone; shadow comparison is a
+  serving-process feature.)
 * **Ledger lives in the registry** -- agreement counts are labelled
   counters (``shadow_agree`` / ``shadow_primary_only`` /
   ``shadow_candidate_only`` / ``shadow_conflict``, one label per
@@ -33,9 +36,10 @@ Design points:
   snapshot's ``shadow`` extra and are merged by
   :func:`merge_shadow_reports`.
 * **Atomic state** -- the candidate service is published by a single
-  attribute assignment (GIL-atomic), read once per request; ``promote``
-  swaps the candidate's conventions into the primary through the
-  existing atomic ``reload_result`` machinery and clears the ledger.
+  attribute assignment (GIL-atomic), read once per kernel call;
+  ``promote`` swaps the candidate's conventions into the primary
+  through the existing atomic ``reload_result`` machinery and clears
+  the ledger.
   Each side keeps its own memo, so the dual-annotation cost on a
   memo-warm Zipf stream stays near 2x a single set (the bench ``shadow``
   section holds it under 2.2x).
@@ -54,15 +58,15 @@ annotated; ``(none)`` when both missed):
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
-    Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.hoiho import HoihoResult
 from repro.core.io import conventions_from_json
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.index import DispatchIndex
-from repro.serve.memo import AnnotationMemo
-from repro.serve.service import AnnotationService, normalize_hostname
+from repro.serve.memo import AnnotationMemo, Entry
+from repro.serve.service import AnnotationService, Annotator, \
+    normalize_hostname
 
 #: Example hostnames retained per divergence class (first-seen wins;
 #: enough to eyeball what kind of names disagree, small enough to ride
@@ -89,8 +93,6 @@ SHADOW_COUNTER_NAMES = {
     CLASS_CANDIDATE_ONLY: "shadow_candidate_only",
     CLASS_CONFLICT: "shadow_conflict",
 }
-
-Entry = Tuple[Optional[int], Optional[str]]
 
 
 class ShadowLedger:
@@ -209,7 +211,7 @@ class ShadowLedger:
                     if requests else 0.0)
 
 
-class ShadowService:
+class ShadowService(Annotator):
     """An ``AnnotationService`` with a candidate set riding shotgun.
 
     >>> from repro.core.hoiho import Hoiho
@@ -225,7 +227,7 @@ class ShadowService:
     0
 
     Without a candidate loaded the service is a pure delegating
-    wrapper -- annotation costs one extra attribute read.
+    wrapper -- annotation costs one extra call.
     """
 
     def __init__(self, primary: AnnotationService,
@@ -354,51 +356,28 @@ class ShadowService:
         self.ledger.clear()
         return count
 
-    def annotate_outcome(self, hostname: object) -> Entry:
+    def annotate_entries(self, hostnames: Iterable[object],
+                         ) -> List[Entry]:
+        """The primary's entries; with a candidate loaded, both sides
+        annotate the same keys and the ledger folds the comparison.
+
+        This is the only kernel override: ``annotate_one``,
+        ``annotate_batch`` and ``annotate_pairs`` come from
+        :class:`~repro.serve.service.Annotator` unchanged.
+        """
         candidate = self._candidate
         if candidate is None:
-            return self.primary.annotate_outcome(hostname)
-        # Normalize once, annotate twice: both sides see the same key,
-        # and the dual-annotation overhead stays regex work, not
-        # repeated string scrubbing.
-        key = normalize_hostname(hostname)
-        entry = self.primary.annotate_outcome(key, prenormalized=True)
-        shadow_entry = candidate.annotate_outcome(key, prenormalized=True)
-        self.ledger.observe_one(hostname, entry, shadow_entry)
-        return entry
-
-    def annotate_one(self, hostname: object) -> Optional[int]:
-        """The primary's annotation -- the candidate's never escapes."""
-        return self.annotate_outcome(hostname)[0]
-
-    def annotate_batch_entries(self, hostnames: Iterable[object],
-                               ) -> List[Entry]:
-        candidate = self._candidate
-        if candidate is None:
-            return self.primary.annotate_batch_entries(hostnames)
+            return self.primary.annotate_entries(hostnames)
         if not isinstance(hostnames, (list, tuple)):
             hostnames = list(hostnames)  # both sides must see one stream
         # Normalize once for both sides: hostname scrubbing is pure, so
         # paying it per side would only inflate the shadow overhead.
         keys = [normalize_hostname(hostname) for hostname in hostnames]
-        entries = self.primary.annotate_batch_entries(
-            keys, prenormalized=True)
-        shadow_entries = candidate.annotate_batch_entries(
-            keys, prenormalized=True)
+        entries = self.primary.annotate_entries(keys, _prenormalized=True)
+        shadow_entries = candidate.annotate_entries(keys,
+                                                    _prenormalized=True)
         self.ledger.observe_entries(hostnames, entries, shadow_entries)
         return entries
-
-    def annotate_batch(self,
-                       hostnames: Iterable[object]) -> List[Optional[int]]:
-        """Batch annotation; result-identical to the primary alone."""
-        return [entry[0]
-                for entry in self.annotate_batch_entries(hostnames)]
-
-    def annotate_pairs(self, hostnames: Iterable[str],
-                       ) -> Iterator[Tuple[str, Optional[int]]]:
-        """Lazily yield ``(hostname, annotation)`` in input order."""
-        for hostname in hostnames:
-            yield hostname, self.annotate_one(hostname)
 
     # -- observability -----------------------------------------------------
 

@@ -284,6 +284,15 @@ class TestCliServe:
     def test_serve_requires_conventions(self, capsys):
         assert main(["serve"]) == 2
 
+    @pytest.mark.parametrize("command", ["annotate", "serve", "serve-http"])
+    def test_negative_memo_size_rejected(self, command, tmp_path, capsys):
+        saved = self._conventions_file(tmp_path, capsys)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--conventions", str(saved),
+                  "--hostnames", "-", "--memo-size", "-1"])
+        assert exit_info.value.code == 2
+        assert "--memo-size: must be >= 0" in capsys.readouterr().err
+
     def test_serve_stats_renders_metrics_file(self, tmp_path, capsys,
                                               monkeypatch):
         import io

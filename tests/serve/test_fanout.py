@@ -1,7 +1,8 @@
 """Tests for the cheap fan-out machinery: packed chunk IPC, the worker
-protocol and its fallbacks, fork-inherited dispatch indexes, and
+protocol and its fallbacks, fork-inherited worker services, and
 adaptive chunking through the engine."""
 
+import os
 from array import array
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import repro.serve.engine as engine_module
 from repro.core.hoiho import Hoiho
 from repro.core.io import conventions_to_json
-from repro.core.parallel import ParallelConfig
+from repro.bench import shadow_divergence_case
+from repro.core.parallel import ParallelConfig, fork_inheritance_available
 from repro.core.types import TrainingItem
 from repro.serve.engine import (
     BulkAnnotator,
@@ -18,8 +20,9 @@ from repro.serve.engine import (
     _pack_chunk,
     _unpack_item,
 )
-from repro.serve.index import DispatchIndex
+from repro.serve.memo import DEFAULT_MEMO_SIZE
 from repro.serve.service import AnnotationService
+from repro.serve.shadow import ShadowService
 
 
 def learned_result():
@@ -38,13 +41,31 @@ def workload(n=100):
     return hostnames
 
 
+def repeated_workload(n):
+    """A stream where every distinct name recurs, so worker memos hit
+    (and, at capacity 2, thrash)."""
+    distinct = workload(n // 4)
+    return [distinct[(i * 7) % len(distinct)] for i in range(n)]
+
+
 @pytest.fixture
-def worker_state():
-    """Initialize module-level worker state, restoring it afterwards."""
-    saved = engine_module._WORKER_STATE
+def worker_service():
+    """Initialize the module-level worker service, restoring it
+    afterwards."""
+    saved = engine_module._WORKER_SERVICE
     _init_annotation_worker(conventions_to_json(learned_result()))
-    yield engine_module._WORKER_STATE
-    engine_module._WORKER_STATE = saved
+    yield engine_module._WORKER_SERVICE
+    engine_module._WORKER_SERVICE = saved
+
+
+@pytest.fixture
+def fork_handoff():
+    """Save and restore the worker service and the fork parking spot."""
+    saved = (engine_module._WORKER_SERVICE, engine_module._FORK_TOKEN,
+             engine_module._FORK_SERVICE)
+    yield
+    (engine_module._WORKER_SERVICE, engine_module._FORK_TOKEN,
+     engine_module._FORK_SERVICE) = saved
 
 
 class TestPacking:
@@ -78,7 +99,7 @@ class TestPacking:
 
 
 class TestWorkerProtocol:
-    def test_packed_payload_returns_asn_array(self, worker_state):
+    def test_packed_payload_returns_asn_array(self, worker_service):
         chunk = ["as100.pop0.example.com", "miss.unknown.net",
                  "as101.pop1.example.com"]
         result = _annotate_chunk(_pack_chunk(chunk))
@@ -86,36 +107,32 @@ class TestWorkerProtocol:
         assert result.typecode == "q"
         assert list(result) == [100, -1, 101]
 
-    def test_list_payload_returns_pairs(self, worker_state):
+    def test_list_payload_returns_pairs(self, worker_service):
         chunk = ["as100.pop0.example.com", "miss.unknown.net"]
         result = _annotate_chunk(chunk)
         assert result == [("as100.pop0.example.com", 100),
                           ("miss.unknown.net", None)]
 
-    def test_worker_memo_caches_repeats(self, worker_state):
-        index, memo = worker_state
+    def test_worker_memo_caches_repeats(self, worker_service):
+        memo = worker_service.memo
         _annotate_chunk(_pack_chunk(["as100.pop0.example.com"] * 5))
         assert memo is not None
-        assert memo.data["as100.pop0.example.com"] == 100
+        assert memo.data["as100.pop0.example.com"] == (100, "example.com")
         assert len(memo.data) == 1
+        assert (memo.hits, memo.misses) == (4, 1)
 
-    def test_memo_size_zero_disables_worker_memo(self):
-        saved = engine_module._WORKER_STATE
-        try:
-            _init_annotation_worker(conventions_to_json(learned_result()),
-                                    memo_size=0)
-            index, memo = engine_module._WORKER_STATE
-            assert memo is None
-            result = _annotate_chunk(_pack_chunk(["as100.pop0.example.com"]))
-            assert list(result) == [100]
-        finally:
-            engine_module._WORKER_STATE = saved
+    def test_memo_size_zero_disables_worker_memo(self, fork_handoff):
+        _init_annotation_worker(conventions_to_json(learned_result()),
+                                memo_size=0)
+        assert engine_module._WORKER_SERVICE.memo is None
+        result = _annotate_chunk(_pack_chunk(["as100.pop0.example.com"]))
+        assert list(result) == [100]
 
-    def test_oversized_asn_falls_back_to_list(self, worker_state):
-        index, memo = worker_state
+    def test_oversized_asn_falls_back_to_list(self, worker_service):
         # Poison the memo with an ASN beyond the signed-64-bit range so
         # the packed array overflows and the worker ships a plain list.
-        memo.put("huge.example.com", 2 ** 70)
+        worker_service.memo.put("huge.example.com",
+                                (2 ** 70, "example.com"))
         result = _annotate_chunk(_pack_chunk(["huge.example.com",
                                               "as100.pop0.example.com"]))
         assert isinstance(result, list)
@@ -123,36 +140,37 @@ class TestWorkerProtocol:
 
 
 class TestForkInheritance:
-    def test_initializer_adopts_parked_index_on_token_match(self):
-        saved = (engine_module._WORKER_STATE, engine_module._FORK_TOKEN,
-                 engine_module._FORK_INDEX)
-        try:
-            parked = DispatchIndex.from_result(learned_result())
-            token = (1234, 1)
-            engine_module._FORK_INDEX = parked
-            engine_module._FORK_TOKEN = token
-            _init_annotation_worker("{}", fork_token=token)
-            index, _ = engine_module._WORKER_STATE
-            assert index is parked
-        finally:
-            (engine_module._WORKER_STATE, engine_module._FORK_TOKEN,
-             engine_module._FORK_INDEX) = saved
+    def test_initializer_adopts_parked_service_on_token_match(
+            self, fork_handoff):
+        parked = AnnotationService(learned_result())
+        token = (1234, 1)
+        engine_module._FORK_SERVICE = parked
+        engine_module._FORK_TOKEN = token
+        _init_annotation_worker("{}", fork_token=token)
+        assert engine_module._WORKER_SERVICE is parked
 
-    def test_initializer_parses_json_on_token_mismatch(self):
-        saved = (engine_module._WORKER_STATE, engine_module._FORK_TOKEN,
-                 engine_module._FORK_INDEX)
-        try:
-            parked = DispatchIndex.from_result(learned_result())
-            engine_module._FORK_INDEX = parked
-            engine_module._FORK_TOKEN = (1234, 1)
-            _init_annotation_worker(conventions_to_json(learned_result()),
-                                    fork_token=(1234, 2))
-            index, _ = engine_module._WORKER_STATE
-            assert index is not parked
-            assert index.suffixes() == parked.suffixes()
-        finally:
-            (engine_module._WORKER_STATE, engine_module._FORK_TOKEN,
-             engine_module._FORK_INDEX) = saved
+    def test_initializer_parses_json_on_token_mismatch(self, fork_handoff):
+        parked = AnnotationService(learned_result())
+        engine_module._FORK_SERVICE = parked
+        engine_module._FORK_TOKEN = (1234, 1)
+        _init_annotation_worker(conventions_to_json(learned_result()),
+                                fork_token=(1234, 2))
+        adopted = engine_module._WORKER_SERVICE
+        assert adopted is not parked
+        assert adopted.index.suffixes() == parked.index.suffixes()
+
+    def test_parking_process_never_adopts_its_own_service(
+            self, fork_handoff):
+        # A pool degraded to inline execution runs the initializer in
+        # the parent; adopting there would count every chunk twice in
+        # the parent's registry.
+        parked = AnnotationService(learned_result())
+        token = (os.getpid(), 1)
+        engine_module._FORK_SERVICE = parked
+        engine_module._FORK_TOKEN = token
+        _init_annotation_worker(conventions_to_json(learned_result()),
+                                fork_token=token)
+        assert engine_module._WORKER_SERVICE is not parked
 
     def test_parking_spot_cleared_after_parallel_run(self):
         service = AnnotationService(learned_result())
@@ -161,26 +179,45 @@ class TestForkInheritance:
                                   chunk_size=16)
         list(annotator.annotate(workload(64)))
         assert engine_module._FORK_TOKEN is None
-        assert engine_module._FORK_INDEX is None
+        assert engine_module._FORK_SERVICE is None
+
+    def test_shadow_service_parks_its_primary(self):
+        # Shadow comparison stays in the serving process: forked
+        # workers annotate with the primary alone, as spawned ones do.
+        primary, candidate, hostnames, _ = shadow_divergence_case(n=100)
+        shadow = ShadowService(AnnotationService(primary), candidate)
+        stream = BulkAnnotator(shadow, parallel=ParallelConfig.from_jobs(2),
+                               chunk_size=16).annotate(hostnames)
+        first = next(stream)
+        if fork_inheritance_available():
+            assert engine_module._FORK_SERVICE is shadow.primary
+        serial = list(BulkAnnotator(
+            AnnotationService(primary)).annotate(hostnames))
+        assert [first] + list(stream) == serial
+
+
+MEMO_SIZES = [0, 2, DEFAULT_MEMO_SIZE]
 
 
 class TestParallelIdentity:
-    def test_packed_parallel_identical_to_serial(self):
-        hostnames = workload(200)
-        serial = list(BulkAnnotator(
-            AnnotationService(learned_result())).annotate(hostnames))
+    @pytest.mark.parametrize("memo_size", MEMO_SIZES)
+    def test_packed_parallel_identical_to_serial(self, memo_size):
+        hostnames = repeated_workload(200)
+        serial = list(BulkAnnotator(AnnotationService(
+            learned_result(), memo_size=memo_size)).annotate(hostnames))
         parallel = list(BulkAnnotator(
-            AnnotationService(learned_result()),
+            AnnotationService(learned_result(), memo_size=memo_size),
             parallel=ParallelConfig.from_jobs(2),
             chunk_size=32).annotate(hostnames))
         assert parallel == serial
 
-    def test_adaptive_chunks_parallel_identical_to_serial(self):
-        hostnames = workload(300)
-        serial = list(BulkAnnotator(
-            AnnotationService(learned_result())).annotate(hostnames))
+    @pytest.mark.parametrize("memo_size", MEMO_SIZES)
+    def test_adaptive_chunks_parallel_identical_to_serial(self, memo_size):
+        hostnames = repeated_workload(1200)
+        serial = list(BulkAnnotator(AnnotationService(
+            learned_result(), memo_size=memo_size)).annotate(hostnames))
         parallel = list(BulkAnnotator(
-            AnnotationService(learned_result()),
+            AnnotationService(learned_result(), memo_size=memo_size),
             parallel=ParallelConfig.from_jobs(2)).annotate(hostnames))
         assert parallel == serial
 

@@ -149,11 +149,11 @@ class TestShadowService:
         service = shadowed(primary, candidate)
         oracle = AnnotationService(primary)
         oracle.warm()
-        assert service.annotate_batch_entries(hostnames) == \
-            oracle.annotate_batch_entries(hostnames)
+        assert service.annotate_entries(hostnames) == \
+            oracle.annotate_entries(hostnames)
         for hostname in hostnames[:10]:
-            assert service.annotate_outcome(hostname) == \
-                oracle.annotate_outcome(hostname)
+            assert service.annotate_entries([hostname]) == \
+                oracle.annotate_entries([hostname])
 
     def test_primary_metrics_identical_to_plain_service(self):
         # The candidate annotates into its own registry; the primary's
@@ -185,8 +185,8 @@ class TestShadowService:
         oracle.warm()
         assert count == len(oracle.index)
         assert service.candidate is None
-        assert service.annotate_batch_entries(hostnames) == \
-            oracle.annotate_batch_entries(hostnames)
+        assert service.annotate_entries(hostnames) == \
+            oracle.annotate_entries(hostnames)
         report = service.report()
         assert report["active"] is False
 
