@@ -48,22 +48,22 @@ any snapshot it publishes, ``http_requests`` equals the
 could be written.
 
 The annotation service (``repro.serve.service.AnnotationService``) is
-the other writer, and it takes no lock.  Its counters ``requests``,
-``annotated``, ``misses``, ``malformed``, the per-suffix
-``extracted`` family and the ``latency_seconds`` histogram are
-updated in one place: the fold at the end of each call to its one
-kernel, ``annotate_entries``, which every serving path goes through.
-A call adds ``n`` to ``requests``, its annotated and missed counts
-(which sum to ``n``) to ``annotated`` and ``misses``, and ``n``
-samples to ``latency_seconds``.  Each of those updates is a single
-``+=`` on one field with no call in between, so on a GIL interpreter
-a thread switch cannot split it.  Once concurrent callers have
-returned, ``requests == annotated + misses == latency count ==``
-hostnames annotated, reloads included;
+the other owner.  Its counters ``requests``, ``annotated``,
+``misses``, ``malformed``, the per-suffix ``extracted`` family and the
+``latency_seconds`` histogram are updated in one place: the fold at
+the end of each call to its one kernel, ``annotate_entries``, which
+every serving path goes through.  The fold runs under the service's
+fold lock (one acquire per call, not per hostname), and ``stats()``
+snapshots under the same lock.  A call adds ``n`` to ``requests``, its
+annotated and missed counts (which sum to ``n``) to ``annotated`` and
+``misses``, and ``n`` samples to ``latency_seconds``.  So in every
+snapshot the service takes, ``requests == annotated + misses ==``
+the latency count, and once concurrent callers have returned it
+equals the hostnames annotated, reloads included;
 ``tests/serve/test_service_accounting.py`` stress-tests exactly that.
-A snapshot taken *during* a fold may see ``requests`` ahead of
-``annotated``/``misses``.  ``extracted`` is a read-then-write through
-``dict.get`` and is not covered by that guarantee.
+The lock is needed: before Python 3.10 the interpreter may switch
+threads between the read and the write of a single ``+=`` on an
+attribute.
 """
 
 from __future__ import annotations

@@ -23,9 +23,13 @@ memo object* atomically on hot reload -- see
 ``AnnotationService.reload_result`` -- so a reload can never serve a
 stale entry against a new convention set.
 
-The hit counters are plain Python ints updated without a lock; under
-free-threaded interpreters they are statistics, not ledgers.  The
-cached values themselves are always exact.
+The memo does not probe for its callers: the service kernel
+(``AnnotationService.annotate_entries``) reads :attr:`data` directly,
+touches recency on a hit, and banks the call's hit and miss counts on
+:attr:`hits`/:attr:`misses` once, under the service's fold lock.
+:meth:`put` counts its own evictions without a lock, so under
+free-threaded interpreters ``evictions`` is a statistic, not a ledger.
+The cached values themselves are always exact.
 """
 
 from __future__ import annotations
@@ -51,17 +55,15 @@ class AnnotationMemo:
     """Bounded LRU memo over complete annotation outcomes.
 
     >>> memo = AnnotationMemo(capacity=2)
-    >>> memo.get("a.example.com") is ABSENT
+    >>> memo.data.get("a.example.com", ABSENT) is ABSENT
     True
     >>> memo.put("a.example.com", (42, "example.com"))
-    >>> memo.get("a.example.com")
+    >>> memo.data["a.example.com"]
     (42, 'example.com')
     >>> memo.put("b.example.com", (None, None))   # misses cache too
     >>> memo.put("c.example.com", (7, "example.com"))
-    >>> len(memo)                                 # "a" was just used,
-    2
-    >>> memo.get("b.example.com") is ABSENT       # ... so "b" evicted
-    True
+    >>> list(memo.data)                           # "a" was least recent
+    ['b.example.com', 'c.example.com']
     >>> memo.stats()["evictions"]
     1
     """
@@ -77,21 +79,6 @@ class AnnotationMemo:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def get(self, key: str):
-        """The entry for ``key``, or :data:`ABSENT`; counts the probe
-        and touches recency on a hit."""
-        data = self.data
-        entry = data.get(key, ABSENT)
-        if entry is ABSENT:
-            self.misses += 1
-            return ABSENT
-        self.hits += 1
-        try:
-            data.move_to_end(key)
-        except KeyError:
-            pass  # concurrently evicted; recency touch is best-effort
-        return entry
 
     def put(self, key: str, value: Entry) -> None:
         """Insert ``value`` under ``key`` (refreshing its recency --

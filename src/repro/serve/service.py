@@ -46,6 +46,7 @@ each hold a service of their own and call the same kernel per chunk.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -137,6 +138,10 @@ class AnnotationService(Annotator):
         # Counters retired from memos replaced by reloads, so memo
         # totals stay cumulative over the service's lifetime.
         self._memo_retired = {"hits": 0, "misses": 0, "evictions": 0}
+        # Held once per kernel call around its metrics fold, by
+        # snapshots, and by the reload's memo retire-and-swap (see
+        # repro.obs.metrics for the contract it buys).
+        self._fold_lock = threading.Lock()
         # Created up front so snapshots show zeros before traffic.
         self._requests = self.metrics.counter("requests")
         self._annotated = self.metrics.counter("annotated")
@@ -209,16 +214,17 @@ class AnnotationService(Annotator):
         index = DispatchIndex.from_result(result, self.usable_only,
                                           fuse=self.fuse)
         index.warm()
-        old_memo = self._state[1]
-        if old_memo is not None:
-            retired = self._memo_retired
-            retired["hits"] += old_memo.hits
-            retired["misses"] += old_memo.misses
-            retired["evictions"] += old_memo.evictions
         memo = AnnotationMemo(self.memo_size) if self.memo_size else None
-        self.result = result
-        self._state = (index, memo)
-        self._sync_memo_counters(memo)
+        with self._fold_lock:
+            old_memo = self._state[1]
+            if old_memo is not None:
+                retired = self._memo_retired
+                retired["hits"] += old_memo.hits
+                retired["misses"] += old_memo.misses
+                retired["evictions"] += old_memo.evictions
+            self.result = result
+            self._state = (index, memo)
+            self._sync_memo_counters(memo)
         return len(index)
 
     def reload_json(self, text: str) -> int:
@@ -248,7 +254,8 @@ class AnnotationService(Annotator):
         The one annotation kernel: every serving path -- single
         requests, batches, HTTP, bulk workers -- is a projection of a
         call here.  One loop over a consistent ``(index, memo)``
-        snapshot, then one metrics fold per call.  It reaches into the
+        snapshot, then one metrics fold per call, under the service's
+        fold lock (one acquire per call).  It reaches into the
         memo's internals (one dict probe per hit, counters banked once
         per call) because a bound-method call per hostname is
         measurable at millions of requests per second.  With the memo
@@ -304,22 +311,23 @@ class AnnotationService(Annotator):
                 suffix_counts[suffix] = suffix_counts.get(suffix, 0) + 1
             append(entry)
         count = len(results)
-        if memo is not None:
-            memo.hits += hits
-            memo.misses += count - malformed - hits
-        self._requests.inc(count)
-        if annotated:
-            self._annotated.inc(annotated)
-        if count > annotated:
-            self._misses.inc(count - annotated)
-        if malformed:
-            self._malformed.inc(malformed)
-        extracted = self._extracted
-        for suffix, n in suffix_counts.items():
-            extracted.inc(suffix, n)
-        if count:
-            self._latency.observe_many(
-                (time.perf_counter() - start) / count, count)
+        elapsed = time.perf_counter() - start
+        with self._fold_lock:
+            if memo is not None:
+                memo.hits += hits
+                memo.misses += count - malformed - hits
+            self._requests.inc(count)
+            if annotated:
+                self._annotated.inc(annotated)
+            if count > annotated:
+                self._misses.inc(count - annotated)
+            if malformed:
+                self._malformed.inc(malformed)
+            extracted = self._extracted
+            for suffix, n in suffix_counts.items():
+                extracted.inc(suffix, n)
+            if count:
+                self._latency.observe_many(elapsed / count, count)
         return results
 
     # -- observability -----------------------------------------------------
@@ -350,14 +358,17 @@ class AnnotationService(Annotator):
     def stats(self) -> dict:
         """JSON-ready metrics snapshot (see ``MetricsRegistry``).
 
-        The ``(index, memo)`` tuple is read exactly once and threaded
-        through: reading it again after ``snapshot()`` would let a
-        concurrent reload pair one state's counters with another
-        state's memo/fused-plan fields.
+        Taken under the fold lock, so it never lands inside a kernel
+        call's fold or a reload's memo swap.  The ``(index, memo)``
+        tuple is read exactly once and threaded through: reading it
+        again after ``snapshot()`` would let a concurrent reload pair
+        one state's counters with another state's memo/fused-plan
+        fields.
         """
-        index, memo = self._state
-        self._sync_memo_counters(memo)
-        snapshot = self.metrics.snapshot()
+        with self._fold_lock:
+            index, memo = self._state
+            self._sync_memo_counters(memo)
+            snapshot = self.metrics.snapshot()
         snapshot["suffixes_indexed"] = len(index)
         snapshot["fused_plans"] = index.fused_plans()
         snapshot["memo"] = memo.stats() if memo is not None else None

@@ -143,7 +143,8 @@ class TestForkInheritance:
     def test_initializer_adopts_parked_service_on_token_match(
             self, fork_handoff):
         parked = AnnotationService(learned_result())
-        token = (1234, 1)
+        # A pid that cannot be this process's, as in a forked worker.
+        token = (os.getpid() + 1, 1)
         engine_module._FORK_SERVICE = parked
         engine_module._FORK_TOKEN = token
         _init_annotation_worker("{}", fork_token=token)

@@ -25,30 +25,30 @@ class TestAnnotationMemo:
 
     def test_get_put_round_trip(self):
         memo = AnnotationMemo(4)
-        assert memo.get("a.example.com") is ABSENT
+        assert memo.data.get("a.example.com", ABSENT) is ABSENT
         memo.put("a.example.com", (3356, "example.com"))
-        assert memo.get("a.example.com") == (3356, "example.com")
-        assert memo.hits == 1
-        assert memo.misses == 1
+        assert memo.data.get("a.example.com", ABSENT) == \
+            (3356, "example.com")
+        # Probes are counted by the service kernel, never by the memo.
+        assert memo.hits == 0
+        assert memo.misses == 0
 
     def test_negative_caching(self):
         # Misses are cached too: (None, None) is a first-class entry,
         # distinct from ABSENT.
         memo = AnnotationMemo(4)
         memo.put("www.unknown.net", (None, None))
-        assert memo.get("www.unknown.net") == (None, None)
-        assert memo.hits == 1
+        assert memo.data.get("www.unknown.net", ABSENT) == (None, None)
 
     def test_lru_eviction_order(self):
         memo = AnnotationMemo(2)
         memo.put("a", 1)
         memo.put("b", 2)
-        memo.get("a")              # refresh a; b is now LRU
-        memo.put("c", 3)           # evicts b
-        assert memo.get("b") is ABSENT
-        assert memo.get("a") == 1
-        assert memo.get("c") == 3
-        assert memo.evictions == 1
+        memo.put("c", 3)           # evicts a, the least recent
+        assert list(memo.data) == ["b", "c"]
+        memo.put("d", 4)           # evicts b
+        assert list(memo.data) == ["c", "d"]
+        assert memo.evictions == 2
         assert len(memo) == 2
 
     def test_put_existing_key_refreshes_without_eviction(self):
@@ -57,23 +57,24 @@ class TestAnnotationMemo:
         memo.put("b", 2)
         memo.put("a", 10)          # update, not insert
         memo.put("c", 3)           # evicts b, not a
-        assert memo.get("a") == 10
-        assert memo.get("b") is ABSENT
+        assert dict(memo.data) == {"a": 10, "c": 3}
         assert memo.evictions == 1
 
     def test_clear_resets_entries_not_counters(self):
         memo = AnnotationMemo(2)
-        memo.put("a", 1)
-        memo.get("a")
+        for key in "abc":
+            memo.put(key, 1)
+        memo.hits += 1             # as the service kernel banks a hit
         memo.clear()
         assert len(memo) == 0
         assert memo.hits == 1      # counters are cumulative
+        assert memo.evictions == 1
 
     def test_stats_shape(self):
         memo = AnnotationMemo(8)
         memo.put("a", 1)
-        memo.get("a")
-        memo.get("b")
+        memo.hits += 1             # as the service kernel banks its
+        memo.misses += 1           # probes of "a" and "b"
         stats = memo.stats()
         assert stats["size"] == 1
         assert stats["capacity"] == 8
@@ -133,6 +134,14 @@ class TestServiceMemo:
         stats = service.stats()
         assert stats["memo"]["size"] == 1
         assert stats["counters"]["memo_hits"] == 1
+
+    def test_hit_refreshes_recency(self):
+        service = AnnotationService(learned_result(), memo_size=2)
+        for asn in (100, 101, 100, 102):   # the hit on 100 makes 101 LRU
+            service.annotate_one("as%d.pop0.example.com" % asn)
+        assert list(service.memo.data) == ["as100.pop0.example.com",
+                                           "as102.pop0.example.com"]
+        assert service.stats()["counters"]["memo_hits"] == 1
 
     def test_tiny_memo_evicts(self):
         service = AnnotationService(learned_result(), memo_size=2)

@@ -1,8 +1,8 @@
 """The annotation service's counter contract under concurrent callers.
 
 Every serving path folds its outcome into the service's registry in
-one place, the kernel's end-of-call fold, without a lock (see
-:mod:`repro.obs.metrics`).  Threads that mix single requests and
+one place, the kernel's end-of-call fold, under the service's fold
+lock (see :mod:`repro.obs.metrics`).  Threads that mix single requests and
 batches while another thread keeps reloading must leave the totals
 exact: ``requests`` equals the hostnames annotated, it splits into
 ``annotated + misses``, and the latency histogram counts every request.
