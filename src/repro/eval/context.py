@@ -61,7 +61,10 @@ class ExperimentContext:
     timelines, and learned conventions round-trip through it keyed by a
     fingerprint of the full configuration, so a warm store skips
     regeneration entirely and any config change invalidates by
-    construction (the fingerprint moves).  Learned suffixes persist
+    construction (the fingerprint moves).  A stored timeline loads
+    only its items: each snapshot body is unpickled when first read
+    (see :class:`~repro.eval.timeline.TrainingSet`), so a relearn never
+    pays for traces or ITDKs.  Learned suffixes persist
     too, so reuse extends across runs: a later snapshot relearns only
     the suffixes whose observations changed.  The whole-result hoiho
     cache stays layered on top as the fast path.
@@ -154,7 +157,9 @@ class ExperimentContext:
                                             self._timeline_payload())
                     if cached is not None:
                         span.set(cached=True)
-                        self._timeline = self._adopt_timeline(cached)
+                        for training_set in cached:
+                            training_set.adopt(world, self.tracer)
+                        self._timeline = cached
                         return self._timeline
                 self._timeline = build_timeline(
                     world, self.seed, self.routing,
@@ -166,30 +171,8 @@ class ExperimentContext:
                 span.set(sets=len(self._timeline))
                 if self.store is not None:
                     self.store.put(KIND_TIMELINE, self._timeline_payload(),
-                                   self._strip_worlds(self._timeline))
-                    self._adopt_timeline(self._timeline)
+                                   self._timeline)
         return self._timeline
-
-    @staticmethod
-    def _strip_worlds(timeline: List[TrainingSet]) -> List[TrainingSet]:
-        """Drop per-snapshot world references before pickling.
-
-        Every snapshot result references the same world; pickling the
-        timeline as-is would embed a full copy per call graph.  The
-        world is stored (and restored) separately.
-        """
-        for training_set in timeline:
-            if training_set.snapshot is not None:
-                training_set.snapshot.world = None  # type: ignore
-        return timeline
-
-    def _adopt_timeline(self,
-                        timeline: List[TrainingSet]) -> List[TrainingSet]:
-        """Re-attach this context's world to a (de)serialised timeline."""
-        for training_set in timeline:
-            if training_set.snapshot is not None:
-                training_set.snapshot.world = self.world
-        return timeline
 
     def training_set(self, label: str) -> TrainingSet:
         """One training set by label (KeyError when absent)."""

@@ -12,7 +12,8 @@ improves in 2017.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import pickle
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.parallel import ParallelConfig, parallel_map
@@ -87,16 +88,71 @@ def alias_augment_for_year(year: float) -> float:
     return min(0.75, max(0.63, 0.63 + (year - 2010.0) * 0.012))
 
 
-@dataclass
 class TrainingSet:
-    """One training set: label, provenance, and the items themselves."""
+    """One training set: label, provenance, and the items themselves.
 
-    label: str
-    kind: str                      # itdk | peeringdb
-    method: str                    # rtaa | bdrmapit | operator
-    year: float
-    items: List[TrainingItem]
-    snapshot: Optional[SnapshotResult] = None
+    ``snapshot`` is the ITDK snapshot the items came from (``None`` for
+    a PeeringDB set).  A training set pickles it as a separate body --
+    a pickled :class:`SnapshotResult` without its world or its items --
+    and an unpickled set loads that body on the first read of
+    ``snapshot``, under a ``timeline.body`` span.  Learning reads only
+    ``items``, so relearning a stored timeline never loads a body.
+    :meth:`adopt` gives an unpickled set the world its body is
+    re-attached to and the tracer that times the load.
+    """
+
+    def __init__(self, label: str, kind: str, method: str, year: float,
+                 items: List[TrainingItem],
+                 snapshot: Optional[SnapshotResult] = None) -> None:
+        self.label = label
+        self.kind = kind               # itdk | peeringdb
+        self.method = method           # rtaa | bdrmapit | operator
+        self.year = year
+        self.items = items
+        self._snapshot = snapshot
+        # A stored body not yet loaded: pickled bytes or, from a
+        # timeline pickled before bodies were packed, an unpickled
+        # result without its world.
+        self._body: object = None
+        self._world: Optional[World] = None
+        self._tracer = NULL_TRACER
+
+    @property
+    def snapshot(self) -> Optional[SnapshotResult]:
+        """The snapshot result, its stored body loaded on first read."""
+        if self._body is not None:
+            with self._tracer.span("timeline.body", snapshot=self.label):
+                body = self._body
+                if isinstance(body, bytes):
+                    body = pickle.loads(body)
+                body.world = self._world
+                body.training = self.items
+            self._snapshot, self._body = body, None
+        return self._snapshot
+
+    def adopt(self, world: World, tracer=NULL_TRACER) -> None:
+        """Re-attach ``world`` to this set's body when it loads, under
+        a span on ``tracer``."""
+        self._world = world
+        self._tracer = tracer
+
+    def __getstate__(self) -> Dict[str, object]:
+        body = self._body
+        if not isinstance(body, bytes):
+            result = self._snapshot if body is None else body
+            if result is not None:
+                body = pickle.dumps(replace(result, training=[]),
+                                    protocol=pickle.HIGHEST_PROTOCOL)
+        return {"label": self.label, "kind": self.kind,
+                "method": self.method, "year": self.year,
+                "items": self.items, "body": body}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        state = dict(state)
+        # Before bodies were packed, a set pickled its result as is.
+        body = state.pop("body", state.pop("snapshot", None))
+        self.__init__(**state)  # type: ignore[misc]
+        self._body = body
 
 
 def _timeline_tasks(world: World, seed: int,

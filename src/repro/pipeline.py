@@ -67,7 +67,11 @@ class SnapshotResult:
     ``graph`` is derived on first use from the alias resolution, the
     traces and the world's route table, and never pickled: only
     bdrmapIT snapshots need it to annotate, so the others never build
-    it unless a caller asks.
+    it unless a caller asks.  ``world`` never pickles either: every
+    snapshot shares one world, which is stored on its own, so an
+    unpickled result reads ``world=None`` until its owner re-attaches
+    one (:func:`reattach_world` for worker results, the training set's
+    body loader for a stored timeline).
     """
 
     spec: SnapshotSpec
@@ -87,13 +91,16 @@ class SnapshotResult:
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         state.pop("graph", None)
+        state.pop("world", None)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         # Pickles written before the graph became derived carry it
-        # (with its own copy of the route table) and a list of traces.
+        # (with its own copy of the route table) and a list of traces;
+        # older pickles also carry a stripped ``world=None``.
         state = dict(state)
         state.pop("graph", None)
+        state["world"] = None
         traces = state.get("traces", ())
         if not isinstance(traces, TraceSet):
             state["traces"] = TraceSet(traces)  # type: ignore[arg-type]
@@ -221,15 +228,11 @@ def run_snapshot_task(task: SnapshotTask,
                       tracer=NULL_TRACER) -> SnapshotResult:
     """Worker entry point: build one ITDK snapshot.
 
-    The returned result carries ``world=None`` -- shipping the world
-    back from every worker would multiply the pickle payload by the
-    snapshot count; the caller re-attaches its own reference
-    (:func:`reattach_world`).
+    The result pickles without its world (see :class:`SnapshotResult`),
+    so a worker never ships the world back; the caller re-attaches its
+    own reference (:func:`reattach_world`).
     """
-    result = run_snapshot(task.world, task.spec, task.routing,
-                          tracer=tracer)
-    result.world = None  # type: ignore[assignment]
-    return result
+    return run_snapshot(task.world, task.spec, task.routing, tracer=tracer)
 
 
 def run_peeringdb_snapshot_task(task: PeeringDBTask) -> List[TrainingItem]:
@@ -239,6 +242,6 @@ def run_peeringdb_snapshot_task(task: PeeringDBTask) -> List[TrainingItem]:
 
 
 def reattach_world(result: SnapshotResult, world: World) -> SnapshotResult:
-    """Restore the world reference a worker stripped before returning."""
+    """Restore the world reference a worker's result pickled without."""
     result.world = world
     return result

@@ -15,7 +15,9 @@ Layout on disk::
     <root>/
       worlds/<fingerprint>.pkl        pickled artifact
       worlds/<fingerprint>.json       the fingerprint payload, for humans
-      timelines/...
+      timelines/...                   training sets: items, plus each
+                                      ITDK snapshot result as a pickled
+                                      body that loads on first use
       hoiho/...                       whole-result learned conventions
       suffixes/...                    per-suffix learned conventions
                                       (content-addressed by training set
@@ -49,6 +51,8 @@ logger = logging.getLogger(__name__)
 #: world's RouteTable holds one hash table per prefix length, not a trie.
 #: Still v3: snapshot results store their traces as a ``TraceSet`` and
 #: no router graph, and load v3 pickles that carry a trace list and one.
+#: Still v3: a timeline stores each snapshot result as a pickled body
+#: without world or items, and loads v3 timelines that hold them inline.
 STORE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).

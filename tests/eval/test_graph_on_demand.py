@@ -9,11 +9,17 @@ round trip, equal to the committed digest pins.  A snapshot result
 pickled in the earlier layout (a list of traces, the graph in the
 instance dict) must load, derive the same graph and relearn to the
 same conventions.
+
+A stored timeline keeps each snapshot result as a body that loads on
+first use: a warm relearn loads none, and the first read gives the
+cold graph, traces and annotations.  A timeline pickled before bodies
+were packed must load through the store the same way.
 """
 
 import gzip
 import hashlib
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
@@ -24,7 +30,7 @@ from repro.eval import section5
 from repro.eval.context import ExperimentContext, Scale
 from repro.obs.trace import Tracer
 from repro.pipeline import SnapshotResult
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, KIND_TIMELINE, KIND_WORLD
 from repro.traceroute.probe import TraceSet
 from tests.integration.test_repro_digest import (
     SEED,
@@ -40,12 +46,19 @@ LABELS = [RTAA_LABEL, BDRMAPIT_LABEL]
 #: stripped, as the store keeps it) by the code before this layout.
 PARENT_PICKLE = Path(__file__).resolve().parent.parent / "fixtures" \
     / "snapshot_result_v3_2017-02.pkl.gz"
+#: A one-set TINY timeline (2017-02, no PeeringDB, world stripped),
+#: pickled by the code before snapshot bodies were packed.
+PARENT_TIMELINE = PARENT_PICKLE.parent / "timeline_v3_tiny.pkl.gz"
 
 
-def _context(store=None, tracer=None) -> ExperimentContext:
+def _context(store=None, tracer=None, labels=LABELS) -> ExperimentContext:
     kwargs = {"tracer": tracer} if tracer is not None else {}
-    return ExperimentContext(SEED, Scale.TINY, itdk_labels=LABELS,
+    return ExperimentContext(SEED, Scale.TINY, itdk_labels=list(labels),
                              include_pdb=False, store=store, **kwargs)
+
+
+def _spans(tracer, name):
+    return [r for r in tracer.records if r["name"] == name]
 
 
 def _graph_state(graph):
@@ -160,3 +173,101 @@ class TestParentLayoutPickle:
         again = pickle.loads(pickle.dumps(result))
         assert "graph" not in vars(again)
         assert again.traces == result.traces
+
+
+class TestBodiesLoadOnFirstUse:
+    @pytest.fixture(scope="class")
+    def relearned(self, cold_and_warm, tmp_path_factory):
+        """A relearn from a store holding only the world and timeline."""
+        cold, _ = cold_and_warm
+        root = tmp_path_factory.mktemp("relearn")
+        for kind in (KIND_WORLD, KIND_TIMELINE):
+            shutil.copytree(cold.store.root / kind, root / kind)
+        tracer = Tracer()
+        context = _context(ArtifactStore(root), tracer=tracer)
+        context.learn_timeline()
+        # What the relearn alone did, before any test reads a body.
+        loaded = [t.label for t in context.timeline
+                  if t._snapshot is not None]
+        return context, tracer, list(tracer.records), loaded
+
+    def test_relearn_loads_no_body(self, relearned):
+        _, _, records, loaded = relearned
+        names = [r["name"] for r in records]
+        timeline = next(r for r in records if r["name"] == "stage.timeline")
+        assert timeline["attrs"]["cached"]
+        assert "learn.group" in names
+        assert "timeline.body" not in names
+        assert loaded == []
+
+    def test_first_read_equals_cold(self, cold_and_warm, relearned):
+        cold, _ = cold_and_warm
+        context, tracer, _, _ = relearned
+        for label in LABELS:
+            training_set = context.training_set(label)
+            result = training_set.snapshot
+            cold_result = cold.training_set(label).snapshot
+            assert result.world is context.world
+            assert result.training is training_set.items
+            assert result.annotations == cold_result.annotations
+            assert result.traces == cold_result.traces
+            assert _graph_state(result.graph) \
+                == _graph_state(cold_result.graph)
+        loads = _spans(tracer, "timeline.body")
+        assert [r["attrs"]["snapshot"] for r in loads] == LABELS
+
+    def test_section5_times_its_body_load(self, cold_and_warm):
+        cold, _ = cold_and_warm
+        tracer = Tracer()
+        context = _context(ArtifactStore(cold.store.root), tracer=tracer)
+        section5.run(context)
+        tracer.close()
+        loads = _spans(tracer, "timeline.body")
+        assert [r["attrs"]["snapshot"] for r in loads] == [BDRMAPIT_LABEL]
+        assert loads[0]["parent"] is None
+        timeline = _spans(tracer, "stage.timeline")[0]
+        assert loads[0]["start"] >= timeline["start"] + timeline["wall"]
+
+
+class TestParentLayoutTimeline:
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """A context whose store holds the parent-layout timeline."""
+        store = ArtifactStore(tmp_path_factory.mktemp("v3"))
+        context = _context(store, tracer=Tracer(), labels=[RTAA_LABEL])
+        path = store.path_for(KIND_TIMELINE, context._timeline_payload())
+        path.parent.mkdir(parents=True)
+        path.write_bytes(gzip.decompress(PARENT_TIMELINE.read_bytes()))
+        context.timeline
+        assert _spans(context.tracer, "stage.timeline")[0]["attrs"] \
+            .get("cached"), "timeline not read back"
+        return context
+
+    def test_body_matches_the_pins(self, loaded, pins):
+        training_set = loaded.training_set(RTAA_LABEL)
+        result = training_set.snapshot
+        assert isinstance(result, SnapshotResult)
+        assert result.world is loaded.world
+        assert result.training is training_set.items
+        assert traces_digest(result.traces) \
+            == pins[RTAA_LABEL]["traces_sha256"]
+        assert graph_digest(result.graph) == pins[RTAA_LABEL]["graph_sha256"]
+
+    def test_relearns_to_the_pinned_digest(self, loaded, pins):
+        learned = loaded.learned(RTAA_LABEL)
+        assert hashlib.sha256(conventions_to_json(learned).encode(
+            "utf-8")).hexdigest() == pins[RTAA_LABEL]["sha256"]
+
+    def test_section5_rows_equal_cold(self, loaded):
+        cold = _context(labels=[RTAA_LABEL])
+        assert section5.render(section5.run(loaded)) \
+            == section5.render(section5.run(cold))
+
+    def test_repickles_an_unread_body_packed(self, loaded):
+        old = pickle.loads(gzip.decompress(PARENT_TIMELINE.read_bytes()))
+        assert isinstance(old[0]._body, SnapshotResult)
+        again = pickle.loads(pickle.dumps(old))
+        assert [t.label for t in again] == [RTAA_LABEL]
+        assert isinstance(again[0]._body, bytes)
+        assert again[0].snapshot.traces \
+            == loaded.training_set(RTAA_LABEL).snapshot.traces

@@ -1,5 +1,7 @@
 """Edge cases of the training-set timeline and its context accessors."""
 
+import pickle
+
 import pytest
 
 from repro.eval.context import ExperimentContext, Scale
@@ -62,6 +64,55 @@ class TestBuildTimelineRestrictions:
         sets = build_timeline(world, 23, itdk_labels=labels,
                               include_pdb=False)
         assert [t.method for t in sets] == ["rtaa", "bdrmapit"]
+
+
+class TestPackedBodies:
+    """A training set pickles its snapshot as a body loaded on first use."""
+
+    @pytest.fixture(scope="class")
+    def built(self, world):
+        return build_timeline(world, 23, itdk_labels=["2017-02"])
+
+    def test_pickling_leaves_the_live_set_alone(self, world, built):
+        pickle.dumps(built)
+        assert built[0].snapshot.world is world
+        assert built[0].snapshot.training is built[0].items
+
+    def test_body_pickles_without_world_or_items(self, built):
+        body = built[0].__getstate__()["body"]
+        assert isinstance(body, bytes)
+        result = pickle.loads(body)
+        assert result.world is None
+        assert result.training == []
+
+    def test_body_loads_on_first_read(self, world, built):
+        again = pickle.loads(pickle.dumps(built[0]))
+        assert isinstance(again._body, bytes)
+        again.adopt(world)
+        result = again.snapshot
+        assert again._body is None
+        assert again.snapshot is result
+        assert result.world is world
+        assert result.training is again.items
+        assert result.annotations == built[0].snapshot.annotations
+        assert result.traces == built[0].snapshot.traces
+
+    def test_unadopted_body_loads_without_world(self, built):
+        again = pickle.loads(pickle.dumps(built[0]))
+        assert again.snapshot.world is None
+
+    def test_peeringdb_set_has_no_body(self, built):
+        pdb = pickle.loads(pickle.dumps(built[-1]))
+        assert pdb.kind == "peeringdb"
+        assert pdb.snapshot is None
+        assert [item.hostname for item in pdb.items] \
+            == [item.hostname for item in built[-1].items]
+
+    def test_repickling_an_unloaded_body_reuses_it(self, built):
+        again = pickle.loads(pickle.dumps(built[0]))
+        body = again._body
+        assert pickle.loads(pickle.dumps(again))._body == body
+        assert again._body is body
 
 
 class TestGrowthFactors:

@@ -53,6 +53,10 @@ class TestParallelTimelineTiny:
             parallel=ParallelConfig(workers=2, backend="process",
                                     chunk_size=1))
         _assert_identical(serial, parallel)
+        # Worker replies pickle without the world; the caller's own
+        # world is re-attached to each.
+        assert all(t.snapshot.world is world
+                   for t in parallel if t.kind == "itdk")
 
     def test_serial_config_matches_default(self):
         world = generate_world(31, WorldConfig.tiny())
