@@ -54,7 +54,7 @@ class SuffixPlan:
     ``fingerprint`` is the content-addressed identity of the training
     problem: the hash of :func:`~repro.core.hoiho.suffix_cache_payload`,
     which keys the store.  The payload itself is not kept -- it copies
-    every item -- and is rebuilt only to write a learned artifact.
+    every item -- and writing a learned artifact needs only the key.
     ``label`` names the training set the plan came from (empty for
     single-set :class:`~repro.core.hoiho.Hoiho` runs).
     """
@@ -277,7 +277,8 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
     ``suffixes/`` namespace run under a ``learn.plan`` span.  The plans
     left to learn are deduped by fingerprint and the unique ones
     dispatched in ONE fan-out traced under ``span`` (so a pool spins up
-    once for a whole timeline), then written back to the store.  With
+    once for a whole timeline), then written back to the store as one
+    pack (:meth:`~repro.store.ArtifactStore.put_many`).  With
     ``store=None`` nothing is looked up or written.  Returns the plan
     and every plan's artifact keyed by fingerprint; dispatch is in plan
     order, so parallel results are byte-identical to serial ones.
@@ -296,10 +297,9 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
     learned = parallel_map(functools.partial(_learn_artifact_worker, config),
                            [group[0].dataset for group in groups],
                            parallel, retry=retry, site=SITE_LEARN, span=span)
-    for group, artifact in zip(groups, learned):
-        first = group[0]
-        artifacts[first.fingerprint] = artifact
-        if store is not None:
-            store.put(KIND_SUFFIX, suffix_cache_payload(first.dataset, config),
-                      artifact, key=first.fingerprint)
+    new = {group[0].fingerprint: artifact
+           for group, artifact in zip(groups, learned)}
+    artifacts.update(new)
+    if store is not None:
+        store.put_many(KIND_SUFFIX, new)
     return plan, artifacts

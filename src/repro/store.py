@@ -19,10 +19,11 @@ Layout on disk::
                                       ITDK snapshot result as a pickled
                                       body that loads on first use
       hoiho/...                       whole-result learned conventions
-      suffixes/...                    per-suffix learned conventions
+      suffixes/pack-<hash>.pkl        per-suffix learned conventions
                                       (content-addressed by training set
                                       + learner config; the incremental
-                                      relearning substrate)
+                                      relearning substrate): packs, no
+                                      sidecars; plus older entry files
 
 ``repro-hoiho cache info`` and ``repro-hoiho cache clear`` operate on a
 store; :class:`~repro.eval.context.ExperimentContext` consults one when
@@ -40,8 +41,9 @@ import json
 import logging
 import os
 import pickle
+import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import IO, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +55,8 @@ logger = logging.getLogger(__name__)
 #: no router graph, and load v3 pickles that carry a trace list and one.
 #: Still v3: a timeline stores each snapshot result as a pickled body
 #: without world or items, and loads v3 timelines that hold them inline.
+#: Still v3: suffix artifacts are written as packs; new code reads old
+#: per-entry files, and old code only misses on packs.
 STORE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).
@@ -69,6 +73,9 @@ KIND_SUFFIX = "suffixes"
 #: rejects it), so a new artifact kind can never silently be omitted
 #: from info/clear/stale-tmp reaping.
 KINDS = (KIND_WORLD, KIND_TIMELINE, KIND_HOIHO, KIND_SUFFIX)
+
+#: File name prefix of a pack (:meth:`ArtifactStore.put_many`).
+PACK_PREFIX = "pack-"
 
 
 def _key_token(key: object) -> str:
@@ -175,6 +182,7 @@ class ArtifactStore:
         # its tracer into a store the CLI built earlier).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
+        self._packs: Dict[str, Tuple[Optional[int], Dict[str, object]]] = {}
 
     # -- keying ------------------------------------------------------------
 
@@ -204,19 +212,22 @@ class ArtifactStore:
 
     def contains(self, kind: str, payload: Mapping) -> bool:
         """True when an artifact for ``payload`` is on disk."""
-        return self.path_for(kind, payload).is_file()
+        path = self.path_for(kind, payload)
+        return path.is_file() or path.stem in self._packed(kind)
 
     def get(self, kind: str, payload: Optional[Mapping],
             key: Optional[str] = None) -> Optional[object]:
         """The stored artifact, or ``None`` on miss/corruption.
 
         ``key`` is ``payload``'s precomputed fingerprint, as in
-        :meth:`path_for`.
+        :meth:`path_for`.  A per-entry file wins over a pack.
         """
         path = self.path_for(kind, payload, key)
         with self.tracer.span("store.get", kind=kind,
                               fingerprint=path.stem) as span:
             artifact = self._read(path)
+            if artifact is None:
+                artifact = self._packed(kind).get(path.stem)
             hit = artifact is not None
             span.set(hit=hit)
             if hit:
@@ -238,44 +249,71 @@ class ArtifactStore:
             logger.warning("store: unreadable entry %s (%s)", path, exc)
             return None
 
+    def _packed(self, kind: str) -> Dict[str, object]:
+        """Every packed entry of ``kind``, {fingerprint: artifact}: loaded
+        once, reloaded when the directory's ``st_mtime_ns`` changes (a
+        stale view can only miss).  An unreadable pack adds nothing."""
+        folder = self.root / kind
+        try:
+            stamp = folder.stat().st_mtime_ns
+        except OSError:
+            return {}
+        view = self._packs.get(kind)
+        if view is None or view[0] != stamp:
+            merged: Dict[str, object] = {}
+            for pack in sorted(folder.glob(PACK_PREFIX + "*.pkl")):
+                merged.update(self._read(pack) or {})
+            # A coarse clock can stamp a change within 0.1 s the same.
+            racy = time.time_ns() - stamp < 100_000_000
+            view = self._packs[kind] = (None if racy else stamp, merged)
+        return view[1]
+
+    def _count(self, path: Path) -> int:
+        """Entries one file holds: a pack's fingerprints, else 1."""
+        packed = path.name.startswith(PACK_PREFIX)
+        return len(self._read(path) or ()) if packed else 1
+
     def put(self, kind: str, payload: Mapping, artifact: object,
             key: Optional[str] = None) -> Path:
         """Persist ``artifact`` under ``payload``'s fingerprint.
 
-        Both the pickle and its ``.json`` sidecar go through a
-        temporary file + atomic rename, so a crashed run never leaves a
+        Both the pickle and its ``.json`` sidecar go through
+        :func:`_atomic_write`, so a crashed run never leaves a
         half-written pickle *or* a truncated sidecar next to a valid
-        one.  Orphaned temporaries from crashes are reaped by
-        :meth:`clear` and reported by :meth:`info`.  ``payload`` is
-        canonicalised once, for the sidecar and (unless ``key``, its
-        precomputed fingerprint, is given) the hash.
+        one.  ``payload`` is canonicalised once, for the sidecar and
+        (unless ``key``, its precomputed fingerprint, is given) the hash.
         """
         envelope = _envelope(payload)
         path = self.path_for(kind, payload,
                              key if key is not None else _digest(envelope))
+
+        def sidecar(handle) -> None:
+            json.dump(envelope, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         with self.tracer.span("store.put", kind=kind,
                               fingerprint=path.stem):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".pkl.tmp.%d" % os.getpid())
-            try:
-                with open(tmp, "wb") as handle:
-                    pickle.dump(artifact, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
-            meta = path.with_suffix(".json")
-            meta_tmp = path.with_suffix(".json.tmp.%d" % os.getpid())
-            try:
-                with open(meta_tmp, "w", encoding="utf-8") as handle:
-                    json.dump(envelope, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-                os.replace(meta_tmp, meta)
-            finally:
-                if meta_tmp.exists():
-                    meta_tmp.unlink()
+            _atomic_write(path, lambda handle: pickle.dump(
+                artifact, handle, protocol=pickle.HIGHEST_PROTOCOL))
+            _atomic_write(path.with_suffix(".json"), sidecar, "utf-8")
             self.stats.writes += 1
+            if self.metrics is not None:
+                self.metrics.counter("store_writes").inc()
+        return path
+
+    def put_many(self, kind: str,
+                 artifacts: Dict[str, object]) -> Optional[Path]:
+        """Persist ``artifacts``, {fingerprint: artifact}, as one pack: a
+        pickled dict named by the SHA-256 of the sorted fingerprints,
+        with no sidecar.  An empty mapping writes nothing."""
+        name = hashlib.sha256("".join(sorted(artifacts)).encode("ascii"))
+        path = self.path_for(kind, None, PACK_PREFIX + name.hexdigest())
+        if not artifacts:
+            return None
+        with self.tracer.span("store.put", kind=kind, fingerprint=path.stem,
+                              entries=len(artifacts)):
+            _atomic_write(path, lambda handle: pickle.dump(
+                artifacts, handle, protocol=pickle.HIGHEST_PROTOCOL))
+            self.stats.writes += 1  # one committed file
             if self.metrics is not None:
                 self.metrics.counter("store_writes").inc()
         return path
@@ -283,31 +321,22 @@ class ArtifactStore:
     # -- maintenance -------------------------------------------------------
 
     def entries(self, kind: Optional[str] = None) -> List[Path]:
-        """Every pickled artifact currently on disk.
-
-        The walk is derived from the registered namespaces
-        (:data:`KINDS`), never a glob over arbitrary subdirectories, so
-        adding a namespace without registering it is a loud failure
-        (in :meth:`path_for`) rather than a silent maintenance gap.
-        ``kind`` restricts the listing to one namespace.
-        """
-        selected = _selected_kinds(kind)  # validate before the root check
-        if not self.root.is_dir():
-            return []
-        found: List[Path] = []
-        for name in selected:
-            found.extend((self.root / name).glob("*.pkl"))
-        return sorted(found)
+        """Every pickle on disk, packs included, in the registered
+        namespaces (:data:`KINDS`) or in ``kind``.  An unregistered
+        namespace cannot be written (:meth:`path_for` refuses it), so
+        maintenance never misses one."""
+        return self._walk(kind, "*.pkl")
 
     def stale_tmp(self, kind: Optional[str] = None) -> List[Path]:
         """Orphaned temporaries left behind by crashed writers."""
-        selected = _selected_kinds(kind)
-        if not self.root.is_dir():
-            return []
-        found: List[Path] = []
-        for name in selected:
-            found.extend((self.root / name).glob("*.tmp.*"))
-        return sorted(found)
+        return self._walk(kind, "*.tmp.*")
+
+    def _walk(self, kind: Optional[str], pattern: str) -> List[Path]:
+        """Sorted ``pattern`` matches in every namespace, or in ``kind``."""
+        if kind is not None:
+            _check_kind(kind)
+        return sorted(path for name in ((kind,) if kind else KINDS)
+                      for path in (self.root / name).glob(pattern))
 
     def info(self) -> Dict[str, object]:
         """Summary for ``repro-hoiho cache info``.
@@ -322,7 +351,7 @@ class ArtifactStore:
         for path in self.entries():
             size = path.stat().st_size
             entry = kinds[path.parent.name]
-            entry["entries"] += 1
+            entry["entries"] += self._count(path)
             entry["bytes"] += size
             total_bytes += size
         return {
@@ -337,7 +366,8 @@ class ArtifactStore:
 
     def clear(self, kind: Optional[str] = None) -> int:
         """Delete artifacts (plus sidecars and any stale temporaries
-        left by crashed writers); returns entries removed.
+        left by crashed writers); returns entries removed, counting a
+        pack's fingerprints.
 
         ``kind`` restricts the sweep to one namespace -- e.g. flushing
         ``suffixes`` without nuking warm world/timeline artifacts.
@@ -345,14 +375,31 @@ class ArtifactStore:
         """
         removed = 0
         for path in self.entries(kind):
+            removed += self._count(path)
             sidecar = path.with_suffix(".json")
             path.unlink()
             if sidecar.is_file():
                 sidecar.unlink()
-            removed += 1
         for tmp in self.stale_tmp(kind):
             tmp.unlink()
         return removed
+
+
+def _atomic_write(path: Path, write: Callable[[IO], None],
+                  encoding: Optional[str] = None) -> None:
+    """Write ``path`` via ``write(handle)`` on ``<name>.tmp.<pid>`` (text
+    when ``encoding`` is given) and an atomic rename.  A failed write
+    leaves no temporary; a killed writer's is reaped by ``clear``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name("%s.tmp.%d" % (path.name, os.getpid()))
+    try:
+        with open(tmp, "wb" if encoding is None else "w",
+                  encoding=encoding) as handle:
+            write(handle)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def _check_kind(kind: str) -> None:
@@ -360,10 +407,3 @@ def _check_kind(kind: str) -> None:
         raise ValueError("unknown artifact namespace %r (registered: %s)"
                          % (kind, ", ".join(KINDS)))
 
-
-def _selected_kinds(kind: Optional[str]) -> Tuple[str, ...]:
-    """The namespaces a maintenance walk covers (all, or one)."""
-    if kind is None:
-        return KINDS
-    _check_kind(kind)
-    return (kind,)

@@ -20,6 +20,7 @@ from repro.core.hoiho import (
 )
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.store import KIND_SUFFIX, ArtifactStore
 from tests.reference_learner import learn_from_scratch
 
@@ -159,6 +160,22 @@ class TestHoihoSuffixCache:
         assert warm == cold
         assert store.stats.writes == 1  # nothing new persisted
 
+    def test_misses_write_one_pack(self, tmp_path):
+        # Every learned suffix of a run lands in one pack, written
+        # under one store.put span, with no .json sidecar.
+        tracer = Tracer()
+        store = ArtifactStore(tmp_path / "cache", tracer=tracer)
+        items = (_dataset("alpha-inc.org", n=16).items
+                 + _dataset("beta-net.com", base=200, n=16).items)
+        Hoiho(FAST, store=store, tracer=tracer).run(items)
+        puts = [r["attrs"] for r in tracer.records
+                if r["name"] == "store.put"]
+        assert [(a["kind"], a["entries"]) for a in puts] \
+            == [(KIND_SUFFIX, 2)]
+        assert store.stats.writes == 1
+        assert list(store.root.glob("suffixes/*.json")) == []
+        assert store.info()["kinds"][KIND_SUFFIX]["entries"] == 2
+
     def test_matches_uncached_result(self, store):
         items = _dataset(n=16).items
         assert Hoiho(FAST, store=store).run(items) \
@@ -172,8 +189,8 @@ class TestHoihoSuffixCache:
         result = Hoiho(FAST, store=store).run(items)
         assert result.conventions == {}
         [path] = store.entries(KIND_SUFFIX)
-        import pickle
-        artifact = pickle.loads(path.read_bytes())
+        key = suffix_fingerprint(SuffixDataset("x.com", items), FAST)
+        artifact = store.get(KIND_SUFFIX, None, key=key)
         assert isinstance(artifact, SuffixArtifact)
         assert artifact.convention is None
         assert artifact.rejected_reason

@@ -64,7 +64,7 @@ class TestIncrementalTimeline:
         context.learn_timeline()
         counters = context.metrics.snapshot()["counters"]
         assert counters["suffix_cache_misses"] == 10  # 5 per label
-        assert len(store.entries(KIND_SUFFIX)) == 7   # 5 + 2 unique
+        assert store.info()["kinds"][KIND_SUFFIX]["entries"] == 7  # 5 + 2
 
     def test_perturbed_label_reuses_unchanged_suffixes(self, store):
         _context(store, [_snapshot("s0")]).learn_timeline()

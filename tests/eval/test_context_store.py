@@ -5,7 +5,7 @@ import pytest
 from repro.core.hoiho import HoihoConfig
 from repro.core.io import conventions_to_json, training_to_jsonl
 from repro.eval.context import ExperimentContext, Scale
-from repro.store import ArtifactStore, KIND_TIMELINE, KIND_WORLD
+from repro.store import ArtifactStore, KIND_SUFFIX, KIND_TIMELINE, KIND_WORLD
 
 
 LABELS = ["2020-01"]
@@ -28,9 +28,11 @@ class TestWarmRuns:
         cold = _context(store)
         cold_timeline = cold.timeline
         cold_learned = cold.learned("2020-01")
-        # world, timeline, hoiho, plus one suffix artifact per suffix
-        # examined by the incremental layer
-        assert store.stats.writes == 3 + cold_learned.suffixes_examined
+        # world, timeline, hoiho, plus one pack holding a suffix
+        # artifact per suffix examined by the incremental layer
+        assert store.stats.writes == 3 + 1
+        assert store.info()["kinds"][KIND_SUFFIX]["entries"] \
+            == cold_learned.suffixes_examined
 
         # A warm context must never call the generators again.
         import repro.eval.context as context_module

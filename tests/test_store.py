@@ -1,8 +1,13 @@
 """Unit tests for the persistent content-addressed artifact store."""
 
 import dataclasses
+import hashlib
 import json
+import logging
+import os
+import pickle
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -11,12 +16,14 @@ from repro.core.delta import plan_datasets, resolve_plans
 from repro.core.hoiho import HoihoConfig, SuffixArtifact, suffix_cache_payload
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.eval.context import ExperimentContext, Scale
+from repro.obs.trace import Tracer
 from repro.store import (
     KIND_HOIHO,
     KIND_SUFFIX,
     KIND_TIMELINE,
     KIND_WORLD,
     KINDS,
+    PACK_PREFIX,
     STORE_SCHEMA_VERSION,
     ArtifactStore,
     fingerprint,
@@ -313,3 +320,157 @@ class TestStoreDurability:
         assert store.clear() == 1    # ...and do not count as removed
         assert not orphan.exists()
         assert store.stale_tmp() == []
+
+
+def _batch(n=3):
+    """{fingerprint: artifact} for ``n`` distinct suffix artifacts."""
+    return {fingerprint({"suffix": "s%d.com" % i}):
+            SuffixArtifact("s%d.com" % i, None, "batch %d" % i)
+            for i in range(n)}
+
+
+def _spy_reads(store, monkeypatch):
+    """The list of every path ``store`` reads from now on."""
+    loads = []
+    read = store._read
+    monkeypatch.setattr(store, "_read",
+                        lambda path: loads.append(path) or read(path))
+    return loads
+
+
+class TestPacks:
+    """``put_many`` writes one pack per batch; ``get`` reads it back."""
+
+    def test_round_trip_is_one_file_without_sidecar(self, tmp_path):
+        tracer = Tracer()
+        store = ArtifactStore(tmp_path / "cache", tracer=tracer)
+        batch = _batch()
+        path = store.put_many(KIND_SUFFIX, batch)
+        digest = hashlib.sha256("".join(sorted(batch)).encode("ascii"))
+        assert path.name == PACK_PREFIX + digest.hexdigest() + ".pkl"
+        assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+        assert store.stats.writes == 1
+        [put] = [r for r in tracer.records if r["name"] == "store.put"]
+        assert put["attrs"]["entries"] == 3
+        for key, artifact in batch.items():
+            assert store.get(KIND_SUFFIX, None, key=key) == artifact
+        assert ArtifactStore(tmp_path / "cache").get(
+            KIND_SUFFIX, None, key=next(iter(batch))) is not None
+        assert store.get(KIND_SUFFIX, {"suffix": "other.com"}) is None
+
+    def test_pack_name_ignores_insertion_order(self, tmp_path):
+        batch = _batch()
+        backwards = dict(reversed(list(batch.items())))
+        forwards = ArtifactStore(tmp_path / "a").put_many(KIND_SUFFIX, batch)
+        assert forwards.name == ArtifactStore(tmp_path / "b").put_many(
+            KIND_SUFFIX, backwards).name
+
+    def test_empty_batch_writes_nothing(self, store):
+        assert store.put_many(KIND_SUFFIX, {}) is None
+        assert store.entries() == [] and store.stats.writes == 0
+        with pytest.raises(ValueError, match="unknown artifact namespace"):
+            store.put_many("scratch", {})
+
+    def test_packs_and_entry_files_both_hit(self, tmp_path):
+        # Entries written before packs existed sit beside new packs.
+        shutil.copytree(V3_FIXTURE, tmp_path / "cache")
+        store = ArtifactStore(tmp_path / "cache")
+        batch = _batch()
+        store.put_many(KIND_SUFFIX, batch)
+        assert store.get(KIND_SUFFIX, None, key=V3_SUFFIX_KEY) \
+            == SuffixArtifact("alpha-inc.org", None, "fixture")
+        for key, artifact in batch.items():
+            assert store.get(KIND_SUFFIX, None, key=key) == artifact
+            assert store.contains(KIND_SUFFIX, {"suffix": artifact.suffix})
+
+    def test_info_and_clear_count_packed_entries(self, store):
+        store.put_many(KIND_SUFFIX, _batch(3))
+        store.put(KIND_SUFFIX, {"suffix": "x.com"}, "per-entry")
+        store.put(KIND_WORLD, {"seed": 1}, "a world")
+        info = store.info()
+        assert info["kinds"][KIND_SUFFIX]["entries"] == 4
+        assert info["entries"] == 5
+        assert len(store.entries(KIND_SUFFIX)) == 2  # files on disk
+        assert store.clear(KIND_SUFFIX) == 4
+        assert store.info()["kinds"][KIND_SUFFIX]["entries"] == 0
+        assert store.info()["entries"] == 1
+
+    def test_orphaned_pack_tmp_only_misses(self, store):
+        # A writer killed before its rename leaves a complete pickle
+        # under the temporary name: it must never be read as a pack.
+        batch = _batch()
+        folder = store.root / KIND_SUFFIX
+        folder.mkdir(parents=True)
+        orphan = folder / (PACK_PREFIX + "d" * 64 + ".pkl.tmp.4242")
+        orphan.write_bytes(pickle.dumps(batch))
+        for key in batch:
+            assert store.get(KIND_SUFFIX, None, key=key) is None
+        info = store.info()
+        assert info["stale_tmp"] == 1
+        assert info["kinds"][KIND_SUFFIX]["entries"] == 0
+        assert store.clear() == 0
+        assert not orphan.exists()
+
+    def test_truncated_pack_warns_and_misses(self, tmp_path, caplog):
+        batch = _batch()
+        path = ArtifactStore(tmp_path / "cache").put_many(KIND_SUFFIX, batch)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        store = ArtifactStore(tmp_path / "cache")
+        with caplog.at_level(logging.WARNING, logger="repro.store"):
+            for key in batch:
+                assert store.get(KIND_SUFFIX, None, key=key) is None
+        assert any("unreadable entry" in r.getMessage() and
+                   path.name in r.getMessage() for r in caplog.records)
+        assert store.info()["kinds"][KIND_SUFFIX]["entries"] == 0
+        assert store.clear(KIND_SUFFIX) == 0 and not path.exists()
+
+    def test_instance_sees_a_pack_written_after_its_miss(self, tmp_path):
+        reader = ArtifactStore(tmp_path / "cache")
+        writer = ArtifactStore(tmp_path / "cache")
+        first, second = _batch(1), {fingerprint({"n": 2}): "second"}
+        writer.put_many(KIND_SUFFIX, first)
+        [key] = second
+        assert reader.get(KIND_SUFFIX, None, key=key) is None
+        writer.put_many(KIND_SUFFIX, second)
+        assert reader.get(KIND_SUFFIX, None, key=key) == "second"
+        [(old, artifact)] = first.items()
+        assert reader.get(KIND_SUFFIX, None, key=old) == artifact
+
+    def test_settled_view_reloads_only_when_mtime_moves(self, tmp_path,
+                                                        monkeypatch):
+        # Once the directory's mtime is older than the clock's
+        # granularity, gets reuse the loaded packs until the mtime moves.
+        reader = ArtifactStore(tmp_path / "cache")
+        writer = ArtifactStore(tmp_path / "cache")
+        batch = _batch()
+        writer.put_many(KIND_SUFFIX, batch)
+        folder = tmp_path / "cache" / KIND_SUFFIX
+        stamp = folder.stat().st_mtime_ns
+        real = time.time_ns
+        monkeypatch.setattr("repro.store.time.time_ns",
+                            lambda: real() + 10 * 10 ** 9)
+        loads = _spy_reads(reader, monkeypatch)
+        for key in batch:
+            assert reader.get(KIND_SUFFIX, None, key=key) is not None
+        assert sum(p.name.startswith(PACK_PREFIX) for p in loads) == 1
+        second = {fingerprint({"n": 2}): "second"}
+        writer.put_many(KIND_SUFFIX, second)
+        # A coarse clock may give the write the old mtime; move it
+        # explicitly, as a later tick would.
+        os.utime(folder, ns=(stamp + 10 ** 9, stamp + 10 ** 9))
+        [key] = second
+        assert reader.get(KIND_SUFFIX, None, key=key) == "second"
+        assert sum(p.name.startswith(PACK_PREFIX) for p in loads) == 3
+
+    def test_fresh_view_is_reloaded(self, store, monkeypatch):
+        # A view taken within 0.1 s of the directory's mtime may have
+        # missed a change a coarse clock stamped the same: reload it.
+        store.put_many(KIND_SUFFIX, _batch(1))
+        stamp = (store.root / KIND_SUFFIX).stat().st_mtime_ns
+        monkeypatch.setattr("repro.store.time.time_ns", lambda: stamp)
+        loads = _spy_reads(store, monkeypatch)
+        [key] = _batch(1)
+        store.get(KIND_SUFFIX, None, key=key)
+        store.get(KIND_SUFFIX, None, key=key)
+        assert sum(p.name.startswith(PACK_PREFIX) for p in loads) == 2
