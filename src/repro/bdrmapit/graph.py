@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.alias.midar import AliasResolution
 from repro.asn.bgp import IXP_ASN, RouteTable, UNKNOWN_ASN
+from repro.obs.trace import NULL_SPAN
 from repro.traceroute.probe import Trace, TraceSet
 
 
@@ -80,11 +81,18 @@ class RouterGraph:
 
 def build_router_graph(resolution: AliasResolution,
                        traces: Sequence[Trace],
-                       route_table: RouteTable) -> RouterGraph:
+                       route_table: RouteTable,
+                       span=NULL_SPAN) -> RouterGraph:
     """Accumulate per-node state from a trace collection.
 
     Reads a :class:`TraceSet`'s hop columns; any other sequence of
-    traces is packed into one first.
+    traces is packed into one first.  A trace's body is its hops up to
+    the destination's own reply (a last hop equal to ``dst_address``;
+    ``reached`` plays no part).  A run of consecutive traces with the
+    same ``dst_asn`` and the same body (the probes of one prefix from
+    one VP) is walked once, weighted by the run's length; then each
+    trace's reply and ``last_hop_dests`` vote apply on their own.
+    ``span`` records ``traces`` and ``bodies``, the runs walked.
     """
     if not isinstance(traces, TraceSet):
         traces = TraceSet(traces)
@@ -105,31 +113,56 @@ def build_router_graph(resolution: AliasResolution,
             state.origins[route_table.origin(address)] += 1
 
     # One pass over the hop column maps every hop to its node (None for
-    # anonymous and unresolved hops).  Then each trace walks its node
-    # path, one step per run of consecutive hops on the same node.
-    hops, offsets = traces.hops, traces.offsets
+    # anonymous and unresolved hops).  A walk over hop positions then
+    # takes one step per run of consecutive hops on the same node.
+    hops, offsets, dst_asns = traces.hops, traces.offsets, traces.dst_asn
     node_of_hop = list(map(resolution.node_of_address.get, hops))
     ixp_of: Dict[int, bool] = {}
-    for index, dest_origin in enumerate(traces.dst_asn):
-        previous: Optional[NodeState] = None
-        previous_id = None
-        for position in range(offsets[index], offsets[index + 1]):
+
+    def walk(first: int, stop: int, previous: Optional[NodeState],
+             previous_id: Optional[str], dest_origin: int,
+             weight: int) -> Tuple[Optional[NodeState], Optional[str]]:
+        for position in range(first, stop):
             node_id = node_of_hop[position]
             if node_id is None or node_id == previous_id:
                 continue
             state = states.get(node_id) or state_for(node_id)
-            state.dests[dest_origin] += 1
+            state.dests[dest_origin] += weight
             if previous is not None:
                 address = hops[position]
-                previous.subsequent_ifaces[address] += 1
+                previous.subsequent_ifaces[address] += weight
                 is_ixp = ixp_of.get(address)
                 if is_ixp is None:
                     is_ixp = ixp_of[address] = route_table.is_ixp(address)
                 if is_ixp:
-                    ixp_subsequent[previous_id][address] += 1
+                    ixp_subsequent[previous_id][address] += weight
             previous, previous_id = state, node_id
-        if previous is not None:
-            previous.last_hop_dests[dest_origin] += 1
+        return previous, previous_id
+
+    # Each trace's body ends before the destination's own reply: a last
+    # hop equal to its ``dst_address`` (``reached`` is not consulted).
+    stops = [end - 1 if end > start and hops[end - 1] == dst_address
+             else end for start, end, dst_address
+             in zip(offsets, offsets[1:], traces.dst_address)]
+    count, index, bodies = len(traces), 0, 0
+    while index < count:
+        start, stop = offsets[index], stops[index]
+        dest_origin, body = dst_asns[index], hops[start:stop]
+        run_end = index + 1
+        while (run_end < count and dst_asns[run_end] == dest_origin
+               and hops[offsets[run_end]:stops[run_end]] == body):
+            run_end += 1
+        bodies += 1
+        body_end = walk(start, stop, None, None, dest_origin,
+                        run_end - index)
+        for trace in range(index, run_end):
+            # The trace's own reply, if it has one, then its vote.
+            previous, _ = walk(stops[trace], offsets[trace + 1], *body_end,
+                               dest_origin, 1)
+            if previous is not None:
+                previous.last_hop_dests[dest_origin] += 1
+        index = run_end
+    span.set(traces=count, bodies=bodies)
 
     # Mark link mates: a subsequent address in the same /30 as one of the
     # node's own addresses.

@@ -41,14 +41,16 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
     """Run a campaign (unless ``traces`` given) and build the snapshot.
 
     ``tracer`` records the three steps as ``snapshot.campaign``,
-    ``snapshot.alias`` and ``snapshot.names`` spans.
+    ``snapshot.alias`` and ``snapshot.names`` spans; a campaign run here
+    sets ``traces`` and ``walks`` on its span (see :func:`run_campaign`).
     """
     config = config or BuildConfig()
-    with tracer.span("snapshot.campaign"):
+    with tracer.span("snapshot.campaign") as span:
         if traces is None:
             if routing is None:
                 routing = RoutingModel(world.graph)
-            traces = run_campaign(world, routing, seed, config.campaign)
+            traces = run_campaign(world, routing, seed, config.campaign,
+                                  span=span)
         elif not isinstance(traces, TraceSet):
             traces = TraceSet(traces)
 

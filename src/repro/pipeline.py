@@ -116,7 +116,9 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     spec's label/method) with one child span per stage -- the record
     ``trace summary`` renders per snapshot when the timeline fans these
     out to worker processes.  Only a bdrmapIT snapshot builds its router
-    graph, in a ``snapshot.graph`` span before ``snapshot.annotate``.
+    graph, in a ``snapshot.graph`` span before ``snapshot.annotate``; the
+    campaign and graph spans count their traces and the shared work
+    (``walks``, ``bodies``).
     """
     with tracer.span("snapshot", snapshot=spec.label,
                      method=spec.method) as span:
@@ -134,8 +136,12 @@ def run_snapshot(world: World, spec: SnapshotSpec,
                                 snapshot=snapshot, annotations={},
                                 traces=built.traces)
         if spec.method == METHOD_BDRMAPIT:
-            with tracer.span("snapshot.graph"):
-                graph = result.graph
+            with tracer.span("snapshot.graph") as graph_span:
+                # Built here rather than by the ``graph`` property so the
+                # span records its ``traces`` and ``bodies``.
+                graph = result.graph = build_router_graph(
+                    snapshot.resolution, result.traces,
+                    world.plan.route_table, span=graph_span)
 
         with tracer.span("snapshot.annotate", method=spec.method):
             if spec.method == METHOD_RTAA:

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
+from repro.obs.trace import NULL_SPAN
 from repro.topology.asgraph import Tier
+from repro.topology.routers import Router
 from repro.topology.world import World
 from repro.traceroute.probe import Prober, TraceSet
 from repro.traceroute.routing import RoutingModel
@@ -40,24 +42,24 @@ def select_vps(world: World, n_vps: int, seed: int) -> List[int]:
     return sorted(pool[:min(n_vps, len(pool))])
 
 
-def run_campaign(world: World, routing: RoutingModel, seed: int,
-                 config: Optional[CampaignConfig] = None) -> TraceSet:
-    """Probe (a sample of) every AS's edge prefixes from every VP.
+def vp_router(world: World, vp_asn: int) -> Router:
+    """The router a VP in ``vp_asn`` probes from: its first core router,
+    else its first router."""
+    routers = world.topology.routers_by_asn[vp_asn]
+    cores = [r for r in routers if r.role == "core"]
+    return cores[0] if cores else routers[0]
 
-    Each walk goes straight into the returned :class:`TraceSet`'s
-    columns; a walk with no hops is dropped.
+
+def campaign_destinations(world: World, seed: int,
+                          config: CampaignConfig) -> List[int]:
+    """Every address a campaign probes, in probing order: addresses
+    inside each AS's edge prefixes, AS by AS.
+
+    For prefixes smaller than the per-prefix target count the clamped
+    offset collapses several indexes onto the same host; ``seen``
+    dedupes so no destination is probed twice from the same VP.
     """
-    config = config or CampaignConfig()
     rng = substream(seed, "campaign")
-    prober = Prober(world, routing, seed,
-                    anonymous_rate=config.anonymous_rate,
-                    dest_responds_rate=config.dest_responds_rate)
-    vp_asns = select_vps(world, config.n_vps, seed)
-
-    # Destination list: addresses inside each AS's edge prefixes.  For
-    # prefixes smaller than the per-prefix target count the clamped
-    # offset collapses several indexes onto the same host; ``seen``
-    # dedupes so no destination is probed twice from the same VP.
     destinations: List[int] = []
     seen: Set[int] = set()
     for asn in world.graph.asns():
@@ -73,14 +75,28 @@ def run_campaign(world: World, routing: RoutingModel, seed: int,
                 if address not in seen:
                     seen.add(address)
                     destinations.append(address)
+    return destinations
 
+
+def run_campaign(world: World, routing: RoutingModel, seed: int,
+                 config: Optional[CampaignConfig] = None,
+                 span=NULL_SPAN) -> TraceSet:
+    """Probe (a sample of) every AS's edge prefixes from every VP.
+
+    Each VP walks once per group of consecutive destinations in one
+    origin AS (:meth:`Prober.walk_groups`), writing its rows straight
+    into the returned :class:`TraceSet`'s columns; a walk with no hops
+    is dropped.  ``span`` records ``traces`` and ``walks``, the
+    (VP, destination group) walks that found a route.
+    """
+    config = config or CampaignConfig()
+    prober = Prober(world, routing, seed,
+                    anonymous_rate=config.anonymous_rate,
+                    dest_responds_rate=config.dest_responds_rate)
+    groups = prober.targets(campaign_destinations(world, seed, config))
     traces = TraceSet()
-    for vp_asn in vp_asns:
-        routers = world.topology.routers_by_asn[vp_asn]
-        cores = [r for r in routers if r.role == "core"]
-        vp_router = cores[0] if cores else routers[0]
-        for dst_address in destinations:
-            walk = prober.walk(vp_asn, vp_router, dst_address)
-            if walk is not None and walk[1]:  # walk[1]: its hops
-                traces.add(vp_asn, dst_address, vp_router.loc, *walk)
+    walks = sum(prober.walk_groups(traces, vp_asn, vp_router(world, vp_asn),
+                                   groups)
+                for vp_asn in select_vps(world, config.n_vps, seed))
+    span.set(traces=len(traces), walks=walks)
     return traces

@@ -197,6 +197,12 @@ class _Segment(NamedTuple):
 #: crossing so far succeeded.  Memo entries are never mutated.
 _PrefixState = Tuple["array[int]", "array[float]", float, Router, bool]
 
+#: One destination of a walk: its address and the edge router hosting
+#: its prefix (``None`` when its AS has no routers).
+Target = Tuple[int, Optional[Router]]
+#: Consecutive destinations sharing an origin AS: (origin AS, targets).
+TargetGroup = Tuple[int, List[Target]]
+
 
 def _extend(hops: "array[int]", rtts: "array[float]", delay: float,
             segment: _Segment) -> float:
@@ -220,11 +226,18 @@ class Prober:
     crossing, keyed on (current router, this AS, next AS), is the
     internal path to the egress border router plus the interdomain hop;
     each destination tail, keyed on (current router, edge router), is
-    the internal path to the edge router.  A walk's state after every
+    the internal path to the edge router.  Internal paths come from one
+    BFS parent tree per source router.  A walk's state after every
     AS-path prefix is memoised, keyed on the prefix, so a walk extends
     its parent prefix by one crossing.  The prefix memo belongs to one
-    vantage point: :meth:`walk` clears it whenever it sees a different
+    vantage point: a walk clears it whenever it sees a different
     ``vp_router``, which bounds it by that VP's tree of AS paths.
+
+    :meth:`walk_groups` is the one walk kernel: it walks from a VP to
+    groups of destinations, each in one origin AS (see :meth:`targets`),
+    with one AS path and one prefix state per group, one tail per edge
+    router, and per destination only the reply.  :meth:`walk` and
+    :meth:`trace` are its one-destination case.
     """
 
     def __init__(self, world: World, routing: RoutingModel,
@@ -256,7 +269,9 @@ class Prober:
         self._edge_routers: "PrefixTable[Router]" = PrefixTable()
         for prefix, router in self._topo.edge_router_of_prefix.items():
             self._edge_routers.insert(prefix, router)
-        # Compiled segments (None: no route), kept for the prober's life.
+        # BFS parent trees per source router and compiled segments
+        # (None: no route), kept for the prober's life.
+        self._trees: Dict[str, Dict[str, Tuple[Link, Router, Router]]] = {}
         self._crossings: Dict[Tuple[str, int, int], Optional[_Segment]] = {}
         self._tails: Dict[Tuple[str, str], Optional[_Segment]] = {}
         # The per-VP prefix memo and the VP router it belongs to.
@@ -271,32 +286,40 @@ class Prober:
         paired with the interface each one is reached on."""
         if src.rid == dst.rid:
             return []
+        tree = self._trees.get(src.rid)
+        if tree is None:
+            tree = self._trees[src.rid] = self._bfs_tree(src)
+        if dst.rid not in tree:
+            return None
+        steps: List[Tuple[Router, Interface]] = []
+        walk = dst.rid
+        while walk != src.rid:
+            link, router, previous = tree[walk]
+            steps.append((router, link.a if link.a.router is router
+                          else link.b))
+            walk = previous.rid
+        steps.reverse()
+        return steps
+
+    def _bfs_tree(self, src: Router) -> Dict[str, Tuple[Link, Router, Router]]:
+        """Breadth-first parents of every router reachable from ``src``
+        over internal links: router id -> (link, router, parent).
+
+        A router's parent is fixed when it is first discovered, so the
+        path to any one router is the one a BFS stopping at it finds.
+        """
         parents: Dict[str, Tuple[Link, Router, Router]] = {}
         frontier = deque([src])
         seen = {src.rid}
-        found = False
-        while frontier and not found:
+        while frontier:
             current = frontier.popleft()
             for link, neighbor in self._internal[current.rid]:
                 if neighbor.rid in seen:
                     continue
                 seen.add(neighbor.rid)
                 parents[neighbor.rid] = (link, neighbor, current)
-                if neighbor.rid == dst.rid:
-                    found = True
-                    break
                 frontier.append(neighbor)
-        if not found:
-            return None
-        steps: List[Tuple[Router, Interface]] = []
-        walk = dst.rid
-        while walk != src.rid:
-            link, router, previous = parents[walk]
-            steps.append((router, link.a if link.a.router is router
-                          else link.b))
-            walk = previous.rid
-        steps.reverse()
-        return steps
+        return parents
 
     # -- interdomain link selection ------------------------------------------
 
@@ -422,35 +445,95 @@ class Prober:
         """One traceroute as ``(dst_asn, hops, rtts, reached)``, the
         columns :meth:`TraceSet.add` takes; ``None`` as in :meth:`trace`.
 
-        A call with a different ``vp_router`` than the previous one
-        clears the prefix memo.  The returned arrays are the caller's.
+        It is :meth:`walk_groups` with one destination.  A call with a
+        different ``vp_router`` than the previous one clears the prefix
+        memo.  The returned arrays are the caller's.
         """
-        dst_asn = self._world.origin(dst_address)
-        if dst_asn <= 0:
+        groups = self.targets([dst_address])
+        traces = TraceSet()
+        if not self.walk_groups(traces, vp_asn, vp_router, groups):
             return None
-        as_path = self._routing.as_path(vp_asn, dst_asn)
-        if as_path is None:
-            return None
+        return groups[0][0], traces.hops, traces.rtts, any(traces.reached)
+
+    def targets(self, destinations: Iterable[int]) -> List[TargetGroup]:
+        """``destinations`` as :meth:`walk_groups` takes them: each run
+        of consecutive destinations with one origin AS becomes one
+        ``(origin AS, [(address, edge router), ...])`` group, in order.
+        A destination with no origin AS is dropped: no walk reaches it.
+        """
+        groups: List[TargetGroup] = []
+        for address in destinations:
+            dst_asn = self._world.origin(address)
+            if dst_asn <= 0:
+                continue
+            target = (address, self._edge_router_for(address, dst_asn))
+            if groups and groups[-1][0] == dst_asn:
+                groups[-1][1].append(target)
+            else:
+                groups.append((dst_asn, [target]))
+        return groups
+
+    def walk_groups(self, traces: TraceSet, vp_asn: int, vp_router: Router,
+                    groups: Sequence[TargetGroup]) -> int:
+        """Walk from ``vp_router`` to every target of ``groups``,
+        appending one row per walk with hops to ``traces``' columns.
+
+        The AS path and the walk's state on entering the group's AS are
+        computed once per group, the tail to each edge router once per
+        group and edge router; per target only the destination's reply
+        is left.  Replies are drawn in target order, and only for walks
+        that reach their edge router.  Returns the number of groups
+        walked: those the VP has a route to.
+        """
         if vp_router.rid != self._prefix_vp:
             self._prefix_vp = vp_router.rid
             self._prefixes = {}
-        hops, rtts, delay, router, complete = \
-            self._prefix(tuple(as_path), vp_router)
-        hops, rtts = hops[:], rtts[:]
-        # Inside the destination AS: walk to the edge router hosting the
-        # destination prefix, then the destination itself may answer.
-        reached = False
-        if complete:
-            edge_router = self._edge_router_for(dst_address, dst_asn)
-            tail = None if edge_router is None \
-                else self._tail(router, edge_router)
-            if tail is not None:
-                delay = _extend(hops, rtts, delay, tail)
-                if self._destination_responds(dst_address):
-                    hops.append(dst_address)
-                    rtts.append(round(2.0 * (delay + 0.05) + 0.5, 3))
-                    reached = True
-        return dst_asn, hops, rtts, reached
+        as_path, prefix = self._routing.as_path, self._prefix
+        vp_loc = vp_router.loc
+        hop_column, rtt_column = traces.hops, traces.rtts
+        walked = 0
+        for dst_asn, targets in groups:
+            path = as_path(vp_asn, dst_asn)
+            if path is None:
+                continue
+            walked += 1
+            hops, rtts, delay, router, complete = \
+                prefix(tuple(path), vp_router)
+            # Edge router id -> the walk's hops, RTTs and delay at the
+            # edge router (delay None: the walk stops short of it).
+            bodies: Dict[Optional[str], Tuple["array[int]", "array[float]",
+                                              Optional[float]]] = {}
+            for dst_address, edge in targets:
+                key = None if edge is None else edge.rid
+                body = bodies.get(key)
+                if body is None:
+                    tail = None if edge is None or not complete \
+                        else self._tail(router, edge)
+                    if tail is None:
+                        body = (hops, rtts, None)
+                    else:
+                        body_hops, body_rtts = hops[:], rtts[:]
+                        body = (body_hops, body_rtts,
+                                _extend(body_hops, body_rtts, delay, tail))
+                    bodies[key] = body
+                body_hops, body_rtts, end_delay = body
+                reached = end_delay is not None \
+                    and self._destination_responds(dst_address)
+                if not body_hops and not reached:
+                    continue
+                traces.vp_asn.append(vp_asn)
+                traces.dst_address.append(dst_address)
+                traces.dst_asn.append(dst_asn)
+                traces.vp_loc.append(vp_loc)
+                traces.reached.append(reached)
+                hop_column.extend(body_hops)
+                rtt_column.extend(body_rtts)
+                if reached:
+                    hop_column.append(dst_address)
+                    rtt_column.append(
+                        round(2.0 * (end_delay + 0.05) + 0.5, 3))
+                traces.offsets.append(len(hop_column))
+        return walked
 
     def _edge_router_for(self, address: int,
                          dst_asn: int) -> Optional[Router]:

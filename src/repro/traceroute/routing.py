@@ -159,14 +159,19 @@ class RoutingModel:
                 max_len: int = 32) -> Optional[List[int]]:
         """The AS-level path from ``src`` to ``dst`` (inclusive).
 
-        Returns ``None`` when no route exists.
+        Returns ``None`` when no route exists.  Equal to following
+        :meth:`next_hop` from ``src``, reading the vector towards
+        ``dst`` once.
         """
         if src == dst:
             return [src]
+        if dst not in self._index:
+            return None
+        hops, index = self._hops_to(dst), self._index
         path = [src]
         current = src
         for _ in range(max_len):
-            nxt = self.next_hop(current, dst)
+            nxt = hops[index[current]]
             if nxt is None:
                 return None
             path.append(nxt)

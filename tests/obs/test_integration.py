@@ -125,6 +125,23 @@ class TestTracedContext:
                       "snapshot.names"):
             assert by_name[child][0]["parent"] == build_id
 
+    def test_campaign_and_graph_spans_count_shared_work(self):
+        """A VP walks each destination AS once for its two probes, and
+        the graph walks the pair's shared body once."""
+        context = self._context()
+        context.timeline
+        context.tracer.close()
+        by_name = _by_name(context.tracer.records)
+        for name, shared in (("snapshot.campaign", "walks"),
+                             ("snapshot.graph", "bodies")):
+            spans = by_name[name]
+            assert spans and all(set(span["attrs"]) == {"traces", shared}
+                                 for span in spans), name
+            traces = sum(span["attrs"]["traces"] for span in spans)
+            assert sum(span["attrs"][shared] for span in spans) \
+                == traces // 2 > 0, name
+        assert all("items" in span["attrs"] for span in by_name["snapshot"])
+
     def test_store_spans_and_counters(self, tmp_path):
         cold = self._context(tmp_path)
         cold.learn_timeline()

@@ -97,3 +97,54 @@ class TestLazyEquivalenceProperty:
             assert lazy.next_hop(src, dst) == eager.next_hop(src, dst)
             assert lazy.as_path(src, dst) == eager.as_path(src, dst)
             assert lazy.reachable(src, dst) == eager.reachable(src, dst)
+
+
+def _next_hop_walk(model, src, dst, max_len):
+    """The AS path by one :meth:`RoutingModel.next_hop` call per step."""
+    if src == dst:
+        return [src]
+    path, current = [src], src
+    for _ in range(max_len):
+        nxt = model.next_hop(current, dst)
+        if nxt is None:
+            return None
+        path.append(nxt)
+        if nxt == dst:
+            return path
+        current = nxt
+    return None
+
+
+class TestAsPathIsNextHopWalk:
+    """``as_path`` reads the next-hop vector once; it must equal the
+    step-by-step ``next_hop`` walk, on lazy and eager models alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_as_path_equals_next_hop_walk(self, data, world, eager):
+        asns = world.graph.asns()
+        lazy = RoutingModel(world.graph)
+        picks = data.draw(st.lists(
+            st.tuples(st.sampled_from(asns),
+                      st.one_of(st.sampled_from(asns), st.just(999999)),
+                      st.integers(0, 6)),
+            min_size=1, max_size=12))
+        for src, dst, max_len in picks:
+            for model in (lazy, eager):
+                assert model.as_path(src, dst, max_len) \
+                    == _next_hop_walk(model, src, dst, max_len)
+                assert model.as_path(src, dst) \
+                    == _next_hop_walk(model, src, dst, 32)
+
+    def test_unknown_destination_and_cut_off(self, world, eager):
+        asns = world.graph.asns()
+        lazy = RoutingModel(world.graph)
+        assert lazy.as_path(asns[0], 999999) is None
+        assert lazy.computed_destinations == 0
+        src, dst = next((s, d) for s in asns for d in asns
+                        if len(eager.as_path(s, d) or ()) >= 3)
+        hops = len(eager.as_path(src, dst)) - 1
+        for model in (lazy, eager):
+            assert model.as_path(src, dst, hops) == eager.as_path(src, dst)
+            assert model.as_path(src, dst, hops - 1) is None
+            assert _next_hop_walk(model, src, dst, hops - 1) is None

@@ -51,6 +51,46 @@ trace_lists = st.lists(traces(), max_size=20)
 
 
 @st.composite
+def shared_body_runs(draw):
+    """Runs of traces that share every hop but the last, as a VP's
+    probes of one prefix do.  Each trace then ends in one of five ways:
+    its destination's own reply, a differing last hop that is not its
+    destination, a reply on the body's last address (so on the body's
+    last node), no extra hop at all, or no hops at all (``reached`` or
+    not, right after a non-empty trace).  ``dst_asn`` may change inside
+    a run, and ``reached`` is drawn apart from the hops."""
+    trace_list = []
+    for _ in range(draw(st.integers(1, 4))):
+        body = draw(st.lists(hop, max_size=8))
+        dst_asn = draw(st.integers(-1, 3))
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.integers(0, 3)) == 0:
+                dst_asn = draw(st.integers(-1, 3))
+            dst_address = draw(address)
+            ending = draw(st.sampled_from(
+                ["reply", "other", "alias", "none", "empty"]))
+            hops = list(body)
+            if ending == "reply":
+                hops.append((dst_address, draw(rtt)))
+            elif ending == "other":
+                hops.append((draw(address.filter(
+                    lambda other: other != dst_address)), draw(rtt)))
+            elif ending == "alias":
+                responsive = [hop for hop, _ in body if hop is not None]
+                if responsive:
+                    dst_address = responsive[-1]
+                hops.append((dst_address, draw(rtt)))
+            elif ending == "empty":
+                hops = []
+            trace_list.append(Trace(
+                vp_asn=1, dst_address=dst_address, dst_asn=dst_asn,
+                hops=[addr for addr, _ in hops],
+                rtts=[value for _, value in hops],
+                reached=draw(st.booleans())))
+    return trace_list
+
+
+@st.composite
 def resolutions(draw):
     """Some pool addresses grouped into nodes; the rest unresolved."""
     resolution = AliasResolution()
@@ -207,6 +247,18 @@ class TestRouterGraphOracle:
         assert _graph_tuple(build_router_graph(
             resolution, trace_list, table)) == _graph_tuple(expected)
 
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @given(resolutions(), shared_body_runs())
+    def test_shared_bodies_match_per_trace_loop(self, resolution,
+                                                trace_list):
+        """Runs sharing a body are walked once; each trace's own end
+        and vote must still land where the per-trace loop puts them."""
+        table = _route_table()
+        assert _graph_tuple(build_router_graph(
+            resolution, TraceSet(trace_list), table)) \
+            == _graph_tuple(oracle_router_graph(resolution, trace_list,
+                                                table))
+
     def test_consecutive_same_node_hops_count_once(self):
         """A node answering twice in a row is one step of the path."""
         a, b, c = ADDRESSES[:3]
@@ -222,13 +274,29 @@ class TestRouterGraphOracle:
         assert graph.states["N0"].subsequent_ifaces == Counter({c: 1})
 
     def test_campaign_graph_matches_oracle(self):
-        """A real TINY campaign through both."""
+        """A real TINY campaign through both.  A VP's two probes of one
+        prefix share their hops up to the destination's reply, so the
+        graph walks one body per pair."""
         world = generate_world(11, WorldConfig.tiny())
         naming = assign_hostnames(world, 11, NamingConfig())
         built = build_snapshot(world, naming, 11, "x")
         assert isinstance(built.traces, TraceSet) and len(built.traces)
         table = world.plan.route_table
         resolution = built.snapshot.resolution
+        span = _Attrs()
         assert _graph_tuple(build_router_graph(
-            resolution, built.traces, table)) == _graph_tuple(
+            resolution, built.traces, table, span=span)) == _graph_tuple(
             oracle_router_graph(resolution, list(built.traces), table))
+        assert span.attrs == {"traces": len(built.traces),
+                              "bodies": len(built.traces) // 2}
+
+
+class _Attrs:
+    """A span stand-in that keeps what ``set`` records."""
+
+    def __init__(self):
+        self.attrs = {}
+
+    def set(self, **attrs):
+        self.attrs.update(attrs)
+        return self

@@ -1,27 +1,33 @@
-"""The compiled segment walk against the per-hop walk it replaced.
+"""The grouped segment walk against the per-hop walk it replaced.
 
 :class:`ReferenceProber` keeps the per-hop ``walk`` and ``_record`` as
 the oracle: it recomputes every hop's propagation delay and RTT as it
-goes, with no segments and no prefix memo.  Campaigns must match it
-column for column, RTTs by bytes, and so must single traces that
-alternate between vantage points (which clears the prefix memo) and
-walks truncated by a missing interdomain or internal link.
+goes, with no segments, no prefix memo and no destination groups.  The
+reference campaign calls it once per (VP, destination) over the lists
+``run_campaign`` probes.  Campaigns must match it column for column,
+RTTs by bytes, and so must single traces that alternate between vantage
+points (which clears the prefix memo), walks truncated by a missing
+interdomain or internal link, and destination groups that span two edge
+routers.
 """
 
 from collections import deque
 
 import pytest
 
+from repro.bdrmapit.graph import build_router_graph
 from repro.eval.timeline import _timeline_tasks
-from repro.pipeline import SnapshotTask
+from repro.itdk.builder import build_snapshot
+from repro.naming.assigner import assign_hostnames
+from repro.pipeline import METHOD_BDRMAPIT, SnapshotTask
 from repro.topology import geo
 from repro.topology.routers import LinkKind
 from repro.topology.world import WorldConfig, generate_world
-from repro.traceroute import campaign
-from repro.traceroute.campaign import CampaignConfig, run_campaign, \
-    select_vps
-from repro.traceroute.probe import ANONYMOUS, NO_RTT, Prober
+from repro.traceroute.campaign import CampaignConfig, \
+    campaign_destinations, run_campaign, select_vps, vp_router
+from repro.traceroute.probe import ANONYMOUS, NO_RTT, Prober, TraceSet
 from repro.traceroute.routing import RoutingModel
+from tests.traceroute.test_traceset import _graph_tuple, oracle_router_graph
 
 
 class ReferenceProber(Prober):
@@ -132,10 +138,22 @@ class ReferenceProber(Prober):
         return dst_asn, hops, rtts, reached
 
 
-def _reference_campaign(monkeypatch, world, routing, seed, config):
-    with monkeypatch.context() as patch:
-        patch.setattr(campaign, "Prober", ReferenceProber)
-        return run_campaign(world, routing, seed, config)
+def _reference_campaign(world, routing, seed, config):
+    """The campaign as one :meth:`ReferenceProber.walk` per (VP,
+    destination), over the VP and destination lists ``run_campaign``
+    uses, dropping walks with no hops as it does."""
+    prober = ReferenceProber(world, routing, seed,
+                             anonymous_rate=config.anonymous_rate,
+                             dest_responds_rate=config.dest_responds_rate)
+    destinations = campaign_destinations(world, seed, config)
+    traces = TraceSet()
+    for vp_asn in select_vps(world, config.n_vps, seed):
+        router = vp_router(world, vp_asn)
+        for dst_address in destinations:
+            walk = prober.walk(vp_asn, router, dst_address)
+            if walk is not None and walk[1]:
+                traces.add(vp_asn, dst_address, router.loc, *walk)
+    return traces
 
 
 def _assert_same_columns(traces, reference):
@@ -164,11 +182,11 @@ def _destinations(world):
 
 
 @pytest.mark.parametrize("anonymous_rate", [0.0, 0.5, 1.0])
-def test_campaign_matches_per_hop_walk(monkeypatch, anonymous_rate):
+def test_campaign_matches_per_hop_walk(anonymous_rate):
     world, routing = _tiny()
     config = CampaignConfig(n_vps=5, anonymous_rate=anonymous_rate)
     traces = run_campaign(world, routing, 9, config)
-    reference = _reference_campaign(monkeypatch, world, routing, 9, config)
+    reference = _reference_campaign(world, routing, 9, config)
     assert len(traces) > 100
     _assert_same_columns(traces, reference)
 
@@ -206,7 +224,7 @@ def _second_crossing(routing, vp_asn, asns):
 
 
 @pytest.mark.parametrize("removed", ["interdomain", "internal"])
-def test_truncated_walks_match(monkeypatch, removed):
+def test_truncated_walks_match(removed):
     """With a link gone, walks that need it stop early, unreached, with
     the hops recorded before the failed crossing."""
     world, routing = _tiny()
@@ -225,7 +243,7 @@ def test_truncated_walks_match(monkeypatch, removed):
         assert len(internal) == 1
         world.topology.links.remove(internal[0])
     traces = run_campaign(world, routing, 9, config)
-    reference = _reference_campaign(monkeypatch, world, routing, 9, config)
+    reference = _reference_campaign(world, routing, 9, config)
     _assert_same_columns(traces, reference)
 
     def crosses_pair(trace):
@@ -237,18 +255,53 @@ def test_truncated_walks_match(monkeypatch, removed):
                and crosses_pair(trace) for trace in traces)
 
 
+def test_destinations_behind_two_edge_routers_match():
+    """Each edge prefix's upper half moves to a second router of its AS,
+    so a prefix's two destinations sit behind different edge routers in
+    one destination group: each walk takes its own edge router's tail."""
+    world, routing = _tiny()
+    edges = world.topology.edge_router_of_prefix
+    for prefix, router in list(edges.items()):
+        others = [other for other in world.topology.routers_by_asn[router.asn]
+                  if other is not router]
+        if others and prefix.length < 31:
+            edges[list(prefix.subnets(prefix.length + 1))[1]] = others[-1]
+    config = CampaignConfig(n_vps=5)
+    groups = Prober(world, routing, 9).targets(
+        campaign_destinations(world, 9, config))
+    assert sum(len({edge.rid for _, edge in targets}) > 1
+               for _, targets in groups) > 10
+    _assert_same_columns(run_campaign(world, routing, 9, config),
+                         _reference_campaign(world, routing, 9, config))
+
+
 @pytest.mark.slow
-def test_small_campaigns_match_per_hop_walk(monkeypatch):
-    """All 17 seed-2020 SMALL campaigns, column for column."""
+def test_small_campaigns_match_per_hop_walk():
+    """All 17 seed-2020 SMALL campaigns, column for column, and the 5
+    bdrmapIT router graphs built from them against the per-trace graph
+    loop."""
     world = generate_world(2020, WorldConfig.small())
     routing = RoutingModel(world.graph)
+    table = world.plan.route_table
     tasks = [task for task in _timeline_tasks(world, 2020, routing, None,
                                               include_pdb=False)
              if isinstance(task, SnapshotTask)]
     assert len(tasks) == 17
+    graphs = 0
     for task in tasks:
-        config = task.spec.build_config().campaign
-        _assert_same_columns(
-            run_campaign(world, routing, task.spec.seed, config),
-            _reference_campaign(monkeypatch, world, routing,
-                                task.spec.seed, config))
+        spec = task.spec
+        config = spec.build_config()
+        traces = run_campaign(world, routing, spec.seed, config.campaign)
+        _assert_same_columns(traces, _reference_campaign(
+            world, routing, spec.seed, config.campaign))
+        if spec.method != METHOD_BDRMAPIT:
+            continue
+        naming = assign_hostnames(world, spec.seed, spec.naming_config())
+        resolution = build_snapshot(world, naming, spec.seed, spec.label,
+                                    config=config, traces=traces,
+                                    ).snapshot.resolution
+        assert _graph_tuple(build_router_graph(resolution, traces, table)) \
+            == _graph_tuple(oracle_router_graph(resolution, list(traces),
+                                                table))
+        graphs += 1
+    assert graphs == 5
