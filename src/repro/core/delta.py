@@ -38,13 +38,13 @@ from repro.core.hoiho import (
     HoihoConfig,
     SuffixArtifact,
     _learn_artifact_worker,
-    suffix_cache_payload,
+    suffix_fingerprinter,
 )
 from repro.core.parallel import ParallelConfig, parallel_map
 from repro.core.resilience import RetryPolicy
 from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.store import KIND_SUFFIX, fingerprint
+from repro.store import KIND_SUFFIX
 
 
 @dataclass
@@ -52,8 +52,9 @@ class SuffixPlan:
     """One suffix's unit of incremental work.
 
     ``fingerprint`` is the content-addressed identity of the training
-    problem: the hash of :func:`~repro.core.hoiho.suffix_cache_payload`,
-    which keys the store.  The payload itself is not kept -- it copies
+    problem: the hash of :func:`~repro.core.hoiho.suffix_cache_payload`
+    (computed by :func:`~repro.core.hoiho.suffix_fingerprinter`), which
+    keys the store.  The payload itself is not kept -- it copies
     every item -- and writing a learned artifact needs only the key.
     ``label`` names the training set the plan came from (empty for
     single-set :class:`~repro.core.hoiho.Hoiho` runs).
@@ -69,21 +70,31 @@ def plan_datasets(datasets: Sequence[SuffixDataset],
                   config: HoihoConfig,
                   label: str = "") -> List[SuffixPlan]:
     """Fingerprint every dataset, in sorted-suffix order."""
+    fingerprint = suffix_fingerprinter(config)
     return [SuffixPlan(label=label, suffix=dataset.suffix, dataset=dataset,
-                       fingerprint=fingerprint(
-                           suffix_cache_payload(dataset, config)))
+                       fingerprint=fingerprint(dataset))
             for dataset in sorted(datasets, key=lambda d: d.suffix)]
 
 
 def plan_items(items: Iterable[TrainingItem], config: HoihoConfig,
-               label: str = "", psl=None,
-               tracer=NULL_TRACER) -> List[SuffixPlan]:
+               label: str = "", psl=None, tracer=NULL_TRACER,
+               domains: Optional[Dict[str, Optional[str]]] = None,
+               ) -> List[SuffixPlan]:
     """Group ``items`` by public suffix, in a ``learn.group`` span, and
-    plan the resulting datasets."""
+    plan the resulting datasets.
+
+    ``domains`` is the ``{hostname: registered domain}`` memo
+    :func:`~repro.core.types.group_by_suffix` fills; sets planned
+    together share one.  The span's ``hostnames`` counts the hostnames
+    this set added to it, the ones looked up in the public suffix list.
+    """
+    if domains is None:
+        domains = {}
     with tracer.span("learn.group") as group:
-        datasets = group_by_suffix(items, psl)
+        known = len(domains)
+        datasets = group_by_suffix(items, psl, domains=domains)
         group.set(items=sum(len(d) for d in datasets.values()),
-                  suffixes=len(datasets))
+                  suffixes=len(datasets), hostnames=len(domains) - known)
     return plan_datasets(list(datasets.values()), config, label=label)
 
 
@@ -182,13 +193,16 @@ def plan_timeline(training_sets: Sequence, config: HoihoConfig,
     :meth:`~repro.core.hoiho.Hoiho.run` groups (same PSL, same
     drop-unregisterable rule, one ``learn.group`` span per set on
     ``tracer``), so assembling the resulting artifacts per label
-    gives exactly a ``Hoiho.run`` of that label's items.
+    gives exactly a ``Hoiho.run`` of that label's items.  The sets
+    share one hostname-to-domain memo, so a hostname held by many sets
+    is looked up in the public suffix list once.
     """
+    domains: Dict[str, Optional[str]] = {}
     label_plans = [
         LabelPlan(label=training_set.label,
                   suffixes=plan_items(training_set.items, config,
                                       label=training_set.label, psl=psl,
-                                      tracer=tracer))
+                                      tracer=tracer, domains=domains))
         for training_set in training_sets]
     deltas = [
         diff_fingerprints(label_plans[i - 1].fingerprints(),

@@ -66,6 +66,12 @@ class HoihoConfig:
     enable_cache: bool = True       # match-vector evaluation cache
 
 
+def _config_payload(config: HoihoConfig) -> Dict[str, object]:
+    """Every :class:`HoihoConfig` field by name."""
+    return {f.name: getattr(config, f.name)
+            for f in dataclasses.fields(config)}
+
+
 def suffix_cache_payload(dataset: SuffixDataset,
                          config: HoihoConfig) -> Dict[str, object]:
     """The fingerprint payload keying one suffix's learned artifact.
@@ -77,15 +83,43 @@ def suffix_cache_payload(dataset: SuffixDataset,
     selected but does change whether per-item outcomes ride along on
     the winning score -- so a cached artifact is exactly what a fresh
     learn under the same config would have produced, field for field.
+
+    Its :func:`~repro.store.fingerprint` is the suffix's fingerprint;
+    :func:`suffix_fingerprinter` computes the same digest without
+    building this payload.
     """
     return {
         "kind": "suffix",
         "suffix": dataset.suffix,
         "items": [(item.hostname, item.train_asn, item.address)
                   for item in dataset.items],
-        "hoiho_config": {f.name: getattr(config, f.name)
-                         for f in dataclasses.fields(config)},
+        "hoiho_config": _config_payload(config),
     }
+
+
+def suffix_fingerprinter(config: HoihoConfig,
+                         ) -> Callable[[SuffixDataset], str]:
+    """The fingerprint function of suffix datasets learned under
+    ``config``: ``fingerprint(suffix_cache_payload(dataset, config))``.
+
+    The config is made canonical once, here; each dataset's items go
+    to the JSON encoder as ``(hostname, train_asn, address)`` tuples,
+    which are canonical already (a str, an int and a str or ``None``),
+    so no item is walked by :func:`~repro.store.canonical`.
+    """
+    from repro.store import canonical, fingerprint_fields
+    hoiho_config = canonical(_config_payload(config))
+
+    def suffix_fingerprint(dataset: SuffixDataset) -> str:
+        return fingerprint_fields({
+            "kind": "suffix",
+            "suffix": dataset.suffix,
+            "items": [(item.hostname, item.train_asn, item.address)
+                      for item in dataset.items],
+            "hoiho_config": hoiho_config,
+        })
+
+    return suffix_fingerprint
 
 
 def suffix_fingerprint(dataset: SuffixDataset,
@@ -95,10 +129,10 @@ def suffix_fingerprint(dataset: SuffixDataset,
     Two snapshots whose training data for a suffix is identical (and
     learned under the same config) share this fingerprint -- the
     property the incremental timeline learner exploits to relearn only
-    changed suffixes.
+    changed suffixes.  To fingerprint many datasets under one config,
+    call :func:`suffix_fingerprinter` once.
     """
-    from repro.store import fingerprint
-    return fingerprint(suffix_cache_payload(dataset, config))
+    return suffix_fingerprinter(config)(dataset)
 
 
 @dataclass

@@ -103,16 +103,26 @@ class SuffixDataset:
 
 def group_by_suffix(items: Iterable[TrainingItem],
                     psl: Optional[PublicSuffixList] = None,
+                    domains: Optional[Dict[str, Optional[str]]] = None,
                     ) -> Dict[str, SuffixDataset]:
     """Partition training items into per-suffix datasets.
 
     Items whose hostname has no registerable suffix (bare TLDs, empty
-    names) are dropped, mirroring Hoiho's preprocessing.
+    names) are dropped, mirroring Hoiho's preprocessing.  ``domains``
+    memoises ``{hostname: registered domain}`` (``None`` for a dropped
+    hostname) for callers grouping many sets under one ``psl``; each
+    hostname missing from it is looked up once and added.
     """
     psl = psl or default_psl()
+    if domains is None:
+        domains = {}
     buckets: Dict[str, List[TrainingItem]] = defaultdict(list)
     for item in items:
-        suffix = psl.registered_domain(item.hostname)
+        hostname = item.hostname
+        if hostname in domains:
+            suffix = domains[hostname]
+        else:
+            suffix = domains[hostname] = psl.registered_domain(hostname)
         if suffix is None:
             continue
         buckets[suffix].append(item)

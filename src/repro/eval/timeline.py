@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import pickle
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.parallel import ParallelConfig, parallel_map
 from repro.core.types import TrainingItem
@@ -238,4 +238,23 @@ def build_timeline(world: World, seed: int,
             sets.append(TrainingSet(label=task.label, kind=KIND_PDB,
                                     method="operator", year=task.year,
                                     items=result))
+    _share_items(sets)
     return sets
+
+
+def _share_items(sets: List[TrainingSet]) -> None:
+    """Make equal items of ``sets`` one object, in place.
+
+    The sets overlap heavily (at SMALL scale 24,574 items, 6,273 of
+    them distinct), and items are frozen, so every set holds the first
+    :class:`TrainingItem` seen for each (hostname, ASN, address).  A
+    pickled timeline then stores each distinct item once.  Each set's
+    list is rewritten in place, so a snapshot result holding the same
+    list as its ``training`` shares the items too.
+    """
+    shared: Dict[Tuple[str, int, Optional[str]], TrainingItem] = {}
+    for training_set in sets:
+        items = training_set.items
+        items[:] = [shared.setdefault(
+            (item.hostname, item.train_asn, item.address), item)
+            for item in items]

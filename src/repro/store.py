@@ -100,13 +100,13 @@ def _key_token(key: object) -> str:
     return "r:" + repr(key)
 
 
-#: Exact types :func:`_canonical` passes through unchanged.  None of
+#: Exact types :func:`canonical` passes through unchanged.  None of
 #: them can be a dataclass or a container, so checking them first skips
 #: the slow ABC checks without changing any result.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _canonical(value: object) -> object:
+def canonical(value: object) -> object:
     """Make ``value`` JSON-stable: dataclasses become sorted dicts,
     tuples become lists, sets become sorted lists, and dict keys become
     type-tagged tokens sorted by their stringified form."""
@@ -114,18 +114,18 @@ def _canonical(value: object) -> object:
     if kind in _SCALARS:
         return value
     if kind is list or kind is tuple:
-        return [_canonical(v) for v in value]
+        return [canonical(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _canonical(getattr(value, f.name))
+        return {f.name: canonical(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
-        return {token: _canonical(item)
+        return {token: canonical(item)
                 for token, item in sorted(
                     (_key_token(k), v) for k, v in value.items())}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [canonical(v) for v in value]
     if isinstance(value, (set, frozenset)):
-        return sorted(_canonical(v) for v in value)
+        return sorted(canonical(v) for v in value)
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
@@ -139,7 +139,7 @@ def _envelope(payload: Mapping) -> Dict[str, object]:
     not overwrite the store schema version, or version bumps would stop
     invalidating exactly the entries that carry that key.
     """
-    return {"schema": STORE_SCHEMA_VERSION, "payload": _canonical(payload)}
+    return {"schema": STORE_SCHEMA_VERSION, "payload": canonical(payload)}
 
 
 def _digest(envelope: Mapping) -> str:
@@ -150,6 +150,21 @@ def _digest(envelope: Mapping) -> str:
 def fingerprint(payload: Mapping) -> str:
     """SHA-256 of the canonical JSON of ``payload`` + schema version."""
     return _digest(_envelope(payload))
+
+
+def fingerprint_fields(fields: Mapping[str, object]) -> str:
+    """:func:`fingerprint` of a payload with string keys whose values
+    are canonical already, without walking them again.
+
+    A value is canonical when :func:`canonical` would give back the
+    same JSON: a str, int, float, bool or ``None``, a list or tuple of
+    canonical values, or a dict :func:`canonical` returned.  The JSON
+    encoder writes a tuple as an array, as :func:`canonical` writes it
+    after making it a list, so the digest is the same.
+    """
+    return _digest({"schema": STORE_SCHEMA_VERSION,
+                    "payload": {_key_token(key): value
+                                for key, value in fields.items()}})
 
 
 @dataclasses.dataclass

@@ -75,12 +75,19 @@ class TraceSet(Sequence[Trace]):
 
     It is a ``Sequence[Trace]``: indexing or iterating builds a
     :class:`Trace` equal to the one added, and it pickles as arrays.
+    Its writers also keep the set of values in ``hops``, which
+    :meth:`observed` reads instead of walking the hop column; an
+    unpickled set builds it from the column when first needed.
     A trace added with fewer RTTs than hops reads back padded with
     ``None``.
     """
 
-    __slots__ = ("vp_asn", "dst_address", "dst_asn", "vp_loc", "reached",
-                 "offsets", "hops", "rtts")
+    #: The columns, in pickled order.
+    COLUMNS = ("vp_asn", "dst_address", "dst_asn", "vp_loc", "reached",
+               "offsets", "hops", "rtts")
+    # ``_values``: the set of values in ``hops``, or ``None`` until
+    # first needed on an unpickled set.
+    __slots__ = COLUMNS + ("_values",)
 
     def __init__(self, traces: Iterable[Trace] = ()) -> None:
         self.vp_asn = array("q")
@@ -91,6 +98,7 @@ class TraceSet(Sequence[Trace]):
         self.offsets = array("I", [0])
         self.hops = array("I")
         self.rtts = array("d")
+        self._values: Optional[Set[int]] = set()
         for trace in traces:
             self.append(trace)
 
@@ -108,6 +116,7 @@ class TraceSet(Sequence[Trace]):
         self.hops.extend(hops)
         self.rtts.extend(rtts)
         self.offsets.append(len(self.hops))
+        self._hop_values().update(hops)
 
     def append(self, trace: Trace) -> None:
         """Append ``trace``; a hop at address 0 raises ``ValueError`` (0
@@ -126,9 +135,15 @@ class TraceSet(Sequence[Trace]):
 
     def observed(self) -> Set[int]:
         """Every responsive hop address."""
-        observed = set(self.hops)
+        observed = set(self._hop_values())
         observed.discard(ANONYMOUS)
         return observed
+
+    def _hop_values(self) -> Set[int]:
+        """The set of values in ``hops``, which writers extend."""
+        if self._values is None:
+            self._values = set(self.hops)
+        return self._values
 
     def __len__(self) -> int:
         return len(self.dst_address)
@@ -157,8 +172,8 @@ class TraceSet(Sequence[Trace]):
                      reached=bool(self.reached[index]))
 
     def columns(self) -> Tuple[object, ...]:
-        """Every column, in slot order."""
-        return tuple(getattr(self, name) for name in self.__slots__)
+        """Every column, in :data:`COLUMNS` order."""
+        return tuple(getattr(self, name) for name in self.COLUMNS)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceSet):
@@ -174,8 +189,9 @@ class TraceSet(Sequence[Trace]):
         return self.columns()
 
     def __setstate__(self, state: Tuple[object, ...]) -> None:
-        for name, column in zip(self.__slots__, state):
+        for name, column in zip(self.COLUMNS, state):
             setattr(self, name, column)
+        self._values = None
 
 
 class _Segment(NamedTuple):
@@ -230,8 +246,11 @@ class Prober:
     BFS parent tree per source router.  A walk's state after every
     AS-path prefix is memoised, keyed on the prefix, so a walk extends
     its parent prefix by one crossing.  The prefix memo belongs to one
-    vantage point: a walk clears it whenever it sees a different
-    ``vp_router``, which bounds it by that VP's tree of AS paths.
+    vantage point and one :class:`TraceSet`: a walk clears it whenever
+    it sees a different ``vp_router`` or trace set, which bounds it by
+    that VP's tree of AS paths.  The first time a crossing or tail is
+    walked into a trace set, its hops go into the set's hop values, so
+    the set's ``observed`` never reads a hop its rows repeat.
 
     :meth:`walk_groups` is the one walk kernel: it walks from a VP to
     groups of destinations, each in one origin AS (see :meth:`targets`),
@@ -274,8 +293,12 @@ class Prober:
         self._trees: Dict[str, Dict[str, Tuple[Link, Router, Router]]] = {}
         self._crossings: Dict[Tuple[str, int, int], Optional[_Segment]] = {}
         self._tails: Dict[Tuple[str, str], Optional[_Segment]] = {}
-        # The per-VP prefix memo and the VP router it belongs to.
+        # The prefix memo and the VP router and trace set it belongs to,
+        # and the ids of the segments whose hops that set's hop values
+        # hold (segments live as long as the prober, so ids are unique).
         self._prefix_vp: Optional[str] = None
+        self._prefix_traces: Optional[TraceSet] = None
+        self._reported: Set[int] = set()
         self._prefixes: Dict[Tuple[int, ...], _PrefixState] = {}
 
     # -- intra-AS pathing ---------------------------------------------------
@@ -417,9 +440,17 @@ class Prober:
             else:
                 hops, rtts = hops[:], rtts[:]
                 delay = _extend(hops, rtts, delay, segment)
+                self._report(segment)
                 state = (hops, rtts, delay, segment.end, True)
         self._prefixes[path] = state
         return state
+
+    def _report(self, segment: _Segment) -> None:
+        """Add ``segment``'s hops to the hop values of the trace set
+        being written, the first time it is walked into that set."""
+        if id(segment) not in self._reported:
+            self._reported.add(id(segment))
+            self._prefix_traces._hop_values().update(segment.hops)
 
     # -- main entry ------------------------------------------------------------
 
@@ -445,9 +476,9 @@ class Prober:
         """One traceroute as ``(dst_asn, hops, rtts, reached)``, the
         columns :meth:`TraceSet.add` takes; ``None`` as in :meth:`trace`.
 
-        It is :meth:`walk_groups` with one destination.  A call with a
-        different ``vp_router`` than the previous one clears the prefix
-        memo.  The returned arrays are the caller's.
+        It is :meth:`walk_groups` with one destination, into a trace set
+        of its own, so every call starts a new prefix memo.  The
+        returned arrays are the caller's.
         """
         groups = self.targets([dst_address])
         traces = TraceSet()
@@ -485,6 +516,10 @@ class Prober:
         that reach their edge router.  Returns the number of groups
         walked: those the VP has a route to.
         """
+        hop_values = traces._hop_values()
+        if traces is not self._prefix_traces:
+            self._prefix_traces, self._reported = traces, set()
+            self._prefix_vp = None
         if vp_router.rid != self._prefix_vp:
             self._prefix_vp = vp_router.rid
             self._prefixes = {}
@@ -515,6 +550,7 @@ class Prober:
                         body_hops, body_rtts = hops[:], rtts[:]
                         body = (body_hops, body_rtts,
                                 _extend(body_hops, body_rtts, delay, tail))
+                        self._report(tail)
                     bodies[key] = body
                 body_hops, body_rtts, end_delay = body
                 reached = end_delay is not None \
@@ -530,6 +566,7 @@ class Prober:
                 rtt_column.extend(body_rtts)
                 if reached:
                     hop_column.append(dst_address)
+                    hop_values.add(dst_address)
                     rtt_column.append(
                         round(2.0 * (end_delay + 0.05) + 0.5, 3))
                 traces.offsets.append(len(hop_column))

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.types import TrainingItem
 from repro.eval.context import ExperimentContext, Scale
 from repro.eval.timeline import (
     ITDK_TIMELINE,
@@ -12,6 +13,7 @@ from repro.eval.timeline import (
     vps_for_year,
     alias_augment_for_year,
 )
+from repro.store import ArtifactStore, KIND_TIMELINE
 from repro.topology.world import WorldConfig, generate_world
 
 
@@ -113,6 +115,63 @@ class TestPackedBodies:
         body = again._body
         assert pickle.loads(pickle.dumps(again))._body == body
         assert again._body is body
+
+
+def _key(item):
+    return item.hostname, item.train_asn, item.address
+
+
+class TestSharedItems:
+    """Equal items of a timeline's sets are one object, so a stored
+    timeline pickles each distinct item once.  (A timeline pickled
+    before, with an object per item and set, still loads and learns
+    the pinned digests: ``TestParentLayoutTimeline`` in
+    ``tests/eval/test_graph_on_demand.py``.)"""
+
+    LABELS = ["2019-01", "2019-04", "2020-01"]
+
+    @pytest.fixture(scope="class")
+    def context(self, tmp_path_factory):
+        context = ExperimentContext(
+            seed=23, scale=Scale.TINY, itdk_labels=self.LABELS,
+            store=ArtifactStore(tmp_path_factory.mktemp("store")))
+        context.timeline
+        return context
+
+    @staticmethod
+    def _objects(sets):
+        objects = {}
+        for training_set in sets:
+            for item in training_set.items:
+                objects.setdefault(_key(item), set()).add(id(item))
+        return objects
+
+    def test_one_object_per_distinct_item(self, context):
+        sets = context.timeline
+        objects = self._objects(sets)
+        assert sum(len(t.items) for t in sets) > len(objects), \
+            "the sets do not overlap"
+        assert all(len(ids) == 1 for ids in objects.values())
+        for training_set in sets:
+            if training_set.kind == "itdk":
+                assert training_set.snapshot.training is training_set.items
+
+    def test_stored_timeline_keeps_the_sharing(self, context):
+        stored = ArtifactStore(context.store.root).get(
+            KIND_TIMELINE, context._timeline_payload())
+        assert [[_key(i) for i in t.items] for t in stored] \
+            == [[_key(i) for i in t.items] for t in context.timeline]
+        assert all(len(ids) == 1 for ids in self._objects(stored).values())
+
+    def test_stored_entry_is_smaller_than_unshared(self, context):
+        path = context.store.path_for(KIND_TIMELINE,
+                                      context._timeline_payload())
+        unshared = pickle.loads(path.read_bytes())
+        for training_set in unshared:
+            training_set.items[:] = [TrainingItem(*_key(item))
+                                     for item in training_set.items]
+        assert path.stat().st_size < len(pickle.dumps(
+            unshared, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class TestGrowthFactors:

@@ -3,7 +3,9 @@
 Every learn -- storeless or store-backed -- plans through the delta
 planner: ``learn.plan`` times grouping (one ``learn.group`` per
 training set), fingerprinting and any store lookups, so none of that
-runs untraced inside ``stage.learn``.
+runs untraced inside ``stage.learn``.  The sets share one
+hostname-to-domain memo: each ``learn.group`` counts in ``hostnames``
+only the hostnames it looked up in the public suffix list.
 """
 
 import pytest
@@ -48,6 +50,19 @@ def test_one_learn_group_per_training_set(storeless):
                                                   "stage.learn"]
         assert group["attrs"]["items"] > 0
         assert group["attrs"]["suffixes"] > 0
+
+
+def test_learn_group_looks_up_each_hostname_once(storeless):
+    groups = [r["attrs"] for r in storeless if r["name"] == "learn.group"]
+    first, second = groups
+    # The first set looks up all its hostnames; the second only those
+    # the first did not hold.
+    assert first["hostnames"] > 0
+    assert 0 <= second["hostnames"] < second["items"]
+    context = _context()
+    distinct = {item.hostname for training_set in context.timeline
+                for item in training_set.items}
+    assert sum(g["hostnames"] for g in groups) == len(distinct)
 
 
 def test_storeless_learn_has_learn_plan(storeless):

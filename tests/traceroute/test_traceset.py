@@ -6,6 +6,11 @@ the input, survive a pickle round trip column for column with every RTT
 bit-identical, and give the same observed address set as the union of
 ``responsive_hops()``.  ``build_router_graph`` on the columns must equal
 :func:`oracle_router_graph`, the per-``Trace`` loop it replaced.
+
+A set keeps the values of its hop column as rows are written, so
+``observed`` does not walk the column; whoever wrote the rows (appended
+traces, a campaign's walk kernel, a set unpickled and written to
+again), it must equal the column's set of responsive addresses.
 """
 
 import pickle
@@ -22,7 +27,15 @@ from repro.bdrmapit.graph import NodeState, RouterGraph, build_router_graph
 from repro.itdk.builder import build_snapshot
 from repro.naming.assigner import NamingConfig, assign_hostnames
 from repro.topology.world import WorldConfig, generate_world
-from repro.traceroute.probe import Trace, TraceSet
+from repro.traceroute.campaign import (
+    CampaignConfig,
+    campaign_destinations,
+    run_campaign,
+    select_vps,
+    vp_router,
+)
+from repro.traceroute.probe import ANONYMOUS, Prober, Trace, TraceSet
+from repro.traceroute.routing import RoutingModel
 from repro.util.ipaddr import IPv4Prefix
 
 #: A small address pool (10.0.0.1 - 10.0.0.24) so traces revisit
@@ -228,6 +241,57 @@ class TestColumns:
             packed[1]
         with pytest.raises(IndexError):
             packed[-2]
+
+
+def _responsive(traces):
+    return set(traces.hops) - {ANONYMOUS}
+
+
+class TestObserved:
+    @given(shared_body_runs(), st.integers(0, 16))
+    def test_equals_the_hop_column(self, trace_list, split):
+        """Appended rows, then a pickle round trip, then more rows."""
+        packed = TraceSet(trace_list[:split])
+        assert packed.observed() == _responsive(packed)
+        loaded = pickle.loads(pickle.dumps(packed))
+        assert loaded.observed() == _responsive(packed)
+        for trace in trace_list[split:]:
+            loaded.append(trace)
+        assert loaded.observed() == _responsive(loaded) \
+            == _responsive(TraceSet(trace_list))
+
+    def test_observed_is_a_copy(self):
+        packed = TraceSet([Trace(vp_asn=1, dst_address=9, dst_asn=2,
+                                 hops=[4, None, 5])])
+        packed.observed().clear()
+        assert packed.observed() == {4, 5}
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_campaign_keeps_exactly_its_hop_values(self, seed):
+        """The walk kernel adds each new segment's hops once; the set it
+        keeps must be the hop column's, no more and no less."""
+        world = generate_world(seed, WorldConfig.tiny())
+        traces = run_campaign(world, RoutingModel(world.graph), seed)
+        assert len(traces)
+        assert traces._hop_values() == set(traces.hops)
+        assert traces.observed() == _responsive(traces)
+
+    def test_prefix_memo_serves_one_trace_set(self):
+        """A second set walked from the same VP through the same prober
+        gets its own hop values, although the prefix states exist."""
+        world = generate_world(11, WorldConfig.tiny())
+        prober = Prober(world, RoutingModel(world.graph), 11)
+        config = CampaignConfig()
+        groups = prober.targets(campaign_destinations(world, 11, config))
+        vp_asn = select_vps(world, config.n_vps, 11)[0]
+        router = vp_router(world, vp_asn)
+        first, second = TraceSet(), TraceSet()
+        prober.walk_groups(first, vp_asn, router, groups)
+        prober.walk_groups(second, vp_asn, router, groups[::-1])
+        for traces in (first, second):
+            assert len(traces)
+            assert traces._hop_values() == set(traces.hops)
+        assert first.observed() == second.observed()
 
 
 def _graph_tuple(graph):
