@@ -158,7 +158,8 @@ class ExperimentContext:
                     if cached is not None:
                         span.set(cached=True)
                         for training_set in cached:
-                            training_set.adopt(world, self.tracer)
+                            training_set.adopt(world, self.tracer,
+                                               self.routing)
                         self._timeline = cached
                         return self._timeline
                 self._timeline = build_timeline(

@@ -11,9 +11,9 @@ improves in 2017.
 
 from __future__ import annotations
 
+import copy
 import logging
 import pickle
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.parallel import ParallelConfig, parallel_map
@@ -98,7 +98,9 @@ class TrainingSet:
     ``snapshot``, under a ``timeline.body`` span.  Learning reads only
     ``items``, so relearning a stored timeline never loads a body.
     :meth:`adopt` gives an unpickled set the world its body is
-    re-attached to and the tracer that times the load.
+    re-attached to, the routing model an RTAA body replays its traces
+    with (see :class:`SnapshotResult`), and the tracer that times the
+    load and the replay.
     """
 
     def __init__(self, label: str, kind: str, method: str, year: float,
@@ -115,6 +117,7 @@ class TrainingSet:
         # result without its world.
         self._body: object = None
         self._world: Optional[World] = None
+        self._routing: Optional[RoutingModel] = None
         self._tracer = NULL_TRACER
 
     @property
@@ -125,15 +128,18 @@ class TrainingSet:
                 body = self._body
                 if isinstance(body, bytes):
                     body = pickle.loads(body)
-                body.world = self._world
+                reattach_world(body, self._world, self._routing,
+                               self._tracer)
                 body.training = self.items
             self._snapshot, self._body = body, None
         return self._snapshot
 
-    def adopt(self, world: World, tracer=NULL_TRACER) -> None:
-        """Re-attach ``world`` to this set's body when it loads, under
-        a span on ``tracer``."""
+    def adopt(self, world: World, tracer=NULL_TRACER,
+              routing: Optional[RoutingModel] = None) -> None:
+        """Re-attach ``world`` and ``routing`` to this set's body when
+        it loads, under a span on ``tracer``."""
         self._world = world
+        self._routing = routing
         self._tracer = tracer
 
     def __getstate__(self) -> Dict[str, object]:
@@ -141,8 +147,9 @@ class TrainingSet:
         if not isinstance(body, bytes):
             result = self._snapshot if body is None else body
             if result is not None:
-                body = pickle.dumps(replace(result, training=[]),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+                result = copy.copy(result)
+                result.training = []
+                body = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         return {"label": self.label, "kind": self.kind,
                 "method": self.method, "year": self.year,
                 "items": self.items, "body": body}
@@ -226,7 +233,7 @@ def build_timeline(world: World, seed: int,
     sets: List[TrainingSet] = []
     for task, result in zip(tasks, results):
         if isinstance(task, SnapshotTask):
-            snapshot_result = reattach_world(result, world)
+            snapshot_result = reattach_world(result, world, routing, tracer)
             logger.info("built %s (%s): %d training items",
                         task.spec.label, task.spec.method,
                         len(snapshot_result.training))

@@ -17,7 +17,8 @@ from repro.itdk.snapshot import ITDKSnapshot
 from repro.naming.assigner import NamingOutcome, host_hostname
 from repro.obs.trace import NULL_TRACER
 from repro.topology.world import World
-from repro.traceroute.campaign import CampaignConfig, run_campaign
+from repro.traceroute.campaign import CampaignConfig, observe_campaign, \
+    run_campaign
 from repro.traceroute.probe import Trace, TraceSet
 from repro.traceroute.routing import RoutingModel
 
@@ -37,25 +38,36 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
                    routing: Optional[RoutingModel] = None,
                    config: Optional[BuildConfig] = None,
                    traces: Optional[Sequence[Trace]] = None,
-                   tracer=NULL_TRACER) -> "BuiltSnapshot":
+                   tracer=NULL_TRACER,
+                   keep_traces: bool = True) -> "BuiltSnapshot":
     """Run a campaign (unless ``traces`` given) and build the snapshot.
 
-    ``tracer`` records the three steps as ``snapshot.campaign``,
-    ``snapshot.alias`` and ``snapshot.names`` spans; a campaign run here
-    sets ``traces`` and ``walks`` on its span (see :func:`run_campaign`).
+    With ``keep_traces`` false the campaign walks observed only
+    (:func:`observe_campaign`): alias resolution reads just the observed
+    addresses, and the result carries no traces.  ``tracer`` records
+    the three steps as ``snapshot.campaign``, ``snapshot.alias`` and
+    ``snapshot.names`` spans; a campaign run here sets ``traces`` and
+    ``walks`` on its span in either mode (see :func:`run_campaign`).
     """
     config = config or BuildConfig()
+    observed = None
     with tracer.span("snapshot.campaign") as span:
         if traces is None:
             if routing is None:
                 routing = RoutingModel(world.graph)
-            traces = run_campaign(world, routing, seed, config.campaign,
-                                  span=span)
+            if keep_traces:
+                traces = run_campaign(world, routing, seed,
+                                      config.campaign, span=span)
+            else:
+                observed = observe_campaign(world, routing, seed,
+                                            config.campaign, span=span)
         elif not isinstance(traces, TraceSet):
             traces = TraceSet(traces)
 
     with tracer.span("snapshot.alias"):
-        resolution = resolve_aliases(world, traces.observed(), seed,
+        if observed is None:
+            observed = traces.observed()
+        resolution = resolve_aliases(world, observed, seed,
                                      split_rate=config.alias_split_rate,
                                      merge_rate=config.alias_merge_rate,
                                      augment_rate=config.alias_augment_rate)
@@ -75,9 +87,11 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
 class BuiltSnapshot:
     """A snapshot plus the raw traces it was built from.
 
-    The traces feed the annotation methods (they need the hop sequences,
-    which the published ITDK files do not carry).
+    Only bdrmapIT annotation reads the traces: it needs the hop
+    sequences, which the published ITDK files do not carry.
+    RouterToAsAssignment reads the alias resolution and the route table,
+    so an RTAA build walks observed only and ``traces`` is ``None``.
     """
 
     snapshot: ITDKSnapshot
-    traces: TraceSet
+    traces: Optional[TraceSet]

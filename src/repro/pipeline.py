@@ -26,7 +26,7 @@ from repro.peeringdb.builder import PeeringDBConfig, build_peeringdb
 from repro.peeringdb.snapshot import PeeringDBSnapshot
 from repro.rtaa.rtaa import assign_asns as rtaa_assign
 from repro.topology.world import World
-from repro.traceroute.campaign import CampaignConfig
+from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.probe import TraceSet
 from repro.traceroute.routing import RoutingModel
 from repro.util.ipaddr import int_to_ip
@@ -60,9 +60,22 @@ class SnapshotSpec:
         return BuildConfig(campaign=CampaignConfig(n_vps=self.n_vps))
 
 
+#: Annotation methods that read hop sequences.  Only their campaigns
+#: write trace columns, and only their results pickle them.
+TRACE_METHODS = frozenset((METHOD_BDRMAPIT,))
+
+
 @dataclass
 class SnapshotResult:
     """Everything produced for one snapshot.
+
+    ``traces`` holds the campaign's traces for a bdrmapIT snapshot,
+    which reads them to build ``graph``.  RTAA annotation reads only the
+    alias resolution and the route table, so an RTAA campaign walks
+    observed only and its traces replay on first read: the same
+    campaign again, from the spec's seed and campaign config, under a
+    ``snapshot.replay`` span.  An RTAA result pickles ``traces=None``
+    and no columns.
 
     ``graph`` is derived on first use from the alias resolution, the
     traces and the world's route table, and never pickled: only
@@ -71,7 +84,8 @@ class SnapshotResult:
     snapshot shares one world, which is stored on its own, so an
     unpickled result reads ``world=None`` until its owner re-attaches
     one (:func:`reattach_world` for worker results, the training set's
-    body loader for a stored timeline).
+    body loader for a stored timeline), with the routing model and
+    tracer a replay uses.
     """
 
     spec: SnapshotSpec
@@ -80,7 +94,23 @@ class SnapshotResult:
     snapshot: ITDKSnapshot
     annotations: Dict[str, int]
     training: List[TrainingItem] = field(default_factory=list)
-    traces: TraceSet = field(default_factory=TraceSet)
+
+    # What a replay walks with; re-attached with ``world``, never
+    # pickled.  Without a routing model a replay solves its own.
+    _routing = None
+    _tracer = NULL_TRACER
+
+    @functools.cached_property
+    def traces(self) -> TraceSet:
+        """The campaign's traces, replayed on first read when the
+        campaign kept none."""
+        with self._tracer.span("snapshot.replay", snapshot=self.spec.label,
+                               method=self.spec.method) as span:
+            routing = self._routing if self._routing is not None \
+                else RoutingModel(self.world.graph)
+            return run_campaign(self.world, routing, self.spec.seed,
+                                self.spec.build_config().campaign,
+                                span=span)
 
     @functools.cached_property
     def graph(self) -> RouterGraph:
@@ -90,20 +120,27 @@ class SnapshotResult:
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        state.pop("graph", None)
-        state.pop("world", None)
+        for derived in ("graph", "world", "_routing", "_tracer"):
+            state.pop(derived, None)
+        # Always present: code that predates replays reads a missing
+        # key as no traces, but raises on ``TraceSet(None)``.
+        state["traces"] = state.get("traces") \
+            if self.spec.method in TRACE_METHODS else None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         # Pickles written before the graph became derived carry it
         # (with its own copy of the route table) and a list of traces;
-        # older pickles also carry a stripped ``world=None``.
+        # older pickles also carry a stripped ``world=None``.  Traces
+        # of ``None`` replay on first read; an RTAA pickle written
+        # before replays keeps and returns its traces.
         state = dict(state)
         state.pop("graph", None)
         state["world"] = None
-        traces = state.get("traces", ())
-        if not isinstance(traces, TraceSet):
-            state["traces"] = TraceSet(traces)  # type: ignore[arg-type]
+        traces = state.pop("traces", ())
+        if traces is not None:
+            state["traces"] = traces if isinstance(traces, TraceSet) \
+                else TraceSet(traces)  # type: ignore[arg-type]
         self.__dict__.update(state)
 
 
@@ -118,7 +155,9 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     out to worker processes.  Only a bdrmapIT snapshot builds its router
     graph, in a ``snapshot.graph`` span before ``snapshot.annotate``; the
     campaign and graph spans count their traces and the shared work
-    (``walks``, ``bodies``).
+    (``walks``, ``bodies``).  The campaign keeps traces only for a
+    method in :data:`TRACE_METHODS`; the result replays the others' on
+    first read, with ``routing`` and ``tracer``.
     """
     with tracer.span("snapshot", snapshot=spec.label,
                      method=spec.method) as span:
@@ -130,11 +169,15 @@ def run_snapshot(world: World, spec: SnapshotSpec,
         with tracer.span("snapshot.build"):
             built: BuiltSnapshot = build_snapshot(
                 world, naming, spec.seed, spec.label, routing=routing,
-                config=spec.build_config(), tracer=tracer)
+                config=spec.build_config(), tracer=tracer,
+                keep_traces=spec.method in TRACE_METHODS)
             snapshot = built.snapshot
-        result = SnapshotResult(spec=spec, world=world, naming=naming,
-                                snapshot=snapshot, annotations={},
-                                traces=built.traces)
+        result = reattach_world(
+            SnapshotResult(spec=spec, world=world, naming=naming,
+                           snapshot=snapshot, annotations={}),
+            world, routing, tracer)
+        if built.traces is not None:
+            result.traces = built.traces
         if spec.method == METHOD_BDRMAPIT:
             with tracer.span("snapshot.graph") as graph_span:
                 # Built here rather than by the ``graph`` property so the
@@ -247,7 +290,12 @@ def run_peeringdb_snapshot_task(task: PeeringDBTask) -> List[TrainingItem]:
                                   year=task.year)
 
 
-def reattach_world(result: SnapshotResult, world: World) -> SnapshotResult:
-    """Restore the world reference a worker's result pickled without."""
+def reattach_world(result: SnapshotResult, world: World,
+                   routing: Optional[RoutingModel] = None,
+                   tracer=NULL_TRACER) -> SnapshotResult:
+    """Restore the world reference a worker's result pickled without,
+    and give it the routing model and tracer its traces replay with."""
     result.world = world
+    result._routing = routing
+    result._tracer = tracer
     return result

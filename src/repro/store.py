@@ -57,6 +57,10 @@ logger = logging.getLogger(__name__)
 #: without world or items, and loads v3 timelines that hold them inline.
 #: Still v3: suffix artifacts are written as packs; new code reads old
 #: per-entry files, and old code only misses on packs.
+#: Still v3: an RTAA snapshot result stores ``traces=None`` and replays
+#: its campaign on first read; new code returns the stored traces of
+#: old RTAA bodies, and old code raises on ``TraceSet(None)`` rather
+#: than read a new body as an empty trace set.
 STORE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).

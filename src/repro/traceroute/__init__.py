@@ -11,12 +11,13 @@
   columns (:class:`~repro.traceroute.probe.TraceSet`);
 * :mod:`repro.traceroute.campaign` runs measurement campaigns from
   configurable vantage points, producing the trace sets ITDK snapshots
-  are built from.
+  are built from, or only the addresses those traces observe.
 """
 
 from repro.traceroute.routing import RoutingModel
 from repro.traceroute.probe import Prober, Trace, TraceSet
-from repro.traceroute.campaign import CampaignConfig, run_campaign
+from repro.traceroute.campaign import CampaignConfig, observe_campaign, \
+    run_campaign
 
 __all__ = [
     "RoutingModel",
@@ -24,5 +25,6 @@ __all__ = [
     "Trace",
     "TraceSet",
     "CampaignConfig",
+    "observe_campaign",
     "run_campaign",
 ]

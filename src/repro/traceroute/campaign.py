@@ -9,13 +9,13 @@ behind the growth in figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Union
 
 from repro.obs.trace import NULL_SPAN
 from repro.topology.asgraph import Tier
 from repro.topology.routers import Router
 from repro.topology.world import World
-from repro.traceroute.probe import Prober, TraceSet
+from repro.traceroute.probe import ANONYMOUS, Prober, TraceSet
 from repro.traceroute.routing import RoutingModel
 from repro.util.rand import substream
 
@@ -89,14 +89,37 @@ def run_campaign(world: World, routing: RoutingModel, seed: int,
     is dropped.  ``span`` records ``traces`` and ``walks``, the
     (VP, destination group) walks that found a route.
     """
+    traces = TraceSet()
+    _walk_campaign(world, routing, seed, config, traces, span)
+    return traces
+
+
+def observe_campaign(world: World, routing: RoutingModel, seed: int,
+                     config: Optional[CampaignConfig] = None,
+                     span=NULL_SPAN) -> Set[int]:
+    """The responsive hop addresses of :func:`run_campaign`'s traces
+    (its ``observed()``), from an observed-only walk that writes no
+    traces.  ``span`` records the same ``traces`` and ``walks``."""
+    observed: Set[int] = set()
+    _walk_campaign(world, routing, seed, config, observed, span)
+    observed.discard(ANONYMOUS)
+    return observed
+
+
+def _walk_campaign(world: World, routing: RoutingModel, seed: int,
+                   config: Optional[CampaignConfig],
+                   into: Union[TraceSet, Set[int]], span) -> None:
+    """Walk every VP of the campaign into ``into``, as
+    :meth:`Prober.walk_groups` takes it."""
     config = config or CampaignConfig()
     prober = Prober(world, routing, seed,
                     anonymous_rate=config.anonymous_rate,
                     dest_responds_rate=config.dest_responds_rate)
     groups = prober.targets(campaign_destinations(world, seed, config))
-    traces = TraceSet()
-    walks = sum(prober.walk_groups(traces, vp_asn, vp_router(world, vp_asn),
-                                   groups)
-                for vp_asn in select_vps(world, config.n_vps, seed))
-    span.set(traces=len(traces), walks=walks)
-    return traces
+    walks = rows = 0
+    for vp_asn in select_vps(world, config.n_vps, seed):
+        walked, written = prober.walk_groups(
+            into, vp_asn, vp_router(world, vp_asn), groups)
+        walks += walked
+        rows += written
+    span.set(traces=rows, walks=walks)

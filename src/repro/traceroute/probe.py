@@ -16,7 +16,7 @@ from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple, overload)
+                    Set, Tuple, Union, overload)
 
 from repro.topology.routers import (
     Interface,
@@ -210,8 +210,10 @@ class _Segment(NamedTuple):
 
 #: A walk's state after an AS-path prefix: hop and RTT columns, the
 #: cumulative one-way delay, the router reached, and whether every
-#: crossing so far succeeded.  Memo entries are never mutated.
-_PrefixState = Tuple["array[int]", "array[float]", float, Router, bool]
+#: crossing so far succeeded.  An observed-only walk keeps no columns
+#: and no delay: its state is (whether the walk has hops, ``None``,
+#: ``0.0``, router, complete).  Memo entries are never mutated.
+_PrefixState = Tuple[object, Optional["array[float]"], float, Router, bool]
 
 #: One destination of a walk: its address and the edge router hosting
 #: its prefix (``None`` when its AS has no routers).
@@ -246,11 +248,12 @@ class Prober:
     BFS parent tree per source router.  A walk's state after every
     AS-path prefix is memoised, keyed on the prefix, so a walk extends
     its parent prefix by one crossing.  The prefix memo belongs to one
-    vantage point and one :class:`TraceSet`: a walk clears it whenever
-    it sees a different ``vp_router`` or trace set, which bounds it by
-    that VP's tree of AS paths.  The first time a crossing or tail is
-    walked into a trace set, its hops go into the set's hop values, so
-    the set's ``observed`` never reads a hop its rows repeat.
+    vantage point and one sink (a :class:`TraceSet`, or the set of an
+    observed-only walk): a walk clears it whenever it sees a different
+    ``vp_router`` or sink, which bounds it by that VP's tree of AS
+    paths.  The first time a crossing or tail is walked into a sink, its
+    hops go into the sink's hop values, so the set's ``observed`` never
+    reads a hop its rows repeat.
 
     :meth:`walk_groups` is the one walk kernel: it walks from a VP to
     groups of destinations, each in one origin AS (see :meth:`targets`),
@@ -293,11 +296,14 @@ class Prober:
         self._trees: Dict[str, Dict[str, Tuple[Link, Router, Router]]] = {}
         self._crossings: Dict[Tuple[str, int, int], Optional[_Segment]] = {}
         self._tails: Dict[Tuple[str, str], Optional[_Segment]] = {}
-        # The prefix memo and the VP router and trace set it belongs to,
-        # and the ids of the segments whose hops that set's hop values
-        # hold (segments live as long as the prober, so ids are unique).
+        # The prefix memo, the VP router and sink it belongs to, whether
+        # that sink takes columns, the sink's hop values, and the ids of
+        # the segments whose hops those values hold (segments live as
+        # long as the prober, so ids are unique).
         self._prefix_vp: Optional[str] = None
-        self._prefix_traces: Optional[TraceSet] = None
+        self._prefix_sink: object = None
+        self._columns = True
+        self._values: Set[int] = set()
         self._reported: Set[int] = set()
         self._prefixes: Dict[Tuple[int, ...], _PrefixState] = {}
 
@@ -429,7 +435,8 @@ class Prober:
         if state is not None:
             return state
         if len(path) == 1:
-            state = (array("I"), array("d"), 0.0, vp_router, True)
+            state = (array("I"), array("d"), 0.0, vp_router, True) \
+                if self._columns else (False, None, 0.0, vp_router, True)
         else:
             hops, rtts, delay, router, complete = \
                 self._prefix(path[:-1], vp_router)
@@ -438,19 +445,22 @@ class Prober:
             if segment is None:
                 state = (hops, rtts, delay, router, False)
             else:
-                hops, rtts = hops[:], rtts[:]
-                delay = _extend(hops, rtts, delay, segment)
                 self._report(segment)
-                state = (hops, rtts, delay, segment.end, True)
+                if rtts is None:
+                    state = (True, None, delay, segment.end, True)
+                else:
+                    hops, rtts = hops[:], rtts[:]
+                    delay = _extend(hops, rtts, delay, segment)
+                    state = (hops, rtts, delay, segment.end, True)
         self._prefixes[path] = state
         return state
 
     def _report(self, segment: _Segment) -> None:
-        """Add ``segment``'s hops to the hop values of the trace set
-        being written, the first time it is walked into that set."""
+        """Add ``segment``'s hops to the hop values of the sink being
+        walked into, the first time it is walked into that sink."""
         if id(segment) not in self._reported:
             self._reported.add(id(segment))
-            self._prefix_traces._hop_values().update(segment.hops)
+            self._values.update(segment.hops)
 
     # -- main entry ------------------------------------------------------------
 
@@ -482,7 +492,7 @@ class Prober:
         """
         groups = self.targets([dst_address])
         traces = TraceSet()
-        if not self.walk_groups(traces, vp_asn, vp_router, groups):
+        if not self.walk_groups(traces, vp_asn, vp_router, groups)[0]:
             return None
         return groups[0][0], traces.hops, traces.rtts, any(traces.reached)
 
@@ -504,29 +514,43 @@ class Prober:
                 groups.append((dst_asn, [target]))
         return groups
 
-    def walk_groups(self, traces: TraceSet, vp_asn: int, vp_router: Router,
-                    groups: Sequence[TargetGroup]) -> int:
+    def walk_groups(self, into: Union[TraceSet, Set[int]], vp_asn: int,
+                    vp_router: Router, groups: Sequence[TargetGroup],
+                    ) -> Tuple[int, int]:
         """Walk from ``vp_router`` to every target of ``groups``,
-        appending one row per walk with hops to ``traces``' columns.
+        appending one row per walk with hops to the columns of ``into``.
 
         The AS path and the walk's state on entering the group's AS are
         computed once per group, the tail to each edge router once per
         group and edge router; per target only the destination's reply
         is left.  Replies are drawn in target order, and only for walks
-        that reach their edge router.  Returns the number of groups
-        walked: those the VP has a route to.
+        that reach their edge router.
+
+        Given a plain set instead of a :class:`TraceSet`, the walk is
+        observed only: it adds to the set the values the rows' hop
+        column would hold (:data:`ANONYMOUS` included) and writes no
+        rows, copies no hops and computes no RTTs, with the same AS
+        paths, segments and reply draws as a walk with columns.
+
+        Returns ``(walks, rows)``: the groups walked (those the VP has a
+        route to) and the rows written, or that a walk with columns
+        would have written.
         """
-        hop_values = traces._hop_values()
-        if traces is not self._prefix_traces:
-            self._prefix_traces, self._reported = traces, set()
+        if into is not self._prefix_sink:
+            self._prefix_sink, self._reported = into, set()
+            self._columns = isinstance(into, TraceSet)
+            self._values = into._hop_values() if self._columns else into
             self._prefix_vp = None
         if vp_router.rid != self._prefix_vp:
             self._prefix_vp = vp_router.rid
             self._prefixes = {}
         as_path, prefix = self._routing.as_path, self._prefix
+        columns, hop_values = self._columns, self._values
+        if columns:
+            traces: TraceSet = into  # type: ignore[assignment]
+            hop_column, rtt_column = traces.hops, traces.rtts
         vp_loc = vp_router.loc
-        hop_column, rtt_column = traces.hops, traces.rtts
-        walked = 0
+        walked = rows = 0
         for dst_asn, targets in groups:
             path = as_path(vp_asn, dst_asn)
             if path is None:
@@ -535,8 +559,9 @@ class Prober:
             hops, rtts, delay, router, complete = \
                 prefix(tuple(path), vp_router)
             # Edge router id -> the walk's hops, RTTs and delay at the
-            # edge router (delay None: the walk stops short of it).
-            bodies: Dict[Optional[str], Tuple["array[int]", "array[float]",
+            # edge router (delay None: the walk stops short of it); an
+            # observed-only walk keeps whether it has hops for its hops.
+            bodies: Dict[Optional[str], Tuple[object, object,
                                               Optional[float]]] = {}
             for dst_address, edge in targets:
                 key = None if edge is None else edge.rid
@@ -547,15 +572,23 @@ class Prober:
                     if tail is None:
                         body = (hops, rtts, None)
                     else:
-                        body_hops, body_rtts = hops[:], rtts[:]
-                        body = (body_hops, body_rtts,
-                                _extend(body_hops, body_rtts, delay, tail))
                         self._report(tail)
+                        if columns:
+                            body_hops, body_rtts = hops[:], rtts[:]
+                            body = (body_hops, body_rtts, _extend(
+                                body_hops, body_rtts, delay, tail))
+                        else:
+                            body = (hops or len(tail.hops) > 0, None, delay)
                     bodies[key] = body
                 body_hops, body_rtts, end_delay = body
                 reached = end_delay is not None \
                     and self._destination_responds(dst_address)
                 if not body_hops and not reached:
+                    continue
+                rows += 1
+                if reached:
+                    hop_values.add(dst_address)
+                if not columns:
                     continue
                 traces.vp_asn.append(vp_asn)
                 traces.dst_address.append(dst_address)
@@ -566,11 +599,10 @@ class Prober:
                 rtt_column.extend(body_rtts)
                 if reached:
                     hop_column.append(dst_address)
-                    hop_values.add(dst_address)
                     rtt_column.append(
                         round(2.0 * (end_delay + 0.05) + 0.5, 3))
                 traces.offsets.append(len(hop_column))
-        return walked
+        return walked, rows
 
     def _edge_router_for(self, address: int,
                          dst_asn: int) -> Optional[Router]:

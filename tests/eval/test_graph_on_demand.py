@@ -13,7 +13,8 @@ same conventions.
 A stored timeline keeps each snapshot result as a body that loads on
 first use: a warm relearn loads none, and the first read gives the
 cold graph, traces and annotations.  A timeline pickled before bodies
-were packed must load through the store the same way.
+were packed must load through the store the same way, and return its
+stored RTAA traces without replaying the campaign.
 """
 
 import gzip
@@ -168,10 +169,14 @@ class TestParentLayoutPickle:
             "utf-8")).hexdigest() == pins[RTAA_LABEL]["sha256"]
 
     def test_repickles_without_graph(self, loaded):
+        """An RTAA result re-pickles without its traces either; with its
+        world re-attached it replays the traces it loaded with."""
         result, _ = loaded
         result.graph
         again = pickle.loads(pickle.dumps(result))
         assert "graph" not in vars(again)
+        assert "traces" not in vars(again)
+        again.world = result.world
         assert again.traces == result.traces
 
 
@@ -253,6 +258,13 @@ class TestParentLayoutTimeline:
             == pins[RTAA_LABEL]["traces_sha256"]
         assert graph_digest(result.graph) == pins[RTAA_LABEL]["graph_sha256"]
 
+    def test_returns_its_stored_traces_without_a_replay(self, loaded):
+        result = loaded.training_set(RTAA_LABEL).snapshot
+        assert isinstance(vars(result).get("traces"), TraceSet)
+        assert traces_digest(result.traces) \
+            == expected_digest()["sets"][RTAA_LABEL]["traces_sha256"]
+        assert not _spans(loaded.tracer, "snapshot.replay")
+
     def test_relearns_to_the_pinned_digest(self, loaded, pins):
         learned = loaded.learned(RTAA_LABEL)
         assert hashlib.sha256(conventions_to_json(learned).encode(
@@ -269,5 +281,6 @@ class TestParentLayoutTimeline:
         again = pickle.loads(pickle.dumps(old))
         assert [t.label for t in again] == [RTAA_LABEL]
         assert isinstance(again[0]._body, bytes)
+        again[0].adopt(loaded.world)
         assert again[0].snapshot.traces \
             == loaded.training_set(RTAA_LABEL).snapshot.traces

@@ -8,7 +8,9 @@ reference campaign calls it once per (VP, destination) over the lists
 RTTs by bytes, and so must single traces that alternate between vantage
 points (which clears the prefix memo), walks truncated by a missing
 interdomain or internal link, and destination groups that span two edge
-routers.
+routers.  The observed-only walk (:func:`observe_campaign`) must collect
+exactly the responsive hops of the reference campaign, and count its
+rows and walks as the walk with columns does.
 """
 
 from collections import deque
@@ -24,7 +26,8 @@ from repro.topology import geo
 from repro.topology.routers import LinkKind
 from repro.topology.world import WorldConfig, generate_world
 from repro.traceroute.campaign import CampaignConfig, \
-    campaign_destinations, run_campaign, select_vps, vp_router
+    campaign_destinations, observe_campaign, run_campaign, select_vps, \
+    vp_router
 from repro.traceroute.probe import ANONYMOUS, NO_RTT, Prober, TraceSet
 from repro.traceroute.routing import RoutingModel
 from tests.traceroute.test_traceset import _graph_tuple, oracle_router_graph
@@ -166,6 +169,28 @@ def _assert_same_columns(traces, reference):
             assert column == expected, name
 
 
+def _assert_same_observed(world, routing, seed, config, reference):
+    """The observed-only walk against the reference campaign: its
+    responsive hops, and the span counts the walk with columns sets."""
+    columns, observed = _Attrs(), _Attrs()
+    run_campaign(world, routing, seed, config, span=columns)
+    assert observe_campaign(world, routing, seed, config, span=observed) \
+        == reference.observed()
+    assert observed.attrs == columns.attrs
+    assert observed.attrs["traces"] == len(reference)
+
+
+class _Attrs:
+    """A span stand-in that keeps what ``set`` records."""
+
+    def __init__(self):
+        self.attrs = {}
+
+    def set(self, **attrs):
+        self.attrs.update(attrs)
+        return self
+
+
 def _tiny():
     world = generate_world(42, WorldConfig.tiny())
     return world, RoutingModel(world.graph)
@@ -189,6 +214,7 @@ def test_campaign_matches_per_hop_walk(anonymous_rate):
     reference = _reference_campaign(world, routing, 9, config)
     assert len(traces) > 100
     _assert_same_columns(traces, reference)
+    _assert_same_observed(world, routing, 9, config, reference)
 
 
 def test_traces_alternating_between_vps_match():
@@ -245,6 +271,7 @@ def test_truncated_walks_match(removed):
     traces = run_campaign(world, routing, 9, config)
     reference = _reference_campaign(world, routing, 9, config)
     _assert_same_columns(traces, reference)
+    _assert_same_observed(world, routing, 9, config, reference)
 
     def crosses_pair(trace):
         path = routing.as_path(vp_asn, trace.dst_asn)
@@ -271,15 +298,38 @@ def test_destinations_behind_two_edge_routers_match():
         campaign_destinations(world, 9, config))
     assert sum(len({edge.rid for _, edge in targets}) > 1
                for _, targets in groups) > 10
-    _assert_same_columns(run_campaign(world, routing, 9, config),
-                         _reference_campaign(world, routing, 9, config))
+    reference = _reference_campaign(world, routing, 9, config)
+    _assert_same_columns(run_campaign(world, routing, 9, config), reference)
+    _assert_same_observed(world, routing, 9, config, reference)
+
+
+def test_sinks_taking_turns_match_their_own_walks():
+    """One prober walks each VP into a trace set, then into an
+    observed-only set: each switch of sink clears the prefix memo, so
+    neither mode reads the other's prefix states or reported segments."""
+    world, routing = _tiny()
+    config = CampaignConfig(n_vps=5)
+    prober = Prober(world, routing, 9)
+    groups = prober.targets(campaign_destinations(world, 9, config))
+    traces, observed = TraceSet(), set()
+    for vp_asn in select_vps(world, config.n_vps, 9):
+        router = vp_router(world, vp_asn)
+        before = len(traces)
+        walked, rows = prober.walk_groups(traces, vp_asn, router, groups)
+        assert rows == len(traces) - before
+        assert prober.walk_groups(observed, vp_asn, router, groups) \
+            == (walked, rows)
+    reference = _reference_campaign(world, routing, 9, config)
+    _assert_same_columns(traces, reference)
+    observed.discard(ANONYMOUS)
+    assert observed == reference.observed()
 
 
 @pytest.mark.slow
 def test_small_campaigns_match_per_hop_walk():
-    """All 17 seed-2020 SMALL campaigns, column for column, and the 5
-    bdrmapIT router graphs built from them against the per-trace graph
-    loop."""
+    """All 17 seed-2020 SMALL campaigns, column for column and observed
+    only, and the 5 bdrmapIT router graphs built from them against the
+    per-trace graph loop."""
     world = generate_world(2020, WorldConfig.small())
     routing = RoutingModel(world.graph)
     table = world.plan.route_table
@@ -292,8 +342,11 @@ def test_small_campaigns_match_per_hop_walk():
         spec = task.spec
         config = spec.build_config()
         traces = run_campaign(world, routing, spec.seed, config.campaign)
-        _assert_same_columns(traces, _reference_campaign(
-            world, routing, spec.seed, config.campaign))
+        reference = _reference_campaign(world, routing, spec.seed,
+                                        config.campaign)
+        _assert_same_columns(traces, reference)
+        _assert_same_observed(world, routing, spec.seed, config.campaign,
+                              reference)
         if spec.method != METHOD_BDRMAPIT:
             continue
         naming = assign_hostnames(world, spec.seed, spec.naming_config())
