@@ -446,12 +446,12 @@ class Prober:
                 state = (hops, rtts, delay, router, False)
             else:
                 self._report(segment)
-                if rtts is None:
-                    state = (True, None, delay, segment.end, True)
-                else:
+                if self._columns:
                     hops, rtts = hops[:], rtts[:]
                     delay = _extend(hops, rtts, delay, segment)
                     state = (hops, rtts, delay, segment.end, True)
+                else:
+                    state = (True, None, delay, segment.end, True)
         self._prefixes[path] = state
         return state
 
