@@ -1,4 +1,4 @@
-"""Experiment digest: every experiment's TINY output, pinned.
+"""Experiment digest: every experiment's TINY and SMALL output, pinned.
 
 ``repro-hoiho all --scale tiny`` runs every experiment on one
 ``ExperimentContext(2020, Scale.TINY)`` and prints each one's rendered
@@ -7,17 +7,20 @@ ablation and Appendix A; no timings).  Per experiment, the SHA-256 of
 that text and its line count must equal the committed fixture, so a
 refactor or speedup anywhere under the experiments has to leave every
 headline row byte-identical, not just the learned conventions that
-``test_repro_digest`` pins.
+``test_repro_digest`` pins.  The SMALL rows are pinned the same way by
+a ``slow`` test (~7 s), which CI's ``e2e-digest`` job runs.
 
-A change that alters the model on purpose rewrites the fixture with::
+A change that alters the model on purpose rewrites the fixtures with::
 
     PYTHONPATH=src python -m tests.integration.test_experiment_digest
+    PYTHONPATH=src python -m tests.integration.test_experiment_digest small
 
 and says why.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,15 +28,19 @@ import pytest
 from repro.cli import _EXPERIMENTS, _run_experiment
 from repro.eval.context import ExperimentContext, Scale
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" \
-    / "experiment_digest_tiny.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SEED = 2020
 
 
-def experiment_digest(seed: int = SEED) -> dict:
+def fixture_path(scale: Scale) -> Path:
+    """The committed digest of ``scale``."""
+    return FIXTURES / ("experiment_digest_%s.json" % scale.value)
+
+
+def experiment_digest(seed: int = SEED, scale: Scale = Scale.TINY) -> dict:
     """Per experiment, in ``all``'s order on one shared context: the
     SHA-256 of its rendered text and its line count."""
-    context = ExperimentContext(seed, Scale.TINY)
+    context = ExperimentContext(seed, scale)
     experiments = {}
     for name in sorted(_EXPERIMENTS):
         text = _run_experiment(name, context)
@@ -41,8 +48,16 @@ def experiment_digest(seed: int = SEED) -> dict:
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "lines": len(text.splitlines()),
         }
-    return {"seed": seed, "scale": Scale.TINY.value,
-            "experiments": experiments}
+    return {"seed": seed, "scale": scale.value, "experiments": experiments}
+
+
+def assert_matches_fixture(digest: dict, scale: Scale) -> None:
+    expected = json.loads(fixture_path(scale).read_text(encoding="utf-8"))
+    assert (digest["seed"], digest["scale"]) == \
+        (expected["seed"], expected["scale"])
+    assert sorted(digest["experiments"]) == sorted(expected["experiments"])
+    for name, want in expected["experiments"].items():
+        assert digest["experiments"][name] == want, name
 
 
 @pytest.fixture(scope="module")
@@ -51,14 +66,18 @@ def digest():
 
 
 def test_digest_matches_fixture(digest):
-    expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    assert sorted(digest["experiments"]) == sorted(expected["experiments"])
-    for name, want in expected["experiments"].items():
-        assert digest["experiments"][name] == want, name
+    assert_matches_fixture(digest, Scale.TINY)
+
+
+@pytest.mark.slow
+def test_small_digest_matches_fixture():
+    assert_matches_fixture(experiment_digest(scale=Scale.SMALL), Scale.SMALL)
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(experiment_digest(), indent=2,
-                                  sort_keys=True) + "\n", encoding="utf-8")
-    print("wrote %s" % FIXTURE)
+    scale = Scale(sys.argv[1]) if len(sys.argv) > 1 else Scale.TINY
+    path = fixture_path(scale)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(experiment_digest(scale=scale), indent=2,
+                               sort_keys=True) + "\n", encoding="utf-8")
+    print("wrote %s" % path)
