@@ -18,6 +18,7 @@ from repro.core.hoiho import HoihoConfig, HoihoResult
 from repro.core.parallel import ParallelConfig
 from repro.core.resilience import RetryPolicy
 from repro.eval.timeline import TrainingSet, build_timeline
+from repro.naming.assigner import NamingPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.store import ArtifactStore, KIND_HOIHO, KIND_TIMELINE, KIND_WORLD
@@ -97,6 +98,7 @@ class ExperimentContext:
             store.metrics = self.metrics
         self._world: Optional[World] = None
         self._routing: Optional[RoutingModel] = None
+        self._naming_plan: Optional[NamingPlan] = None
         self._timeline: Optional[List[TrainingSet]] = None
         self._learned: Dict[str, HoihoResult] = {}
 
@@ -147,6 +149,15 @@ class ExperimentContext:
         return self._routing
 
     @property
+    def naming_plan(self) -> NamingPlan:
+        """The shared naming plan every snapshot of the world names its
+        interfaces from (built on first use, in a ``naming.plan``
+        span)."""
+        if self._naming_plan is None:
+            self._naming_plan = NamingPlan(self.world, self.tracer)
+        return self._naming_plan
+
+    @property
     def timeline(self) -> List[TrainingSet]:
         """All training sets (17 ITDK + 2 PeeringDB by default)."""
         if self._timeline is None:
@@ -168,7 +179,8 @@ class ExperimentContext:
                     include_pdb=self.include_pdb,
                     parallel=self.parallel,
                     retry=self.retry,
-                    tracer=self.tracer)
+                    tracer=self.tracer,
+                    naming_plan=self.naming_plan)
                 span.set(sets=len(self._timeline))
                 if self.store is not None:
                     self.store.put(KIND_TIMELINE, self._timeline_payload(),

@@ -73,7 +73,9 @@ def run(context: ExperimentContext,
             method=METHOD_BDRMAPIT, n_vps=24,
             seed=context.seed + 17, naming=naming,
             build=BuildConfig(campaign=CampaignConfig(n_vps=24)))
-        snapshot_result = run_snapshot(world, spec, context.routing)
+        snapshot_result = run_snapshot(world, spec, context.routing,
+                                       tracer=context.tracer,
+                                       naming_plan=context.naming_plan)
 
         learned = Hoiho(context.hoiho_config).run(snapshot_result.training)
         usable = learned.usable()

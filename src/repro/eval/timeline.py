@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.parallel import ParallelConfig, parallel_map
 from repro.core.types import TrainingItem
 from repro.itdk.builder import BuildConfig
-from repro.naming.assigner import NamingConfig
+from repro.naming.assigner import NamingPlan
 from repro.traceroute.campaign import CampaignConfig
 from repro.core.resilience import RetryPolicy
 from repro.obs.trace import NULL_TRACER
@@ -165,7 +165,9 @@ class TrainingSet:
 def _timeline_tasks(world: World, seed: int,
                     routing: Optional[RoutingModel],
                     itdk_labels: Optional[List[str]],
-                    include_pdb: bool) -> List[object]:
+                    include_pdb: bool,
+                    naming_plan: Optional[NamingPlan] = None,
+                    ) -> List[object]:
     """The timeline's snapshot tasks, in timeline order."""
     tasks: List[object] = []
     wanted = set(itdk_labels) if itdk_labels is not None else None
@@ -179,12 +181,14 @@ def _timeline_tasks(world: World, seed: int,
             build=BuildConfig(
                 campaign=CampaignConfig(n_vps=vps_for_year(year)),
                 alias_augment_rate=alias_augment_for_year(year)))
-        tasks.append(SnapshotTask(world=world, spec=spec, routing=routing))
+        tasks.append(SnapshotTask(world=world, spec=spec, routing=routing,
+                                  naming_plan=naming_plan))
     if include_pdb:
         for label, year in PDB_TIMELINE:
             pdb_seed = substream(seed, "snapshot", label).randrange(1 << 30)
             tasks.append(PeeringDBTask(world=world, seed=pdb_seed,
-                                       label=label, year=year))
+                                       label=label, year=year,
+                                       naming_plan=naming_plan))
     return tasks
 
 
@@ -205,6 +209,7 @@ def build_timeline(world: World, seed: int,
                    parallel: Optional[ParallelConfig] = None,
                    retry: Optional[RetryPolicy] = None,
                    tracer=NULL_TRACER,
+                   naming_plan: Optional[NamingPlan] = None,
                    ) -> List[TrainingSet]:
     """Produce all training sets for ``world``.
 
@@ -221,12 +226,19 @@ def build_timeline(world: World, seed: int,
     ``tracer`` wraps the build in a ``timeline`` span; workers capture
     their per-snapshot spans and the coordinator adopts them under it,
     with retries surfacing live as ``retry`` span events.
+    ``naming_plan`` is the world's
+    :class:`~repro.naming.assigner.NamingPlan`, which every snapshot
+    names its interfaces from; ``None`` builds one.
     """
     if routing is None:
         routing = RoutingModel(world.graph)
     parallel = parallel or ParallelConfig.serial()
-    tasks = _timeline_tasks(world, seed, routing, itdk_labels, include_pdb)
-    with tracer.span("timeline", snapshots=len(tasks)) as span:
+    with tracer.span("timeline") as span:
+        if naming_plan is None:
+            naming_plan = NamingPlan(world, tracer)
+        tasks = _timeline_tasks(world, seed, routing, itdk_labels,
+                                include_pdb, naming_plan)
+        span.set(snapshots=len(tasks))
         results = parallel_map(_timeline_worker, tasks, parallel,
                                retry=retry, site=SITE_TIMELINE, span=span)
 

@@ -24,6 +24,7 @@ from repro.naming.assigner import (
     HostnameRecord,
     NamingConfig,
     NamingOutcome,
+    NamingPlan,
     assign_hostnames,
 )
 from repro.naming.asnames import as_name_tokens
@@ -38,6 +39,7 @@ __all__ = [
     "HostnameRecord",
     "NamingConfig",
     "NamingOutcome",
+    "NamingPlan",
     "assign_hostnames",
     "as_name_tokens",
 ]

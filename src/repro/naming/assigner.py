@@ -16,12 +16,16 @@ and injects the paper's data hazards:
 The outcome records, per address, the ground truth needed by the
 validation experiments: which ASN the convention *intended* to describe,
 which digit string was actually embedded, and which hazards fired.
+
+Everything but the hazards and the label decoration is a property of
+the world, so a :class:`NamingPlan` derives it once per world and each
+snapshot's :meth:`NamingPlan.assign` draws only its own streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.naming.asnames import as_name_tokens
 from repro.naming.conventions import (
@@ -40,6 +44,8 @@ from repro.naming.conventions import (
     plain_label,
     profile_for_as,
 )
+from repro.obs.trace import NULL_TRACER
+from repro.topology.asgraph import _LOC_CODES, IXPSpec
 from repro.topology.routers import Interface, InterfaceKind
 from repro.topology.world import World
 from repro.util.ipaddr import int_to_ip
@@ -183,12 +189,15 @@ class _HazardInjector:
                 return asn
         return current + 1
 
-    @staticmethod
-    def _typo(text: str, rng) -> str:
-        """Apply one Damerau-Levenshtein edit to a digit string."""
+    def _typo(self, text: str, rng) -> str:
+        """Apply one Damerau-Levenshtein edit to a digit string.
+
+        A share ``typo_rescuable`` of typos on four or more digits keeps
+        the first and last digits; the rest damage the first digit.
+        """
         if len(text) < 3:
             return text + str(rng.randint(0, 9))
-        rescuable = rng.random() < 0.75
+        rescuable = rng.random() < self._config.typo_rescuable
         if rescuable and len(text) >= 4:
             # Transpose two interior digits: first/last preserved, so the
             # paper's guarded rule still accepts the hostname as a TP.
@@ -204,35 +213,149 @@ class _HazardInjector:
         return first + text[1:]
 
 
+# How a slot renders its hostname.  The case is fixed per world; the
+# label and hazard draws and the year's adoption are per snapshot.
+_IXP_SILENT = 0     # IXP LAN of an exchange that publishes no PTR records
+_IXP = 1            # IXP LAN port labelled with the member's ASN
+_SILENT = 2         # operator without PTR records
+_IP = 3             # figure-3b label derived from the address
+_OWN_DECOR = 4      # figure-2 label carrying the namer's own ASN
+_AS_NAME = 5        # far-side label carrying the neighbor's AS name
+_PLAIN = 6          # infrastructure label without AS information
+_GEO = 7            # location-only label
+_NEIGHBOR = 8       # neighbor-ASN convention, once adopted
+
+
+class _Slot(NamedTuple):
+    """The world-keyed naming facts of one interface."""
+
+    iface: Interface
+    case: int
+    profile: Optional[ConventionProfile]  # the namer's; None on IXP LANs
+    far_side: bool            # P2P address on another AS's router
+    loc: str                  # the router's metro (the IXP's, on its LAN)
+    name: str                 # the router's name
+    index: int                # the router's per-AS ordinal
+    port: str
+    ip: str
+    subject: Optional[int] = None  # ASN a neighbor-ASN or IXP label names
+    # The customer slug of a far-side own-decor label, the neighbor
+    # slug of an AS-name label, or the member slug of an IXP label.
+    slug: Optional[str] = None
+    token: Optional[str] = None    # the far-side AS-name token
+    ixp: Optional[IXPSpec] = None
+    mode: Optional[IXPNamingMode] = None
+
+
+class NamingPlan:
+    """The naming facts of one world, shared by all of its snapshots.
+
+    Operator profiles, IXP modes and far-side AS-name tokens are keyed
+    by ``world.seed``, and so is each interface's namer, render case
+    and router fields.  A plan holds them all, built once per world;
+    :meth:`assign` then draws only a snapshot's ``labels`` and
+    ``hazards`` streams and renders its records.  A plan names the
+    interfaces of its own world, and no outcome refers back to it.
+    ``tracer`` times the build in a ``naming.plan`` span.
+    """
+
+    def __init__(self, world: World, tracer=NULL_TRACER) -> None:
+        with tracer.span("naming.plan") as span:
+            self.world = world
+            self.profiles: Dict[int, ConventionProfile] = {
+                asn: profile_for_as(world.seed, world.node(asn))
+                for asn in world.graph.asns()}
+            self.ixp_modes: Dict[int, IXPNamingMode] = {
+                ixp.ixp_id: ixp_mode_for(world.seed, ixp)
+                for ixp in world.graph.ixps}
+            self.slots: List[_Slot] = [
+                self._slot(iface) for router in world.routers()
+                for iface in router.interfaces]
+            span.set(interfaces=len(self.slots))
+
+    def _slot(self, iface: Interface) -> _Slot:
+        world = self.world
+        router = iface.router
+        fields = dict(name=router.name, index=router.index,
+                      port=iface.port, ip=iface.ip)
+        if iface.kind is InterfaceKind.IXP_LAN:
+            ixp = world.graph.ixps[iface.ixp_id]
+            mode = self.ixp_modes[ixp.ixp_id]
+            return _Slot(
+                iface, _IXP_SILENT if mode is IXPNamingMode.NONE else _IXP,
+                None, False, ixp.slug.split("-")[0], subject=router.asn,
+                slug=world.node(router.asn).slug, ixp=ixp, mode=mode,
+                **fields)
+
+        profile = self.profiles[iface.supplier_asn]
+        namer = profile.asn
+        far_side = iface.kind is InterfaceKind.P2P and router.asn != namer
+        embed = profile.embed
+        subject = slug = token = None
+        if embed is EmbedKind.NONE:
+            case = _SILENT
+        elif embed is EmbedKind.IP_DERIVED:
+            case = _IP
+        elif embed is EmbedKind.OWN_DECOR:
+            case = _OWN_DECOR
+            if far_side:
+                slug = world.node(router.asn).slug[:3]
+        elif embed is EmbedKind.NAME and far_side:
+            # Operators use one consistent name per neighbor: derive
+            # the token from a stream keyed by (operator, neighbor).
+            case = _AS_NAME
+            slug = world.node(router.asn).slug
+            token = substream(world.seed, "asname", namer,
+                              router.asn).choice(as_name_tokens(slug))
+        elif embed is EmbedKind.NAME:
+            case = _PLAIN
+        elif embed is EmbedKind.GEO:
+            case = _GEO
+        else:
+            case = _NEIGHBOR
+            if far_side:
+                subject = router.asn
+            elif iface.kind is InterfaceKind.P2P and profile.names_near_side:
+                # A candidate for the near-side hazard.
+                subject = iface.neighbor_asn
+        return _Slot(iface, case, profile, far_side, router.loc,
+                     subject=subject, slug=slug, token=token, **fields)
+
+    def assign(self, seed: int,
+               config: Optional[NamingConfig] = None) -> NamingOutcome:
+        """Name every interface of the world for one snapshot.
+
+        ``seed`` keys the snapshot's ``labels`` and ``hazards`` streams,
+        drawn in interface order.  Sets each ``iface.hostname`` (``None``
+        for no PTR record) and returns the snapshot's records.
+        """
+        config = config or NamingConfig()
+        outcome = NamingOutcome(config=config, profiles=dict(self.profiles),
+                                ixp_modes=dict(self.ixp_modes))
+        hazards = _HazardInjector(self.world, config, seed)
+        rng = substream(seed, "labels")
+        records = outcome.records
+        for slot in self.slots:
+            record = _render(slot, hazards, config, rng)
+            if record is not None:
+                slot.iface.hostname = record.hostname
+                records[record.address] = record
+            else:
+                slot.iface.hostname = None
+        return outcome
+
+
 def assign_hostnames(world: World, seed: int,
                      config: Optional[NamingConfig] = None) -> NamingOutcome:
     """Assign hostnames to every interface in ``world``.
 
     ``seed`` keys the snapshot-specific randomness (hazards, decoration);
     the per-operator profiles are keyed by ``world.seed`` so operators are
-    consistent across snapshots of the same world.
+    consistent across snapshots of the same world.  Naming several
+    snapshots of one world, build one :class:`NamingPlan` and call its
+    :meth:`~NamingPlan.assign` per snapshot.
     """
-    config = config or NamingConfig()
-    outcome = NamingOutcome(config=config)
-    hazards = _HazardInjector(world, config, seed)
-    rng = substream(seed, "labels")
-
-    for asn in world.graph.asns():
-        outcome.profiles[asn] = profile_for_as(world.seed, world.node(asn))
-    for ixp in world.graph.ixps:
-        outcome.ixp_modes[ixp.ixp_id] = ixp_mode_for(world.seed, ixp)
-
-    for router in world.routers():
-        for iface in router.interfaces:
-            record = _name_interface(world, iface, outcome, hazards, config,
-                                     rng)
-            if record is not None:
-                iface.hostname = record.hostname
-                outcome.records[iface.address] = record
-            else:
-                iface.hostname = None
-
-    return outcome
+    return NamingPlan(world).assign(seed, config)
 
 
 def host_hostname(world: World, address: int, outcome: NamingOutcome,
@@ -262,9 +385,8 @@ def host_hostname(world: World, address: int, outcome: NamingOutcome,
     return record
 
 
-def _wrong_loc(world: World, current: str, rng) -> str:
+def _wrong_loc(current: str, rng) -> str:
     """A different location code (gear moved, name not updated)."""
-    from repro.topology.asgraph import _LOC_CODES
     for _ in range(5):
         candidate = rng.choice(_LOC_CODES)
         if candidate != current:
@@ -272,115 +394,79 @@ def _wrong_loc(world: World, current: str, rng) -> str:
     return current
 
 
-def _name_interface(world: World, iface: Interface, outcome: NamingOutcome,
-                    hazards: _HazardInjector, config: NamingConfig,
-                    rng) -> Optional[HostnameRecord]:
+def _render(slot: _Slot, hazards: _HazardInjector, config: NamingConfig,
+            rng) -> Optional[HostnameRecord]:
     """Render one interface's hostname, or None for no PTR record."""
-    router = iface.router
-    if iface.kind is InterfaceKind.IXP_LAN:
-        return _name_ixp_interface(world, iface, outcome, hazards, rng)
-
-    namer_asn = iface.supplier_asn
-    profile = outcome.profiles[namer_asn]
-    node = world.node(namer_asn)
-    far_side = iface.kind is InterfaceKind.P2P and router.asn != namer_asn
-    loc = router.loc
-    if rng.random() < config.misloc_rate:
-        loc = _wrong_loc(world, loc, rng)
-
-    if profile.embed is EmbedKind.NONE:
+    case = slot.case
+    if case == _IXP_SILENT:
         return None
+    if case == _IXP:
+        return _ixp_record(slot, hazards)
 
-    if profile.embed is EmbedKind.IP_DERIVED:
-        label = ip_label(iface.ip, rng)
-        return _record(iface, label, profile, subject=None, embedded=None)
-
-    if profile.embed is EmbedKind.OWN_DECOR:
-        cust_slug = None
-        if far_side:
-            cust_slug = world.node(router.asn).slug[:3]
-        label = own_decor_label(profile, namer_asn, loc, router.name,
-                                iface.port, cust_slug, router.index)
+    loc = slot.loc
+    if rng.random() < config.misloc_rate:
+        loc = _wrong_loc(loc, rng)
+    profile = slot.profile
+    if case == _SILENT:
+        return None
+    if case == _IP:
+        label = ip_label(slot.ip, rng)
+    elif case == _OWN_DECOR:
         # The convention describes the supplying AS itself (figure 2):
         # the embedded ASN is the namer's, whatever router it sits on.
-        return _record(iface, label, profile, subject=namer_asn,
-                       embedded=str(namer_asn))
-
-    if profile.embed is EmbedKind.NAME:
-        if far_side:
-            # Operators use one consistent name per neighbor: derive
-            # the token from a stream keyed by (operator, neighbor).
-            slug = world.node(router.asn).slug
-            token_rng = substream(world.seed, "asname", namer_asn,
-                                  router.asn)
-            token = token_rng.choice(as_name_tokens(slug))
-            label = asname_label(slug, loc, router.index, rng,
-                                 token=token)
-        else:
-            label = plain_label(loc, router.name, iface.port,
-                                rng.random())
-        return _record(iface, label, profile, subject=None, embedded=None)
-
-    if profile.embed is EmbedKind.GEO:
-        label = geo_label(loc, router.name, iface.port, router.index)
-        return _record(iface, label, profile, subject=None, embedded=None)
-
-    # EmbedKind.NEIGHBOR_ASN from here on.
-    adopted = profile.embeds_asn_in(config.year)
-    if far_side and adopted:
-        subject = router.asn
-        text, stale, typo, sibling = hazards.apply(subject, namer_asn)
-        label = neighbor_label(profile, text, loc, iface.port,
-                               router.index, rng)
-        return _record(iface, label, profile, subject=subject, embedded=text,
+        label = own_decor_label(profile, profile.asn, loc, slot.name,
+                                slot.port, slot.slug, slot.index)
+        return _record(slot, label, subject=profile.asn,
+                       embedded=str(profile.asn))
+    elif case == _AS_NAME:
+        label = asname_label(slot.slug, loc, slot.index, rng,
+                             token=slot.token)
+    elif case == _GEO:
+        label = geo_label(loc, slot.name, slot.port, slot.index)
+    elif (case == _NEIGHBOR and slot.subject is not None
+          and profile.embeds_asn_in(config.year)
+          and (slot.far_side
+               or (config.near_side_hazard and rng.random() < 0.5))):
+        # Far side: the hostname describes the router's operator.  Near
+        # side: the operator labels its own side of the link with the
+        # neighbor ASN, so the hostname names an AS that does not
+        # operate the router.
+        text, stale, typo, sibling = hazards.apply(slot.subject,
+                                                   profile.asn)
+        unit = slot.index if slot.far_side else slot.index + 2
+        label = neighbor_label(profile, text, loc, slot.port, unit, rng)
+        return _record(slot, label, subject=slot.subject, embedded=text,
                        stale=stale, typo=typo, sibling=sibling)
-    if (iface.kind is InterfaceKind.P2P and not far_side and adopted
-            and profile.names_near_side and config.near_side_hazard
-            and iface.neighbor_asn is not None and rng.random() < 0.5):
-        # Operator labels its own side of the link with the neighbor ASN:
-        # the hostname then names an AS that does not operate the router.
-        subject = iface.neighbor_asn
-        text, stale, typo, sibling = hazards.apply(subject, namer_asn)
-        label = neighbor_label(profile, text, loc, iface.port,
-                               router.index + 2, rng)
-        return _record(iface, label, profile, subject=subject, embedded=text,
-                       stale=stale, typo=typo, sibling=sibling)
-    label = plain_label(loc, router.name, iface.port, rng.random())
-    return _record(iface, label, profile, subject=None, embedded=None)
-
-
-def _name_ixp_interface(world: World, iface: Interface,
-                        outcome: NamingOutcome, hazards: _HazardInjector,
-                        rng) -> Optional[HostnameRecord]:
-    """Label a member port on an IXP peering LAN."""
-    ixp = world.graph.ixps[iface.ixp_id]
-    mode = outcome.ixp_modes[ixp.ixp_id]
-    if mode is IXPNamingMode.NONE:
-        return None
-    member = iface.router.asn
-    text, stale, typo, sibling = hazards.apply(member, -ixp.ixp_id - 1)
-    metro = ixp.slug.split("-")[0]
-    if mode is IXPNamingMode.MEMBER:
-        variant = member % 3
-        label = member_ixp_label(world.node(member).slug, text, variant)
     else:
-        label = operator_ixp_label(mode, text, metro, iface.router.index)
-    record = HostnameRecord(
-        address=iface.address, hostname="%s.%s" % (label, ixp.domain),
-        namer_asn=-ixp.ixp_id - 1, domain=ixp.domain, subject_asn=member,
+        label = plain_label(loc, slot.name, slot.port, rng.random())
+    return _record(slot, label, subject=None, embedded=None)
+
+
+def _ixp_record(slot: _Slot, hazards: _HazardInjector) -> HostnameRecord:
+    """Label a member port on an IXP peering LAN."""
+    ixp = slot.ixp
+    member = slot.subject
+    namer = -ixp.ixp_id - 1
+    text, stale, typo, sibling = hazards.apply(member, namer)
+    if slot.mode is IXPNamingMode.MEMBER:
+        label = member_ixp_label(slot.slug, text, member % 3)
+    else:
+        label = operator_ixp_label(slot.mode, text, slot.loc, slot.index)
+    return HostnameRecord(
+        address=slot.iface.address, hostname="%s.%s" % (label, ixp.domain),
+        namer_asn=namer, domain=ixp.domain, subject_asn=member,
         embedded_text=text, stale=stale, typo=typo, sibling=sibling,
         embed=EmbedKind.NEIGHBOR_ASN, style=None)
-    return record
 
 
-def _record(iface: Interface, label: str, profile: ConventionProfile,
-            subject: Optional[int], embedded: Optional[str],
-            stale: bool = False, typo: bool = False,
+def _record(slot: _Slot, label: str, subject: Optional[int],
+            embedded: Optional[str], stale: bool = False, typo: bool = False,
             sibling: bool = False) -> HostnameRecord:
-    hostname = "%s.%s" % (label, profile.domain)
+    profile = slot.profile
+    # Positional, in field order: a keyword call costs a third more here,
+    # once per named interface per snapshot.
     return HostnameRecord(
-        address=iface.address, hostname=hostname, namer_asn=profile.asn,
-        domain=profile.domain, subject_asn=subject, embedded_text=embedded,
-        stale=stale, typo=typo, sibling=sibling, embed=profile.embed,
-        style=profile.style if profile.embed is EmbedKind.NEIGHBOR_ASN
-        else None)
+        slot.iface.address, "%s.%s" % (label, profile.domain), profile.asn,
+        profile.domain, subject, embedded, stale, typo, sibling,
+        profile.embed,
+        profile.style if profile.embed is EmbedKind.NEIGHBOR_ASN else None)

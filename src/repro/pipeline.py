@@ -20,7 +20,7 @@ from repro.bdrmapit.graph import RouterGraph, build_router_graph
 from repro.core.types import TrainingItem
 from repro.itdk.builder import BuildConfig, BuiltSnapshot, build_snapshot
 from repro.itdk.snapshot import ITDKSnapshot
-from repro.naming.assigner import NamingConfig, NamingOutcome, assign_hostnames
+from repro.naming.assigner import NamingConfig, NamingOutcome, NamingPlan
 from repro.obs.trace import NULL_TRACER
 from repro.peeringdb.builder import PeeringDBConfig, build_peeringdb
 from repro.peeringdb.snapshot import PeeringDBSnapshot
@@ -146,7 +146,8 @@ class SnapshotResult:
 
 def run_snapshot(world: World, spec: SnapshotSpec,
                  routing: Optional[RoutingModel] = None,
-                 tracer=NULL_TRACER) -> SnapshotResult:
+                 tracer=NULL_TRACER,
+                 naming_plan: Optional[NamingPlan] = None) -> SnapshotResult:
     """Produce one snapshot's ITDK, annotations, and training items.
 
     ``tracer`` wraps the run in a ``snapshot`` span (labelled with the
@@ -157,15 +158,17 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     campaign and graph spans count their traces and the shared work
     (``walks``, ``bodies``).  The campaign keeps traces only for a
     method in :data:`TRACE_METHODS`; the result replays the others' on
-    first read, with ``routing`` and ``tracer``.
+    first read, with ``routing`` and ``tracer``.  ``naming_plan`` is the
+    world's :class:`~repro.naming.assigner.NamingPlan` (``None`` builds
+    one), so the snapshots of one world share their naming facts.
     """
     with tracer.span("snapshot", snapshot=spec.label,
                      method=spec.method) as span:
         if routing is None:
             routing = RoutingModel(world.graph)
         with tracer.span("snapshot.naming"):
-            naming = assign_hostnames(world, spec.seed,
-                                      spec.naming_config())
+            naming = _naming_plan(world, naming_plan).assign(
+                spec.seed, spec.naming_config())
         with tracer.span("snapshot.build"):
             built: BuiltSnapshot = build_snapshot(
                 world, naming, spec.seed, spec.label, routing=routing,
@@ -206,6 +209,15 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     return result
 
 
+def _naming_plan(world: World, plan: Optional[NamingPlan]) -> NamingPlan:
+    """``plan``, or a new plan of ``world`` when it is ``None``."""
+    if plan is None:
+        return NamingPlan(world)
+    if plan.world is not world:
+        raise ValueError("the naming plan belongs to another world")
+    return plan
+
+
 def training_items_from_itdk(snapshot: ITDKSnapshot) -> List[TrainingItem]:
     """(hostname, inferred ASN) items for every annotated named address."""
     items: List[TrainingItem] = []
@@ -235,10 +247,16 @@ def run_peeringdb_snapshot(world: World, seed: int, label: str,
                            year: float = 2020.0,
                            naming: Optional[NamingOutcome] = None,
                            config: Optional[PeeringDBConfig] = None,
+                           naming_plan: Optional[NamingPlan] = None,
                            ) -> List[TrainingItem]:
-    """Produce a PeeringDB training set (hostnames + recorded ASNs)."""
+    """Produce a PeeringDB training set (hostnames + recorded ASNs).
+
+    Without ``naming``, names the world for ``seed`` and ``year`` from
+    ``naming_plan`` (``None`` builds one).
+    """
     if naming is None:
-        naming = assign_hostnames(world, seed, NamingConfig(year=year))
+        naming = _naming_plan(world, naming_plan).assign(
+            seed, NamingConfig(year=year))
     pdb = build_peeringdb(world, seed, label, config)
     return training_items_from_peeringdb(pdb, naming)
 
@@ -261,6 +279,7 @@ class SnapshotTask:
     world: World
     spec: SnapshotSpec
     routing: Optional[RoutingModel] = None
+    naming_plan: Optional[NamingPlan] = None
 
 
 @dataclass(frozen=True)
@@ -271,6 +290,7 @@ class PeeringDBTask:
     seed: int
     label: str
     year: float = 2020.0
+    naming_plan: Optional[NamingPlan] = None
 
 
 def run_snapshot_task(task: SnapshotTask,
@@ -281,13 +301,15 @@ def run_snapshot_task(task: SnapshotTask,
     so a worker never ships the world back; the caller re-attaches its
     own reference (:func:`reattach_world`).
     """
-    return run_snapshot(task.world, task.spec, task.routing, tracer=tracer)
+    return run_snapshot(task.world, task.spec, task.routing, tracer=tracer,
+                        naming_plan=task.naming_plan)
 
 
 def run_peeringdb_snapshot_task(task: PeeringDBTask) -> List[TrainingItem]:
     """Worker entry point: build one PeeringDB training set."""
     return run_peeringdb_snapshot(task.world, task.seed, task.label,
-                                  year=task.year)
+                                  year=task.year,
+                                  naming_plan=task.naming_plan)
 
 
 def reattach_world(result: SnapshotResult, world: World,

@@ -109,6 +109,23 @@ class TestHazards:
             text = injector._typo(str(asn), injector._rng)
             assert damerau_levenshtein(text, str(asn)) <= 2
 
+    def test_unrescuable_typos_damage_the_first_digit(self, world):
+        injector = _HazardInjector(world, NamingConfig(typo_rescuable=0.0),
+                                   3)
+        for asn in (174, 3356, 64500, 213000) * 25:
+            text = str(asn)
+            typo = injector._typo(text, injector._rng)
+            assert typo[0] != text[0] and typo[1:] == text[1:], (text, typo)
+
+    def test_rescuable_typos_keep_first_and_last_digits(self, world):
+        injector = _HazardInjector(world, NamingConfig(typo_rescuable=1.0),
+                                   3)
+        for asn in (3356, 64500, 213000, 4200000000) * 25:
+            text = str(asn)
+            typo = injector._typo(text, injector._rng)
+            assert typo != text and len(typo) == len(text), (text, typo)
+            assert (typo[0], typo[-1]) == (text[0], text[-1]), (text, typo)
+
     def test_stale_differs_from_subject(self, world):
         injector = _HazardInjector(world, NamingConfig(), 3)
         namer = world.graph.asns()[0]
