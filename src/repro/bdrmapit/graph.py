@@ -17,7 +17,7 @@ For every inferred node the graph records:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -97,12 +97,16 @@ def build_router_graph(resolution: AliasResolution,
     if not isinstance(traces, TraceSet):
         traces = TraceSet(traces)
     states: Dict[str, NodeState] = {}
-    ixp_subsequent: Dict[str, Counter] = defaultdict(Counter)
+    # The walk counts into plain dicts, which Python specialises
+    # subscripts for and ``Counter`` defeats; each is wrapped into a
+    # ``Counter`` (same keys, same order) once the walk is done.
+    ixp_subsequent: Dict[str, Dict[int, int]] = {}
 
     def state_for(node_id: str) -> NodeState:
         state = states.get(node_id)
         if state is None:
-            state = NodeState(node_id=node_id)
+            state = NodeState(node_id=node_id, subsequent_ifaces={},
+                              last_hop_dests={}, dests={})
             states[node_id] = state
         return state
 
@@ -127,15 +131,20 @@ def build_router_graph(resolution: AliasResolution,
             if node_id is None or node_id == previous_id:
                 continue
             state = states.get(node_id) or state_for(node_id)
-            state.dests[dest_origin] += weight
+            dests = state.dests
+            dests[dest_origin] = dests.get(dest_origin, 0) + weight
             if previous is not None:
                 address = hops[position]
-                previous.subsequent_ifaces[address] += weight
+                subsequent = previous.subsequent_ifaces
+                subsequent[address] = subsequent.get(address, 0) + weight
                 is_ixp = ixp_of.get(address)
                 if is_ixp is None:
                     is_ixp = ixp_of[address] = route_table.is_ixp(address)
                 if is_ixp:
-                    ixp_subsequent[previous_id][address] += weight
+                    ixp = ixp_subsequent.get(previous_id)
+                    if ixp is None:
+                        ixp = ixp_subsequent[previous_id] = {}
+                    ixp[address] = ixp.get(address, 0) + weight
             previous, previous_id = state, node_id
         return previous, previous_id
 
@@ -160,13 +169,17 @@ def build_router_graph(resolution: AliasResolution,
             previous, _ = walk(stops[trace], offsets[trace + 1], *body_end,
                                dest_origin, 1)
             if previous is not None:
-                previous.last_hop_dests[dest_origin] += 1
+                votes = previous.last_hop_dests
+                votes[dest_origin] = votes.get(dest_origin, 0) + 1
         index = run_end
     span.set(traces=count, bodies=bodies)
 
-    # Mark link mates: a subsequent address in the same /30 as one of the
-    # node's own addresses.
+    # Wrap each node's counts, then mark its link mates: a subsequent
+    # address in the same /30 as one of the node's own addresses.
     for node_id, state in states.items():
+        state.dests = Counter(state.dests)
+        state.subsequent_ifaces = Counter(state.subsequent_ifaces)
+        state.last_hop_dests = Counter(state.last_hop_dests)
         own = resolution.nodes.get(node_id)
         if own is None:
             continue
@@ -177,4 +190,6 @@ def build_router_graph(resolution: AliasResolution,
 
     return RouterGraph(states=states, resolution=resolution,
                        route_table=route_table,
-                       ixp_subsequent=dict(ixp_subsequent))
+                       ixp_subsequent={node_id: Counter(addresses)
+                                       for node_id, addresses
+                                       in ixp_subsequent.items()})

@@ -168,9 +168,13 @@ class ExperimentContext:
                                             self._timeline_payload())
                     if cached is not None:
                         span.set(cached=True)
+                        # A plan costs a build, which a relearn never
+                        # reads: the sets get the context's plan only
+                        # if it is built already.
                         for training_set in cached:
                             training_set.adopt(world, self.tracer,
-                                               self.routing)
+                                               self.routing,
+                                               self._naming_plan)
                         self._timeline = cached
                         return self._timeline
                 self._timeline = build_timeline(

@@ -96,11 +96,13 @@ class TrainingSet:
     a pickled :class:`SnapshotResult` without its world or its items --
     and an unpickled set loads that body on the first read of
     ``snapshot``, under a ``timeline.body`` span.  Learning reads only
-    ``items``, so relearning a stored timeline never loads a body.
-    :meth:`adopt` gives an unpickled set the world its body is
-    re-attached to, the routing model an RTAA body replays its traces
-    with (see :class:`SnapshotResult`), and the tracer that times the
-    load and the replay.
+    ``items``, so relearning a stored timeline never loads a body.  A
+    body holds no traces and no naming records: a loaded result replays
+    its campaign and re-derives its naming on first read of each (see
+    :class:`SnapshotResult`).  :meth:`adopt` gives an unpickled set the
+    world its body is re-attached to, the routing model its traces
+    replay with, the naming plan its naming re-derives from, and the
+    tracer that times the load and both derivations.
     """
 
     def __init__(self, label: str, kind: str, method: str, year: float,
@@ -118,6 +120,7 @@ class TrainingSet:
         self._body: object = None
         self._world: Optional[World] = None
         self._routing: Optional[RoutingModel] = None
+        self._naming_plan: Optional[NamingPlan] = None
         self._tracer = NULL_TRACER
 
     @property
@@ -129,17 +132,20 @@ class TrainingSet:
                 if isinstance(body, bytes):
                     body = pickle.loads(body)
                 reattach_world(body, self._world, self._routing,
-                               self._tracer)
+                               self._tracer, self._naming_plan)
                 body.training = self.items
             self._snapshot, self._body = body, None
         return self._snapshot
 
     def adopt(self, world: World, tracer=NULL_TRACER,
-              routing: Optional[RoutingModel] = None) -> None:
-        """Re-attach ``world`` and ``routing`` to this set's body when
-        it loads, under a span on ``tracer``."""
+              routing: Optional[RoutingModel] = None,
+              naming_plan: Optional[NamingPlan] = None) -> None:
+        """Re-attach ``world``, ``routing`` and ``naming_plan`` (``None``
+        builds one if the naming is read) to this set's body when it
+        loads, under a span on ``tracer``."""
         self._world = world
         self._routing = routing
+        self._naming_plan = naming_plan
         self._tracer = tracer
 
     def __getstate__(self) -> Dict[str, object]:
@@ -245,7 +251,8 @@ def build_timeline(world: World, seed: int,
     sets: List[TrainingSet] = []
     for task, result in zip(tasks, results):
         if isinstance(task, SnapshotTask):
-            snapshot_result = reattach_world(result, world, routing, tracer)
+            snapshot_result = reattach_world(result, world, routing, tracer,
+                                             naming_plan)
             logger.info("built %s (%s): %d training items",
                         task.spec.label, task.spec.method,
                         len(snapshot_result.training))

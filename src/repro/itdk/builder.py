@@ -10,7 +10,7 @@ either method's inferences (as the real ITDKs did across eras).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.alias.midar import resolve_aliases
 from repro.itdk.snapshot import ITDKSnapshot
@@ -73,14 +73,28 @@ def build_snapshot(world: World, naming: NamingOutcome, seed: int,
                                      augment_rate=config.alias_augment_rate)
     snapshot = ITDKSnapshot(label=label, resolution=resolution)
     with tracer.span("snapshot.names"):
-        for address in sorted(resolution.node_of_address):
-            record = naming.record(address)
-            if record is None:
-                # Destination hosts may still have (IP-derived) PTR names.
-                record = host_hostname(world, address, naming, seed)
-            if record is not None:
-                snapshot.hostnames[address] = record.hostname
+        snapshot.hostnames = name_hosts(world, naming, seed,
+                                        resolution.node_of_address)
     return BuiltSnapshot(snapshot=snapshot, traces=traces)
+
+
+def name_hosts(world: World, naming: NamingOutcome, seed: int,
+               addresses: Iterable[int]) -> Dict[int, str]:
+    """The PTR name of each of ``addresses`` that has one, in sorted
+    order.
+
+    An address without a record in ``naming`` is a destination host's,
+    which may still have an (IP-derived) PTR name; its record is
+    memoised into ``naming`` (:func:`host_hostname`).
+    """
+    hostnames: Dict[int, str] = {}
+    for address in sorted(addresses):
+        record = naming.record(address)
+        if record is None:
+            record = host_hostname(world, address, naming, seed)
+        if record is not None:
+            hostnames[address] = record.hostname
+    return hostnames
 
 
 @dataclass

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.asn.org import ASOrgMap
 from repro.bdrmapit.algorithm import AnnotationConfig, annotate
 from repro.bdrmapit.graph import RouterGraph, build_router_graph
 from repro.core.types import TrainingItem
-from repro.itdk.builder import BuildConfig, BuiltSnapshot, build_snapshot
+from repro.itdk.builder import BuildConfig, BuiltSnapshot, \
+    build_snapshot, name_hosts
 from repro.itdk.snapshot import ITDKSnapshot
 from repro.naming.assigner import NamingConfig, NamingOutcome, NamingPlan
 from repro.obs.trace import NULL_TRACER
@@ -61,7 +62,8 @@ class SnapshotSpec:
 
 
 #: Annotation methods that read hop sequences.  Only their campaigns
-#: write trace columns, and only their results pickle them.
+#: walk with columns; the others walk observed only.  No result
+#: pickles its columns (see :class:`SnapshotResult`).
 TRACE_METHODS = frozenset((METHOD_BDRMAPIT,))
 
 
@@ -69,13 +71,22 @@ TRACE_METHODS = frozenset((METHOD_BDRMAPIT,))
 class SnapshotResult:
     """Everything produced for one snapshot.
 
-    ``traces`` holds the campaign's traces for a bdrmapIT snapshot,
-    which reads them to build ``graph``.  RTAA annotation reads only the
-    alias resolution and the route table, so an RTAA campaign walks
-    observed only and its traces replay on first read: the same
-    campaign again, from the spec's seed and campaign config, under a
-    ``snapshot.replay`` span.  An RTAA result pickles ``traces=None``
-    and no columns.
+    A result pickles what a published ITDK holds: the snapshot (nodes,
+    aliases, hostnames), its annotations and the training items.  The
+    two inputs the build derived them from, the campaign's ``traces``
+    and the naming outcome ``naming``, pickle as ``None`` and are
+    derived again on first read:
+
+    * ``traces`` replays the campaign, from the spec's seed and
+      campaign config, under a ``snapshot.replay`` span.  A bdrmapIT
+      build walks with columns and keeps them in memory; an RTAA build
+      walks observed only (RTAA reads the alias resolution and the
+      route table, not hop sequences), so an RTAA result replays its
+      traces even in the process that built it.
+    * ``naming`` is :func:`snapshot_naming` again, from the world's
+      naming plan and the ITDK's addresses, under a
+      ``snapshot.renaming`` span.  Like the build, it sets each
+      ``iface.hostname`` of the world to this snapshot's names.
 
     ``graph`` is derived on first use from the alias resolution, the
     traces and the world's route table, and never pickled: only
@@ -84,20 +95,21 @@ class SnapshotResult:
     snapshot shares one world, which is stored on its own, so an
     unpickled result reads ``world=None`` until its owner re-attaches
     one (:func:`reattach_world` for worker results, the training set's
-    body loader for a stored timeline), with the routing model and
-    tracer a replay uses.
+    body loader for a stored timeline), with the routing model, naming
+    plan and tracer the derivations use.
     """
 
     spec: SnapshotSpec
     world: World
-    naming: NamingOutcome
     snapshot: ITDKSnapshot
     annotations: Dict[str, int]
     training: List[TrainingItem] = field(default_factory=list)
 
-    # What a replay walks with; re-attached with ``world``, never
-    # pickled.  Without a routing model a replay solves its own.
+    # What the derivations work with; re-attached with ``world``, never
+    # pickled.  Without a routing model a replay solves its own, and
+    # without a naming plan a re-derivation builds one.
     _routing = None
+    _naming_plan = None
     _tracer = NULL_TRACER
 
     @functools.cached_property
@@ -113,6 +125,19 @@ class SnapshotResult:
                                 span=span)
 
     @functools.cached_property
+    def naming(self) -> NamingOutcome:
+        """The snapshot's naming outcome, re-derived on first read when
+        the result holds none."""
+        with self._tracer.span("snapshot.renaming",
+                               snapshot=self.spec.label) as span:
+            plan = self._naming_plan = _naming_plan(
+                self.world, self._naming_plan, self._tracer)
+            naming = snapshot_naming(
+                plan, self.spec, self.snapshot.resolution.node_of_address)
+            span.set(records=len(naming.records))
+            return naming
+
+    @functools.cached_property
     def graph(self) -> RouterGraph:
         """The bdrmapIT router graph of this snapshot's traces."""
         return build_router_graph(self.snapshot.resolution, self.traces,
@@ -120,20 +145,23 @@ class SnapshotResult:
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        for derived in ("graph", "world", "_routing", "_tracer"):
+        for derived in ("graph", "world", "_routing", "_naming_plan",
+                        "_tracer"):
             state.pop(derived, None)
-        # Always present: code that predates replays reads a missing
-        # key as no traces, but raises on ``TraceSet(None)``.
-        state["traces"] = state.get("traces") \
-            if self.spec.method in TRACE_METHODS else None
+        # Always present, as ``None``: code that predates replays reads
+        # a missing key as no traces but raises on ``TraceSet(None)``,
+        # and code that predates re-derived naming reads ``None`` and
+        # fails on first use rather than reading no hostnames.
+        state["traces"] = None
+        state["naming"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         # Pickles written before the graph became derived carry it
         # (with its own copy of the route table) and a list of traces;
         # older pickles also carry a stripped ``world=None``.  Traces
-        # of ``None`` replay on first read; an RTAA pickle written
-        # before replays keeps and returns its traces.
+        # or naming of ``None`` are derived on first read; a pickle
+        # written before that keeps and returns what it stored.
         state = dict(state)
         state.pop("graph", None)
         state["world"] = None
@@ -141,6 +169,8 @@ class SnapshotResult:
         if traces is not None:
             state["traces"] = traces if isinstance(traces, TraceSet) \
                 else TraceSet(traces)  # type: ignore[arg-type]
+        if state.get("naming") is None:
+            state.pop("naming", None)
         self.__dict__.update(state)
 
 
@@ -158,17 +188,21 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     campaign and graph spans count their traces and the shared work
     (``walks``, ``bodies``).  The campaign keeps traces only for a
     method in :data:`TRACE_METHODS`; the result replays the others' on
-    first read, with ``routing`` and ``tracer``.  ``naming_plan`` is the
+    first read, and every method's once pickled, with ``routing`` and
+    ``tracer``.  ``naming_plan`` is the
     world's :class:`~repro.naming.assigner.NamingPlan` (``None`` builds
-    one), so the snapshots of one world share their naming facts.
+    one), so the snapshots of one world share their naming facts; the
+    result keeps its naming outcome, and re-derives it from the plan
+    once pickled.
     """
     with tracer.span("snapshot", snapshot=spec.label,
                      method=spec.method) as span:
         if routing is None:
             routing = RoutingModel(world.graph)
         with tracer.span("snapshot.naming"):
-            naming = _naming_plan(world, naming_plan).assign(
-                spec.seed, spec.naming_config())
+            naming_plan = _naming_plan(world, naming_plan, tracer)
+            # The build's names step adds the destination hosts' records.
+            naming = snapshot_naming(naming_plan, spec)
         with tracer.span("snapshot.build"):
             built: BuiltSnapshot = build_snapshot(
                 world, naming, spec.seed, spec.label, routing=routing,
@@ -176,9 +210,10 @@ def run_snapshot(world: World, spec: SnapshotSpec,
                 keep_traces=spec.method in TRACE_METHODS)
             snapshot = built.snapshot
         result = reattach_world(
-            SnapshotResult(spec=spec, world=world, naming=naming,
-                           snapshot=snapshot, annotations={}),
-            world, routing, tracer)
+            SnapshotResult(spec=spec, world=world, snapshot=snapshot,
+                           annotations={}),
+            world, routing, tracer, naming_plan)
+        result.naming = naming
         if built.traces is not None:
             result.traces = built.traces
         if spec.method == METHOD_BDRMAPIT:
@@ -209,13 +244,32 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     return result
 
 
-def _naming_plan(world: World, plan: Optional[NamingPlan]) -> NamingPlan:
-    """``plan``, or a new plan of ``world`` when it is ``None``."""
+def _naming_plan(world: World, plan: Optional[NamingPlan],
+                 tracer=NULL_TRACER) -> NamingPlan:
+    """``plan``, or a new plan of ``world`` (built under ``tracer``)
+    when it is ``None``."""
     if plan is None:
-        return NamingPlan(world)
+        return NamingPlan(world, tracer)
     if plan.world is not world:
         raise ValueError("the naming plan belongs to another world")
     return plan
+
+
+def snapshot_naming(plan: NamingPlan, spec: SnapshotSpec,
+                    addresses: Iterable[int] = ()) -> NamingOutcome:
+    """The naming outcome of snapshot ``spec``, the one naming path of
+    a build and of its re-derivation.
+
+    ``plan`` names the world's interfaces for the spec's seed and naming
+    config; then each of ``addresses`` without a record gets its
+    destination host's, in sorted-address order
+    (:func:`~repro.itdk.builder.name_hosts`).  A build passes no
+    addresses, and its names step adds the ITDK's; a re-derivation
+    passes the ITDK's addresses.
+    """
+    naming = plan.assign(spec.seed, spec.naming_config())
+    name_hosts(plan.world, naming, spec.seed, addresses)
+    return naming
 
 
 def training_items_from_itdk(snapshot: ITDKSnapshot) -> List[TrainingItem]:
@@ -314,10 +368,15 @@ def run_peeringdb_snapshot_task(task: PeeringDBTask) -> List[TrainingItem]:
 
 def reattach_world(result: SnapshotResult, world: World,
                    routing: Optional[RoutingModel] = None,
-                   tracer=NULL_TRACER) -> SnapshotResult:
+                   tracer=NULL_TRACER,
+                   naming_plan: Optional[NamingPlan] = None,
+                   ) -> SnapshotResult:
     """Restore the world reference a worker's result pickled without,
-    and give it the routing model and tracer its traces replay with."""
+    and give it the routing model its traces replay with, the naming
+    plan its naming re-derives from (``None`` builds one) and the tracer
+    that times both."""
     result.world = world
     result._routing = routing
+    result._naming_plan = naming_plan
     result._tracer = tracer
     return result

@@ -61,6 +61,10 @@ logger = logging.getLogger(__name__)
 #: its campaign on first read; new code returns the stored traces of
 #: old RTAA bodies, and old code raises on ``TraceSet(None)`` rather
 #: than read a new body as an empty trace set.
+#: Still v3: every snapshot result stores ``traces=None`` and
+#: ``naming=None``, replaying its campaign and re-deriving its naming on
+#: first read; new code returns what older bodies stored, and code
+#: before this reads ``naming=None`` and fails on its first use.
 STORE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).

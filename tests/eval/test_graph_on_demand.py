@@ -8,13 +8,14 @@ the same graph (and the same section-5 rows) cold and after a store
 round trip, equal to the committed digest pins.  A snapshot result
 pickled in the earlier layout (a list of traces, the graph in the
 instance dict) must load, derive the same graph and relearn to the
-same conventions.
+same conventions.  It also keeps and returns the traces and the naming
+outcome it stored, with no replay and no re-derivation.
 
 A stored timeline keeps each snapshot result as a body that loads on
 first use: a warm relearn loads none, and the first read gives the
 cold graph, traces and annotations.  A timeline pickled before bodies
 were packed must load through the store the same way, and return its
-stored RTAA traces without replaying the campaign.
+stored RTAA traces and naming without deriving either again.
 """
 
 import gzip
@@ -30,7 +31,8 @@ from repro.core.io import conventions_to_json
 from repro.eval import section5
 from repro.eval.context import ExperimentContext, Scale
 from repro.obs.trace import Tracer
-from repro.pipeline import SnapshotResult
+from repro.naming.assigner import NamingOutcome
+from repro.pipeline import SnapshotResult, reattach_world
 from repro.store import ArtifactStore, KIND_TIMELINE, KIND_WORLD
 from repro.traceroute.probe import TraceSet
 from tests.integration.test_repro_digest import (
@@ -168,6 +170,22 @@ class TestParentLayoutPickle:
         assert hashlib.sha256(conventions_to_json(learned).encode(
             "utf-8")).hexdigest() == pins[RTAA_LABEL]["sha256"]
 
+    def test_returns_its_stored_traces_and_naming(self, loaded):
+        result, context = loaded
+        stored = pickle.loads(gzip.decompress(PARENT_PICKLE.read_bytes()))
+        tracer = Tracer()
+        reattach_world(stored, context.world, tracer=tracer)
+        assert isinstance(vars(stored).get("traces"), TraceSet)
+        assert isinstance(vars(stored).get("naming"), NamingOutcome)
+        assert stored.traces == result.traces
+        cold = _context(labels=[RTAA_LABEL]).training_set(
+            RTAA_LABEL).snapshot
+        assert list(stored.naming.records.items()) \
+            == list(cold.naming.records.items())
+        tracer.close()
+        assert not _spans(tracer, "snapshot.replay")
+        assert not _spans(tracer, "snapshot.renaming")
+
     def test_repickles_without_graph(self, loaded):
         """An RTAA result re-pickles without its traces either; with its
         world re-attached it replays the traces it loaded with."""
@@ -264,6 +282,17 @@ class TestParentLayoutTimeline:
         assert traces_digest(result.traces) \
             == expected_digest()["sets"][RTAA_LABEL]["traces_sha256"]
         assert not _spans(loaded.tracer, "snapshot.replay")
+
+    def test_returns_its_stored_naming_without_a_rederivation(self,
+                                                              loaded):
+        result = loaded.training_set(RTAA_LABEL).snapshot
+        naming = vars(result).get("naming")
+        assert isinstance(naming, NamingOutcome) and naming.records
+        assert result.naming is naming
+        cold = _context(labels=[RTAA_LABEL]).training_set(RTAA_LABEL)
+        assert list(naming.records.items()) \
+            == list(cold.snapshot.naming.records.items())
+        assert not _spans(loaded.tracer, "snapshot.renaming")
 
     def test_relearns_to_the_pinned_digest(self, loaded, pins):
         learned = loaded.learned(RTAA_LABEL)

@@ -295,7 +295,21 @@ class TestObserved:
 
 
 def _graph_tuple(graph):
-    return graph.states, graph.ixp_subsequent
+    return graph.states, graph.ixp_subsequent, _key_orders(graph)
+
+
+def _key_orders(graph):
+    """Every key sequence of ``graph``, in order, with its type: dict
+    equality ignores order, and graphs must agree on it too (so do
+    ``sorted``-free readers, such as ``most_common`` ties)."""
+    counters = [(node_id, name, type(getattr(state, name)),
+                 list(getattr(state, name)))
+                for node_id, state in graph.states.items()
+                for name in ("origins", "subsequent_ifaces",
+                             "last_hop_dests", "dests")]
+    ixp = [(node_id, type(addresses), list(addresses))
+           for node_id, addresses in graph.ixp_subsequent.items()]
+    return list(graph.states), counters, ixp
 
 
 class TestRouterGraphOracle:
