@@ -1,96 +1,20 @@
-"""Command-line driver: ``repro-hoiho <command> [options]``.
+"""Command-line driver: ``repro-hoiho <verb> [options]``.
 
-Experiment commands regenerate the paper's tables and figures::
+The verbs follow the paper's workflow:
 
-    repro-hoiho figure5 --scale small --seed 2020
-    repro-hoiho section5
-    repro-hoiho all --scale tiny
+* experiments regenerate its tables and figures (``figure5``,
+  ``figure6``, ``table1``, ``table2``, ``section5``, ``section7``,
+  ``sensitivity``, ``appendix-a``, ``ablation``, or ``all``), and
+  ``run`` executes the core pipeline end to end;
+* ``learn`` and ``report`` learn conventions from ``hostname asn``
+  lines;
+* ``annotate`` (alias ``apply``), ``serve``, ``serve-http`` and
+  ``loadgen`` apply learned conventions through :mod:`repro.serve`;
+* ``serve-stats``, ``shadow-report``, ``watch``, ``slo-report``,
+  ``trace``, ``cache`` and ``bench`` inspect what the others recorded.
 
-Workflow commands run the learner on user data::
-
-    repro-hoiho learn  --hostnames names.txt --save conv.json
-    repro-hoiho report --hostnames names.txt
-    repro-hoiho apply  --conventions conv.json --hostnames more.txt
-
-Serving commands apply learned conventions at bulk rates through the
-:mod:`repro.serve` subsystem (suffix-trie dispatch, chunked streaming,
-live metrics)::
-
-    repro-hoiho annotate --conventions conv.json --hostnames big.txt \
-        --jobs 0 --format jsonl --out annotated.jsonl
-    zcat ptr.gz | repro-hoiho annotate --conventions conv.json --hostnames -
-    repro-hoiho serve --conventions conv.json < names.txt
-    repro-hoiho serve-http --conventions conv.json --port 8080 --workers 4
-    repro-hoiho loadgen --port 8080 --mode closed --requests 5000
-    repro-hoiho serve-stats
-
-``apply`` is a thin alias of ``annotate`` kept for compatibility; both
-stream their input (constant memory on arbitrarily large files).
-
-``serve-http`` runs the network annotation server (:mod:`repro.serve.http`):
-keep-alive HTTP with single/batch annotate, ``/metrics``, health and
-readiness probes, admin hot reload, and a pre-fork ``--workers`` pool
-sharing one warmed dispatch index.  SIGTERM drains gracefully; SIGHUP
-hot-reloads the conventions file.  ``loadgen`` drives a running server
-in open or closed loop and prints a throughput/latency report
-(``--loadgen-out`` saves it as JSON).
-
-Shadow deployment (:mod:`repro.serve.shadow`): ``serve`` and
-``serve-http`` take ``--shadow CANDIDATE.json`` to load a candidate
-convention set side-by-side -- every request is annotated against both
-sets, callers see only the primary's answers, and per-suffix
-disagreement accumulates in the metrics.  ``repro-hoiho shadow-report``
-renders the ledger from a running server (``--host``/``--port``) or
-from saved ``--metrics`` snapshots; ``POST /admin/shadow/promote``
-swaps the candidate in, gated by ``--promote-threshold`` when set::
-
-    repro-hoiho serve-http --conventions live.json --shadow cand.json \
-        --promote-threshold 0.01 --workers 4
-    repro-hoiho shadow-report --port 8080
-
-Hostname files carry one ``hostname asn`` pair per line for learn/report
-(`#` comments allowed); for apply/annotate/serve, a bare hostname per
-line suffices.
-
-``--jobs N`` fans learning out over N worker processes (0 = one per
-CPU); results are bit-identical to serial runs.  ``repro-hoiho bench``
-runs the learner benchmark suite and refreshes ``BENCH_learner.json``.
-
-``--retries N`` arms the fault-tolerant dispatcher on every parallel
-fan-out (worker crashes rebuild the pool and replay in-flight work;
-transient faults retry with deterministic backoff -- see
-``docs/ROBUSTNESS.md``).  For ``annotate``, ``--checkpoint FILE``
-records progress after every flushed chunk; rerunning an interrupted
-command with the same flags resumes where it left off and produces
-byte-identical output.
-
-``--cache-dir DIR`` (or the ``REPRO_CACHE_DIR`` environment variable)
-points at a persistent artifact store: experiment runs reuse generated
-worlds/timelines and ``learn``/``report`` reuse learned conventions
-across invocations; ``--no-cache`` disables the store for one run.
-``repro-hoiho cache info`` and ``repro-hoiho cache clear`` inspect and
-empty the store (``cache info --json`` for machine consumption, with
-per-namespace entry counts and bytes; ``cache clear --namespace
-suffixes`` flushes one namespace).  With a store attached, timeline
-learning is incremental at suffix granularity -- only suffixes whose
-training data changed since the cached snapshot relearn.
-
-Observability (see ``docs/OBSERVABILITY.md``)::
-
-    repro-hoiho run --scale small --trace-out trace.jsonl
-    repro-hoiho trace summary trace.jsonl --top 15
-    repro-hoiho serve-stats --metrics snap.json --format prom
-
-``run`` executes the core pipeline end to end (world, timeline,
-learned conventions).  ``--trace-out FILE`` -- honoured by ``run`` and
-every experiment command -- records a span trace as JSONL and writes a
-run manifest (config fingerprint, versions, per-stage durations,
-metric snapshot) next to it; ``--manifest-out`` overrides the manifest
-path.  ``trace summary`` renders a recorded trace: the per-stage tree
-(worker-side snapshot and suffix spans included), the slowest
-suffixes, and resilience/cache tables.  ``serve-stats --format prom``
-emits any metrics snapshot in Prometheus text exposition format, and
-``--json`` on ``serve-stats``/``cache info`` emits raw JSON.
+Each verb is one row of :data:`_VERBS` and accepts only the flags it
+reads; ``repro-hoiho <verb> --help`` lists them.
 """
 
 from __future__ import annotations
@@ -99,7 +23,7 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.hoiho import Hoiho, HoihoConfig, HoihoResult
 from repro.core.io import conventions_to_json
@@ -142,13 +66,6 @@ _EXPERIMENTS = {
     "ablation": ablation,
 }
 
-_WORKFLOWS = ("learn", "report", "apply", "annotate", "serve",
-              "serve-http", "loadgen", "serve-stats", "shadow-report",
-              "watch", "slo-report", "bench", "cache", "run", "trace")
-
-#: ``--format`` values that are renderers, not streaming sinks.
-_RENDER_FORMATS = ("prom", "text")
-
 
 def _non_negative_int(text: str) -> int:
     """argparse type for counts where 0 means "off" (``--memo-size``)."""
@@ -162,202 +79,20 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-hoiho",
-        description="Reproduce 'Learning to Extract and Use ASNs in "
-                    "Hostnames' (IMC 2020) on a synthetic Internet, or "
-                    "run the learner on your own hostname data.")
-    parser.add_argument("command",
-                        choices=sorted(_EXPERIMENTS) + ["all"]
-                        + list(_WORKFLOWS),
-                        help="experiment to reproduce, or workflow verb")
-    parser.add_argument("subcommand", nargs="?", default=None,
-                        help="cache: 'info' (default) or 'clear'; "
-                             "trace: 'summary'")
-    parser.add_argument("target", nargs="?", default=None,
-                        help="trace summary: the trace JSONL file to "
-                             "render")
-    parser.add_argument("--seed", type=int, default=2020,
-                        help="master seed for the synthetic world")
-    parser.add_argument("--scale", choices=[s.value for s in Scale],
-                        default=Scale.SMALL.value,
-                        help="world size (tiny/small/full)")
-    parser.add_argument("--hostnames", metavar="FILE",
-                        help="input file ('hostname asn' lines for "
-                             "learn/report; bare hostnames for "
-                             "apply/annotate; '-' reads stdin)")
-    parser.add_argument("--save", metavar="FILE",
-                        help="learn: write conventions JSON here")
-    parser.add_argument("--conventions", metavar="FILE",
-                        help="apply: conventions JSON from a prior learn")
-    parser.add_argument("--shadow", metavar="FILE",
-                        help="serve/serve-http: candidate conventions "
-                             "JSON to annotate side-by-side (shadow "
-                             "deployment; results never returned)")
-    parser.add_argument("--promote-threshold", type=float, default=None,
-                        metavar="FRACTION",
-                        help="serve-http: refuse /admin/shadow/promote "
-                             "while the merged disagreement fraction "
-                             "exceeds this (default: no gate)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for learning "
-                             "(1 = serial, 0 = one per CPU)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="extra attempts per parallel work item "
-                             "(0 = fail fast; >0 arms worker-loss "
-                             "recovery and transient-fault retry)")
-    parser.add_argument("--retry-backoff", type=float, default=0.05,
-                        metavar="SECONDS",
-                        help="base delay before the first retry "
-                             "(doubles per attempt, deterministic)")
-    parser.add_argument("--checkpoint", metavar="FILE",
-                        help="annotate: progress sidecar; an "
-                             "interrupted run rerun with the same "
-                             "flags resumes where it left off")
-    parser.add_argument("--output", metavar="FILE",
-                        default="BENCH_learner.json",
-                        help="bench: where to write the JSON report")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        default=os.environ.get("REPRO_CACHE_DIR"),
-                        help="persistent artifact store for worlds, "
-                             "timelines, and learned conventions "
-                             "(default: $REPRO_CACHE_DIR, else off)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the artifact store for this run")
-    parser.add_argument("--namespace", choices=KINDS, metavar="KIND",
-                        help="cache clear: restrict the sweep to one "
-                             "namespace (%s)" % "/".join(KINDS))
-    parser.add_argument("--chunk-size", type=int,
-                        default=None, metavar="N",
-                        help="annotate: hostnames per dispatched chunk "
-                             "(default: adaptive ramp, %d fixed for "
-                             "the serial path)" % DEFAULT_CHUNK_SIZE)
-    parser.add_argument("--memo-size", type=_non_negative_int,
-                        default=DEFAULT_MEMO_SIZE, metavar="N",
-                        help="annotate/serve: hostname-memo capacity "
-                             "(0 disables memoization; default %d)"
-                             % DEFAULT_MEMO_SIZE)
-    parser.add_argument("--format",
-                        choices=sorted(list(SINKS) + list(_RENDER_FORMATS)),
-                        default="tsv", dest="sink_format",
-                        help="annotate: output format (default tsv); "
-                             "serve-stats: 'prom' or 'text' rendering "
-                             "of a --metrics snapshot")
-    parser.add_argument("--out", metavar="FILE", default="-",
-                        help="annotate: output destination "
-                             "(default '-' = stdout)")
-    parser.add_argument("--metrics-out", metavar="FILE",
-                        help="serve/serve-http: write a metrics "
-                             "snapshot JSON here on exit (serve also "
-                             "flushes it on SIGTERM/SIGINT)")
-    parser.add_argument("--metrics", metavar="FILE", action="append",
-                        help="serve-stats: render this metrics "
-                             "snapshot instead of the bench section "
-                             "(repeat to merge several additively)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="serve-http/loadgen: bind/connect address "
-                             "(default 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8080, metavar="N",
-                        help="serve-http/loadgen: TCP port (0 lets "
-                             "the kernel pick; default 8080)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="serve-http: pre-fork worker processes "
-                             "(1 = single process; default 1)")
-    parser.add_argument("--max-body", type=int,
-                        default=None, metavar="BYTES",
-                        help="serve-http: reject request bodies larger "
-                             "than this with 413 (default 8 MiB)")
-    parser.add_argument("--max-inflight", type=int,
-                        default=None, metavar="N",
-                        help="serve-http: per-worker bound on "
-                             "concurrent annotation requests; excess "
-                             "gets 429 (default 64)")
-    parser.add_argument("--drain-grace", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="serve-http: keep accepting (readyz 503) "
-                             "this long after SIGTERM so load "
-                             "balancers observe the drain (default 0)")
-    parser.add_argument("--mode", choices=("closed", "open"),
-                        default="closed",
-                        help="loadgen: closed loop (capacity) or open "
-                             "loop (fixed offered rate)")
-    parser.add_argument("--concurrency", type=int, default=4,
-                        metavar="N",
-                        help="loadgen: client connections/threads "
-                             "(default 4)")
-    parser.add_argument("--requests", type=int, default=1000,
-                        metavar="N",
-                        help="loadgen: total requests to issue "
-                             "(default 1000)")
-    parser.add_argument("--rate", type=float, default=100.0,
-                        metavar="PER_SECOND",
-                        help="loadgen open loop: offered request rate "
-                             "(default 100/s)")
-    parser.add_argument("--batch-size", type=int, default=1,
-                        metavar="N",
-                        help="loadgen: hostnames per request (1 = "
-                             "POST /annotate, else /annotate/batch)")
-    parser.add_argument("--loadgen-out", metavar="FILE",
-                        help="loadgen: also write the report as JSON "
-                             "here")
-    parser.add_argument("--trace-out", metavar="FILE",
-                        help="run/experiments: record a span trace "
-                             "here (JSONL) and write a run manifest "
-                             "next to it; serve-http: JSONL sink for "
-                             "--trace-sample request spans")
-    parser.add_argument("--access-log", metavar="PATH",
-                        help="serve-http: structured JSON access log, "
-                             "one line per request ('-' = stderr; "
-                             "default off)")
-    parser.add_argument("--trace-sample", type=int, default=0,
-                        metavar="N",
-                        help="serve-http: trace 1-in-N requests as "
-                             "spans to --trace-out (0 = off)")
-    parser.add_argument("--history", metavar="FILE",
-                        help="serve-http: append timestamped merged "
-                             "metrics snapshots here (JSONL; default "
-                             "<cache-dir>/history/serve-http.jsonl "
-                             "when a cache dir is configured); "
-                             "shadow-report/slo-report: read this "
-                             "history instead of a live server")
-    parser.add_argument("--history-interval", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="serve-http: seconds between history "
-                             "appends (default 10)")
-    parser.add_argument("--slo", metavar="FILE",
-                        help="slo-report: declarative SLO target JSON "
-                             "(see docs/OBSERVABILITY.md)")
-    parser.add_argument("--interval", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="watch: refresh period (default 2)")
-    parser.add_argument("--iterations", type=int, default=0,
-                        metavar="N",
-                        help="watch: stop after N frames (0 = until "
-                             "interrupted)")
-    parser.add_argument("--manifest-out", metavar="FILE",
-                        help="override the manifest path (default: "
-                             "<trace-out stem>.manifest.json)")
-    parser.add_argument("--top", type=int, default=10, metavar="N",
-                        help="trace summary: slowest-suffix rows to "
-                             "show (default 10)")
-    parser.add_argument("--json", action="store_true",
-                        help="cache info / serve-stats: emit raw JSON "
-                             "instead of the human rendering")
-    return parser
-
-
 def _resolve_policies(args: argparse.Namespace) -> None:
     """Validate ``--jobs``/``--retries``/``--retry-backoff`` once, up
-    front, and attach the resulting :class:`ParallelConfig` and
-    :class:`RetryPolicy` (or ``None``) to ``args`` for every command.
+    front, for the verbs that take them, and attach the resulting
+    :class:`ParallelConfig` and :class:`RetryPolicy` (or ``None``) to
+    ``args``.
 
     Raises ``ValueError`` on bad values (``--jobs -1``,
     ``--retries -1``); :func:`main` turns that into exit code 2 instead
     of a traceback."""
-    args.parallel = ParallelConfig.from_jobs(args.jobs)
-    args.retry = RetryPolicy.from_flags(args.retries,
-                                        backoff=args.retry_backoff)
+    if "jobs" in args:
+        args.parallel = ParallelConfig.from_jobs(args.jobs)
+    if "retries" in args:
+        args.retry = RetryPolicy.from_flags(args.retries,
+                                            backoff=args.retry_backoff)
 
 
 def _store_from_args(args: argparse.Namespace) -> Optional[ArtifactStore]:
@@ -366,6 +101,16 @@ def _store_from_args(args: argparse.Namespace) -> Optional[ArtifactStore]:
     if args.no_cache or not args.cache_dir:
         return None
     return ArtifactStore(args.cache_dir)
+
+
+def _history_path(args: argparse.Namespace) -> Optional[str]:
+    """``--history``, else the serving history in the artifact store
+    (``<cache-dir>/history/serve-http.jsonl``) when one is selected, so
+    successive server lifetimes accumulate into one comparable
+    history."""
+    if args.history is None and args.cache_dir and not args.no_cache:
+        return os.path.join(args.cache_dir, "history", "serve-http.jsonl")
+    return args.history
 
 
 def _read_training(path: str) -> List[TrainingItem]:
@@ -452,11 +197,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     alias): streaming input, chunked ``--jobs`` fan-out, TSV/JSONL
     sinks.  Memory stays bounded by the chunk window however large the
     input is."""
-    if args.sink_format not in SINKS:
-        print("%s --format must be a sink format (%s), not %r"
-              % (args.command, "/".join(sorted(SINKS)), args.sink_format),
-              file=sys.stderr)
-        return 2
     if args.conventions is None or args.hostnames is None:
         print("%s requires --conventions FILE and --hostnames FILE "
               "('-' = stdin)" % args.command, file=sys.stderr)
@@ -480,7 +220,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         else _open_sink(args.out, resuming=resuming)
     try:
         summary = annotator.annotate_to(iter_hostnames(source), sink,
-                                        fmt=args.sink_format,
+                                        fmt=args.format,
                                         checkpoint=checkpoint)
     finally:
         if source is not sys.stdin:
@@ -502,12 +242,6 @@ def _open_sink(path: str, resuming: bool):
     if resuming and os.path.exists(path):
         return open(path, "r+", encoding="utf-8")
     return open(path, "w", encoding="utf-8")
-
-
-def _cmd_apply(args: argparse.Namespace) -> int:
-    """Thin alias: ``apply`` is ``annotate`` with the historical
-    defaults (TSV to stdout)."""
-    return _cmd_annotate(args)
 
 
 def _write_metrics_snapshot(path: str, service: AnnotationService) -> None:
@@ -539,32 +273,36 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print("# serving %d convention(s) from %s"
           % (warmed, args.conventions), file=sys.stderr)
 
-    def _render_exit_stats() -> None:
-        if args.metrics_out:
-            _write_metrics_snapshot(args.metrics_out, service)
-        if args.shadow:
-            print(render_shadow_report(service.report()), file=sys.stderr)
-        print(service.metrics.render(), file=sys.stderr)
-
-    def _flush_and_exit(signum: int, frame: object) -> None:
-        # PEP 475 auto-retries the blocked stdin read after this
-        # handler returns, so a "stop" flag would never be seen;
-        # flush here and leave directly instead.
-        _render_exit_stats()
-        sys.exit(0)
-
-    previous = [_signal.signal(_signal.SIGTERM, _flush_and_exit),
-                _signal.signal(_signal.SIGINT, _flush_and_exit)]
+    previous = [_signal.signal(_signal.SIGTERM, _stop_serving),
+                _signal.signal(_signal.SIGINT, _stop_serving)]
     try:
         for hostname in iter_hostnames(sys.stdin):
             asn = service.annotate_one(hostname)
             print("%s\t%s" % (hostname, asn if asn is not None else "-"),
                   flush=True)
+    except _StopServing:
+        pass
     finally:
         _signal.signal(_signal.SIGTERM, previous[0])
         _signal.signal(_signal.SIGINT, previous[1])
-    _render_exit_stats()
+    if args.metrics_out:
+        _write_metrics_snapshot(args.metrics_out, service)
+    if args.shadow:
+        print(render_shadow_report(service.report()), file=sys.stderr)
+    print(service.metrics.render(), file=sys.stderr)
     return 0
+
+
+class _StopServing(BaseException):
+    """SIGTERM/SIGINT during ``serve``.  A ``BaseException``, so no
+    ``except Exception`` on the request path swallows it."""
+
+
+def _stop_serving(signum: int, frame: object) -> None:
+    # PEP 475 auto-retries the blocked stdin read after this handler
+    # returns, so a "stop" flag would never be seen; leave the loop by
+    # raising instead.
+    raise _StopServing()
 
 
 def _cmd_serve_http(args: argparse.Namespace) -> int:
@@ -574,13 +312,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     if args.conventions is None:
         print("serve-http requires --conventions FILE", file=sys.stderr)
         return 2
-    history = args.history
-    if history is None and args.cache_dir and not args.no_cache:
-        # The tentpole default: persisted telemetry lives with the
-        # other durable artifacts, so successive lifetimes accumulate
-        # into one comparable history.
-        history = os.path.join(args.cache_dir, "history",
-                               "serve-http.jsonl")
     config = HttpConfig(host=args.host, port=args.port,
                         workers=args.workers,
                         drain_grace=args.drain_grace,
@@ -591,7 +322,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                         access_log=args.access_log,
                         trace_sample=args.trace_sample,
                         trace_out=args.trace_out,
-                        history=history,
+                        history=_history_path(args),
                         history_interval=args.history_interval)
     if args.max_body is not None:
         config.max_body = args.max_body
@@ -702,12 +433,12 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
             snapshot = merged.snapshot()
         if args.json:
             print(_json.dumps(snapshot, indent=2, sort_keys=True))
-        elif args.sink_format == "prom":
+        elif args.format == "prom":
             print(to_prometheus(snapshot), end="")
         else:
             print(render_snapshot(snapshot))
         return 0
-    if args.sink_format == "prom":
+    if args.format == "prom":
         print("serve-stats --format prom requires --metrics FILE "
               "(the bench serve section is not a metrics snapshot)",
               file=sys.stderr)
@@ -918,10 +649,7 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
         render_slo_report
     from repro.obs.timeseries import HistoryStore
 
-    history = args.history
-    if history is None and args.cache_dir and not args.no_cache:
-        history = os.path.join(args.cache_dir, "history",
-                               "serve-http.jsonl")
+    history = _history_path(args)
     if not history:
         print("slo-report requires --history FILE (or a --cache-dir "
               "with a serving history)", file=sys.stderr)
@@ -963,17 +691,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     store = ArtifactStore(args.cache_dir)
-    action = args.subcommand or "info"
-    if action == "clear":
+    if args.action == "clear":
         removed = store.clear(kind=args.namespace)
         scope = " (namespace %s)" % args.namespace if args.namespace else ""
         print("cleared %d cached artifact(s) from %s%s"
               % (removed, store.root, scope))
         return 0
-    if action != "info":
-        print("unknown cache subcommand %r (expected info or clear)"
-              % action, file=sys.stderr)
-        return 2
     info = store.info()
     if args.json:
         import json as _json
@@ -998,9 +721,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tracer_from_args(args: argparse.Namespace):
-    """The tracer ``--trace-out`` selects (the no-op one without it)."""
-    return Tracer(path=args.trace_out) if args.trace_out else NULL_TRACER
+def _context(args: argparse.Namespace) -> ExperimentContext:
+    """The experiment context the world, store, jobs/retry and trace
+    flags select."""
+    return ExperimentContext(
+        seed=args.seed, scale=Scale(args.scale), parallel=args.parallel,
+        store=_store_from_args(args), retry=args.retry,
+        tracer=Tracer(path=args.trace_out) if args.trace_out
+        else NULL_TRACER)
 
 
 def _finish_trace(context: ExperimentContext, args: argparse.Namespace,
@@ -1029,11 +757,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     of them.  The canonical traced entry point -- each stage is a
     top-level span, so the manifest's per-stage durations account for
     the run's full wall time."""
-    context = ExperimentContext(seed=args.seed, scale=Scale(args.scale),
-                                parallel=args.parallel,
-                                store=_store_from_args(args),
-                                retry=args.retry,
-                                tracer=_tracer_from_args(args))
+    context = _context(args)
     started = time.perf_counter()
     timeline = context.timeline
     learned = context.learn_timeline()
@@ -1048,70 +772,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Render a recorded trace file (``trace summary FILE``)."""
-    action = args.subcommand or "summary"
-    if action != "summary":
-        print("unknown trace subcommand %r (expected summary)"
-              % action, file=sys.stderr)
-        return 2
-    if not args.target:
-        print("usage: repro-hoiho trace summary FILE [--top N]",
-              file=sys.stderr)
-        return 2
-    try:
-        records = load_trace(args.target)
-    except (OSError, ValueError) as exc:
-        print("cannot read trace %s: %s" % (args.target, exc),
-              file=sys.stderr)
-        return 2
-    print(render_summary(records, top=args.top))
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``repro-hoiho`` console script."""
-    args = _build_parser().parse_args(argv)
-    try:
-        _resolve_policies(args)
-    except ValueError as exc:
-        print("repro-hoiho: %s" % exc, file=sys.stderr)
-        return 2
-    if args.command == "learn":
-        return _cmd_learn(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "apply":
-        return _cmd_apply(args)
-    if args.command == "annotate":
-        return _cmd_annotate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "serve-http":
-        return _cmd_serve_http(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if args.command == "serve-stats":
-        return _cmd_serve_stats(args)
-    if args.command == "shadow-report":
-        return _cmd_shadow_report(args)
-    if args.command == "watch":
-        return _cmd_watch(args)
-    if args.command == "slo-report":
-        return _cmd_slo_report(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    context = ExperimentContext(seed=args.seed, scale=Scale(args.scale),
-                                parallel=args.parallel,
-                                store=_store_from_args(args),
-                                retry=args.retry,
-                                tracer=_tracer_from_args(args))
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """One experiment, or ``all`` of them in name order, on one
+    context."""
+    context = _context(args)
     names = sorted(_EXPERIMENTS) if args.command == "all" \
         else [args.command]
     started = time.perf_counter()
@@ -1121,6 +785,285 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_run_experiment(name, context))
     _finish_trace(context, args, time.perf_counter() - started)
     return 0
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """Render a recorded trace file (``trace summary FILE``)."""
+    try:
+        records = load_trace(args.file)
+    except (OSError, ValueError) as exc:
+        print("cannot read trace %s: %s" % (args.file, exc),
+              file=sys.stderr)
+        return 2
+    print(render_summary(records, top=args.top))
+    return 0
+
+
+#: Every flag once, as ``add_argument`` keyword arguments.  A verb's
+#: row may override some of them (its ``--format`` choices, or a help
+#: text that says what that verb does with the flag).
+_FLAGS: Dict[str, Dict[str, object]] = {
+    "--seed": dict(type=int, default=2020,
+                   help="master seed for the synthetic world"),
+    "--scale": dict(choices=[s.value for s in Scale],
+                    default=Scale.SMALL.value,
+                    help="world size (tiny/small/full)"),
+    "--cache-dir": dict(metavar="DIR",
+                        help="persistent artifact store for worlds, "
+                             "timelines, and learned conventions "
+                             "(default: $REPRO_CACHE_DIR, else off)"),
+    "--no-cache": dict(action="store_true",
+                       help="ignore the artifact store for this run"),
+    "--jobs": dict(type=int, default=1, metavar="N",
+                   help="worker processes (1 = serial, 0 = one per CPU)"),
+    "--retries": dict(type=int, default=0, metavar="N",
+                      help="extra attempts per parallel work item "
+                           "(0 = fail fast; >0 arms worker-loss "
+                           "recovery and transient-fault retry)"),
+    "--retry-backoff": dict(type=float, default=0.05, metavar="SECONDS",
+                            help="base delay before the first retry "
+                                 "(doubles per attempt, deterministic)"),
+    "--trace-out": dict(metavar="FILE",
+                        help="record a span trace here (JSONL) and write "
+                             "a run manifest next to it"),
+    "--manifest-out": dict(metavar="FILE",
+                           help="override the manifest path (default: "
+                                "<trace-out stem>.manifest.json)"),
+    "--hostnames": dict(metavar="FILE",
+                        help="bare hostnames, one per line ('-' reads "
+                             "stdin)"),
+    "--save": dict(metavar="FILE", help="write conventions JSON here"),
+    "--conventions": dict(metavar="FILE",
+                          help="conventions JSON from a prior learn "
+                               "--save"),
+    "--checkpoint": dict(metavar="FILE",
+                         help="progress sidecar; an interrupted run "
+                              "rerun with the same flags resumes where "
+                              "it left off"),
+    "--out": dict(metavar="FILE", default="-",
+                  help="output destination (default '-' = stdout)"),
+    "--format": dict(choices=sorted(SINKS), default="tsv",
+                     help="output format (default tsv)"),
+    "--chunk-size": dict(type=int, default=None, metavar="N",
+                         help="hostnames per dispatched chunk (default: "
+                              "adaptive ramp, %d fixed for the serial "
+                              "path)" % DEFAULT_CHUNK_SIZE),
+    "--memo-size": dict(type=_non_negative_int, default=DEFAULT_MEMO_SIZE,
+                        metavar="N",
+                        help="hostname-memo capacity (0 disables "
+                             "memoization; default %d)" % DEFAULT_MEMO_SIZE),
+    "--shadow": dict(metavar="FILE",
+                     help="candidate conventions JSON to annotate "
+                          "side-by-side (shadow deployment; results "
+                          "never returned)"),
+    "--metrics-out": dict(metavar="FILE",
+                          help="write a metrics snapshot JSON here on "
+                               "exit"),
+    "--promote-threshold": dict(type=float, default=None,
+                                metavar="FRACTION",
+                                help="refuse /admin/shadow/promote while "
+                                     "the merged disagreement fraction "
+                                     "exceeds this (default: no gate)"),
+    "--host": dict(default="127.0.0.1",
+                   help="server address (default 127.0.0.1)"),
+    "--port": dict(type=int, default=8080, metavar="N",
+                   help="server TCP port (default 8080)"),
+    "--workers": dict(type=int, default=1, metavar="N",
+                      help="pre-fork worker processes (1 = single "
+                           "process; default 1)"),
+    "--max-body": dict(type=int, default=None, metavar="BYTES",
+                       help="reject request bodies larger than this "
+                            "with 413 (default 8 MiB)"),
+    "--max-inflight": dict(type=int, default=None, metavar="N",
+                           help="per-worker bound on concurrent "
+                                "annotation requests; excess gets 429 "
+                                "(default 64)"),
+    "--drain-grace": dict(type=float, default=0.0, metavar="SECONDS",
+                          help="keep accepting (readyz 503) this long "
+                               "after SIGTERM so load balancers observe "
+                               "the drain (default 0)"),
+    "--access-log": dict(metavar="PATH",
+                         help="structured JSON access log, one line per "
+                              "request ('-' = stderr; default off)"),
+    "--trace-sample": dict(type=int, default=0, metavar="N",
+                           help="trace 1-in-N requests as spans to "
+                                "--trace-out (0 = off)"),
+    "--history": dict(metavar="FILE",
+                      help="read this metrics history (JSONL) instead "
+                           "of a live server"),
+    "--history-interval": dict(type=float, default=10.0,
+                               metavar="SECONDS",
+                               help="seconds between history appends "
+                                    "(default 10)"),
+    "--mode": dict(choices=("closed", "open"), default="closed",
+                   help="closed loop (capacity) or open loop (fixed "
+                        "offered rate)"),
+    "--requests": dict(type=int, default=1000, metavar="N",
+                       help="total requests to issue (default 1000)"),
+    "--concurrency": dict(type=int, default=4, metavar="N",
+                          help="client connections/threads (default 4)"),
+    "--rate": dict(type=float, default=100.0, metavar="PER_SECOND",
+                   help="open loop: offered request rate (default "
+                        "100/s)"),
+    "--batch-size": dict(type=int, default=1, metavar="N",
+                         help="hostnames per request (1 = POST "
+                              "/annotate, else /annotate/batch)"),
+    "--loadgen-out": dict(metavar="FILE",
+                          help="also write the report as JSON here"),
+    "--metrics": dict(metavar="FILE", action="append",
+                      help="a saved metrics snapshot (repeat to merge "
+                           "several additively)"),
+    "--output": dict(metavar="FILE", default="BENCH_learner.json",
+                     help="the bench report JSON (default "
+                          "BENCH_learner.json)"),
+    "--json": dict(action="store_true",
+                   help="emit raw JSON instead of the human rendering"),
+    "--top": dict(type=int, default=10, metavar="N",
+                  help="rows to show (default 10)"),
+    "--interval": dict(type=float, default=2.0, metavar="SECONDS",
+                       help="refresh period (default 2)"),
+    "--iterations": dict(type=int, default=0, metavar="N",
+                         help="stop after N frames (0 = until "
+                              "interrupted)"),
+    "--slo": dict(metavar="FILE",
+                  help="declarative SLO target JSON (see "
+                       "docs/OBSERVABILITY.md)"),
+    "--namespace": dict(choices=KINDS, metavar="KIND",
+                        help="clear: restrict the sweep to one namespace "
+                             "(%s)" % "/".join(KINDS)),
+}
+
+#: A row's flag: a name in :data:`_FLAGS`, or a name with overrides.
+_Flag = Union[str, Tuple[str, Dict[str, object]]]
+
+_WORLD = ("--seed", "--scale")
+_STORE = ("--cache-dir", "--no-cache")
+_JOBS = ("--jobs", "--retries", "--retry-backoff")
+_TRACE = ("--trace-out", "--manifest-out")
+_SERVING = ("--conventions", "--shadow", "--memo-size", "--metrics-out")
+_ADDRESS = ("--host", "--port")
+_ANNOTATE: Tuple[_Flag, ...] = (
+    "--conventions", "--hostnames", "--checkpoint", "--out", "--format",
+    "--chunk-size", "--memo-size") + _JOBS
+_PIPELINE = _WORLD + _STORE + _JOBS + _TRACE
+_TRAINING = ("--hostnames",
+             dict(help="'hostname asn' lines ('#' comments allowed)"))
+
+
+class _Verb(NamedTuple):
+    """One ``repro-hoiho`` verb: its handler, a one-line help, and
+    every flag it reads."""
+
+    name: str
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    flags: Tuple[_Flag, ...]
+
+
+_VERBS: Tuple[_Verb, ...] = (
+    _Verb("learn", _cmd_learn, "learn conventions from training data",
+          (_TRAINING, "--save") + _STORE + _JOBS),
+    _Verb("report", _cmd_report,
+          "learn, then print per-suffix TP/FP/FN pages",
+          (_TRAINING,) + _STORE + _JOBS),
+    _Verb("annotate", _cmd_annotate,
+          "extract ASNs from hostnames, streaming", _ANNOTATE),
+    _Verb("apply", _cmd_annotate, "alias of annotate", _ANNOTATE),
+    _Verb("serve", _cmd_serve,
+          "annotate hostnames from stdin, one line per request",
+          _SERVING),
+    _Verb("serve-http", _cmd_serve_http, "the HTTP annotation server",
+          _SERVING + ("--promote-threshold",) + _ADDRESS + (
+              "--workers", "--max-body", "--max-inflight",
+              "--drain-grace", "--access-log", "--trace-sample",
+              ("--trace-out", dict(help="JSONL sink for --trace-sample "
+                                        "request spans")),
+              ("--history", dict(help="append timestamped merged "
+                                      "metrics snapshots here (JSONL; "
+                                      "default <cache-dir>/history/"
+                                      "serve-http.jsonl)")),
+              "--history-interval") + _STORE),
+    _Verb("loadgen", _cmd_loadgen,
+          "drive a running serve-http and report latency",
+          (("--hostnames", dict(help="bare hostnames to send (default: "
+                                     "the bench's Zipf stream)")),)
+          + _ADDRESS + ("--mode", "--requests", "--concurrency", "--rate",
+                        "--batch-size", "--loadgen-out")),
+    _Verb("serve-stats", _cmd_serve_stats,
+          "render a metrics snapshot or the bench serve section",
+          ("--metrics",
+           ("--format", dict(choices=("prom", "text"), default="text",
+                             help="rendering of a --metrics snapshot "
+                                  "(default text)")),
+           "--json", "--output")),
+    _Verb("shadow-report", _cmd_shadow_report,
+          "the shadow disagreement ledger",
+          ("--history", "--metrics") + _ADDRESS + ("--json", "--top")),
+    _Verb("watch", _cmd_watch, "a live dashboard over /admin/status",
+          _ADDRESS + ("--interval", "--iterations")),
+    _Verb("slo-report", _cmd_slo_report,
+          "check a serving history against an SLO target (exit 1 on "
+          "breach)",
+          (("--history", dict(help="the serving history (JSONL; default "
+                                   "<cache-dir>/history/"
+                                   "serve-http.jsonl)")),
+           "--slo", "--json") + _STORE),
+    _Verb("bench", _cmd_bench, "run the learner benchmark suite",
+          (("--output", dict(help="where to write the report (default "
+                                  "BENCH_learner.json)")),
+           "--jobs")),
+    _Verb("cache", _cmd_cache, "inspect or empty the artifact store",
+          (("action", dict(nargs="?", choices=("info", "clear"),
+                           default="info",
+                           help="info (default) or clear")),
+           "--cache-dir", "--namespace", "--json")),
+    _Verb("trace", _cmd_trace, "render a recorded trace",
+          (("action", dict(choices=("summary",), help="summary")),
+           ("file", dict(help="the trace JSONL file")),
+           ("--top", dict(help="slowest-suffix rows to show "
+                               "(default 10)")))),
+    _Verb("run", _cmd_run,
+          "the core pipeline end to end (world, timeline, learning)",
+          _PIPELINE),
+    _Verb("all", _cmd_experiments, "every experiment", _PIPELINE),
+) + tuple(_Verb(name, _cmd_experiments,
+                (module.__doc__ or name).splitlines()[0], _PIPELINE)
+          for name, module in sorted(_EXPERIMENTS.items()))
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-hoiho",
+        description="Reproduce 'Learning to Extract and Use ASNs in "
+                    "Hostnames' (IMC 2020) on a synthetic Internet, or "
+                    "run the learner on your own hostname data.")
+    verbs = parser.add_subparsers(dest="command", required=True,
+                                  metavar="VERB")
+    for verb in _VERBS:
+        sub = verbs.add_parser(verb.name, help=verb.help,
+                               description=verb.help)
+        sub.set_defaults(handler=verb.handler)
+        for flag in verb.flags:
+            name, overrides = (flag, {}) if isinstance(flag, str) else flag
+            kwargs = dict(_FLAGS.get(name, {}), **overrides)
+            if name == "--cache-dir":
+                kwargs["default"] = os.environ.get("REPRO_CACHE_DIR")
+            sub.add_argument(name, **kwargs)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point for the ``repro-hoiho`` console script: the verb's
+    exit status, 2 for a usage error and 0 for ``--help``."""
+    try:
+        args = _build_parser().parse_args(argv)
+        _resolve_policies(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return exc.code
+    except ValueError as exc:
+        print("repro-hoiho: %s" % exc, file=sys.stderr)
+        return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

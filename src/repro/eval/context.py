@@ -169,12 +169,12 @@ class ExperimentContext:
                     if cached is not None:
                         span.set(cached=True)
                         # A plan costs a build, which a relearn never
-                        # reads: the sets get the context's plan only
-                        # if it is built already.
+                        # reads: the sets get the context's plan from a
+                        # provider, built only on a first re-derivation.
                         for training_set in cached:
                             training_set.adopt(world, self.tracer,
                                                self.routing,
-                                               self._naming_plan)
+                                               lambda: self.naming_plan)
                         self._timeline = cached
                         return self._timeline
                 self._timeline = build_timeline(

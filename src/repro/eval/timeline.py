@@ -27,6 +27,7 @@ from repro.pipeline import (
     METHOD_BDRMAPIT,
     METHOD_RTAA,
     PeeringDBTask,
+    PlanSource,
     SITE_TIMELINE,
     SnapshotResult,
     SnapshotSpec,
@@ -120,7 +121,7 @@ class TrainingSet:
         self._body: object = None
         self._world: Optional[World] = None
         self._routing: Optional[RoutingModel] = None
-        self._naming_plan: Optional[NamingPlan] = None
+        self._naming_plan: PlanSource = None
         self._tracer = NULL_TRACER
 
     @property
@@ -139,10 +140,10 @@ class TrainingSet:
 
     def adopt(self, world: World, tracer=NULL_TRACER,
               routing: Optional[RoutingModel] = None,
-              naming_plan: Optional[NamingPlan] = None) -> None:
-        """Re-attach ``world``, ``routing`` and ``naming_plan`` (``None``
-        builds one if the naming is read) to this set's body when it
-        loads, under a span on ``tracer``."""
+              naming_plan: PlanSource = None) -> None:
+        """Re-attach ``world``, ``routing`` and ``naming_plan`` (a
+        :data:`~repro.pipeline.PlanSource`, read only if the naming is)
+        to this set's body when it loads, under a span on ``tracer``."""
         self._world = world
         self._routing = routing
         self._naming_plan = naming_plan

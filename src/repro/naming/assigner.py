@@ -326,8 +326,8 @@ class NamingPlan:
         """Name every interface of the world for one snapshot.
 
         ``seed`` keys the snapshot's ``labels`` and ``hazards`` streams,
-        drawn in interface order.  Sets each ``iface.hostname`` (``None``
-        for no PTR record) and returns the snapshot's records.
+        drawn in interface order.  Returns the snapshot's records and
+        leaves the world as it was.
         """
         config = config or NamingConfig()
         outcome = NamingOutcome(config=config, profiles=dict(self.profiles),
@@ -338,10 +338,7 @@ class NamingPlan:
         for slot in self.slots:
             record = _render(slot, hazards, config, rng)
             if record is not None:
-                slot.iface.hostname = record.hostname
                 records[record.address] = record
-            else:
-                slot.iface.hostname = None
         return outcome
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.asn.org import ASOrgMap
 from repro.bdrmapit.algorithm import AnnotationConfig, annotate
@@ -85,8 +85,7 @@ class SnapshotResult:
       traces even in the process that built it.
     * ``naming`` is :func:`snapshot_naming` again, from the world's
       naming plan and the ITDK's addresses, under a
-      ``snapshot.renaming`` span.  Like the build, it sets each
-      ``iface.hostname`` of the world to this snapshot's names.
+      ``snapshot.renaming`` span.
 
     ``graph`` is derived on first use from the alias resolution, the
     traces and the world's route table, and never pickled: only
@@ -244,10 +243,19 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     return result
 
 
-def _naming_plan(world: World, plan: Optional[NamingPlan],
+#: A naming plan to re-attach: the plan, a zero-argument provider
+#: called on the first re-derivation (so an owner that builds its plan
+#: lazily builds it only if a derivation reads it), or ``None`` to build
+#: one then.
+PlanSource = Union[NamingPlan, Callable[[], NamingPlan], None]
+
+
+def _naming_plan(world: World, plan: PlanSource,
                  tracer=NULL_TRACER) -> NamingPlan:
-    """``plan``, or a new plan of ``world`` (built under ``tracer``)
-    when it is ``None``."""
+    """``plan`` (from its provider, if it is one), or a new plan of
+    ``world`` (built under ``tracer``) when it is ``None``."""
+    if callable(plan):
+        plan = plan()
     if plan is None:
         return NamingPlan(world, tracer)
     if plan.world is not world:
@@ -369,12 +377,12 @@ def run_peeringdb_snapshot_task(task: PeeringDBTask) -> List[TrainingItem]:
 def reattach_world(result: SnapshotResult, world: World,
                    routing: Optional[RoutingModel] = None,
                    tracer=NULL_TRACER,
-                   naming_plan: Optional[NamingPlan] = None,
+                   naming_plan: PlanSource = None,
                    ) -> SnapshotResult:
     """Restore the world reference a worker's result pickled without,
     and give it the routing model its traces replay with, the naming
-    plan its naming re-derives from (``None`` builds one) and the tracer
-    that times both."""
+    plan its naming re-derives from (a :data:`PlanSource`) and the
+    tracer that times both."""
     result.world = world
     result._routing = routing
     result._naming_plan = naming_plan

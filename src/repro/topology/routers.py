@@ -57,7 +57,6 @@ class Interface:
     neighbor_asn: Optional[int] = None  # far-side AS on interdomain links
     ixp_id: Optional[int] = None        # for IXP LAN interfaces
     port: str = ""                      # interface name hint, e.g. "te0-1-0"
-    hostname: Optional[str] = None      # set by the naming layer
 
     @property
     def ip(self) -> str:

@@ -12,12 +12,13 @@ import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.core.parallel import ParallelConfig
 from repro.eval import section7
 from repro.eval.context import ExperimentContext, Scale
 from repro.eval.timeline import build_timeline
 from repro.naming.assigner import NamingPlan
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, load_trace
 from repro.store import ArtifactStore
 from repro.topology.world import WorldConfig, generate_world
 from repro.traceroute.routing import RoutingModel
@@ -118,3 +119,24 @@ def test_section7_from_a_stored_body_equals_storeless(tmp_path):
     tracer.close()
     assert [r["attrs"]["snapshot"]
             for r in _spans(tracer, "snapshot.renaming")] == ["2020-01"]
+
+
+def test_a_warm_context_builds_at_most_one_plan(tmp_path, capsys):
+    """A warm context hands its loaded sets a provider of its own plan:
+    the first re-derivation builds it, and every later reader (another
+    re-derivation, ``sensitivity``) shares it.  A relearn reads no
+    naming, so it builds none."""
+    store = str(tmp_path / "store")
+    trace = tmp_path / "warm-all.jsonl"
+    assert main(["all", "--scale", "tiny", "--cache-dir", store]) == 0
+    assert main(["all", "--scale", "tiny", "--cache-dir", store,
+                 "--trace-out", str(trace)]) == 0
+    capsys.readouterr()
+    records = load_trace(str(trace))
+    assert len([r for r in records if r["name"] == "naming.plan"]) == 1
+    assert [r for r in records if r["name"] == "snapshot.renaming"]
+
+    tracer = Tracer()
+    ExperimentContext(SEED, Scale.TINY, store=ArtifactStore(store),
+                      tracer=tracer).learn_timeline()
+    assert not _spans(tracer, "naming.plan")

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import ast
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _VERBS, _build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestCli:
@@ -34,9 +41,9 @@ class TestCli:
         path.write_text("onlyonefield\n", encoding="utf-8")
         assert main(["learn", "--hostnames", str(path)]) == 0
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["nonsense"])
+    def test_unknown_experiment_rejected(self, capsys):
+        assert main(["nonsense"]) == 2
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
     def test_learn_save_then_apply(self, tmp_path, capsys):
         training = tmp_path / "train.txt"
@@ -163,10 +170,10 @@ class TestCliCache:
         assert list(cache.glob("hoiho/*.pkl"))
         assert not list(cache.glob("suffixes/*.pkl"))
 
-    def test_cache_clear_rejects_unknown_namespace(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["cache", "clear", "--cache-dir", str(tmp_path / "c"),
-                  "--namespace", "scratch"])
+    def test_cache_clear_rejects_unknown_namespace(self, tmp_path, capsys):
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path / "c"),
+                     "--namespace", "scratch"]) == 2
+        assert "invalid choice: 'scratch'" in capsys.readouterr().err
 
     def test_cache_defaults_to_info(self, tmp_path, capsys):
         assert main(["cache", "--cache-dir", str(tmp_path / "c")]) == 0
@@ -179,6 +186,7 @@ class TestCliCache:
     def test_cache_rejects_unknown_subcommand(self, tmp_path, capsys):
         assert main(["cache", "frobnicate",
                      "--cache-dir", str(tmp_path / "c")]) == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_experiment_with_cache_dir(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -287,10 +295,9 @@ class TestCliServe:
     @pytest.mark.parametrize("command", ["annotate", "serve", "serve-http"])
     def test_negative_memo_size_rejected(self, command, tmp_path, capsys):
         saved = self._conventions_file(tmp_path, capsys)
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, "--conventions", str(saved),
-                  "--hostnames", "-", "--memo-size", "-1"])
-        assert exit_info.value.code == 2
+        hostnames = ["--hostnames", "-"] if command == "annotate" else []
+        assert main([command, "--conventions", str(saved), *hostnames,
+                     "--memo-size", "-1"]) == 2
         assert "--memo-size: must be >= 0" in capsys.readouterr().err
 
     def test_serve_stats_renders_metrics_file(self, tmp_path, capsys,
@@ -391,6 +398,7 @@ class TestCliObservability:
 
     def test_trace_summary_requires_target(self, capsys):
         assert main(["trace", "summary"]) == 2
+        assert "required: file" in capsys.readouterr().err
 
     def test_trace_summary_missing_file(self, tmp_path, capsys):
         assert main(["trace", "summary",
@@ -399,6 +407,7 @@ class TestCliObservability:
     def test_trace_rejects_unknown_subcommand(self, tmp_path, capsys):
         assert main(["trace", "frobnicate",
                      str(tmp_path / "t.jsonl")]) == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_experiment_trace_out(self, tmp_path, capsys):
         from repro.obs.manifest import validate_trace_file
@@ -477,7 +486,9 @@ class TestCliObservability:
 
     def test_annotate_rejects_render_formats(self, tmp_path, capsys):
         assert main(["annotate", "--format", "prom"]) == 2
-        assert "sink format" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --format: invalid choice: 'prom'" in err
+        assert re.search(r"choose from '?jsonl'?, '?tsv'?\)", err)
 
 
 class TestCliHttp:
@@ -713,3 +724,142 @@ class TestCliShadow:
         missing = tmp_path / "nope.json"
         assert main(["shadow-report", "--metrics", str(missing)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+_STORE = {"--cache-dir", "--no-cache"}
+_JOBS = {"--jobs", "--retries", "--retry-backoff"}
+_ANNOTATE = {"--conventions", "--hostnames", "--checkpoint", "--out",
+             "--format", "--chunk-size", "--memo-size"} | _JOBS
+_PIPELINE = {"--seed", "--scale", "--trace-out", "--manifest-out"} \
+    | _STORE | _JOBS
+
+#: Every verb, and exactly the flags its handler reads.
+VERB_FLAGS = {
+    "learn": {"--hostnames", "--save"} | _STORE | _JOBS,
+    "report": {"--hostnames"} | _STORE | _JOBS,
+    "annotate": _ANNOTATE,
+    "apply": _ANNOTATE,
+    "serve": {"--conventions", "--shadow", "--memo-size", "--metrics-out"},
+    "serve-http": {"--conventions", "--shadow", "--promote-threshold",
+                   "--host", "--port", "--workers", "--max-body",
+                   "--max-inflight", "--drain-grace", "--metrics-out",
+                   "--access-log", "--trace-sample", "--trace-out",
+                   "--history", "--history-interval", "--memo-size"}
+    | _STORE,
+    "loadgen": {"--hostnames", "--host", "--port", "--mode", "--requests",
+                "--concurrency", "--rate", "--batch-size", "--loadgen-out"},
+    "serve-stats": {"--metrics", "--format", "--json", "--output"},
+    "shadow-report": {"--history", "--metrics", "--host", "--port",
+                      "--json", "--top"},
+    "watch": {"--host", "--port", "--interval", "--iterations"},
+    "slo-report": {"--history", "--slo", "--json"} | _STORE,
+    "bench": {"--output", "--jobs"},
+    "cache": {"--cache-dir", "--namespace", "--json"},
+    "trace": {"--top"},
+    "run": _PIPELINE,
+    "all": _PIPELINE,
+    **{name: _PIPELINE for name in (
+        "figure5", "figure6", "table1", "table2", "section5", "section7",
+        "sensitivity", "appendix-a", "ablation")},
+}
+
+
+class TestVerbTable:
+    """Each verb parses exactly the flags it reads."""
+
+    def test_every_verb_is_pinned(self):
+        assert sorted(verb.name for verb in _VERBS) == sorted(VERB_FLAGS)
+
+    @pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+    def test_help_lists_exactly_the_flags_the_verb_reads(self, verb,
+                                                          capsys):
+        assert main([verb, "--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert usage.startswith("usage: repro-hoiho %s " % verb)
+        assert set(re.findall(r"\[(--[\w-]+)", usage)) == VERB_FLAGS[verb]
+
+    def test_positionals_of_cache_and_trace(self, capsys):
+        assert main(["cache", "--help"]) == 0
+        assert "[{info,clear}]" in capsys.readouterr().out
+        assert main(["trace", "--help"]) == 0
+        assert "{summary} file" in capsys.readouterr().out
+
+    def test_top_level_help(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: repro-hoiho" in capsys.readouterr().out
+        assert main([]) == 2
+
+    def test_a_flag_the_verb_does_not_read_is_a_usage_error(self, capsys):
+        assert main(["table1", "--scale", "tiny", "--port", "9",
+                     "--workers", "7", "--rate", "3"]) == 2
+        assert "unrecognized arguments: --port 9 --workers 7 --rate 3" \
+            in capsys.readouterr().err
+
+    def test_serve_stats_formats(self, capsys):
+        assert main(["serve-stats", "--format", "jsonl"]) == 2
+        assert "invalid choice: 'jsonl'" in capsys.readouterr().err
+
+
+#: A line invoking the CLI: the command runs from the token to a shell
+#: operator or comment.
+_INVOCATION = re.compile(r"(?:repro-hoiho|python -m repro\.cli)\s(.*)")
+_SHELL_END = re.compile(r"\s+(?:[|;&<#]|\d?>)")
+
+
+def _documented_commands():
+    """``(where, argv)`` of every single-line CLI command in the docs
+    and CI: inline code spans, and lines that do not continue onto the
+    next."""
+    paths = [ROOT / "README.md", ROOT / "DESIGN.md",
+             ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md")),
+             ROOT / ".github" / "workflows" / "ci.yml"]
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            where = "%s:%d" % (path.relative_to(ROOT), number)
+            if "`" in line:
+                texts = [span for span in re.findall(r"`([^`]*)`", line)
+                         if _INVOCATION.match(span)]
+            elif line.rstrip().endswith("\\"):
+                continue
+            else:
+                texts = [line[match.start():]
+                         for match in [_INVOCATION.search(line)] if match]
+            for text in texts:
+                rest = _INVOCATION.match(text + " ").group(1)
+                yield where, shlex.split(_SHELL_END.split(rest)[0])
+
+
+def _serve_bench_argv():
+    """The argv ``benchmarks/e2e/serve.py`` boots ``serve-http`` with;
+    each value computed at run time reads as ``1``."""
+    tree = ast.parse((ROOT / "benchmarks" / "e2e" / "serve.py")
+                     .read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.List) and any(
+                isinstance(item, ast.Constant) and item.value == "serve-http"
+                for item in node.elts):
+            argv = [item.value if isinstance(item, ast.Constant) else "1"
+                    for item in node.elts]
+            return argv[argv.index("serve-http"):]
+    raise AssertionError("no serve-http argv in benchmarks/e2e/serve.py")
+
+
+class TestDocumentedCommands:
+    def test_docs_name_commands(self):
+        commands = list(_documented_commands())
+        assert len(commands) > 50
+        verbs = {argv[0] for _, argv in commands}
+        assert {"run", "learn", "serve-http", "cache", "trace"} <= verbs
+
+    @pytest.mark.parametrize(
+        "where, argv",
+        list(_documented_commands()) + [("benchmarks/e2e/serve.py",
+                                         _serve_bench_argv())])
+    def test_command_parses(self, where, argv, capsys):
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit as exc:  # 0 after printing --help
+            if exc.code != 0:
+                pytest.fail("%s: %r does not parse (exit %s)"
+                            % (where, argv, exc.code))
