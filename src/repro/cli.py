@@ -1042,7 +1042,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb in _VERBS:
         sub = verbs.add_parser(verb.name, help=verb.help,
                                description=verb.help)
-        sub.set_defaults(handler=verb.handler)
+        sub.set_defaults(handler=verb.handler, parser=sub)
         for flag in verb.flags:
             name, overrides = (flag, {}) if isinstance(flag, str) else flag
             kwargs = dict(_FLAGS.get(name, {}), **overrides)
@@ -1056,7 +1056,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``repro-hoiho`` console script: the verb's
     exit status, 2 for a usage error and 0 for ``--help``."""
     try:
-        args = _build_parser().parse_args(argv)
+        args, extras = _build_parser().parse_known_args(argv)
+        if extras:  # the verb's own usage error, not the top level's
+            args.parser.error("unrecognized arguments: " + " ".join(extras))
         _resolve_policies(args)
     except SystemExit as exc:  # argparse's usage errors and --help
         return exc.code

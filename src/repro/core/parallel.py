@@ -378,7 +378,7 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
             raise error from exc
         return on_poison(flight.item, error)
 
-    def run_inline(flight: _Flight) -> object:
+    def run_in_parent(flight: _Flight) -> object:
         try:
             return call_with_retry(call, flight.index, flight.item, retry,
                                    on_retry=on_retry, stats=stats,
@@ -393,7 +393,7 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
         if initializer is not None:
             initializer(*initargs)
         for index, item in source:
-            yield run_inline(_Flight(index, item))
+            yield run_in_parent(_Flight(index, item))
         return
 
     pending: Dict[int, _Flight] = {}
@@ -568,13 +568,13 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
                         BrokenProcessPool("worker lost while item was "
                                           "in flight"))
                 else:
-                    ready[index] = run_inline(flight)
+                    ready[index] = run_in_parent(flight)
                 while emit in ready:
                     value = ready.pop(emit)
                     emit += 1
                     yield value
             for index, item in source:
-                ready[index] = run_inline(_Flight(index, item))
+                ready[index] = run_in_parent(_Flight(index, item))
                 while emit in ready:
                     value = ready.pop(emit)
                     emit += 1

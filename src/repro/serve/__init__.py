@@ -60,6 +60,7 @@ from repro.serve.http import (
     HttpConfig,
     ServerProcess,
     serve_http,
+    wait_applied,
     wait_ready,
 )
 from repro.serve.index import (
@@ -131,5 +132,6 @@ __all__ = [
     "serve_http",
     "shadow_report_from_snapshot",
     "tsv_line",
+    "wait_applied",
     "wait_ready",
 ]

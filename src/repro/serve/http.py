@@ -6,47 +6,39 @@ service over the existing :class:`~repro.serve.service.AnnotationService`
 hot path is the service's annotation kernel and the transport just has
 to stay out of its way.
 
-Endpoints (JSON in/out, HTTP/1.1 keep-alive):
+Endpoints (JSON in/out, HTTP/1.1 keep-alive; the routes are
+:data:`_ROUTES`):
 
-* ``POST /annotate`` -- ``{"hostname": ...}`` ->
-  ``{"hostname": ..., "asn": ...}`` (``asn`` null on miss/malformed),
-  a kernel batch of one;
-* ``POST /annotate/batch`` -- ``{"hostnames": [...]}`` ->
-  ``{"count": N, "asns": [...]}``, result-identical to
-  ``AnnotationService.annotate_batch`` on the same list;
-* ``GET /metrics`` -- Prometheus text exposition
-  (:func:`repro.obs.prom.to_prometheus`) of the **merged** per-worker
+* ``POST /annotate`` (``{"hostname": ...}`` -> ``{"hostname", "asn"}``)
+  and ``POST /annotate/batch`` (``{"hostnames": [...]}`` ->
+  ``{"count", "asns"}``), result-identical to the service's kernel;
+* ``GET /metrics`` -- Prometheus text of the *merged* per-worker
   registries (see below);
-* ``GET /healthz`` -- liveness: 200 as long as the worker can answer,
-  including while draining;
-* ``GET /readyz`` -- readiness: 200 while accepting new work, 503 once
-  draining (the load-balancer signal);
-* ``GET /admin/status`` -- uptime, inflight, and *windowed* health
-  (req/s, error rate, p50/p90/p99 over the rolling windows of
-  :mod:`repro.obs.timeseries`, fleet-merged) -- what ``repro-hoiho
-  watch`` renders;
-* ``POST /admin/reload`` -- re-read the configured conventions file and
-  atomically hot-swap every worker's convention set via the service's
-  ``reload_*`` machinery (in-flight requests keep the old index);
-* ``POST /admin/shadow`` -- (re)load the configured ``--shadow``
-  candidate conventions file side-by-side (see
-  :mod:`repro.serve.shadow`): every subsequent request is annotated
-  against primary *and* candidate, callers keep seeing only the
-  primary's answers;
-* ``GET /admin/shadow/report`` -- the JSON per-suffix disagreement
-  ledger, merged across every pre-fork worker;
-* ``POST /admin/shadow/promote`` -- swap the candidate in as the new
-  primary (atomic, via the same ``reload_result`` machinery), gated by
-  ``--promote-threshold`` when configured.
+* ``GET /healthz`` -- 200 while the worker can answer, draining too;
+  ``GET /readyz`` -- 503 once draining (the load-balancer signal);
+* ``GET /admin/status`` -- uptime, inflight, fleet-merged windowed
+  health (:mod:`repro.obs.timeseries`; what ``repro-hoiho watch``
+  renders), and the op log's ``generation`` next to every worker's
+  ``applied_generation``;
+* ``GET /admin/shadow/report`` -- the merged per-suffix disagreement
+  ledger of :mod:`repro.serve.shadow`;
+* ``POST /admin/reload``, ``POST /admin/shadow`` and ``POST
+  /admin/shadow/promote`` -- the admin ops: re-read the configured
+  conventions, (re)load the configured ``--shadow`` candidate, and
+  swap the candidate in as primary (gated on the merged report by
+  ``--promote-threshold``).  Each swap is atomic through the
+  service's ``reload_*`` machinery; in-flight requests keep the old
+  index.
 
-The shadow admin verbs follow the reload pattern in pre-fork mode: one
-worker cannot touch its siblings' candidate, so ``/admin/shadow``
-SIGUSR1s the parent and ``/admin/shadow/promote`` SIGUSR2s it (202),
-and the parent broadcasts to every worker -- SIGHUP:reload ::
-SIGUSR1:shadow-load :: SIGUSR2:promote.  The report merges per-worker
-``stats()`` snapshots from the shared metrics directory through
-:func:`repro.serve.shadow.merge_shadow_reports` (staleness bounded by
-``flush_interval``; the serving worker flushes itself first).
+The admin ops are the rows of :data:`ADMIN_OPS` and reach every worker
+one way: the endpoint appends the op to the :class:`OpLog`
+(generation-numbered files in the shared metrics directory pre-fork,
+a list with one process) and applies it on its own worker; every
+sibling's flush loop applies each op above its ``applied_generation``
+in order and stamps that generation into its flushed snapshot.  The
+reply carries the op's ``generation``: 200 once every worker has
+applied it (always, with one process), 202 while siblings still have
+to, 500 when it failed on the answering worker.
 
 Protection: request bodies above ``max_body`` are rejected with 413
 (and the connection closed -- the body is never read); when more than
@@ -55,15 +47,9 @@ new ones get 429 + ``Retry-After`` (bounded in-flight budget =
 backpressure instead of collapse).  Handler exceptions never kill a
 worker: anything unexpected becomes a 500 JSON response.
 
-The wire: ``AnnotationHandler`` reads each request itself instead of
-through ``BaseHTTPRequestHandler.parse_request``, whose header parse
-runs the ``email`` package.  Header lines go into a dict keyed by
-lower-cased name under the stdlib's limits and keep-alive and
-``Expect: 100-continue`` rules, and each response is one write.  A
-head it cannot read (bad request line or version, a folded, colon-less
-or oversized header line, disagreeing ``Content-Length`` fields, an
-unknown method) gets a JSON error that closes the connection and is
-counted and access-logged like any other reply.
+The wire: :class:`AnnotationHandler` reads each request itself, not
+through the stdlib's ``email``-based header parse, and answers every
+head it cannot read with a counted JSON error.
 
 Scale-out is a **pre-fork worker pool**: the parent builds and warms
 the service once, then forks ``workers`` processes that inherit the
@@ -86,10 +72,10 @@ flips to 503, responses carry ``Connection: close``, the worker keeps
 serving (so ``/healthz`` stays green) for ``drain_grace`` seconds and
 until in-flight annotation requests hit zero (bounded by
 ``drain_timeout``), then stops accepting, flushes a final metrics
-snapshot, and exits 0.  The parent forwards signals, reaps every
-worker, merges their final snapshots, and writes ``metrics_out``.
-SIGHUP is the out-of-band reload broadcast (what ``/admin/reload``
-uses to reach sibling workers).
+snapshot, and exits 0.  The parent forwards SIGTERM/SIGINT, reaps
+every worker, merges their final snapshots, and writes ``metrics_out``.
+SIGHUP submits a ``reload`` op (pre-fork, the parent appends it to the
+log and the workers ignore SIGHUP).
 
 ``ServerProcess`` wraps the whole tree (parent + workers) in one child
 process for tests, benchmarks, and the load generator
@@ -112,7 +98,8 @@ from dataclasses import dataclass, field
 from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, \
+    Optional, Tuple, Union
 
 from repro.obs.logjson import JsonLogger, NULL_LOG, new_request_id, \
     open_json_logger
@@ -169,11 +156,6 @@ _HEAD = ("Server: repro-serve-http/1.0 %s\r\nDate: %%s\r\n"
          "X-Request-Id: %%s\r\n" % BaseHTTPRequestHandler.sys_version)
 
 
-def reuse_port_available() -> bool:
-    """Whether this platform offers ``SO_REUSEPORT``."""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 @dataclass
 class HttpConfig:
     """Everything ``serve-http`` needs to run a server tree."""
@@ -191,10 +173,10 @@ class HttpConfig:
     drain_timeout: float = 10.0
     #: Worker metrics snapshots older than this may be re-flushed.
     flush_interval: float = 1.0
-    #: Conventions JSON file ``/admin/reload`` (and SIGHUP) re-reads.
+    #: Conventions JSON file the ``reload`` op re-reads.
     conventions: Optional[str] = None
-    #: Candidate conventions JSON file ``/admin/shadow`` (and SIGUSR1)
-    #: re-reads; also loaded at startup when set.
+    #: Candidate conventions JSON file the ``shadow_load`` op re-reads;
+    #: also loaded at startup when set.
     shadow: Optional[str] = None
     #: Refuse ``/admin/shadow/promote`` while the merged disagreement
     #: fraction exceeds this (``None`` = no gate).
@@ -290,19 +272,21 @@ class MetricsDir:
     torn snapshot.  Extra keys in a snapshot (``memo``, ``fused_plans``
     from ``AnnotationService.stats()``) ride along untouched;
     ``merge_snapshot`` ignores them.  ``flush`` stamps ``ts`` (epoch
-    seconds) and ``worker_id`` into every file, so scrape staleness is
-    observable (:meth:`ages`, the ``repro_snapshot_age_seconds`` gauge
-    on ``/metrics``) instead of inferred from ``flush_interval``.
+    seconds), ``worker_id`` and ``applied_generation`` into every file,
+    so scrape staleness (:meth:`ages`) and each worker's place in the
+    :class:`OpLog` are observed, not inferred.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
 
-    def flush(self, worker_id: int, snapshot: Dict[str, object]) -> None:
+    def flush(self, worker_id: int, snapshot: Dict[str, object],
+              applied_generation: int = 0) -> None:
         """Atomically publish ``worker_id``'s current snapshot."""
         snapshot = dict(snapshot)
         snapshot["ts"] = time.time()
         snapshot["worker_id"] = worker_id
+        snapshot["applied_generation"] = applied_generation
         target = os.path.join(self.path, "worker-%d.json" % worker_id)
         fd, tmp = tempfile.mkstemp(prefix=".worker-%d." % worker_id,
                                    dir=self.path)
@@ -340,30 +324,118 @@ class MetricsDir:
             registry.merge_snapshot(snapshot)
         return registry.snapshot()
 
-    def merged_with_shadow(self) -> Dict[str, object]:
-        """The merged snapshot with the folded ``shadow`` extra attached.
-
-        What the serving history persists: counters *and* the ledger
-        meta, so ``shadow-report --history`` can compare candidates
-        across server lifetimes.
-        """
-        return merge_shadow_snapshots(self.snapshots())
+    def stamped(self, key: str) -> Dict[int, object]:
+        """The stamp ``key`` of every worker's snapshot, by worker id
+        (files without it, or unreadable, are left out)."""
+        return {int(snapshot["worker_id"]): snapshot[key]  # type: ignore
+                for snapshot in self.snapshots()
+                if None not in (snapshot.get(key), snapshot.get("worker_id"))}
 
     def ages(self, now: Optional[float] = None) -> Dict[int, float]:
-        """Per-worker snapshot age in seconds, from the stamped ``ts``.
-
-        Workers whose files predate the stamp (or are unreadable) are
-        omitted rather than reported with a made-up age.
-        """
+        """Per-worker snapshot age in seconds, from the stamped ``ts``."""
         now = time.time() if now is None else now
-        ages: Dict[int, float] = {}
-        for snapshot in self.snapshots():
-            ts = snapshot.get("ts")
-            worker_id = snapshot.get("worker_id")
-            if ts is None or worker_id is None:
+        return {worker: max(0.0, now - float(ts))  # type: ignore[arg-type]
+                for worker, ts in self.stamped("ts").items()}
+
+
+class OpLog:
+    """The admin ops every worker applies, numbered 1, 2, ... in order.
+
+    With one process it is a list.  Pre-fork it is files in the shared
+    metrics directory, ``op-<generation>.json`` holding ``{"generation",
+    "op", "ts"}``, each hard-linked whole from a temp file to the next
+    number; a writer that finds it taken (``FileExistsError``) tries the
+    one after.  So concurrent writers get distinct generations with no
+    lock, and ``n`` exists only once ``n - 1`` does: readers walk
+    forward until a number is missing."""
+
+    def __init__(self, path: Optional[str] = None) -> None:
+        self.path = path
+        self._ops: List[str] = []
+        self._lock = threading.Lock()
+
+    def append(self, op: str) -> int:
+        """Record ``op`` as the next generation and return it."""
+        if self.path is None:
+            with self._lock:
+                self._ops.append(op)
+                return len(self._ops)
+        generation = self.head()
+        while True:
+            generation += 1
+            fd, tmp = tempfile.mkstemp(prefix=".op-", dir=self.path)
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump({"generation": generation, "op": op,
+                               "ts": time.time()}, handle)
+                os.link(tmp, os.path.join(self.path,
+                                          "op-%d.json" % generation))
+                return generation
+            except FileExistsError:
                 continue
-            ages[int(worker_id)] = max(0.0, now - float(ts))
-        return ages
+            finally:
+                os.unlink(tmp)
+
+    def entries(self, after: int) -> List[Tuple[int, str]]:
+        """Every ``(generation, op)`` above generation ``after``."""
+        if self.path is None:  # a slice is atomic
+            return list(enumerate(self._ops[after:], after + 1))
+        found: List[Tuple[int, str]] = []
+        while True:
+            generation = after + len(found) + 1
+            try:
+                with open(os.path.join(self.path, "op-%d.json" % generation),
+                          encoding="utf-8") as handle:
+                    found.append((generation, json.load(handle)["op"]))
+            except FileNotFoundError:
+                return found
+
+    def head(self) -> int:
+        """The newest generation; 0 for an empty log."""
+        return len(self.entries(0))
+
+
+class AdminOp(NamedTuple):
+    """One admin op: ``action`` returns the plan count it installed, or
+    raises and leaves the old set live.  Tests, history and ``/metrics``
+    read the counter and event names.  A success reply carries ``{done:
+    True, count: <plans>}``; replies and events name the file read."""
+
+    action: Callable[["AnnotationHTTPServer"], int]
+    counter: str
+    errors: str
+    event: str
+    done: str
+    count: str
+    context: Callable[[HttpConfig], Dict[str, object]]
+
+
+def _shadow_of(server: "AnnotationHTTPServer") -> ShadowService:
+    if not isinstance(server.service, ShadowService):
+        raise LookupError("server is not running in shadow mode; "
+                          "restart with --shadow")
+    return server.service
+
+
+#: Every admin op, by the name the :class:`OpLog` records.
+ADMIN_OPS: Dict[str, AdminOp] = {
+    "reload": AdminOp(
+        lambda server: server.service.reload_json_file(
+            server.config.conventions),
+        "reloads", "reload_errors", "reload_failed", "reloaded",
+        "suffixes", lambda config: {"conventions": config.conventions}),
+    "shadow_load": AdminOp(
+        lambda server: _shadow_of(server).load_candidate_file(
+            server.config.shadow),
+        "shadow_loads", "shadow_load_errors", "shadow_load_failed",
+        "shadow", "candidate_suffixes",
+        lambda config: {"candidate": config.shadow}),
+    "promote": AdminOp(
+        lambda server: _shadow_of(server).promote(),
+        "shadow_promotes", "shadow_promote_errors",
+        "shadow_promote_failed", "promoted", "suffixes",
+        lambda config: {}),
+}
 
 
 class AnnotationHTTPServer(ThreadingHTTPServer):
@@ -386,9 +458,11 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         self.config = config
         self.worker_id = worker_id
         self.metrics_dir = metrics_dir
-        #: Parent pid to SIGHUP for a fleet-wide reload (pre-fork
-        #: workers only; ``None`` means reload inline).
-        self.broadcast_pid: Optional[int] = None
+        self.op_log = OpLog(metrics_dir and metrics_dir.path)
+        #: The newest op applied here; a forked worker starts at the
+        #: head at fork time, so a reused metrics dir is not replayed.
+        self.applied_generation = self.op_log.head()
+        self._apply_lock = threading.RLock()  # serialises ``reconcile``
         self.draining = threading.Event()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
@@ -493,7 +567,11 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
     def flush_metrics(self) -> None:
         """Publish this worker's snapshot to the shared directory."""
         if self.metrics_dir is not None:
-            self.metrics_dir.flush(self.worker_id, self.stats())
+            # Read before the stats: ``apply`` moves the generation
+            # only after the op's effects, so a snapshot stamped with
+            # generation g always holds op g's counters.
+            applied = self.applied_generation
+            self.metrics_dir.flush(self.worker_id, self.stats(), applied)
         self._last_flush = time.monotonic()
 
     def maybe_flush(self) -> None:
@@ -530,20 +608,13 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
 
     # -- windowed telemetry ------------------------------------------------
 
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """The cumulative snapshot the time axis samples.
-
-        Fleet-wide when a metrics dir exists (any worker can then
-        answer ``/admin/status`` for the whole fleet), this worker's
-        live ``stats()`` otherwise.
-        """
-        if self.metrics_dir is not None:
-            return self.metrics_dir.merged()
-        return self.stats()
-
     def record_windows(self, ts: Optional[float] = None) -> None:
-        """Fold the current cumulative snapshot into the windows."""
-        self.windows.record(self.telemetry_snapshot(), ts)
+        """Fold the cumulative snapshot into the windows: the fleet's
+        merged one when a metrics dir exists (any worker can then
+        answer ``/admin/status`` for the whole fleet), else the live
+        ``stats()``."""
+        self.windows.record(self.stats() if self.metrics_dir is None
+                            else self.metrics_dir.merged(), ts)
 
     def status_payload(self) -> Dict[str, object]:
         """The ``GET /admin/status`` body: uptime + windowed health."""
@@ -583,6 +654,12 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
             payload["snapshot_age_seconds"] = {
                 str(worker): age for worker, age
                 in sorted(self.metrics_dir.ages(now).items())}
+        applied = self.applied_generations()
+        payload["generation"] = head = self.op_log.head()
+        payload["applied_generation"] = {
+            str(worker): done for worker, done in sorted(applied.items())}
+        payload["generation_skew"] = head - min(applied.values(),
+                                                default=head)
         return payload
 
     # -- request trace sampling --------------------------------------------
@@ -620,22 +697,16 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
             self._tracer.records.clear()
 
     def start_flush_loop(self) -> None:
-        """Keep the published snapshot fresh even with zero traffic.
+        """Each pass reconciles to the op log, flushes a stale snapshot
+        and folds the cumulative one into the rolling windows.
 
-        Flushes otherwise happen only on the request path, so a worker
-        that stops receiving connections would publish its last
-        snapshot forever -- and a sibling answering
-        ``/admin/shadow/report`` (or the promote gate) would keep
-        reading it as current.  This loop bounds every worker's
-        staleness to ~2x ``flush_interval`` regardless of traffic;
-        ``maybe_flush`` already skips when the request path kept the
-        file fresh.  The sleep is floored: ``flush_interval=0.0``
-        means flush-per-request on the serving path, not a busy-spin
-        here that would starve the request threads.
-
-        The same cadence feeds the rolling windows: each pass records
-        the merged (or live) cumulative snapshot, so ``/admin/status``
-        answers from fresh windows even on an idle server.
+        Flushes otherwise happen only on the request path, so an idle
+        worker would publish its last snapshot forever (misleading the
+        merged report and the promote gate), never apply a sibling's
+        admin op, and leave ``/admin/status`` stale.  The sleep is
+        floored: ``flush_interval=0.0`` means flush-per-request on the
+        serving path, not a busy-spin here that would starve the
+        request threads.
         """
         delay = max(self.config.flush_interval, 0.05)
 
@@ -643,6 +714,7 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
             while not self.draining.is_set():
                 time.sleep(delay)
                 try:
+                    self.reconcile()
                     self.maybe_flush()
                     self.record_windows()
                 except OSError:
@@ -651,113 +723,73 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         threading.Thread(target=_loop, daemon=True).start()
 
     def start_history_loop(self) -> None:
-        """Append the cumulative snapshot to the history periodically.
+        """Append the live stats to the history until draining.
 
-        Single-process mode only (the pre-fork parent runs its own
-        loop over the metrics dir); a final append happens at drain
+        Single-process mode only (the pre-fork parent appends the
+        merged snapshot instead); a final append happens at drain
         time so even a short-lived run leaves one comparable entry.
         """
-        if self.history is None:
-            return
-        delay = max(self.config.history_interval, 0.05)
-
-        def _loop() -> None:
-            while not self.draining.wait(delay):
-                try:
-                    self.history.append(self.stats())
-                except OSError:
-                    pass
-
-        threading.Thread(target=_loop, daemon=True).start()
+        if self.history is not None:
+            _append_history(self.history, self.stats, self.draining,
+                            self.config.history_interval)
 
     def server_close(self) -> None:
         """Close the socket, then drain the buffered access log."""
         super().server_close()
         self.access_log.close()
 
-    # -- reload ------------------------------------------------------------
+    # -- admin operations --------------------------------------------------
 
-    def reload_inline(self) -> int:
-        """Re-read the configured conventions file; returns plan count.
-
-        Raises on unreadable/unparseable files -- and the old
-        conventions stay live, because ``reload_json_file`` only swaps
-        after a successful build.
-        """
-        if not self.config.conventions:
-            raise LookupError("no conventions file configured to reload")
-        count = self.service.reload_json_file(self.config.conventions)
-        self.service.metrics.counter("reloads").inc()
-        return count
-
-    def _reload_from_signal(self) -> None:
-        """SIGHUP entry: reload, never raise (workers must survive)."""
+    def apply(self, name: str, generation: Optional[int] = None
+              ) -> Union[int, Exception]:
+        """Run the :data:`ADMIN_OPS` row ``name`` here and return the
+        plan count or the exception raised; never raises.  Counts and
+        logs the outcome, moves ``applied_generation`` to ``generation``
+        (the log entry applied, if any) and flushes."""
+        op = ADMIN_OPS[name]
+        counter = self.service.metrics.counter
         try:
-            self.reload_inline()
+            result: Union[int, Exception] = op.action(self)
         except Exception as exc:
-            self.service.metrics.counter("reload_errors").inc()
-            self.log.log("reload_failed", level="error", error=str(exc),
-                         conventions=self.config.conventions)
-
-    # -- shadow ------------------------------------------------------------
-
-    def shadow_service(self) -> Optional[ShadowService]:
-        """This worker's service as a ``ShadowService``, if it is one."""
-        service = self.service
-        return service if isinstance(service, ShadowService) else None
-
-    def shadow_load_inline(self) -> int:
-        """Re-read the configured candidate file; returns its plan count.
-
-        Mirrors :meth:`reload_inline`: raises on unreadable files and
-        missing configuration; a failed load leaves the previous
-        candidate (or no candidate) live.
-        """
-        if not self.config.shadow:
-            raise LookupError("no --shadow candidate file configured")
-        shadow = self.shadow_service()
-        if shadow is None:
-            raise LookupError(
-                "server is not running in shadow mode; restart with "
-                "--shadow")
-        count = shadow.load_candidate_file(self.config.shadow)
-        self.service.metrics.counter("shadow_loads").inc()
-        return count
-
-    def _shadow_load_from_signal(self) -> None:
-        """SIGUSR1 entry: load the candidate, never raise."""
-        try:
-            self.shadow_load_inline()
-        except Exception as exc:
-            self.service.metrics.counter("shadow_load_errors").inc()
-            self.log.log("shadow_load_failed", level="error",
-                         error=str(exc), candidate=self.config.shadow)
+            counter(op.errors).inc()
+            self.log.log(op.event, level="error", error=str(exc),
+                         **op.context(self.config))
+            result = exc
         else:
-            if self.metrics_dir is not None:
-                self.flush_metrics()  # publish the cleared ledger now
-
-    def promote_inline(self) -> int:
-        """Swap the candidate in as primary; returns the plan count."""
-        shadow = self.shadow_service()
-        if shadow is None:
-            raise LookupError(
-                "server is not running in shadow mode; restart with "
-                "--shadow")
-        count = shadow.promote()
-        self.service.metrics.counter("shadow_promotes").inc()
-        return count
-
-    def _shadow_promote_from_signal(self) -> None:
-        """SIGUSR2 entry: promote, never raise."""
+            counter(op.counter).inc()
+        if generation is not None:
+            self.applied_generation = generation
         try:
-            self.promote_inline()
-        except Exception as exc:
-            self.service.metrics.counter("shadow_promote_errors").inc()
-            self.log.log("shadow_promote_failed", level="error",
-                         error=str(exc))
-        else:
-            if self.metrics_dir is not None:
-                self.flush_metrics()  # publish the cleared ledger now
+            self.flush_metrics()  # a cleared ledger, too, shows at once
+        except OSError:
+            pass  # the flush loop retries
+        return result
+
+    def reconcile(self) -> Dict[int, Union[int, Exception]]:
+        """Apply every logged op above ``applied_generation``, in order;
+        returns each applied generation's result."""
+        with self._apply_lock:
+            return {generation: self.apply(name, generation)
+                    for generation, name
+                    in self.op_log.entries(self.applied_generation)}
+
+    def submit(self, name: str) -> Tuple[int, Union[int, Exception]]:
+        """Append op ``name``, reconcile through it, and return its
+        generation and result here (one lock spans both, so the flush
+        loop cannot apply it in between and take the result)."""
+        with self._apply_lock:
+            generation = self.op_log.append(name)
+            return generation, self.reconcile()[generation]
+
+    def applied_generations(self) -> Dict[int, int]:
+        """Each worker's ``applied_generation``: live with one process,
+        else as stamped in the flushed snapshots of this fleet's worker
+        ids (a reused metrics dir may hold a larger fleet's files)."""
+        if self.metrics_dir is None:
+            return {self.worker_id: self.applied_generation}
+        stamped = self.metrics_dir.stamped("applied_generation")
+        return {worker: done for worker, done in stamped.items()  # type: ignore
+                if worker < self.config.workers}
 
     def shadow_report(self) -> Dict[str, object]:
         """The disagreement report this worker can see.
@@ -1087,80 +1119,64 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         finally:
             server.end_request()
 
-    def _ep_reload(self) -> None:
+    def _admin(self, name: str, payload: object,
+               **fields: object) -> None:
+        """Append op ``name``, apply it on this worker, and reply.
+
+        An op re-reads the file it was configured with: a body naming
+        another is a 400, and none configured a 409.  Otherwise the
+        reply carries the op's ``generation``: 200 once every worker
+        has applied it (always, with one process), 202 while siblings
+        still have to, 500 when it failed here.
+        """
         server = self.server
+        op = ADMIN_OPS[name]
+        title = name.replace("_", " ")
+        for field, configured in op.context(server.config).items():
+            if isinstance(payload, dict) and payload.get(field) \
+                    and payload[field] != configured:
+                self._send_json(400, {
+                    "error": "%s re-reads the configured %s file; restart "
+                             "to change it" % (title, field),
+                    field: configured})
+                return
+            if not configured:
+                self._send_json(409, {
+                    "error": "server was not started with a %s file; "
+                             "nothing to %s" % (field, title)})
+                return
+        generation, result = server.submit(name)
+        fields.update(op.context(server.config), generation=generation,
+                      workers=server.config.workers)
+        if isinstance(result, Exception):
+            fields["error"] = "%s failed: %s" % (title, result)
+            self._send_json(500, fields)
+            return
+        fields.update({op.done: True, op.count: result})
+        applied = server.applied_generations()
+        everywhere = len(applied) >= server.config.workers \
+            and min(applied.values()) >= generation
+        self._send_json(200 if everywhere else 202, fields)
+
+    def _shadow_mode(self, verb: str) -> bool:
+        """Whether this is a shadow-mode server; replies 409 if not."""
+        if isinstance(self.server.service, ShadowService):
+            return True
+        self._send_json(409, {"error": "server was not started with "
+                                       "--shadow; nothing to %s" % verb})
+        return False
+
+    def _ep_reload(self) -> None:
+        """POST /admin/reload: re-read the configured conventions."""
         payload = self._read_json(allow_empty=True)
-        if payload is _READ_ERROR:
-            return
-        configured = server.config.conventions
-        if isinstance(payload, dict) and payload.get("conventions") \
-                and payload["conventions"] != configured:
-            self._send_json(400, {
-                "error": "reload re-reads the configured conventions "
-                         "file; restart to change it",
-                "conventions": configured})
-            return
-        if not configured:
-            self._send_json(409, {
-                "error": "server was not started from a conventions "
-                         "file; nothing to reload"})
-            return
-        if server.broadcast_pid is not None:
-            # Pre-fork: one worker cannot swap its siblings' indexes;
-            # SIGHUP the parent, which broadcasts to every worker
-            # (including this one).  Asynchronous by construction.
-            os.kill(server.broadcast_pid, signal.SIGHUP)
-            self._send_json(202, {"reloaded": "signalled",
-                                  "workers": server.config.workers,
-                                  "conventions": configured})
-            return
-        try:
-            count = server.reload_inline()
-        except Exception as exc:
-            server.service.metrics.counter("reload_errors").inc()
-            self._send_json(500, {"error": "reload failed: %s" % exc,
-                                  "conventions": configured})
-            return
-        self._send_json(200, {"reloaded": True, "suffixes": count,
-                              "conventions": configured})
+        if payload is not _READ_ERROR:
+            self._admin("reload", payload)
 
     def _ep_shadow(self) -> None:
         """POST /admin/shadow: (re)load the configured candidate file."""
-        server = self.server
         payload = self._read_json(allow_empty=True)
-        if payload is _READ_ERROR:
-            return
-        configured = server.config.shadow
-        if isinstance(payload, dict) and payload.get("candidate") \
-                and payload["candidate"] != configured:
-            self._send_json(400, {
-                "error": "shadow load re-reads the configured --shadow "
-                         "file; restart to change it",
-                "candidate": configured})
-            return
-        if not configured or server.shadow_service() is None:
-            self._send_json(409, {
-                "error": "server was not started with --shadow; "
-                         "nothing to load"})
-            return
-        if server.broadcast_pid is not None:
-            # Pre-fork: same discipline as reload -- one worker cannot
-            # load its siblings' candidates, so SIGUSR1 the parent,
-            # which broadcasts to every worker (including this one).
-            os.kill(server.broadcast_pid, signal.SIGUSR1)
-            self._send_json(202, {"shadow": "signalled",
-                                  "workers": server.config.workers,
-                                  "candidate": configured})
-            return
-        try:
-            count = server.shadow_load_inline()
-        except Exception as exc:
-            server.service.metrics.counter("shadow_load_errors").inc()
-            self._send_json(500, {"error": "shadow load failed: %s" % exc,
-                                  "candidate": configured})
-            return
-        self._send_json(200, {"shadow": True, "candidate_suffixes": count,
-                              "candidate": configured})
+        if payload is not _READ_ERROR and self._shadow_mode("load"):
+            self._admin("shadow_load", payload)
 
     def _ep_shadow_report(self) -> None:
         """GET /admin/shadow/report: the merged disagreement ledger."""
@@ -1173,12 +1189,7 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         """POST /admin/shadow/promote: gate, then swap candidate in."""
         server = self.server
         payload = self._read_json(allow_empty=True)
-        if payload is _READ_ERROR:
-            return
-        if server.shadow_service() is None:
-            self._send_json(409, {
-                "error": "server was not started with --shadow; "
-                         "nothing to promote"})
+        if payload is _READ_ERROR or not self._shadow_mode("promote"):
             return
         # The gate runs on the *merged* report (every worker's ledger),
         # before any swap happens anywhere.
@@ -1198,23 +1209,7 @@ class AnnotationHandler(BaseHTTPRequestHandler):
                 "disagreements": report["disagreements"],
                 "requests": report["requests"]})
             return
-        if server.broadcast_pid is not None:
-            os.kill(server.broadcast_pid, signal.SIGUSR2)
-            self._send_json(202, {"promoted": "signalled",
-                                  "workers": server.config.workers,
-                                  "disagreement_fraction": fraction})
-            return
-        try:
-            count = server.promote_inline()
-        except LookupError as exc:
-            self._send_json(409, {"error": str(exc)})
-            return
-        except Exception as exc:
-            server.service.metrics.counter("shadow_promote_errors").inc()
-            self._send_json(500, {"error": "promote failed: %s" % exc})
-            return
-        self._send_json(200, {"promoted": True, "suffixes": count,
-                              "disagreement_fraction": fraction})
+        self._admin("promote", payload, disagreement_fraction=fraction)
 
 
 _ROUTES: Dict[str, Dict[str, Callable[[AnnotationHandler], None]]] = {
@@ -1234,36 +1229,38 @@ _ROUTES: Dict[str, Dict[str, Callable[[AnnotationHandler], None]]] = {
 # -- process orchestration -------------------------------------------------
 
 
-def _install_worker_signals(server: AnnotationHTTPServer) -> None:
-    """SIGTERM/SIGINT drain; SIGHUP reloads; SIGUSR1/2 drive shadow.
-
-    All run off-thread: ``shutdown`` must not be called from the
-    ``serve_forever`` thread, and admin work should never stall
-    accepts.  SIGUSR1 loads the configured shadow candidate, SIGUSR2
-    promotes it -- the broadcast halves of ``/admin/shadow`` and
-    ``/admin/shadow/promote``.
+def _install_signals(server: AnnotationHTTPServer, hup: bool) -> None:
+    """SIGTERM/SIGINT drain; SIGHUP submits a ``reload``, or is
+    ignored by a pre-fork worker (``hup=False``: the parent appends
+    it).  Both run off-thread: ``shutdown`` must not be called from the
+    ``serve_forever`` thread, and admin work should not stall accepts.
     """
 
     def _term(signum: int, frame: object) -> None:
         threading.Thread(target=server.drain, daemon=True).start()
 
     def _hup(signum: int, frame: object) -> None:
-        threading.Thread(target=server._reload_from_signal,
-                         daemon=True).start()
-
-    def _usr1(signum: int, frame: object) -> None:
-        threading.Thread(target=server._shadow_load_from_signal,
-                         daemon=True).start()
-
-    def _usr2(signum: int, frame: object) -> None:
-        threading.Thread(target=server._shadow_promote_from_signal,
+        threading.Thread(target=server.submit, args=("reload",),
                          daemon=True).start()
 
     signal.signal(signal.SIGTERM, _term)
     signal.signal(signal.SIGINT, _term)
-    signal.signal(signal.SIGHUP, _hup)
-    signal.signal(signal.SIGUSR1, _usr1)
-    signal.signal(signal.SIGUSR2, _usr2)
+    signal.signal(signal.SIGHUP, _hup if hup else signal.SIG_IGN)
+
+
+def _append_history(history: HistoryStore,
+                    snapshot: Callable[[], Dict[str, object]],
+                    stop: threading.Event, interval: float) -> None:
+    """Append ``snapshot()`` every ``interval`` s until ``stop``."""
+
+    def _loop() -> None:
+        while not stop.wait(max(interval, 0.05)):
+            try:
+                history.append(snapshot())
+            except OSError:
+                pass
+
+    threading.Thread(target=_loop, daemon=True).start()
 
 
 def _write_metrics_out(path: str, snapshot: Dict[str, object]) -> None:
@@ -1280,8 +1277,8 @@ def _serve_single(service: AnnotationService, config: HttpConfig,
     server = AnnotationHTTPServer(service, config, sock=sock)
     if config.history:
         server.history = HistoryStore(config.history)
-    _install_worker_signals(server)
-    server.start_flush_loop()  # no metrics dir: feeds the windows only
+    _install_signals(server, hup=True)
+    server.start_flush_loop()  # no metrics dir: the windows, the op list
     server.start_history_loop()
     if ready is not None:
         ready(server.server_port)
@@ -1301,7 +1298,7 @@ def _serve_single(service: AnnotationService, config: HttpConfig,
 def _worker_main(service: AnnotationService, config: HttpConfig,
                  shared: Optional[socket.socket], port: int,
                  worker_id: int, metrics_dir: MetricsDir,
-                 parent_pid: int, ready_fd: int) -> None:
+                 generation: int, ready_fd: int) -> None:
     """A forked worker's whole life; never returns (``os._exit``)."""
     code = 1
     try:
@@ -1313,8 +1310,8 @@ def _worker_main(service: AnnotationService, config: HttpConfig,
         server = AnnotationHTTPServer(service, config, sock=sock,
                                       worker_id=worker_id,
                                       metrics_dir=metrics_dir)
-        server.broadcast_pid = parent_pid
-        _install_worker_signals(server)
+        server.applied_generation = generation  # the head at fork time
+        _install_signals(server, hup=False)
         server.start_flush_loop()
         os.write(ready_fd, b"1")
         os.close(ready_fd)
@@ -1333,7 +1330,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
                    ready: Optional[Callable[[int], None]] = None) -> int:
     """Fork ``config.workers`` servers sharing one warmed service."""
     reuse = config.reuse_port if config.reuse_port is not None \
-        else reuse_port_available()
+        else hasattr(socket, "SO_REUSEPORT")
     owns_metrics_dir = config.metrics_dir is None
     metrics_path = config.metrics_dir or tempfile.mkdtemp(
         prefix="repro-serve-http-")
@@ -1348,7 +1345,8 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
                                  backlog=config.backlog)
         port = shared.getsockname()[1]
 
-    parent_pid = os.getpid()
+    op_log = OpLog(metrics_path)
+    generation = op_log.head()
     parent_log = JsonLogger()  # supervisor diagnostics on stderr
     pids: List[int] = []
     ready_fds: List[int] = []
@@ -1360,7 +1358,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
             for fd in ready_fds:
                 os.close(fd)
             _worker_main(service, config, shared, port, worker_id,
-                         metrics_dir, parent_pid, write_fd)
+                         metrics_dir, generation, write_fd)
             # _worker_main never returns
         os.close(write_fd)
         pids.append(pid)
@@ -1378,34 +1376,34 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
     def _forward(signum: int, frame: object) -> None:
         for pid in pids:
             try:
-                os.kill(pid, signum if signum != signal.SIGINT
-                        else signal.SIGTERM)
+                os.kill(pid, signal.SIGTERM)
             except ProcessLookupError:
                 pass
 
+    def _hup(signum: int, frame: object) -> None:
+        try:
+            op_log.append("reload")  # every worker's flush loop applies it
+        except OSError as exc:
+            parent_log.log("op_append_failed", level="error", op="reload",
+                           error=str(exc))
+
     signal.signal(signal.SIGTERM, _forward)
     signal.signal(signal.SIGINT, _forward)
-    signal.signal(signal.SIGHUP, _forward)
-    signal.signal(signal.SIGUSR1, _forward)
-    signal.signal(signal.SIGUSR2, _forward)
+    signal.signal(signal.SIGHUP, _hup)
 
     if ready is not None:
         ready(port)
 
-    history: Optional[HistoryStore] = None
+    # Counters *and* the ledger meta, so ``shadow-report --history``
+    # can compare candidates across server lifetimes.
+    def merged() -> Dict[str, object]:
+        return merge_shadow_snapshots(metrics_dir.snapshots())
+
+    history = HistoryStore(config.history) if config.history else None
     history_stop = threading.Event()
-    if config.history:
-        history = HistoryStore(config.history)
-
-        def _history_loop() -> None:
-            delay = max(config.history_interval, 0.05)
-            while not history_stop.wait(delay):
-                try:
-                    history.append(metrics_dir.merged_with_shadow())
-                except OSError:
-                    pass
-
-        threading.Thread(target=_history_loop, daemon=True).start()
+    if history is not None:
+        _append_history(history, merged, history_stop,
+                        config.history_interval)
 
     status = 1 if failures else 0
     remaining = set(pids)
@@ -1424,7 +1422,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
     if history is not None:
         # Final fleet-wide entry (ledger included): short smoke runs
         # still leave one snapshot for slo-report / shadow-report.
-        history.append(metrics_dir.merged_with_shadow())
+        history.append(merged())
 
     merged = metrics_dir.merged()
     if config.metrics_out:
@@ -1471,6 +1469,37 @@ def wait_ready(host: str, port: int, timeout: float = 10.0) -> bool:
         except OSError:
             time.sleep(0.05)
     return False
+
+
+def wait_applied(host: str, port: int, generation: int, workers: int,
+                 polls: int = 600) -> Dict[str, object]:
+    """Poll ``/admin/status`` until each of ``workers`` workers has
+    applied op ``generation``; returns the status payload.
+
+    The wait ends on the fleet's own report of its state.  ``polls``
+    (50 ms apart) only turns a fleet that never gets there into a
+    ``TimeoutError``, not a hang.
+    """
+    import http.client
+
+    applied: Dict[str, int] = {}
+    for _ in range(polls):
+        conn = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            conn.request("GET", "/admin/status")
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        if response.status != 200:
+            raise RuntimeError("/admin/status answered %d" % response.status)
+        payload = json.loads(body)
+        applied = payload["applied_generation"]
+        if len(applied) == workers and min(applied.values()) >= generation:
+            return payload
+        time.sleep(0.05)
+    raise TimeoutError("workers never reached generation %d: %r"
+                       % (generation, applied))
 
 
 def _server_process_entry(conventions_json: str, config: HttpConfig,

@@ -792,8 +792,12 @@ class TestVerbTable:
     def test_a_flag_the_verb_does_not_read_is_a_usage_error(self, capsys):
         assert main(["table1", "--scale", "tiny", "--port", "9",
                      "--workers", "7", "--rate", "3"]) == 2
+        err = capsys.readouterr().err
         assert "unrecognized arguments: --port 9 --workers 7 --rate 3" \
-            in capsys.readouterr().err
+            in err
+        # Reported by the verb's own parser, with the verb's usage.
+        assert err.startswith("usage: repro-hoiho table1 ")
+        assert "error: unrecognized" in err.splitlines()[-1]
 
     def test_serve_stats_formats(self, capsys):
         assert main(["serve-stats", "--format", "jsonl"]) == 2

@@ -3,10 +3,11 @@
 Two tiers: fast in-thread servers (an :class:`AnnotationHTTPServer`
 running on a background thread inside this process) exercise the
 endpoint contract -- routing, guards, keep-alive, backpressure, drain
-state, inline reload -- and a handful of real-process tests boot the
-whole pre-fork tree through :class:`ServerProcess` to verify fork
-inheritance, merged ``/metrics``, SIGHUP reload broadcast, and the
-graceful SIGTERM drain actually exiting 0.
+state, admin ops and their op log -- and a handful of real-process
+tests boot the whole pre-fork tree through :class:`ServerProcess` to
+verify fork inheritance, merged ``/metrics``, admin ops reaching every
+worker by generation (over HTTP and on SIGHUP), and the graceful
+SIGTERM drain actually exiting 0.
 """
 
 import http.client
@@ -14,6 +15,7 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -26,8 +28,10 @@ from repro.serve.http import (
     AnnotationHTTPServer,
     HttpConfig,
     MetricsDir,
+    OpLog,
     ServerProcess,
     create_listener,
+    wait_applied,
     wait_ready,
 )
 from repro.serve.service import AnnotationService
@@ -42,14 +46,15 @@ def conventions_path(tmp_path_factory):
 
 
 @contextmanager
-def live_server(conventions_path, **overrides):
+def live_server(conventions_path, metrics_dir=None, **overrides):
     """An in-thread server on an ephemeral port; yields (server, port)."""
     service = AnnotationService.from_json_file(conventions_path)
     service.warm()
     config = HttpConfig(port=0, conventions=conventions_path,
                         **overrides)
     sock = create_listener(config.host, 0)
-    server = AnnotationHTTPServer(service, config, sock=sock)
+    server = AnnotationHTTPServer(service, config, sock=sock,
+                                  metrics_dir=metrics_dir)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.01},
                               daemon=True)
@@ -80,6 +85,16 @@ def request(port, method, path, payload=None, host="127.0.0.1"):
         return response.status, headers, raw.decode("utf-8", "replace")
     finally:
         conn.close()
+
+
+def merged_counter(port, name):
+    """One counter from the fleet's merged ``/metrics`` exposition."""
+    status, _, prom = request(port, "GET", "/metrics")
+    assert status == 200
+    for line in prom.splitlines():
+        if line.startswith("repro_%s " % name):
+            return int(float(line.split()[1]))
+    return 0
 
 
 def raw_request(port, data, host="127.0.0.1"):
@@ -286,6 +301,15 @@ class TestReload:
             assert status == 400
             assert body["conventions"] == conventions_path
 
+    def test_reload_without_a_conventions_file_is_409(self,
+                                                      conventions_path):
+        with live_server(conventions_path) as (server, port):
+            server.config.conventions = None
+            status, _, body = request(port, "POST", "/admin/reload", {})
+            assert status == 409
+            assert "nothing to reload" in body["error"]
+            assert server.op_log.head() == 0  # nothing was appended
+
     def test_reload_failure_keeps_old_conventions(self, tmp_path):
         path = tmp_path / "conv.json"
         path.write_text(conventions_to_json(serve_conventions()),
@@ -318,6 +342,67 @@ class TestMetricsDir:
         (tmp_path / "worker-1.json").write_text("{torn",
                                                 encoding="utf-8")
         assert metrics.merged()["counters"]["requests"] == 2
+
+
+class TestOpLog:
+    @pytest.mark.parametrize("in_dir", [True, False])
+    def test_concurrent_appends_get_distinct_gap_free_generations(
+            self, tmp_path, in_dir):
+        log = OpLog(str(tmp_path) if in_dir else None)
+        writers = 8  # more writers than cores
+        start = threading.Barrier(writers)
+        taken = [[] for _ in range(writers)]
+
+        def append(slot):
+            start.wait()
+            for _ in range(10):
+                taken[slot].append(log.append("reload"))
+
+        threads = [threading.Thread(target=append, args=(slot,))
+                   for slot in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(sum(taken, [])) == list(range(1, 81))
+        assert log.head() == 80
+        assert [generation for generation, _ in log.entries(78)] \
+            == [79, 80]
+        if in_dir:
+            record = json.loads((tmp_path / "op-7.json").read_text())
+            assert record["generation"] == 7
+            assert record["op"] == "reload"
+            assert not [name for name in os.listdir(tmp_path)
+                        if name.startswith(".")]  # no temp file left
+
+    def test_reconcile_applies_each_op_once(self, conventions_path,
+                                            tmp_path):
+        metrics_dir = MetricsDir(str(tmp_path))
+        with live_server(conventions_path,
+                         metrics_dir=metrics_dir) as (server, port):
+            server.op_log.append("reload")
+            server.op_log.append("reload")
+            assert sorted(server.reconcile()) == [1, 2]
+            assert server.reconcile() == {}
+            assert server.service.metrics.counter("reloads").value == 2
+            assert server.applied_generation == 2
+        assert metrics_dir.stamped("applied_generation") == {0: 2}
+
+    def test_single_process_status_reports_live_generation(
+            self, conventions_path):
+        with live_server(conventions_path) as (server, port):
+            status, _, body = request(port, "POST", "/admin/reload", {})
+            assert (status, body["generation"]) == (200, 1)
+            _, _, payload = request(port, "GET", "/admin/status")
+        assert payload["generation"] == 1
+        assert payload["applied_generation"] == {"0": 1}
+        assert payload["generation_skew"] == 0
 
 
 class TestConfig:
@@ -362,15 +447,82 @@ class TestPreFork:
             assert merged_requests
             assert int(float(merged_requests[0].split()[1])) \
                 >= 4 * len(hostnames)
-            # Reload over HTTP broadcasts via the parent: 202.
+            # Reload over HTTP: this worker applies it before replying
+            # (202 until the sibling has too), and both reach the
+            # reload's generation.
             status, _, body = request(server.port, "POST",
                                       "/admin/reload", {})
-            assert status == 202
+            assert status in (200, 202)
+            assert body["reloaded"] is True
             assert body["workers"] == 2
+            payload = wait_applied("127.0.0.1", server.port,
+                                   body["generation"], 2)
+            assert payload["generation"] == body["generation"]
             code = server.stop()
         assert code == 0
         merged = json.loads(metrics_out.read_text(encoding="utf-8"))
         assert merged["counters"]["requests"] >= 4 * len(hostnames)
+
+    def test_status_reports_generation_of_every_worker(
+            self, conventions_path, tmp_path):
+        path = tmp_path / "conv.json"
+        path.write_text(conventions_to_json(serve_conventions()),
+                        encoding="utf-8")
+        config = HttpConfig(port=0, workers=2, conventions=str(path),
+                            flush_interval=0.0)
+        with ServerProcess(path.read_text(encoding="utf-8"),
+                           config) as server:
+            status, _, body = request(server.port, "POST",
+                                      "/admin/reload", {})
+            assert status in (200, 202)
+            payload = wait_applied("127.0.0.1", server.port,
+                                   body["generation"], 2)
+            assert payload["generation"] == body["generation"] == 1
+            assert payload["applied_generation"] == {"0": 1, "1": 1}
+            assert payload["generation_skew"] == 0
+            # A failed read is reported, not assumed away: 500 from
+            # the answering worker, and every worker counts it.
+            path.write_text("not json at all", encoding="utf-8")
+            status, _, body = request(server.port, "POST",
+                                      "/admin/reload", {})
+            assert status == 500
+            assert body["generation"] == 2
+            assert "reload failed" in body["error"]
+            wait_applied("127.0.0.1", server.port, 2, 2)
+            assert merged_counter(server.port, "reload_errors") == 2
+            assert server.stop() == 0
+
+    def test_sighup_reloads_every_worker(self, conventions_path):
+        config = HttpConfig(port=0, workers=2,
+                            conventions=conventions_path)
+        with ServerProcess(conventions_to_json(serve_conventions()),
+                           config) as server:
+            server.signal(signal.SIGHUP)
+            payload = wait_applied("127.0.0.1", server.port, 1, 2)
+            assert payload["generation"] == 1
+            assert merged_counter(server.port, "reloads") == 2
+            assert server.stop() == 0
+
+    def test_a_reused_metrics_dir_is_not_replayed(self, conventions_path,
+                                                  tmp_path):
+        # A larger fleet's run left an op and a third worker's file.
+        OpLog(str(tmp_path)).append("reload")
+        MetricsDir(str(tmp_path)).flush(2, {"counters": {}}, 0)
+        config = HttpConfig(port=0, workers=2,
+                            conventions=conventions_path,
+                            metrics_dir=str(tmp_path), flush_interval=0.0)
+        with ServerProcess(conventions_to_json(serve_conventions()),
+                           config) as server:
+            payload = wait_applied("127.0.0.1", server.port, 1, 2)
+            assert payload["generation"] == 1
+            assert merged_counter(server.port, "reloads") == 0
+            status, _, body = request(server.port, "POST",
+                                      "/admin/reload", {})
+            assert (status, body["generation"]) in ((200, 2), (202, 2))
+            payload = wait_applied("127.0.0.1", server.port, 2, 2)
+            assert payload["generation_skew"] == 0
+            assert merged_counter(server.port, "reloads") == 2
+            assert server.stop() == 0
 
     def test_sigterm_drain_grace_keeps_healthz_up(self, conventions_path):
         config = HttpConfig(port=0, workers=2, drain_grace=2.0,
@@ -552,8 +704,9 @@ class TestShadowEndpoints:
 
 
 class TestShadowPreFork:
-    """The real tree: per-worker ledgers merged, signal-broadcast
-    load/promote, post-promote answers identical across workers."""
+    """The real tree: per-worker ledgers merged, load/promote reaching
+    every worker by generation, post-promote answers identical across
+    workers."""
 
     def test_shadow_sequence_across_workers(self, divergent_world,
                                             tmp_path):
@@ -593,27 +746,21 @@ class TestShadowPreFork:
             assert report["requests"] == 2 * len(hostnames)
             for cls, count in expected.items():
                 assert report[cls] == 2 * count
-            # Promote broadcasts via the parent: 202, then every
-            # worker converges on the candidate set.
+            # Promote: once every worker has applied its generation,
+            # every batch answers from the candidate set.
             status, _, body = request(server.port, "POST",
                                       "/admin/shadow/promote", {})
-            assert status == 202
+            assert status in (200, 202)
+            assert body["promoted"] is True
             assert body["workers"] == 2
+            wait_applied("127.0.0.1", server.port, body["generation"], 2)
             want = candidate_oracle.annotate_batch(hostnames)
-            deadline = time.time() + 15
-            promoted = 0
-            while time.time() < deadline:
-                status, _, body = request(server.port, "POST",
-                                          "/annotate/batch",
-                                          {"hostnames": hostnames})
-                if status == 200 and body["asns"] == want:
-                    promoted += 1
-                    if promoted >= 6:
-                        break
-                else:
-                    promoted = 0
-                time.sleep(0.1)
-            assert promoted >= 6, "workers never converged on promote"
+            for _ in range(10):
+                status, _, batch = request(server.port, "POST",
+                                           "/annotate/batch",
+                                           {"hostnames": hostnames})
+                assert status == 200
+                assert batch["asns"] == want
             assert server.stop() == 0
 
     def test_prefork_promote_gate_refuses(self, divergent_world):

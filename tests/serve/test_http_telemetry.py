@@ -275,8 +275,11 @@ class TestStructuredDiagnostics:
             stream = io.StringIO()
             server.log = JsonLogger(stream=stream, worker_id=0)
             server.config.conventions = str(tmp_path / "missing.json")
-            server._reload_from_signal()  # must not raise
+            result = server.apply("reload")  # must not raise
             (record,) = read_stream(stream)
+            errors = server.service.metrics.counter("reload_errors").value
+        assert isinstance(result, OSError)
+        assert errors == 1
         assert record["event"] == "reload_failed"
         assert record["level"] == "error"
         assert "missing.json" in record["conventions"]
@@ -285,18 +288,28 @@ class TestStructuredDiagnostics:
         with live_server(conventions_path) as (server, port):
             stream = io.StringIO()
             server.log = JsonLogger(stream=stream, worker_id=0)
-            server._shadow_load_from_signal()  # not in shadow mode
+            result = server.apply("shadow_load")  # not in shadow mode
             (record,) = read_stream(stream)
+            errors = server.service.metrics.counter(
+                "shadow_load_errors").value
+        assert isinstance(result, LookupError)
+        assert errors == 1
         assert record["event"] == "shadow_load_failed"
         assert record["level"] == "error"
+        assert record["candidate"] is None
 
     def test_shadow_promote_failure_is_an_event(self, conventions_path):
         with live_server(conventions_path) as (server, port):
             stream = io.StringIO()
             server.log = JsonLogger(stream=stream, worker_id=0)
-            server._shadow_promote_from_signal()
+            result = server.apply("promote")
             (record,) = read_stream(stream)
+            errors = server.service.metrics.counter(
+                "shadow_promote_errors").value
+        assert isinstance(result, LookupError)
+        assert errors == 1
         assert record["event"] == "shadow_promote_failed"
+        assert record["level"] == "error"
 
 
 def read_stream(stream: io.StringIO):
