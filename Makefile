@@ -3,8 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: test test-slow test-faults bench bench-tables lint
 
-# Tier-1: slow (full-scale pipeline) tests are excluded by the default
-# pytest addopts (-m "not slow"); `make test-slow` runs only those.
+# Tier-1: slow (full-scale pipeline) and smoke tests are excluded by the
+# default pytest addopts; `make test-slow` runs only the slow ones.
 test:
 	$(PYTHON) -m pytest tests/ -q
 

@@ -163,8 +163,7 @@ class TrainingSet:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         state = dict(state)
-        # Before bodies were packed, a set pickled its result as is.
-        body = state.pop("body", state.pop("snapshot", None))
+        body = state.pop("body")
         self.__init__(**state)  # type: ignore[misc]
         self._body = body
 

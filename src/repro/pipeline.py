@@ -74,8 +74,8 @@ class SnapshotResult:
     A result pickles what a published ITDK holds: the snapshot (nodes,
     aliases, hostnames), its annotations and the training items.  The
     two inputs the build derived them from, the campaign's ``traces``
-    and the naming outcome ``naming``, pickle as ``None`` and are
-    derived again on first read:
+    and the naming outcome ``naming``, do not pickle and are derived
+    again on first read:
 
     * ``traces`` replays the campaign, from the spec's seed and
       campaign config, under a ``snapshot.replay`` span.  A bdrmapIT
@@ -144,33 +144,14 @@ class SnapshotResult:
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
-        for derived in ("graph", "world", "_routing", "_naming_plan",
-                        "_tracer"):
+        for derived in ("traces", "naming", "graph", "world", "_routing",
+                        "_naming_plan", "_tracer"):
             state.pop(derived, None)
-        # Always present, as ``None``: code that predates replays reads
-        # a missing key as no traces but raises on ``TraceSet(None)``,
-        # and code that predates re-derived naming reads ``None`` and
-        # fails on first use rather than reading no hostnames.
-        state["traces"] = None
-        state["naming"] = None
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        # Pickles written before the graph became derived carry it
-        # (with its own copy of the route table) and a list of traces;
-        # older pickles also carry a stripped ``world=None``.  Traces
-        # or naming of ``None`` are derived on first read; a pickle
-        # written before that keeps and returns what it stored.
-        state = dict(state)
-        state.pop("graph", None)
-        state["world"] = None
-        traces = state.pop("traces", ())
-        if traces is not None:
-            state["traces"] = traces if isinstance(traces, TraceSet) \
-                else TraceSet(traces)  # type: ignore[arg-type]
-        if state.get("naming") is None:
-            state.pop("naming", None)
         self.__dict__.update(state)
+        self.world = None
 
 
 def run_snapshot(world: World, spec: SnapshotSpec,

@@ -36,7 +36,7 @@ def assign_asns(resolution: AliasResolution, route_table: RouteTable,
             if origin == UNKNOWN_ASN:
                 continue
             if origin == IXP_ASN:
-                # RouterToAsAssignment predates IXP awareness: the LAN
+                # RouterToAsAssignment is not IXP-aware: the LAN
                 # prefix counts for whatever AS it is registered to --
                 # the misattribution bdrmap-era methods later fixed.
                 # The /24 LAN is a weaker longest-prefix match than the

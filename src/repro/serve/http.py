@@ -84,6 +84,7 @@ process for tests, benchmarks, and the load generator
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import re
@@ -301,21 +302,24 @@ class MetricsDir:
                 pass
             raise
 
+    def _files(self) -> List[str]:
+        return sorted(glob.glob(os.path.join(glob.escape(self.path),
+                                             "worker-*.json")))
+
     def snapshots(self) -> Iterator[Dict[str, object]]:
         """Every worker's latest snapshot (unreadable files skipped)."""
-        try:
-            names = sorted(os.listdir(self.path))
-        except OSError:
-            return
-        for name in names:
-            if not (name.startswith("worker-") and name.endswith(".json")):
-                continue
+        for path in self._files():
             try:
-                with open(os.path.join(self.path, name),
-                          encoding="utf-8") as handle:
+                with open(path, encoding="utf-8") as handle:
                     yield json.load(handle)
             except (OSError, ValueError):
                 continue  # mid-replace or already gone
+
+    def clear(self) -> None:
+        """Delete every worker's snapshot: a reused directory may hold an
+        earlier fleet's, which would merge as live workers."""
+        for path in self._files():
+            os.unlink(path)
 
     def merged(self) -> Dict[str, object]:
         """One registry snapshot folding every worker's together."""
@@ -783,13 +787,11 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
 
     def applied_generations(self) -> Dict[int, int]:
         """Each worker's ``applied_generation``: live with one process,
-        else as stamped in the flushed snapshots of this fleet's worker
-        ids (a reused metrics dir may hold a larger fleet's files)."""
+        else as stamped in the workers' flushed snapshots."""
         if self.metrics_dir is None:
             return {self.worker_id: self.applied_generation}
-        stamped = self.metrics_dir.stamped("applied_generation")
-        return {worker: done for worker, done in stamped.items()  # type: ignore
-                if worker < self.config.workers}
+        return self.metrics_dir.stamped(  # type: ignore[return-value]
+            "applied_generation")
 
     def shadow_report(self) -> Dict[str, object]:
         """The disagreement report this worker can see.
@@ -1335,6 +1337,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
     metrics_path = config.metrics_dir or tempfile.mkdtemp(
         prefix="repro-serve-http-")
     metrics_dir = MetricsDir(metrics_path)
+    metrics_dir.clear()
     reservation: Optional[socket.socket] = None
     shared: Optional[socket.socket] = None
     if reuse:

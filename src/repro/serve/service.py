@@ -57,7 +57,7 @@ from repro.serve.index import DispatchIndex, normalize_hostname
 from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE, \
     Entry
 from repro.obs.metrics import MetricsRegistry
-from repro.store import KIND_HOIHO, ArtifactStore
+from repro.store import KIND_HOIHO, ArtifactStore, fingerprint
 
 #: Shared ``(asn, suffix)`` entry for malformed inputs and plain
 #: misses -- one allocation for the whole module.
@@ -180,7 +180,7 @@ class AnnotationService(Annotator):
         if result is None:
             raise LookupError(
                 "no cached conventions for payload (fingerprint %s)"
-                % store.fingerprint(payload))
+                % fingerprint(payload))
         return cls(result, **kwargs)  # type: ignore[arg-type]
 
     def to_json(self) -> str:
@@ -242,7 +242,7 @@ class AnnotationService(Annotator):
         if result is None:
             raise LookupError(
                 "no cached conventions for payload (fingerprint %s)"
-                % store.fingerprint(payload))
+                % fingerprint(payload))
         return self.reload_result(result)  # type: ignore[arg-type]
 
     # -- the kernel ---------------------------------------------------------

@@ -23,14 +23,13 @@ Layout on disk::
                                       (content-addressed by training set
                                       + learner config; the incremental
                                       relearning substrate): packs, no
-                                      sidecars; plus older entry files
+                                      sidecars
 
 ``repro-hoiho cache info`` and ``repro-hoiho cache clear`` operate on a
 store; :class:`~repro.eval.context.ExperimentContext` consults one when
-constructed with ``store=``.  Bump :data:`STORE_SCHEMA_VERSION` when new
-code cannot read an old pickle correctly.  A layout change that old
-pickles still load into (a class that converts or drops old fields in
-``__setstate__``) keeps the version, and the stored artifacts with it.
+constructed with ``store=``.  Bump :data:`STORE_SCHEMA_VERSION` whenever
+a stored layout changes: entries of the old version then miss and are
+rebuilt, so no class keeps a branch that reads an older layout.
 """
 
 from __future__ import annotations
@@ -51,21 +50,8 @@ logger = logging.getLogger(__name__)
 #: scheme; part of every fingerprint.  v2: dict keys are type-tagged
 #: tokens and the payload nests beside the schema version.  v3: a
 #: world's RouteTable holds one hash table per prefix length, not a trie.
-#: Still v3: snapshot results store their traces as a ``TraceSet`` and
-#: no router graph, and load v3 pickles that carry a trace list and one.
-#: Still v3: a timeline stores each snapshot result as a pickled body
-#: without world or items, and loads v3 timelines that hold them inline.
-#: Still v3: suffix artifacts are written as packs; new code reads old
-#: per-entry files, and old code only misses on packs.
-#: Still v3: an RTAA snapshot result stores ``traces=None`` and replays
-#: its campaign on first read; new code returns the stored traces of
-#: old RTAA bodies, and old code raises on ``TraceSet(None)`` rather
-#: than read a new body as an empty trace set.
-#: Still v3: every snapshot result stores ``traces=None`` and
-#: ``naming=None``, replaying its campaign and re-deriving its naming on
-#: first read; new code returns what older bodies stored, and code
-#: before this reads ``naming=None`` and fails on its first use.
-STORE_SCHEMA_VERSION = 3
+#: v4: results store no traces or naming; suffixes live only in packs.
+STORE_SCHEMA_VERSION = 4
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).
 KIND_WORLD = "worlds"
@@ -209,11 +195,6 @@ class ArtifactStore:
 
     # -- keying ------------------------------------------------------------
 
-    @staticmethod
-    def fingerprint(payload: Mapping) -> str:
-        """Expose :func:`fingerprint` on the class for convenience."""
-        return fingerprint(payload)
-
     def path_for(self, kind: str, payload: Optional[Mapping],
                  key: Optional[str] = None) -> Path:
         """Where the artifact for ``payload`` lives (existing or not).
@@ -243,7 +224,9 @@ class ArtifactStore:
         """The stored artifact, or ``None`` on miss/corruption.
 
         ``key`` is ``payload``'s precomputed fingerprint, as in
-        :meth:`path_for`.  A per-entry file wins over a pack.
+        :meth:`path_for`.  The entry file is read first, then the packs
+        of ``kind``: worlds, timelines and learned results are entry
+        files, suffix artifacts are packed.
         """
         path = self.path_for(kind, payload, key)
         with self.tracer.span("store.get", kind=kind,
@@ -296,19 +279,17 @@ class ArtifactStore:
         packed = path.name.startswith(PACK_PREFIX)
         return len(self._read(path) or ()) if packed else 1
 
-    def put(self, kind: str, payload: Mapping, artifact: object,
-            key: Optional[str] = None) -> Path:
+    def put(self, kind: str, payload: Mapping, artifact: object) -> Path:
         """Persist ``artifact`` under ``payload``'s fingerprint.
 
         Both the pickle and its ``.json`` sidecar go through
         :func:`_atomic_write`, so a crashed run never leaves a
         half-written pickle *or* a truncated sidecar next to a valid
         one.  ``payload`` is canonicalised once, for the sidecar and
-        (unless ``key``, its precomputed fingerprint, is given) the hash.
+        the hash.
         """
         envelope = _envelope(payload)
-        path = self.path_for(kind, payload,
-                             key if key is not None else _digest(envelope))
+        path = self.path_for(kind, payload, _digest(envelope))
 
         def sidecar(handle) -> None:
             json.dump(envelope, handle, indent=2, sort_keys=True)

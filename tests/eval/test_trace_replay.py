@@ -7,9 +7,8 @@ first read under a ``snapshot.replay`` span.  The two walk modes must
 agree on everything both produce: the observed set, the span counts and
 the destination reply draws; and a replay must equal the campaign walked
 with columns, serially or from worker processes.  No body pickles its
-traces or its naming records (``traces=None``, ``naming=None``): new
-code replays the traces and re-derives the naming, and the code before
-must fail on such a body instead of reading it as empty.
+traces or its naming records: the traces replay and the naming is
+re-derived on first read.
 """
 
 import io
@@ -20,7 +19,7 @@ import pytest
 from repro.core.parallel import ParallelConfig
 from repro.eval.timeline import _timeline_tasks, build_timeline
 from repro.obs.trace import Tracer
-from repro.pipeline import METHOD_BDRMAPIT, METHOD_RTAA
+from repro.pipeline import METHOD_RTAA
 from repro.topology.world import WorldConfig, generate_world
 from repro.traceroute.campaign import campaign_destinations, \
     run_campaign, select_vps, vp_router
@@ -158,7 +157,7 @@ class TestStoredBody:
             assert b"TraceSet" not in body, training_set.method
             assert b"HostnameRecord" not in body, training_set.method
             state = _StoredState.of(body)
-            assert state["traces"] is None and state["naming"] is None
+            assert "traces" not in state and "naming" not in state
 
     def test_rtaa_body_replays_equal_traces(self, world, timeline):
         again = pickle.loads(pickle.dumps(timeline[0]))
@@ -180,61 +179,6 @@ class TestStoredBody:
         assert result.traces is result.traces
         assert [r["attrs"]["snapshot"]
                 for r in _spans(tracer, "snapshot.replay")] == ["2020-01"]
-
-    def test_code_before_replays_raises_on_a_new_body(self, timeline):
-        """``SnapshotResult.__setstate__`` as it was before replays must
-        fail on the state a new RTAA body stores, not read it as an
-        empty trace set."""
-        state = _StoredState.of(timeline[0].__getstate__()["body"])
-        assert state["traces"] is None
-
-        def setstate_before_replays(state):
-            state = dict(state)
-            state.pop("graph", None)
-            state["world"] = None
-            traces = state.get("traces", ())
-            if not isinstance(traces, TraceSet):
-                state["traces"] = TraceSet(traces)
-            return state
-
-        with pytest.raises(TypeError):
-            setstate_before_replays(state)
-
-    def test_code_before_this_layout_fails_on_a_new_bdrmapit_body(
-            self, timeline):
-        """A new bdrmapIT body holds neither traces nor naming: the code
-        before replays raises on its traces, and the code before
-        re-derived naming reads ``naming=None`` and fails on first use,
-        never reading no hostnames."""
-        state = _StoredState.of(timeline[1].__getstate__()["body"])
-        assert state["spec"].method == METHOD_BDRMAPIT
-
-        def setstate_before_replays(state):
-            traces = state.get("traces", ())
-            if not isinstance(traces, TraceSet):
-                return TraceSet(traces)
-            return traces
-
-        with pytest.raises(TypeError):
-            setstate_before_replays(state)
-
-        class ResultBeforeDerivedNaming:
-            """The result's ``naming`` as a plain field, set as stored."""
-
-            def __setstate__(self, state):
-                state = dict(state)
-                state.pop("graph", None)
-                state["world"] = None
-                traces = state.pop("traces", ())
-                if traces is not None:
-                    state["traces"] = traces
-                self.__dict__.update(state)
-
-        before = ResultBeforeDerivedNaming()
-        before.__setstate__(state)
-        assert before.naming is None
-        with pytest.raises(AttributeError):
-            before.naming.records
 
 
 class _StoredState(pickle.Unpickler):

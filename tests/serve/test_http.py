@@ -524,6 +524,22 @@ class TestPreFork:
             assert merged_counter(server.port, "reloads") == 2
             assert server.stop() == 0
 
+    def test_a_reused_metrics_dir_drops_stale_worker_files(
+            self, conventions_path, tmp_path):
+        # A larger fleet's worker 5 served 1000 requests here before.
+        MetricsDir(str(tmp_path)).flush(5, {"counters": {"requests": 1000}})
+        config = HttpConfig(port=0, workers=2,
+                            conventions=conventions_path,
+                            metrics_dir=str(tmp_path), flush_interval=0.0)
+        with ServerProcess(conventions_to_json(serve_conventions()),
+                           config) as server:
+            payload = wait_applied("127.0.0.1", server.port, 0, 2)
+            assert sorted(payload["applied_generation"]) == ["0", "1"]
+            assert sorted(payload["snapshot_age_seconds"]) == ["0", "1"]
+            _, _, prom = request(server.port, "GET", "/metrics")
+            assert "repro_requests 0" in prom.splitlines()
+            assert server.stop() == 0
+
     def test_sigterm_drain_grace_keeps_healthz_up(self, conventions_path):
         config = HttpConfig(port=0, workers=2, drain_grace=2.0,
                             drain_timeout=8.0,

@@ -12,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.delta import plan_datasets, resolve_plans
+from repro.core.delta import (
+    LabelPlan,
+    TimelinePlan,
+    learn_artifacts,
+    plan_datasets,
+)
 from repro.core.hoiho import HoihoConfig, SuffixArtifact, suffix_cache_payload
+from repro.core.parallel import ParallelConfig
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.eval.context import ExperimentContext, Scale
 from repro.obs.trace import Tracer
@@ -69,17 +75,17 @@ class TestFingerprint:
                             STORE_SCHEMA_VERSION + 1)
         assert fingerprint(payload) != before
 
-    def test_v2_worlds_are_not_read_by_v3(self, monkeypatch, store):
-        # v3 changed the pickled RouteTable from a bit trie to one hash
-        # table per prefix length: a world pickled by a v2 checkout
-        # must miss, not unpickle into attributes nobody reads.
-        assert STORE_SCHEMA_VERSION == 3
+    def test_v3_worlds_are_not_read_by_v4(self, monkeypatch, store):
+        # v4 code has no branch that reads a v3 layout, so an entry a
+        # v3 checkout stored must miss, not unpickle into a layout the
+        # code no longer reads.
+        assert STORE_SCHEMA_VERSION == 4
         payload = ExperimentContext(7, Scale.TINY)._world_payload()
-        v3 = fingerprint(payload)
-        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 2)
-        assert fingerprint(payload) != v3
-        store.put(KIND_WORLD, payload, "world pickled by v2")
+        v4 = fingerprint(payload)
         monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 3)
+        assert fingerprint(payload) != v4
+        store.put(KIND_WORLD, payload, "world pickled by v3")
+        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 4)
         assert store.get(KIND_WORLD, payload) is None
 
     def test_payload_schema_key_does_not_mask_version(self, monkeypatch):
@@ -155,12 +161,13 @@ class TestStoreRoundTrip:
         assert store.contains(KIND_WORLD, payload)
 
 
-#: Store entries written by the schema-v3 code before ``put``/``get``
-#: took a precomputed fingerprint (one suffix artifact, see
-#: :func:`_fixture_suffix`).
+#: A suffix artifact as the schema-v3 code stored it: a per-entry file
+#: and its sidecar (see :func:`_fixture_suffix`).  Under v4 it must miss.
 V3_FIXTURE = Path(__file__).parent / "fixtures" / "store_v3"
 V3_SUFFIX_KEY = \
     "6a7aeb8c443a916ac86a509fa491f30aad40ee516cd4de391a3e1a83022baec9"
+V4_SUFFIX_KEY = \
+    "456176e7bf7f05afa991431b6ddbc5ffad1fe8159d12e5426f4b6a8aaefa81f0"
 
 
 def _fixture_suffix():
@@ -177,44 +184,48 @@ class TestPinnedKeys:
         payload = {"kind": "world", "seed": 7, "f": 2.5,
                    "m": {1: "a", "z": (1, 2), None: {3, 2}}}
         assert fingerprint(payload) == \
-            "3b61633192e1128a6fb22141f5b58881baf8da53d9837cc1b3bd94e36d4c81c9"
+            "054550011e564d1b49c150ca9a6d0a1d6115eeb38ae5a184a6f6b0fb8f071697"
 
     def test_suffix_payload_digest(self):
         payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
-        assert fingerprint(payload) == V3_SUFFIX_KEY
-
-    def test_put_with_key_writes_identical_files(self, tmp_path):
-        payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
-        artifact = SuffixArtifact("alpha-inc.org", None, "fixture")
-        plain = ArtifactStore(tmp_path / "plain").put(
-            KIND_SUFFIX, payload, artifact)
-        keyed = ArtifactStore(tmp_path / "keyed").put(
-            KIND_SUFFIX, payload, artifact, key=fingerprint(payload))
-        assert plain.name == keyed.name == V3_SUFFIX_KEY + ".pkl"
-        for suffix in (".pkl", ".json"):
-            assert plain.with_suffix(suffix).read_bytes() \
-                == keyed.with_suffix(suffix).read_bytes()
+        assert fingerprint(payload) == V4_SUFFIX_KEY
 
     def test_sidecar_matches_committed_entry(self, store):
+        """The sidecar's bytes are pinned by their SHA-256; they differ
+        from the committed v3 entry's only in the schema version."""
         payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
         path = store.put(KIND_SUFFIX, payload,
                          SuffixArtifact("alpha-inc.org", None, "fixture"))
+        sidecar = path.with_suffix(".json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == \
+            "a0f9ebb29bad509687cf5876160336ea5389f6c98e771eb2b6d23f208e488308"
         committed = V3_FIXTURE / KIND_SUFFIX / (V3_SUFFIX_KEY + ".json")
-        assert path.with_suffix(".json").read_bytes() \
-            == committed.read_bytes()
+        assert sidecar == committed.read_bytes().replace(
+            b'"schema": 3', b'"schema": 4')
 
-    def test_entry_from_v3_code_still_hits(self, tmp_path):
-        # The committed entry was pickled by the code before this
-        # keying path existed; the planner must find it unchanged.
-        assert STORE_SCHEMA_VERSION == 3
+    def test_entry_from_v3_code_misses(self, tmp_path):
+        """The committed v3 entry misses: the planner relearns what a
+        storeless learn gives and packs it beside the old file."""
         shutil.copytree(V3_FIXTURE, tmp_path / "cache")
         store = ArtifactStore(tmp_path / "cache")
         plans = plan_datasets([_fixture_suffix()], HoihoConfig())
-        assert plans[0].fingerprint == V3_SUFFIX_KEY
-        hits, misses = resolve_plans(store, plans)
-        assert misses == []
-        assert hits[0][1] == SuffixArtifact("alpha-inc.org", None,
-                                            "fixture")
+        assert plans[0].fingerprint == V4_SUFFIX_KEY
+
+        def learn(store):
+            return learn_artifacts(
+                store, lambda: TimelinePlan([LabelPlan("", plans)], []),
+                HoihoConfig(), ParallelConfig(), None)[1]
+        assert learn(store) == learn(None)
+        assert store.stats.as_dict() == {"hits": 0, "misses": 1,
+                                         "writes": 1}
+        folder = store.root / KIND_SUFFIX
+        [pack] = folder.glob(PACK_PREFIX + "*.pkl")
+        assert pickle.loads(pack.read_bytes()) == learn(None)
+        assert (folder / (V3_SUFFIX_KEY + ".pkl")).read_bytes() \
+            == (V3_FIXTURE / KIND_SUFFIX / (V3_SUFFIX_KEY + ".pkl")) \
+            .read_bytes()
+        warm = ArtifactStore(store.root)
+        assert learn(warm) == learn(None) and warm.stats.hits == 1
 
 
 class TestStoreMaintenance:
@@ -371,14 +382,12 @@ class TestPacks:
         with pytest.raises(ValueError, match="unknown artifact namespace"):
             store.put_many("scratch", {})
 
-    def test_packs_and_entry_files_both_hit(self, tmp_path):
-        # Entries written before packs existed sit beside new packs.
-        shutil.copytree(V3_FIXTURE, tmp_path / "cache")
-        store = ArtifactStore(tmp_path / "cache")
+    def test_packs_and_entry_files_both_hit(self, store):
+        # ``get`` reads a kind's entry file, then its packs.
+        store.put(KIND_SUFFIX, {"suffix": "entry.com"}, "per-entry")
         batch = _batch()
         store.put_many(KIND_SUFFIX, batch)
-        assert store.get(KIND_SUFFIX, None, key=V3_SUFFIX_KEY) \
-            == SuffixArtifact("alpha-inc.org", None, "fixture")
+        assert store.get(KIND_SUFFIX, {"suffix": "entry.com"}) == "per-entry"
         for key, artifact in batch.items():
             assert store.get(KIND_SUFFIX, None, key=key) == artifact
             assert store.contains(KIND_SUFFIX, {"suffix": artifact.suffix})
@@ -474,3 +483,36 @@ class TestPacks:
         store.get(KIND_SUFFIX, None, key=key)
         store.get(KIND_SUFFIX, None, key=key)
         assert sum(p.name.startswith(PACK_PREFIX) for p in loads) == 2
+
+
+@pytest.fixture(scope="module")
+def v3_store(tmp_path_factory):
+    """A TINY ``all`` store written with the schema version set to 3."""
+    from repro.cli import main
+    root = tmp_path_factory.mktemp("v3") / "cache"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.store.STORE_SCHEMA_VERSION", 3)
+        assert main(["all", "--scale", "tiny", "--cache-dir",
+                     str(root)]) == 0
+    return root
+
+
+class TestV3StoreMisses:
+    """Under v4 a store the v3 code wrote is a cold store."""
+
+    def test_every_lookup_misses(self, v3_store, tmp_path):
+        shutil.copytree(v3_store, tmp_path / "cache")
+        store = ArtifactStore(tmp_path / "cache")
+        ExperimentContext(2020, Scale.TINY, store=store).learn_timeline()
+        assert store.stats.hits == 0 and store.stats.misses > 0
+
+    def test_warm_all_prints_the_storeless_output(self, v3_store, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+        shutil.copytree(v3_store, tmp_path / "cache")
+        capsys.readouterr()
+        assert main(["all", "--scale", "tiny", "--cache-dir",
+                     str(tmp_path / "cache")]) == 0
+        warm = capsys.readouterr().out
+        assert main(["all", "--scale", "tiny", "--no-cache"]) == 0
+        assert warm == capsys.readouterr().out
