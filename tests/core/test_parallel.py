@@ -14,8 +14,11 @@ from repro.core.parallel import (
     default_workers,
     fork_inheritance_available,
     parallel_map,
+    stream_map,
 )
+from repro.core.resilience import PoisonItemError, RetryPolicy
 from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
+from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 
 
 def _small_world_items():
@@ -174,3 +177,68 @@ class TestForkInheritance:
         import multiprocessing
         expected = multiprocessing.get_start_method() == "fork"
         assert fork_inheritance_available() is expected
+
+
+# -- the dispatch contract ---------------------------------------------------
+
+def _traced_square(value, tracer=NULL_TRACER):
+    with tracer.span("item", value=value):
+        return value * value
+
+
+def _reject_two(value, tracer=NULL_TRACER):
+    with tracer.span("item", value=value):
+        if value == 2:
+            raise ValueError("item 2 is bad")
+        return value
+
+
+def _stream(func, items, config, retry, span):
+    """``stream_map`` whose consumer holds a span of its own open
+    across every pull after the first."""
+    stream = stream_map(func, items, config, retry=retry, span=span)
+    values = [next(stream)]
+    with span.tracer.span("consumer") if span.span_id else NULL_SPAN:
+        values.extend(stream)
+    return values
+
+
+def _map(func, items, config, retry, span):
+    return parallel_map(func, items, config, retry=retry, span=span)
+
+
+DISPATCH_CONFIGS = {
+    "serial": ParallelConfig.serial(),
+    "process": ParallelConfig(workers=2, backend=BACKEND_PROCESS,
+                              chunk_size=2),
+}
+
+
+@pytest.mark.parametrize("traced", [False, True],
+                         ids=["untraced", "traced"])
+@pytest.mark.parametrize("retry", [None, RetryPolicy(backoff_base=0.0)],
+                         ids=["no-retry", "retry"])
+@pytest.mark.parametrize("backend", sorted(DISPATCH_CONFIGS))
+@pytest.mark.parametrize("primitive", [_map, _stream],
+                         ids=["parallel_map", "stream_map"])
+def test_dispatch_contract(primitive, backend, retry, traced):
+    """Every route returns what a plain loop returns, fails the same
+    way, and parents each item's root span under the fan-out's span."""
+    config = DISPATCH_CONFIGS[backend]
+    items = list(range(7))
+    tracer = Tracer() if traced else NULL_TRACER
+    with tracer.span("fan") as span:
+        values = primitive(_traced_square, items, config, retry, span)
+    assert values == [_traced_square(x) for x in items]
+    if traced:
+        roots = [r for r in tracer.records if r["name"] == "item"]
+        assert sorted(r["attrs"]["value"] for r in roots) == items
+        assert all(r["parent"] == span.span_id for r in roots)
+
+    expected = ValueError if retry is None else PoisonItemError
+    with pytest.raises(expected) as info:
+        with tracer.span("fan") as span:
+            primitive(_reject_two, items, config, retry, span)
+    if retry is not None:
+        assert isinstance(info.value.cause, ValueError)
+        assert info.value.index == 2
