@@ -8,27 +8,33 @@ serial, and parallel runs are constructed to be *bit-identical* to
 serial ones: work items are sorted before dispatch, results are yielded
 in input order, and each worker runs the same deterministic learner.
 
-Both mapping primitives accept an optional
-:class:`~repro.core.resilience.RetryPolicy`.  Without one they keep the
-historical fail-fast fast path (``Executor.map`` with chunking, zero
-overhead).  With one, dispatch goes through a resilient per-item loop:
-transient worker exceptions are retried with deterministic backoff, a
-``BrokenProcessPool`` rebuilds the pool and re-dispatches the in-flight
-items (degrading to serial execution after ``policy.pool_rebuilds``
-losses), per-item timeouts tear down and rebuild a wedged pool, and
-items that fail permanently surface as
+Dispatch takes one of three routes, picked only by what the work
+needs: **in process** (the serial backend, or a map of at most one
+item without a retry policy); a **chunked pool map** (a
+:func:`parallel_map` over processes without a policy: ``Executor.map``
+in ``chunk_size`` chunks); or an **ordered window** over a pool (a
+:func:`stream_map` over processes, or a retry-armed map over
+processes).  Without a :class:`~repro.core.resilience.RetryPolicy`
+every route fails fast: a worker's exception re-raises as itself.
+With one, transient worker exceptions are retried with deterministic
+backoff, a ``BrokenProcessPool`` rebuilds the pool and re-dispatches
+the in-flight items (degrading to serial execution after
+``policy.pool_rebuilds`` losses), per-item timeouts tear down and
+rebuild a wedged pool, and items that fail permanently surface as
 :class:`~repro.core.resilience.PoisonItemError` -- or flow to the
 caller's ``on_poison`` substitute so a stream can outlive its poison
 (the serving engine's dead-letter path).  Ordering, and therefore
 byte-identity with serial output, is preserved throughout: retries
 happen out of order, but results are emitted strictly in input order.
 
-Both primitives also take the coordinating ``span`` of the fan-out.
-With the default :data:`~repro.obs.trace.NULL_SPAN` nothing is traced
-and dispatch is exactly the untraced path.  With a live span every
-work item runs under a worker-local :class:`~repro.obs.trace.Tracer`
-(``func`` must accept ``tracer=``), its captured spans ride home with
-the value and are adopted under ``span``, retries are recorded on
+Both primitives also take the coordinating ``span`` of the fan-out;
+tracing never changes the route.  With the default
+:data:`~repro.obs.trace.NULL_SPAN` nothing is traced.  With a live
+span ``func`` must accept ``tracer=``: in process it writes straight
+into ``span``'s tracer, its root spans parented under ``span``; across
+processes each item runs under a worker-local
+:class:`~repro.obs.trace.Tracer` whose captured spans ride home with
+the value and are adopted under ``span``.  Retries are recorded on
 ``span`` as they happen, and a retry-armed fan-out ends with its
 :class:`~repro.core.resilience.ResilienceStats` summarised there too.
 So each call site keeps one worker, traced or not.
@@ -38,7 +44,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
+from functools import partial
+from itertools import chain, starmap
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -209,16 +216,23 @@ def parallel_map(func: Callable[[_T], _R], items: Sequence[_T],
     no substitution here (use :func:`stream_map` with ``on_poison`` for
     that).  ``span`` traces the fan-out (see the module docstring).
     """
-    if retry is not None or span.span_id is not None:
-        return list(stream_map(func, items, config,
-                               window=max(len(items), 1), retry=retry,
-                               site=site, on_retry=on_retry, stats=stats,
-                               span=span))
-    if not config.is_parallel or len(items) <= 1:
-        return [func(item) for item in items]
-    workers = min(config.workers, len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items, chunksize=config.chunk_size))
+    if retry is None and len(items) > 1 and config.is_parallel:
+        # The chunked pool map: fail fast, chunk_size items per hand-off.
+        traced = span.span_id is not None
+        with ProcessPoolExecutor(
+                max_workers=min(config.workers, len(items))) as pool:
+            results = pool.map(_Traced(func) if traced else func, items,
+                               chunksize=config.chunk_size)
+            if not traced:
+                return list(results)
+            return [_adopt(span, captured) for captured in results]
+    if retry is None:
+        # Serial, or one item: no pool.  A retry-armed item keeps its
+        # pool, since timeouts and pool-loss recovery need a worker.
+        config = ParallelConfig.serial()
+    return list(stream_map(func, items, config, window=max(len(items), 1),
+                           retry=retry, site=site, on_retry=on_retry,
+                           stats=stats, span=span))
 
 
 def stream_map(func: Callable[[_T], _R], items: Iterable[_T],
@@ -260,44 +274,34 @@ def stream_map(func: Callable[[_T], _R], items: Iterable[_T],
     (see the module docstring).
     """
     window = window if window and window > 0 else config.workers * 4
-    if span.span_id is not None:
-        yield from _stream_traced(func, items, config, window, initializer,
-                                  initargs, retry, site, on_poison,
-                                  on_retry, stats or ResilienceStats(),
-                                  span)
-        return
-    if retry is not None:
-        yield from _stream_resilient(func, items, config, window,
-                                     initializer, initargs, retry, site,
-                                     on_poison, on_retry,
-                                     stats or ResilienceStats())
-        return
-    if not config.is_parallel:
+    stats = stats if stats is not None else ResilienceStats()
+    traced = span.span_id is not None
+    if traced:
+        on_retry = retry_to_span(span, site, then=on_retry)
+    if config.is_parallel:
+        for result in _windowed(_Traced(func) if traced else func, items,
+                                config, window, initializer, initargs,
+                                retry, site, on_poison, on_retry, stats):
+            yield _adopt(span, result) if traced else result
+    else:
+        # In process: one loop, with or without a policy or a span.
         if initializer is not None:
             initializer(*initargs)
-        for item in items:
-            yield func(item)
-        return
-    pool = ProcessPoolExecutor(max_workers=config.workers,
-                               initializer=initializer, initargs=initargs)
-    try:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(func, item))
-            if len(pending) >= window:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        call = func if not traced else partial(
+            span.tracer.call_under, span, func, tracer=span.tracer)
+        resilient = None if retry is None else ResilientCall(call, site)
+        for index, item in enumerate(items):
+            yield call(item) if resilient is None else _run_inline(
+                resilient, index, item, 0, retry, on_poison, on_retry,
+                stats)
+    if traced and retry is not None:
+        resilience_to_span(span, site, stats)
 
-
-# -- traced dispatch ---------------------------------------------------------
 
 class _Traced:
-    """Worker wrapper: run ``func`` under a worker-local tracer and ship
-    the captured span records home with the value.  Module-level and
-    attribute-only, so the process backend can pickle it."""
+    """Worker wrapper for the process routes: run ``func`` under a
+    worker-local tracer and ship the captured span records home with
+    the value.  Module-level and attribute-only, so it pickles."""
 
     def __init__(self, func: Callable) -> None:
         self.func = func
@@ -309,38 +313,32 @@ class _Traced:
         return Captured(value, tracer.export())
 
 
-def _stream_traced(func: Callable, items: Iterable, config: ParallelConfig,
-                   window: int, initializer: Optional[Callable],
-                   initargs: Tuple, retry: Optional[RetryPolicy],
-                   site: str, on_poison: Optional[Callable],
-                   on_retry: Optional[Callable], stats: ResilienceStats,
-                   span) -> Iterator:
-    """:func:`stream_map` with worker-side capture adopted under ``span``.
-
-    Poison substitutes from ``on_poison`` are plain values (they carry
-    no spans) and pass through as they are.
-    """
-    record_retry = retry_to_span(span, site)
-
-    def traced_retry(item: object, attempts: int,
-                     exc: Optional[BaseException]) -> None:
-        record_retry(item, attempts, exc)
-        if on_retry is not None:
-            on_retry(item, attempts, exc)
-
-    for result in stream_map(_Traced(func), items, config, window=window,
-                             initializer=initializer, initargs=initargs,
-                             retry=retry, site=site, on_poison=on_poison,
-                             on_retry=traced_retry, stats=stats):
-        if isinstance(result, Captured):
-            span.tracer.adopt(result.spans, parent_id=span.span_id)
-            result = result.value
-        yield result
-    if retry is not None:
-        resilience_to_span(span, site, stats)
+def _adopt(span, result: object) -> object:
+    """Unwrap a :class:`Captured` result, adopting its spans under
+    ``span``; a plain ``on_poison`` substitute passes through."""
+    if isinstance(result, Captured):
+        span.tracer.adopt(result.spans, parent_id=span.span_id)
+        return result.value
+    return result
 
 
-# -- resilient dispatch ------------------------------------------------------
+def _run_inline(call: ResilientCall, index: int, item: object,
+                attempts: int, retry: RetryPolicy,
+                on_poison: Optional[Callable], on_retry: Optional[Callable],
+                stats: ResilienceStats) -> object:
+    """One retry-armed item in this process: its value, or the
+    ``on_poison`` substitute when it fails permanently."""
+    try:
+        return call_with_retry(call, index, item, retry, on_retry=on_retry,
+                               stats=stats, attempts=attempts)
+    except PoisonItemError as error:
+        stats.poisoned += 1
+        if on_poison is None:
+            raise
+        return on_poison(item, error)
+
+
+# -- the ordered window ------------------------------------------------------
 
 class _Flight:
     """One in-flight work item: identity, payload, and failure count."""
@@ -354,53 +352,42 @@ class _Flight:
         self.future = None
 
 
-def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
-                      window: int, initializer: Optional[Callable],
-                      initargs: Tuple, retry: RetryPolicy, site: str,
-                      on_poison: Optional[Callable],
-                      on_retry: Optional[Callable],
-                      stats: ResilienceStats) -> Iterator:
-    """The retry-aware ordered streaming dispatcher.
+def _windowed(func: Callable, items: Iterable, config: ParallelConfig,
+              window: int, initializer: Optional[Callable],
+              initargs: Tuple, retry: Optional[RetryPolicy], site: str,
+              on_poison: Optional[Callable],
+              on_retry: Optional[Callable],
+              stats: ResilienceStats) -> Iterator:
+    """The ordered streaming dispatcher over a process pool.
 
     Results are buffered per index and emitted strictly in input order,
     so retries (which complete out of order) never perturb the output
     stream -- parallel-with-faults output stays byte-identical to a
-    clean serial run.
+    clean serial run.  With ``retry=None`` the first failure is final:
+    a worker's exception re-raises as itself and a pool loss as
+    ``BrokenProcessPool``.
     """
-    call = ResilientCall(func, site)
+    call = func if retry is None else ResilientCall(func, site)
+    timeout = None if retry is None else retry.timeout
     source = enumerate(items)
 
-    def settle(flight: _Flight, exc: BaseException) -> object:
-        """Resolve a permanently failed item: substitute or raise."""
+    def settle(flight: _Flight,
+               exc: Optional[BaseException] = None) -> object:
+        """Resolve a permanently failed item (by default one lost with
+        its worker): substitute or raise."""
+        if exc is None:
+            exc = BrokenProcessPool("worker lost while item was in flight")
         stats.poisoned += 1
         error = PoisonItemError(flight.index, max(flight.attempts, 1), exc)
         if on_poison is None:
             raise error from exc
         return on_poison(flight.item, error)
 
-    def run_in_parent(flight: _Flight) -> object:
-        try:
-            return call_with_retry(call, flight.index, flight.item, retry,
-                                   on_retry=on_retry, stats=stats,
-                                   attempts=flight.attempts)
-        except PoisonItemError as error:
-            stats.poisoned += 1
-            if on_poison is None:
-                raise
-            return on_poison(flight.item, error)
-
-    if not config.is_parallel:
-        if initializer is not None:
-            initializer(*initargs)
-        for index, item in source:
-            yield run_in_parent(_Flight(index, item))
-        return
-
     pending: Dict[int, _Flight] = {}
     ready: Dict[int, object] = {}
     emit = 0
     exhausted = False
-    rebuilds_left = retry.pool_rebuilds
+    rebuilds_left = 0 if retry is None else retry.pool_rebuilds
     pool: Optional[ProcessPoolExecutor] = None
 
     def make_pool() -> ProcessPoolExecutor:
@@ -409,8 +396,9 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
                                    initargs=initargs)
 
     def submit(flight: _Flight) -> None:
-        flight.future = pool.submit(
-            call, (flight.index, flight.attempts, flight.item))
+        packed = flight.item if retry is None \
+            else (flight.index, flight.attempts, flight.item)
+        flight.future = pool.submit(call, packed)
 
     def rebuild_pool(timed_out: Optional[_Flight]) -> None:
         """Replace a dead/wedged pool and re-dispatch survivors.
@@ -436,10 +424,7 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
             flight = pending[index]
             if flight.attempts >= retry.max_attempts:
                 del pending[index]
-                ready[index] = settle(
-                    flight,
-                    BrokenProcessPool("worker lost while item was "
-                                      "in flight"))
+                ready[index] = settle(flight)
             else:
                 if flight in charged:
                     stats.retries += 1
@@ -461,8 +446,9 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
     try:
         while True:
             # Top up the in-flight window from the source.  A submit on
-            # a freshly broken pool parks the flight with no future; the
-            # collection path below notices and runs the loss protocol.
+            # a freshly broken pool fails fast without a policy; with
+            # one it parks the flight with no future, and the collection
+            # path below notices and runs the loss protocol.
             while not exhausted and len(pending) < window:
                 try:
                     index, item = next(source)
@@ -473,7 +459,8 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
                 try:
                     submit(flight)
                 except BrokenProcessPool:
-                    pass
+                    if retry is None:
+                        raise
                 pending[flight.index] = flight
 
             # Emit everything that is ready, in input order.
@@ -495,9 +482,10 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
                 outcome = "lost"
             else:
                 try:
-                    value = head.future.result(timeout=retry.timeout)
+                    value = head.future.result(timeout=timeout)
                     outcome = "ok"
-                except BrokenProcessPool:
+                except BrokenProcessPool as err:
+                    exc = err
                     outcome = "lost"
                 except FuturesTimeoutError:
                     if head.future.done():
@@ -527,6 +515,9 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
                 del pending[head.index]
                 ready[head.index] = value
                 continue
+
+            if retry is None:
+                raise exc
 
             if outcome == "fault":
                 head.attempts += 1
@@ -560,21 +551,14 @@ def _stream_resilient(func: Callable, items: Iterable, config: ParallelConfig,
             harvest_done()
             for flight in pending.values():
                 flight.attempts += 1
-            for index in sorted(pending):
-                flight = pending.pop(index)
+            survivors = [pending.pop(index) for index in sorted(pending)]
+            for flight in chain(survivors, starmap(_Flight, source)):
                 if flight.attempts >= retry.max_attempts:
-                    ready[index] = settle(
-                        flight,
-                        BrokenProcessPool("worker lost while item was "
-                                          "in flight"))
+                    ready[flight.index] = settle(flight)
                 else:
-                    ready[index] = run_in_parent(flight)
-                while emit in ready:
-                    value = ready.pop(emit)
-                    emit += 1
-                    yield value
-            for index, item in source:
-                ready[index] = run_in_parent(_Flight(index, item))
+                    ready[flight.index] = _run_inline(
+                        call, flight.index, flight.item, flight.attempts,
+                        retry, on_poison, on_retry, stats)
                 while emit in ready:
                     value = ready.pop(emit)
                     emit += 1

@@ -229,8 +229,8 @@ def build_timeline(world: World, seed: int,
     worker faults and pool losses are retried instead of aborting the
     build (a snapshot that fails permanently still raises -- a timeline
     with holes would silently skew every downstream experiment).
-    ``tracer`` wraps the build in a ``timeline`` span; workers capture
-    their per-snapshot spans and the coordinator adopts them under it,
+    ``tracer`` wraps the build in a ``timeline`` span; per-snapshot
+    spans nest under it (worker processes capture theirs for adoption),
     with retries surfacing live as ``retry`` span events.
     ``naming_plan`` is the world's
     :class:`~repro.naming.assigner.NamingPlan`, which every snapshot

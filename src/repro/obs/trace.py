@@ -20,13 +20,15 @@ defaults to it, so tracing-off costs one method call and an empty
 report measures this at well under the 2% budget
 (``repro.bench.run_obs_bench``).
 
-**Worker capture.**  Worker processes cannot share the coordinator's
-tracer.  Given a live coordinating span, ``parallel_map``/``stream_map``
-(:mod:`repro.core.parallel`) run each worker under its own in-memory
-``Tracer``, ship ``Captured(value, spans)`` back, and call
-:meth:`Tracer.adopt` to re-parent the worker's root spans under that
-span.  Span ids carry a per-tracer random prefix, so
-records from any number of workers merge without collisions.
+**Worker capture.**  Only work that crosses a process is captured.
+In process, ``parallel_map``/``stream_map`` (:mod:`repro.core.parallel`)
+hand each item the coordinator's own tracer, its root spans parented
+under the coordinating span (:meth:`Tracer.call_under`).  A worker process
+cannot share that tracer: it runs each item under an in-memory
+``Tracer`` of its own and ships ``Captured(value, spans)`` back, and
+:meth:`Tracer.adopt` re-parents the worker's root spans under that
+span.  Span ids carry a per-tracer random prefix, so records from any
+number of workers merge without collisions.
 """
 
 from __future__ import annotations
@@ -200,6 +202,16 @@ class Tracer:
         self._stack.append(span)
         return span
 
+    def call_under(self, span: Span, func, *args, **kwargs) -> object:
+        """``func(*args, **kwargs)``, its root spans parented under
+        ``span`` whatever else is open (an in-process fan-out item)."""
+        depth = len(self._stack)
+        self._stack.append(span)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            del self._stack[depth]
+
     @property
     def current(self) -> Optional[Span]:
         """The innermost open span, or ``None``."""
@@ -305,18 +317,21 @@ class Captured:
 
 # -- resilience bridging -----------------------------------------------------
 
-def retry_to_span(span: Span, site: str):
+def retry_to_span(span: Span, site: str, then=None):
     """An ``on_retry`` callback that records each retry as a span event.
 
     The dispatcher calls ``on_retry(item, attempts, exc)`` parent-side;
     ``exc`` is ``None`` when the retry was charged by a pool loss
-    rather than a raised fault.
+    rather than a raised fault.  ``then``, if given, is the caller's
+    own ``on_retry``, called next with the same arguments.
     """
     def on_retry(item: object, attempts: int,
                  exc: Optional[BaseException]) -> None:
         span.event("retry", site=site, attempts=attempts,
                    error=type(exc).__name__ if exc is not None
                    else "pool-loss")
+        if then is not None:
+            then(item, attempts, exc)
     return on_retry
 
 

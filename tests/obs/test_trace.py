@@ -181,6 +181,22 @@ class TestAdoption:
         assert any(r["parent"] == span.span_id
                    for r in coordinator.records)
 
+    def test_call_under_parents_roots_and_restores_the_stack(self):
+        tracer = Tracer()
+
+        def work(name, tracer):
+            with tracer.span(name):
+                raise ValueError(name)
+
+        with tracer.span("fanout") as fanout:
+            with tracer.span("consumer") as consumer:
+                with pytest.raises(ValueError):
+                    tracer.call_under(fanout, work, "item", tracer=tracer)
+                assert tracer.current is consumer
+        [item] = [r for r in tracer.records if r["name"] == "item"]
+        assert item["parent"] == fanout.span_id
+        assert item["status"] == "error"
+
 
 class TestResilienceBridging:
     def test_retry_to_span_records_events(self):
@@ -193,6 +209,15 @@ class TestResilienceBridging:
         assert [e["name"] for e in events] == ["retry", "retry"]
         assert events[0]["attrs"]["error"] == "ValueError"
         assert events[1]["attrs"]["error"] == "pool-loss"
+
+    def test_retry_to_span_then_calls_the_callers_hook(self):
+        seen = []
+        tracer = Tracer()
+        with tracer.span("fanout") as span:
+            retry_to_span(span, "learn", then=lambda *a: seen.append(a))(
+                "item", 1, None)
+        assert seen == [("item", 1, None)]
+        assert [e["name"] for e in tracer.records[0]["events"]] == ["retry"]
 
     def test_resilience_to_span_summarises_stats(self):
         from repro.core.resilience import ResilienceStats

@@ -7,7 +7,9 @@ through the delta planner), ``build_timeline`` (per snapshot) and
 
 * a traced run returns exactly what an untraced run returns;
 * every span a worker captured is adopted under the route's
-  coordinating span (worker-local children keep their worker parents);
+  coordinating span (worker-local children keep their worker parents),
+  and the serial backend captures nothing: its items write into the
+  coordinator's own tracer;
 * a fault injected into the first item, under a retry policy, shows up
   as a ``retry`` event on the coordinating span.
 """
@@ -165,6 +167,10 @@ class TestTracedFanOut:
         # coordinator or nested under another worker span.
         home = _prefix(coordinator["id"])
         foreign = {r["id"] for r in records if _prefix(r["id"]) != home}
+        if backend == "serial":
+            # In-process work writes into the coordinator's own tracer:
+            # no worker-local tracer, so no foreign prefix.
+            assert not foreign
         for record in records:
             if record["id"] in foreign:
                 assert record["parent"] in foreign \
