@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow test-faults bench bench-tables lint
+.PHONY: test test-slow test-faults bench lint
 
 # Tier-1: slow (full-scale pipeline) and smoke tests are excluded by the
 # default pytest addopts; `make test-slow` runs only the slow ones.
@@ -23,9 +23,6 @@ test-faults:
 # rows of repro.bench.SECTIONS).
 bench:
 	$(PYTHON) benchmarks/bench_report.py $(foreach s,$(SECTIONS),--section $(s))
-
-bench-tables:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 lint:
 	$(PYTHON) -m pyflakes src/repro tests benchmarks 2>/dev/null || true

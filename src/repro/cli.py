@@ -704,7 +704,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     print("artifact store: %s (schema v%s)" % (info["root"], info["schema"]))
     kinds = info["kinds"]
-    if not info["entries"]:
+    stale = info["stale"]
+    if not info["entries"] and not stale:
         print("  empty")
         return 0
     # Human rendering shows only populated namespaces; --json reports
@@ -716,6 +717,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print("  %-10s %4d entr%s  %10d bytes"
               % (kind, entry["entries"],
                  "y" if entry["entries"] == 1 else "ies", entry["bytes"]))
+    if stale:
+        print("  stale      %4d entr%s of an older schema (cache clear "
+              "removes them)" % (stale, "y" if stale == 1 else "ies"))
     print("  total      %4d entries  %10d bytes"
           % (info["entries"], info["bytes"]))
     return 0

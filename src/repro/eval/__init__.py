@@ -1,8 +1,8 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
 Each experiment module exposes a ``run(context)`` returning a structured
-result plus a ``render(result)`` producing the textual table the
-benchmarks print.  :class:`repro.eval.context.ExperimentContext` shares
+result plus a ``render(result)`` producing the textual table
+``repro-hoiho`` prints.  :class:`repro.eval.context.ExperimentContext` shares
 the expensive artifacts (world, routing, timeline snapshots) between
 experiments.
 

@@ -2,8 +2,8 @@
 
 Experiments share one synthetic world, its routing model, the 19-set
 timeline, and the learned conventions per training set.  Everything is
-memoised, so running several experiments (or the same experiment twice
-inside pytest-benchmark) pays each cost once.
+memoised, so running several experiments on one context (as
+``repro-hoiho all`` and the paper-shape tests do) pays each cost once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class Scale(enum.Enum):
     """How big an experiment run should be."""
 
     TINY = "tiny"        # unit-test sized
-    SMALL = "small"      # seconds; default for benchmarks
+    SMALL = "small"      # seconds; default for the paper-shape tests
     FULL = "full"        # the full-size world
 
     def world_config(self) -> WorldConfig:

@@ -19,17 +19,19 @@ Layout on disk::
                                       ITDK snapshot result as a pickled
                                       body that loads on first use
       hoiho/...                       whole-result learned conventions
-      suffixes/pack-<hash>.pkl        per-suffix learned conventions
+      suffixes/pack-v4-<hash>.pkl     per-suffix learned conventions
                                       (content-addressed by training set
                                       + learner config; the incremental
-                                      relearning substrate): packs, no
-                                      sidecars
+                                      relearning substrate): packs named
+                                      by schema version, no sidecars
 
 ``repro-hoiho cache info`` and ``repro-hoiho cache clear`` operate on a
 store; :class:`~repro.eval.context.ExperimentContext` consults one when
 constructed with ``store=``.  Bump :data:`STORE_SCHEMA_VERSION` whenever
 a stored layout changes: entries of the old version then miss and are
-rebuilt, so no class keeps a branch that reads an older layout.
+rebuilt, so no class keeps a branch that reads an older layout.  Until
+``cache clear`` removes them, ``cache info`` counts such entries as
+``stale``, apart from the live ``entries``.
 """
 
 from __future__ import annotations
@@ -68,8 +70,14 @@ KIND_SUFFIX = "suffixes"
 #: from info/clear/stale-tmp reaping.
 KINDS = (KIND_WORLD, KIND_TIMELINE, KIND_HOIHO, KIND_SUFFIX)
 
-#: File name prefix of a pack (:meth:`ArtifactStore.put_many`).
-PACK_PREFIX = "pack-"
+#: File name prefix of a pack of any schema version.
+_PACK = "pack-"
+
+#: File name prefix of a pack of this schema version
+#: (:meth:`ArtifactStore.put_many`).  Lookups read only these; packs of
+#: other versions, and untagged ones from before packs carried a
+#: version, are stale.
+PACK_PREFIX = "%sv%d-" % (_PACK, STORE_SCHEMA_VERSION)
 
 
 def _key_token(key: object) -> str:
@@ -256,9 +264,10 @@ class ArtifactStore:
             return None
 
     def _packed(self, kind: str) -> Dict[str, object]:
-        """Every packed entry of ``kind``, {fingerprint: artifact}: loaded
-        once, reloaded when the directory's ``st_mtime_ns`` changes (a
-        stale view can only miss).  An unreadable pack adds nothing."""
+        """Every packed entry of ``kind`` in this schema's packs,
+        {fingerprint: artifact}: loaded once, reloaded when the
+        directory's ``st_mtime_ns`` changes (a stale view can only miss).
+        An unreadable pack adds nothing."""
         folder = self.root / kind
         try:
             stamp = folder.stat().st_mtime_ns
@@ -276,8 +285,23 @@ class ArtifactStore:
 
     def _count(self, path: Path) -> int:
         """Entries one file holds: a pack's fingerprints, else 1."""
-        packed = path.name.startswith(PACK_PREFIX)
+        packed = path.name.startswith(_PACK)
         return len(self._read(path) or ()) if packed else 1
+
+    @staticmethod
+    def _stale(path: Path) -> bool:
+        """True for a file of another schema version, which no lookup
+        reads: a pack not named :data:`PACK_PREFIX`, or an entry whose
+        sidecar names another schema.  An entry with no readable
+        sidecar counts as live."""
+        if path.name.startswith(_PACK):
+            return not path.name.startswith(PACK_PREFIX)
+        try:
+            with open(path.with_suffix(".json"), encoding="utf-8") as handle:
+                schema = json.load(handle).get("schema")
+        except (OSError, ValueError, AttributeError):
+            return False
+        return schema != STORE_SCHEMA_VERSION
 
     def put(self, kind: str, payload: Mapping, artifact: object) -> Path:
         """Persist ``artifact`` under ``payload``'s fingerprint.
@@ -347,15 +371,21 @@ class ArtifactStore:
 
         Every registered namespace is reported, including empty ones
         (zero entries, zero bytes) -- consumers see the full namespace
-        inventory, not just the populated corners.
+        inventory, not just the populated corners.  ``entries`` counts
+        what this schema can read; ``stale`` counts entries of other
+        schema versions (:meth:`_stale`), which only hold disk space
+        until :meth:`clear`.  ``bytes`` covers both.
         """
         kinds: Dict[str, Dict[str, int]] = {
             name: {"entries": 0, "bytes": 0} for name in KINDS}
-        total_bytes = 0
+        total_bytes = stale = 0
         for path in self.entries():
             size = path.stat().st_size
             entry = kinds[path.parent.name]
-            entry["entries"] += self._count(path)
+            if self._stale(path):
+                stale += self._count(path)
+            else:
+                entry["entries"] += self._count(path)
             entry["bytes"] += size
             total_bytes += size
         return {
@@ -363,6 +393,7 @@ class ArtifactStore:
             "schema": STORE_SCHEMA_VERSION,
             "kinds": kinds,
             "entries": sum(k["entries"] for k in kinds.values()),
+            "stale": stale,
             "bytes": total_bytes,
             "stale_tmp": len(self.stale_tmp()),
             "session": self.stats.as_dict(),

@@ -8,7 +8,9 @@ that text and its line count must equal the committed fixture, so a
 refactor or speedup anywhere under the experiments has to leave every
 headline row byte-identical, not just the learned conventions that
 ``test_repro_digest`` pins.  The SMALL rows are pinned the same way by
-a ``slow`` test (~7 s), which CI's ``e2e-digest`` job runs.
+a ``slow`` test, which CI's ``e2e-digest`` job runs next to
+``test_paper_shapes``: both read the session's one SMALL run
+(``tests/integration/conftest.py``), so no experiment runs twice.
 
 A change that alters the model on purpose rewrites the fixtures with::
 
@@ -22,10 +24,11 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Dict, NamedTuple
 
 import pytest
 
-from repro.cli import _EXPERIMENTS, _run_experiment
+from repro.cli import _EXPERIMENTS
 from repro.eval.context import ExperimentContext, Scale
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,18 +40,40 @@ def fixture_path(scale: Scale) -> Path:
     return FIXTURES / ("experiment_digest_%s.json" % scale.value)
 
 
-def experiment_digest(seed: int = SEED, scale: Scale = Scale.TINY) -> dict:
-    """Per experiment, in ``all``'s order on one shared context: the
-    SHA-256 of its rendered text and its line count."""
+class ExperimentRun(NamedTuple):
+    """Every experiment's result, keyed by its ``all`` name, and the
+    one context they were run on."""
+
+    context: ExperimentContext
+    results: Dict[str, object]
+
+
+def run_experiments(seed: int = SEED,
+                    scale: Scale = Scale.TINY) -> ExperimentRun:
+    """Run every experiment once, in ``all``'s order, on one shared
+    context."""
     context = ExperimentContext(seed, scale)
+    return ExperimentRun(context, {name: _EXPERIMENTS[name].run(context)
+                                   for name in sorted(_EXPERIMENTS)})
+
+
+def digest_of(run: ExperimentRun) -> dict:
+    """Per experiment of ``run``: the SHA-256 of its rendered text and
+    its line count."""
     experiments = {}
-    for name in sorted(_EXPERIMENTS):
-        text = _run_experiment(name, context)
+    for name, result in run.results.items():
+        text = _EXPERIMENTS[name].render(result)
         experiments[name] = {
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "lines": len(text.splitlines()),
         }
-    return {"seed": seed, "scale": scale.value, "experiments": experiments}
+    return {"seed": run.context.seed, "scale": run.context.scale.value,
+            "experiments": experiments}
+
+
+def experiment_digest(seed: int = SEED, scale: Scale = Scale.TINY) -> dict:
+    """:func:`digest_of` a fresh :func:`run_experiments`."""
+    return digest_of(run_experiments(seed, scale))
 
 
 def assert_matches_fixture(digest: dict, scale: Scale) -> None:
@@ -70,8 +95,9 @@ def test_digest_matches_fixture(digest):
 
 
 @pytest.mark.slow
-def test_small_digest_matches_fixture():
-    assert_matches_fixture(experiment_digest(scale=Scale.SMALL), Scale.SMALL)
+def test_small_digest_matches_fixture(experiment_runs):
+    assert_matches_fixture(digest_of(experiment_runs(SEED, Scale.SMALL)),
+                           Scale.SMALL)
 
 
 if __name__ == "__main__":

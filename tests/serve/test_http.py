@@ -782,14 +782,19 @@ class TestShadowPreFork:
     def test_prefork_promote_gate_refuses(self, divergent_world):
         primary_path, candidate_path, hostnames, _ = divergent_world
         primary_json = open(primary_path, encoding="utf-8").read()
+        want = AnnotationService.from_json_file(
+            primary_path).annotate_batch(hostnames)
         config = HttpConfig(port=0, workers=2,
                             conventions=primary_path,
                             shadow=candidate_path,
                             flush_interval=0.0,
                             promote_threshold=0.05)
         with ServerProcess(primary_json, config) as server:
-            request(server.port, "POST", "/annotate/batch",
-                    {"hostnames": hostnames})
+            status, _, batch = request(server.port, "POST",
+                                       "/annotate/batch",
+                                       {"hostnames": hostnames})
+            assert status == 200
+            assert batch["asns"] == want
             # Wait for the serving worker's post-response flush to
             # land so the merged gate sees a non-empty ledger.
             deadline = time.time() + 10
@@ -803,4 +808,10 @@ class TestShadowPreFork:
                                       "/admin/shadow/promote", {})
             assert status == 409
             assert body["disagreement_fraction"] > 0.05
+            # A refused promote changes nothing: the primary answers.
+            status, _, batch = request(server.port, "POST",
+                                       "/annotate/batch",
+                                       {"hostnames": hostnames})
+            assert status == 200
+            assert batch["asns"] == want
             assert server.stop() == 0

@@ -7,6 +7,10 @@ import pytest
 
 import repro.bench as bench
 from benchmarks import bench_report
+from repro.core.evaluate import evaluate_nc, evaluate_regex
+from repro.core.hoiho import HoihoConfig, learn_suffix
+from repro.core.matchcache import MatchCache
+from repro.core.regex_model import Regex
 
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_learner.json"
 
@@ -81,6 +85,28 @@ class TestWorkload:
                     for item in items}
         assert len(items) >= 2000
         assert len(suffixes) == 24
+
+    @pytest.mark.parametrize("enable_cache", [True, False])
+    def test_learner_finds_every_annotated_item(self, enable_cache):
+        """What the ``learner`` section times: one suffix learned with
+        and without the match-vector cache."""
+        convention = learn_suffix(bench.bench_dataset(),
+                                  HoihoConfig(enable_cache=enable_cache))
+        assert convention is not None
+        assert convention.score.tp == 60
+
+    def test_one_regex_scores_every_annotated_item(self):
+        regex = Regex.raw(r"^as(\d+)-10ge-pop\d+\.example\.net$")
+        assert evaluate_regex(regex, bench.bench_dataset()).tp == 60
+
+    def test_regex_set_scores_alike_on_every_path(self):
+        """``evaluate_nc`` per item, a cold cache and a warm one."""
+        dataset = bench.bench_dataset()
+        regexes = bench.bench_regex_set()
+        assert evaluate_nc(regexes, dataset).tp == 60
+        cache = MatchCache(dataset)
+        assert cache.score_nc(regexes).tp == 60
+        assert cache.score_nc(regexes).tp == 60
 
     @pytest.mark.slow
     def test_run_pipeline_bench_shape(self):

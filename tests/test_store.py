@@ -227,6 +227,25 @@ class TestPinnedKeys:
         warm = ArtifactStore(store.root)
         assert learn(warm) == learn(None) and warm.stats.hits == 1
 
+    def test_cache_info_counts_the_v3_entry_stale(self, tmp_path, capsys):
+        from repro.cli import main
+        shutil.copytree(V3_FIXTURE, tmp_path / "cache")
+        argv = ["cache", "info", "--cache-dir", str(tmp_path / "cache")]
+        capsys.readouterr()
+        assert main(argv + ["--json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["entries"], info["stale"]) == (0, 1)
+        assert info["kinds"][KIND_SUFFIX]["bytes"] > 0
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "stale         1 entry of an older schema" in out
+        assert "total         0 entries" in out
+        assert main(["cache", "clear", "--cache-dir",
+                     str(tmp_path / "cache")]) == 0
+        assert "cleared 1" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "empty" in capsys.readouterr().out
+
 
 class TestStoreMaintenance:
     def test_info_and_clear(self, store):
@@ -404,6 +423,24 @@ class TestPacks:
         assert store.info()["kinds"][KIND_SUFFIX]["entries"] == 0
         assert store.info()["entries"] == 1
 
+    def test_pack_of_another_schema_is_stale(self, store, monkeypatch):
+        """A pack named for no schema (as v3 wrote them) or for another
+        one is never loaded: its entries miss, and ``info`` counts them
+        stale until ``clear`` removes the file."""
+        batch = _batch()
+        folder = store.root / KIND_SUFFIX
+        folder.mkdir(parents=True)
+        for name in ("pack-" + "a" * 64, "pack-v3-" + "b" * 64):
+            (folder / (name + ".pkl")).write_bytes(pickle.dumps(batch))
+        loads = _spy_reads(store, monkeypatch)
+        for key in batch:
+            assert store.get(KIND_SUFFIX, None, key=key) is None
+        assert not [path for path in loads if path.name.startswith("pack-")]
+        info = store.info()
+        assert (info["entries"], info["stale"]) == (0, 6)
+        assert store.clear() == 6
+        assert store.info()["stale"] == 0 and not list(folder.iterdir())
+
     def test_orphaned_pack_tmp_only_misses(self, store):
         # A writer killed before its rename leaves a complete pickle
         # under the temporary name: it must never be read as a pack.
@@ -487,11 +524,13 @@ class TestPacks:
 
 @pytest.fixture(scope="module")
 def v3_store(tmp_path_factory):
-    """A TINY ``all`` store written with the schema version set to 3."""
+    """A TINY ``all`` store written with the schema version set to 3,
+    and packs named as v3 named them."""
     from repro.cli import main
     root = tmp_path_factory.mktemp("v3") / "cache"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.store.STORE_SCHEMA_VERSION", 3)
+        patch.setattr("repro.store.PACK_PREFIX", "pack-")
         assert main(["all", "--scale", "tiny", "--cache-dir",
                      str(root)]) == 0
     return root
@@ -505,6 +544,21 @@ class TestV3StoreMisses:
         store = ArtifactStore(tmp_path / "cache")
         ExperimentContext(2020, Scale.TINY, store=store).learn_timeline()
         assert store.stats.hits == 0 and store.stats.misses > 0
+
+    def test_info_counts_every_v3_entry_stale(self, v3_store, tmp_path,
+                                              monkeypatch):
+        shutil.copytree(v3_store, tmp_path / "cache")
+        store = ArtifactStore(tmp_path / "cache")
+        info = store.info()
+        assert info["entries"] == 0 and info["stale"] > 0
+        loads = _spy_reads(store, monkeypatch)
+        ExperimentContext(2020, Scale.TINY, store=store).learn_timeline()
+        assert not [path for path in loads if path.name.startswith("pack-")
+                    and path.name.endswith(".pkl")
+                    and "-v%d-" % STORE_SCHEMA_VERSION not in path.name]
+        after = store.info()
+        assert after["stale"] == info["stale"] and after["entries"] > 0
+        assert store.clear() == after["stale"] + after["entries"]
 
     def test_warm_all_prints_the_storeless_output(self, v3_store, tmp_path,
                                                   capsys):

@@ -36,6 +36,11 @@ class TestSelectVps:
             assert asn in world.graph.nodes
 
 
+def test_routing_model_finds_a_path(world, routing):
+    asns = world.graph.asns()
+    assert routing.as_path(asns[0], asns[-1]) is not None
+
+
 class TestRunCampaign:
     def test_produces_traces(self, world, routing):
         traces = run_campaign(world, routing, 9,

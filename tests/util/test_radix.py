@@ -73,3 +73,28 @@ class TestRadixTrie:
         assert trie.lookup(ip_to_int("10.0.0.1")) == "a"
         assert trie.lookup(ip_to_int("10.0.0.2")) == "b"
         assert trie.lookup(ip_to_int("10.0.0.4")) is None
+
+
+#: Prefix count per length in the seed-2020 SMALL world's route table.
+SMALL_ROUTE_SHAPE = {14: 4, 16: 22, 17: 50, 18: 26, 20: 80, 24: 8}
+
+
+def test_small_shaped_table():
+    """190 disjoint prefixes, /14-/24, lengths interleaved, allocated
+    upward from 4.0.0.0: one hit inside every prefix, and as many
+    misses past the last."""
+    lengths = [length for length, count in SMALL_ROUTE_SHAPE.items()
+               for _ in range(count)]
+    lengths = [lengths[(i * 37) % len(lengths)] for i in range(len(lengths))]
+    table = PrefixTable()
+    cursor = 4 << 24
+    for index, length in enumerate(lengths):
+        size = 1 << (32 - length)
+        cursor = -(-cursor // size) * size  # align to the prefix size
+        table.insert(IPv4Prefix(cursor, length), index)
+        cursor += size
+    hits = [prefix.network + prefix.size // 3 for prefix, _ in table.items()]
+    probes = hits + [cursor + 97 * i for i in range(len(hits))]
+    assert len(table) == 190
+    assert sum(table.lookup(address) is not None
+               for address in probes) == len(hits)

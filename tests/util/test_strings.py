@@ -81,6 +81,7 @@ class TestDamerauLevenshtein:
     def test_transposition_is_one(self):
         # Figure 4 hostname h: 22822 vs training 22282.
         assert damerau_levenshtein("22822", "22282") == 1
+        assert damerau_levenshtein("2021531997", "2021351997") == 1
 
     def test_deletion_is_one(self):
         # Figure 3a: 605 extracted vs training 6057.
