@@ -11,18 +11,21 @@ test:
 test-slow:
 	$(PYTHON) -m pytest tests/ -q -m slow
 
-# Fault-injection suite: injected worker crashes, poison chunks,
-# hang + timeout, degrade-to-serial, and checkpoint-resume round
-# trips (docs/ROBUSTNESS.md).  CI runs this in its own job.
+# Fault-injection suite (docs/ROBUSTNESS.md), the command CI's
+# fault-injection job runs: the slow pool-backed fault paths (injected
+# worker crashes, poison chunks, hang + timeout, degrade-to-serial,
+# checkpoint-resume), the SMALL parallel == serial timeline proof and
+# the SMALL walk oracle.  Their fast tests run in `make test`.
 test-faults:
-	$(PYTHON) -m pytest tests/core/test_resilience.py \
-		tests/serve/test_faults.py -q -m 'slow or not slow'
+	$(PYTHON) -m pytest -q -m slow tests/core/test_resilience.py \
+		tests/serve/test_faults.py tests/eval/test_timeline_parallel.py \
+		tests/traceroute/test_walk_oracle.py
 
 # Refresh BENCH_learner.json: every section, or only the ones named in
 # SECTIONS (e.g. `make bench SECTIONS="serve http"`; the names are the
 # rows of repro.bench.SECTIONS).
 bench:
-	$(PYTHON) benchmarks/bench_report.py $(foreach s,$(SECTIONS),--section $(s))
+	$(PYTHON) -m repro.cli bench $(foreach s,$(SECTIONS),--section $(s))
 
 lint:
 	$(PYTHON) -m pyflakes src/repro tests benchmarks 2>/dev/null || true

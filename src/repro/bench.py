@@ -11,12 +11,12 @@ with tracing disabled and enabled, asserted against the <2% budget)
 and the ``incremental`` section added in PR 7 (cold vs warm-repeat vs
 perturbed timeline learning through the per-suffix cache)
 and writes the numbers to ``BENCH_learner.json`` so the performance
-trajectory is tracked across PRs.  Run it via ``repro-hoiho bench``,
-``make bench``, or ``python benchmarks/bench_report.py``;
-:data:`SECTIONS` lists the sections, and ``make bench SECTIONS=...`` /
-``bench_report --section NAME`` refresh only the named ones.
-:data:`FLOORS` holds every acceptance floor, evaluated by
-:func:`check_floors` (``bench_report --check``).
+trajectory is tracked across PRs.  Run it via ``repro-hoiho bench``
+or ``make bench``; :data:`SECTIONS` lists the sections, and
+``make bench SECTIONS=...`` / ``repro-hoiho bench --section NAME``
+refresh only the named ones.  :data:`FLOORS` holds every acceptance
+floor, evaluated by :func:`check_floors` (``repro-hoiho bench
+--check``).
 
 The learner and serving workloads are synthetic and fixed (no world
 generation); the pipeline kernels use a TINY world with a restricted
@@ -132,13 +132,13 @@ def _best_of(func: Callable[[], object], rounds: int) -> float:
 def bulk_workers(jobs: Optional[int] = None) -> int:
     """Worker count for the multi-worker bench sections.
 
-    An explicit ``--jobs`` wins; otherwise ``min(4, cpu_count)`` --
-    enough to demonstrate scaling without turning the bench into a
-    machine-sizing exercise.  Whatever this returns is what the section
-    records as ``parallel_workers`` (the count actually used, not the
-    machine's capacity).
+    An explicit ``--jobs N`` wins (1 = serial); otherwise (``None`` or
+    0) ``min(4, cpu_count)`` -- enough to demonstrate scaling without
+    turning the bench into a machine-sizing exercise.  Whatever this
+    returns is what the section records as ``parallel_workers`` (the
+    count actually used, not the machine's capacity).
     """
-    if jobs and jobs > 1:
+    if jobs:
         return jobs
     return min(4, default_workers())
 
@@ -181,7 +181,7 @@ def run_bench(rounds: int = 5,
     serial_hoiho = Hoiho()
     run_serial = _best_of(lambda: serial_hoiho.run(world_items),
                           max(1, rounds // 2))
-    workers = jobs if jobs and jobs > 1 else default_workers()
+    workers = jobs or default_workers()
     parallel_hoiho = Hoiho(parallel=ParallelConfig(
         workers=workers, backend="process"))
     run_parallel = _best_of(lambda: parallel_hoiho.run(world_items),
@@ -457,7 +457,7 @@ def _serve_dispatch_kernels(result: "HoihoResult", hostnames: List[str],
 def run_dispatch_bench(rounds: int = 3,
                        jobs: Optional[int] = None) -> Dict[str, object]:
     """The single-core serve kernels only (no process fan-out): the
-    quick iteration loop behind ``bench_report --section dispatch``.
+    quick iteration loop behind ``bench --section dispatch``.
     ``jobs`` is accepted for CLI symmetry but unused -- nothing here
     fans out."""
     del jobs

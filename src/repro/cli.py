@@ -51,6 +51,7 @@ from repro.obs.summary import render_summary
 from repro.obs.trace import NULL_TRACER, Tracer, load_trace
 from repro.serve import AnnotationService, BulkAnnotator, iter_hostnames
 from repro.serve.engine import Checkpoint, DEFAULT_CHUNK_SIZE, SINKS
+from repro.serve.http import write_snapshot
 from repro.serve.memo import DEFAULT_MEMO_SIZE
 from repro.store import KIND_HOIHO, KINDS, ArtifactStore
 
@@ -77,6 +78,17 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
     return value
+
+
+def _bench_section(name: str) -> str:
+    """argparse type for ``bench --section``: a row of
+    :data:`repro.bench.SECTIONS` (imported only when the flag is
+    given)."""
+    from repro.bench import SECTIONS
+    if name not in SECTIONS:
+        raise argparse.ArgumentTypeError("%r is not one of %s"
+                                         % (name, ", ".join(SECTIONS)))
+    return name
 
 
 def _resolve_policies(args: argparse.Namespace) -> None:
@@ -244,13 +256,6 @@ def _open_sink(path: str, resuming: bool):
     return open(path, "w", encoding="utf-8")
 
 
-def _write_metrics_snapshot(path: str, service: AnnotationService) -> None:
-    import json as _json
-    with open(path, "w", encoding="utf-8") as handle:
-        _json.dump(service.stats(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Line-oriented serving loop: hostnames in on stdin, annotations
     out on stdout (one TSV line per request, flushed), metrics summary
@@ -286,7 +291,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _signal.signal(_signal.SIGTERM, previous[0])
         _signal.signal(_signal.SIGINT, previous[1])
     if args.metrics_out:
-        _write_metrics_snapshot(args.metrics_out, service)
+        write_snapshot(args.metrics_out, service.stats())
     if args.shadow:
         print(render_shadow_report(service.report()), file=sys.stderr)
     print(service.metrics.render(), file=sys.stderr)
@@ -677,12 +682,37 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import render_report, write_sections
-    jobs = args.jobs if args.jobs != 1 else None
-    report = write_sections(args.output, jobs=jobs)
-    print(render_report(report))
-    print("# report written to %s" % args.output)
-    return 0
+    """Measure the ``--section`` rows of :data:`repro.bench.SECTIONS`
+    (every one by default) into ``--output``.  ``--check`` evaluates
+    :data:`repro.bench.FLOORS` and exits 1 if any fails: after
+    ``--section`` runs it applies the live bounds to the sections just
+    measured (one CI round); alone it measures nothing and applies the
+    committed bounds to ``--output``."""
+    import json as _json
+
+    from repro.bench import check_floors, render_report, write_sections
+
+    if args.check and not args.section:
+        try:
+            with open(args.output, encoding="utf-8") as handle:
+                report = _json.load(handle)
+        except (OSError, ValueError) as exc:
+            print("cannot read %s: %s" % (args.output, exc),
+                  file=sys.stderr)
+            return 1
+    else:
+        report = write_sections(args.output, args.section,
+                                rounds=args.rounds, jobs=args.jobs)
+        print(render_report(report))
+        print("# report written to %s" % args.output)
+        if not args.check:
+            return 0
+    results = check_floors(report, live=args.section)
+    for _, line in results:
+        print(line)
+    failed = sum(1 for ok, _ in results if not ok)
+    print("# %d floor(s) checked, %d failed" % (len(results), failed))
+    return 1 if failed else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -920,6 +950,16 @@ _FLAGS: Dict[str, Dict[str, object]] = {
     "--output": dict(metavar="FILE", default="BENCH_learner.json",
                      help="the bench report JSON (default "
                           "BENCH_learner.json)"),
+    "--section": dict(action="append", type=_bench_section,
+                      metavar="NAME",
+                      help="measure only this section (repeatable; a "
+                           "row of repro.bench.SECTIONS)"),
+    "--rounds": dict(type=int, default=None, metavar="N",
+                     help="best-of rounds per timing (default: each "
+                          "section's own)"),
+    "--check": dict(action="store_true",
+                    help="evaluate repro.bench.FLOORS; exit 1 if any "
+                         "fails"),
     "--json": dict(action="store_true",
                    help="emit raw JSON instead of the human rendering"),
     "--top": dict(type=int, default=10, metavar="N",
@@ -1012,10 +1052,17 @@ _VERBS: Tuple[_Verb, ...] = (
                                    "<cache-dir>/history/"
                                    "serve-http.jsonl)")),
            "--slo", "--json") + _STORE),
-    _Verb("bench", _cmd_bench, "run the learner benchmark suite",
-          (("--output", dict(help="where to write the report (default "
+    _Verb("bench", _cmd_bench,
+          "measure BENCH_learner.json and check its floors",
+          (("--output", dict(help="the report to write, or to check "
+                                  "with --check alone (default "
                                   "BENCH_learner.json)")),
-           "--jobs")),
+           "--section", "--rounds", "--check",
+           ("--jobs", dict(default=0,
+                           help="worker processes for the fan-out "
+                                "sections (0 = one per CPU, the "
+                                "default, at most 4 where a section "
+                                "caps it; 1 = serial)")))),
     _Verb("cache", _cmd_cache, "inspect or empty the artifact store",
           (("action", dict(nargs="?", choices=("info", "clear"),
                            default="info",

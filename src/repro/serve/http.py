@@ -119,6 +119,9 @@ DEFAULT_MAX_BODY = 8 * 1024 * 1024
 #: Default bound on concurrently executing annotation requests/worker.
 DEFAULT_MAX_INFLIGHT = 64
 
+#: Pending-connection queue of every listening socket.
+LISTEN_BACKLOG = 128
+
 #: Prometheus text exposition content type.
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -186,9 +189,6 @@ class HttpConfig:
     metrics_out: Optional[str] = None
     #: Shared snapshot directory (default: a private temp dir).
     metrics_dir: Optional[str] = None
-    #: Force/forbid per-worker ``SO_REUSEPORT`` sockets (None = auto).
-    reuse_port: Optional[bool] = None
-    backlog: int = 128
     #: Structured JSON access log: a path (workers append; O_APPEND +
     #: one-write-per-line keeps lines whole across processes), ``"-"``
     #: for stderr, ``None`` to disable.
@@ -238,15 +238,15 @@ class HttpConfig:
             raise ValueError("window geometry must be positive")
 
 
-def create_listener(host: str, port: int, reuse_port: bool = False,
-                    backlog: int = 128) -> socket.socket:
+def create_listener(host: str, port: int,
+                    reuse_port: bool = False) -> socket.socket:
     """A bound, listening TCP socket (``SO_REUSEPORT`` optional)."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     if reuse_port:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
     sock.bind((host, port))
-    sock.listen(backlog)
+    sock.listen(LISTEN_BACKLOG)
     return sock
 
 
@@ -1265,7 +1265,9 @@ def _append_history(history: HistoryStore,
     threading.Thread(target=_loop, daemon=True).start()
 
 
-def _write_metrics_out(path: str, snapshot: Dict[str, object]) -> None:
+def write_snapshot(path: str, snapshot: Dict[str, object]) -> None:
+    """Write a stats snapshot as indented, key-sorted JSON (the
+    ``--metrics-out`` file of ``serve`` and ``serve-http``)."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -1274,8 +1276,7 @@ def _write_metrics_out(path: str, snapshot: Dict[str, object]) -> None:
 def _serve_single(service: AnnotationService, config: HttpConfig,
                   ready: Optional[Callable[[int], None]] = None) -> int:
     """One process, one threading server (``workers=1``)."""
-    sock = create_listener(config.host, config.port,
-                           backlog=config.backlog)
+    sock = create_listener(config.host, config.port)
     server = AnnotationHTTPServer(service, config, sock=sock)
     if config.history:
         server.history = HistoryStore(config.history)
@@ -1293,7 +1294,7 @@ def _serve_single(service: AnnotationService, config: HttpConfig,
         # one snapshot to compare against the next lifetime's.
         server.history.append(server.stats())
     if config.metrics_out:
-        _write_metrics_out(config.metrics_out, server.stats())
+        write_snapshot(config.metrics_out, server.stats())
     return 0
 
 
@@ -1305,8 +1306,7 @@ def _worker_main(service: AnnotationService, config: HttpConfig,
     code = 1
     try:
         if shared is None:
-            sock = create_listener(config.host, port, reuse_port=True,
-                                   backlog=config.backlog)
+            sock = create_listener(config.host, port, reuse_port=True)
         else:
             sock = shared
         server = AnnotationHTTPServer(service, config, sock=sock,
@@ -1331,8 +1331,9 @@ def _worker_main(service: AnnotationService, config: HttpConfig,
 def _serve_prefork(service: AnnotationService, config: HttpConfig,
                    ready: Optional[Callable[[int], None]] = None) -> int:
     """Fork ``config.workers`` servers sharing one warmed service."""
-    reuse = config.reuse_port if config.reuse_port is not None \
-        else hasattr(socket, "SO_REUSEPORT")
+    # Per-worker SO_REUSEPORT listeners where the platform has them,
+    # else one listener the workers inherit.
+    reuse = hasattr(socket, "SO_REUSEPORT")
     owns_metrics_dir = config.metrics_dir is None
     metrics_path = config.metrics_dir or tempfile.mkdtemp(
         prefix="repro-serve-http-")
@@ -1344,8 +1345,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
         reservation = _reserve_port(config.host, config.port)
         port = reservation.getsockname()[1]
     else:
-        shared = create_listener(config.host, config.port,
-                                 backlog=config.backlog)
+        shared = create_listener(config.host, config.port)
         port = shared.getsockname()[1]
 
     op_log = OpLog(metrics_path)
@@ -1429,7 +1429,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
 
     merged = metrics_dir.merged()
     if config.metrics_out:
-        _write_metrics_out(config.metrics_out, merged)
+        write_snapshot(config.metrics_out, merged)
     if reservation is not None:
         reservation.close()
     if owns_metrics_dir:

@@ -753,7 +753,7 @@ VERB_FLAGS = {
                       "--json", "--top"},
     "watch": {"--host", "--port", "--interval", "--iterations"},
     "slo-report": {"--history", "--slo", "--json"} | _STORE,
-    "bench": {"--output", "--jobs"},
+    "bench": {"--output", "--section", "--rounds", "--check", "--jobs"},
     "cache": {"--cache-dir", "--namespace", "--json"},
     "trace": {"--top"},
     "run": _PIPELINE,

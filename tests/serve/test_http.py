@@ -172,9 +172,9 @@ class TestEndpoints:
                 time.sleep(0.01)
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
-        assert "repro_requests" in body
-        assert "repro_http_requests" in body
-        assert "repro_http_request_seconds_bucket" in body
+        assert "# TYPE repro_requests counter" in body
+        assert "repro_http_requests " in body
+        assert 'repro_http_request_seconds_bucket{le="+Inf"}' in body
 
 
 class TestGuards:
@@ -458,6 +458,7 @@ class TestPreFork:
             payload = wait_applied("127.0.0.1", server.port,
                                    body["generation"], 2)
             assert payload["generation"] == body["generation"]
+            assert merged_counter(server.port, "reloads") == 2
             code = server.stop()
         assert code == 0
         merged = json.loads(metrics_out.read_text(encoding="utf-8"))

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro.bench as bench
-from benchmarks import bench_report
+from repro.cli import main
 from repro.core.evaluate import evaluate_nc, evaluate_regex
 from repro.core.hoiho import HoihoConfig, learn_suffix
 from repro.core.matchcache import MatchCache
@@ -194,6 +194,8 @@ class TestServeSection:
         monkeypatch.setattr(bench, "default_workers", lambda: 16)
         assert bench.bulk_workers() == 4
         assert bench.bulk_workers(jobs=8) == 8      # explicit wins
+        assert bench.bulk_workers(jobs=1) == 1      # serial, as asked
+        assert bench.bulk_workers(jobs=0) == 4      # one per CPU, capped
         monkeypatch.setattr(bench, "default_workers", lambda: 1)
         assert bench.bulk_workers() == 1
 
@@ -572,11 +574,29 @@ class TestSections:
         calls = []
         fake_runners(monkeypatch, calls)
         output = str(tmp_path / "BENCH.json")
-        assert bench_report.main(["--section", name, "--rounds", "7",
-                                  "--output", output]) == 0
-        assert bench_report.main(["--section", name,
-                                  "--output", output]) == 0
+        assert main(["bench", "--section", name, "--rounds", "7",
+                     "--output", output]) == 0
+        assert main(["bench", "--section", name, "--output", output]) == 0
         assert calls == [(name, 7), (name, bench.SECTIONS[name].rounds)]
+
+    @pytest.mark.parametrize("argv, jobs", [
+        ([], 0), (["--jobs", "1"], 1), (["--jobs", "3"], 3)])
+    def test_jobs_reach_write_sections(self, argv, jobs, tmp_path,
+                                       monkeypatch):
+        seen = []
+
+        def write_sections(path, names, rounds, jobs):
+            seen.append(jobs)
+            return full_report()
+        monkeypatch.setattr(bench, "write_sections", write_sections)
+        output = str(tmp_path / "BENCH.json")
+        assert main(["bench", "--output", output] + argv) == 0
+        assert seen == [jobs]
+
+    def test_unknown_section_is_a_usage_error(self, capsys):
+        assert main(["bench", "--section", "nope"]) == 2
+        assert "'nope' is not one of learner, pipeline" \
+            in capsys.readouterr().err
 
     def test_full_run_measures_each_report_key_once(self, tmp_path,
                                                     monkeypatch):
@@ -598,15 +618,14 @@ class TestFloors:
                                    if row[3] is not None)
         assert all(ok for ok, _ in results), \
             [line for ok, line in results if not ok]
-        assert bench_report.main(["--check",
-                                  "--output", str(COMMITTED)]) == 0
+        assert main(["bench", "--check", "--output", str(COMMITTED)]) == 0
 
     def test_broken_floor_fails_check(self, tmp_path, capsys):
         report = self.committed()
         report["shadow"]["overhead"]["overhead_ratio"] = 2.5
         path = tmp_path / "BENCH.json"
         path.write_text(json.dumps(report), encoding="utf-8")
-        assert bench_report.main(["--check", "--output", str(path)]) == 1
+        assert main(["bench", "--check", "--output", str(path)]) == 1
         failures = [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("FAIL")]
         assert len(failures) == 1
@@ -617,7 +636,7 @@ class TestFloors:
         del report["http"]["drain_exit_code"]
         path = tmp_path / "BENCH.json"
         path.write_text(json.dumps(report), encoding="utf-8")
-        assert bench_report.main(["--check", "--output", str(path)]) == 1
+        assert main(["bench", "--check", "--output", str(path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL  http.drain_exit_code == 0: missing" in out
 
