@@ -13,45 +13,20 @@ Public API tour:
 * experiments: :mod:`repro.eval` regenerates every table and figure.
 """
 
-from repro.core import (
-    Hoiho,
-    HoihoConfig,
-    HoihoResult,
-    LearnedConvention,
-    NCClass,
-    TrainingItem,
-    learn_suffix,
-)
-from repro.pipeline import (
-    METHOD_BDRMAPIT,
-    METHOD_RTAA,
-    SnapshotResult,
-    SnapshotSpec,
-    run_peeringdb_snapshot,
-    run_snapshot,
-)
-from repro.store import ArtifactStore
-from repro.topology import World, WorldConfig, generate_world
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Hoiho",
-    "HoihoConfig",
-    "HoihoResult",
-    "LearnedConvention",
-    "NCClass",
-    "TrainingItem",
-    "learn_suffix",
-    "METHOD_BDRMAPIT",
-    "METHOD_RTAA",
-    "SnapshotResult",
-    "SnapshotSpec",
-    "run_peeringdb_snapshot",
-    "run_snapshot",
-    "ArtifactStore",
-    "World",
-    "WorldConfig",
-    "generate_world",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": (
+        "Hoiho", "HoihoConfig", "HoihoResult", "LearnedConvention", "NCClass",
+        "TrainingItem", "learn_suffix",
+    ),
+    "repro.pipeline": (
+        "METHOD_BDRMAPIT", "METHOD_RTAA", "SnapshotResult", "SnapshotSpec",
+        "run_peeringdb_snapshot", "run_snapshot",
+    ),
+    "repro.store": ("ArtifactStore",),
+    "repro.topology": ("World", "WorldConfig", "generate_world"),
+})
+__all__.append("__version__")

@@ -7,6 +7,10 @@ several inferred nodes -- the dominant real-world error, since alias
 resolution is conservative) and optional *merge* noise.
 """
 
-from repro.alias.midar import AliasResolution, InferredNode, resolve_aliases
+from repro._lazy import lazy_exports
 
-__all__ = ["AliasResolution", "InferredNode", "resolve_aliases"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.alias.midar": (
+        "AliasResolution", "InferredNode", "resolve_aliases",
+    ),
+})

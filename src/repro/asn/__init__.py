@@ -11,15 +11,10 @@ These mirror the external datasets the paper's pipeline consumes:
   origin ASNs, longest-prefix-match IP-to-AS, and IXP prefix handling.
 """
 
-from repro.asn.relationships import ASRelationships, Relationship
-from repro.asn.org import ASOrgMap
-from repro.asn.bgp import RouteTable, IXP_ASN, UNKNOWN_ASN
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ASRelationships",
-    "Relationship",
-    "ASOrgMap",
-    "RouteTable",
-    "IXP_ASN",
-    "UNKNOWN_ASN",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.asn.relationships": ("ASRelationships", "Relationship"),
+    "repro.asn.org": ("ASOrgMap",),
+    "repro.asn.bgp": ("RouteTable", "IXP_ASN", "UNKNOWN_ASN"),
+})

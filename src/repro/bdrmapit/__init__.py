@@ -14,28 +14,14 @@
   numbers the paper reports.
 """
 
-from repro.bdrmapit.graph import NodeState, RouterGraph, build_router_graph
-from repro.bdrmapit.algorithm import AnnotationConfig, annotate
-from repro.bdrmapit.hints import (
-    ExtractionHint,
-    HintDecision,
-    HintsOutcome,
-    apply_hints,
-    hints_from_conventions,
-)
-from repro.bdrmapit.metrics import agreement_metrics, accuracy_against_truth
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NodeState",
-    "RouterGraph",
-    "build_router_graph",
-    "AnnotationConfig",
-    "annotate",
-    "ExtractionHint",
-    "HintDecision",
-    "HintsOutcome",
-    "apply_hints",
-    "hints_from_conventions",
-    "agreement_metrics",
-    "accuracy_against_truth",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bdrmapit.graph": ("NodeState", "RouterGraph", "build_router_graph"),
+    "repro.bdrmapit.algorithm": ("AnnotationConfig", "annotate"),
+    "repro.bdrmapit.hints": (
+        "ExtractionHint", "HintDecision", "HintsOutcome", "apply_hints",
+        "hints_from_conventions",
+    ),
+    "repro.bdrmapit.metrics": ("agreement_metrics", "accuracy_against_truth"),
+})

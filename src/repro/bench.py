@@ -314,8 +314,7 @@ def serve_conventions(n_suffixes: int = 24) -> "HoihoResult":
     comparison is apples to apples.
     """
     from repro.core.evaluate import NCScore
-    from repro.core.hoiho import HoihoResult
-    from repro.core.select import LearnedConvention, NCClass
+    from repro.core.select import HoihoResult, LearnedConvention, NCClass
 
     result = HoihoResult(suffixes_examined=n_suffixes)
     for index in range(n_suffixes):

@@ -20,52 +20,52 @@ reads; ``repro-hoiho <verb> --help`` lists them.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, \
+    Optional, Tuple, Union
 
-from repro.core.hoiho import Hoiho, HoihoConfig, HoihoResult
-from repro.core.io import conventions_to_json
-from repro.core.parallel import ParallelConfig
-from repro.core.resilience import RetryPolicy
-from repro.core.report import render_result
-from repro.core.types import TrainingItem, group_by_suffix
-from repro.eval import (
-    ExperimentContext,
-    Scale,
-    ablation,
-    appendix_a,
-    figure5,
-    figure6,
-    section5,
-    section7,
-    sensitivity,
-    table1,
-    table2,
-)
-from repro.obs.manifest import write_manifest
-from repro.obs.metrics import render_snapshot
-from repro.obs.prom import to_prometheus
-from repro.obs.summary import render_summary
-from repro.obs.trace import NULL_TRACER, Tracer, load_trace
-from repro.serve import AnnotationService, BulkAnnotator, iter_hostnames
-from repro.serve.engine import Checkpoint, DEFAULT_CHUNK_SIZE, SINKS
-from repro.serve.http import write_snapshot
 from repro.serve.memo import DEFAULT_MEMO_SIZE
-from repro.store import KIND_HOIHO, KINDS, ArtifactStore
+from repro.store import KINDS
 
-_EXPERIMENTS = {
-    "figure5": figure5,
-    "figure6": figure6,
-    "table1": table1,
-    "table2": table2,
-    "section5": section5,
-    "section7": section7,
-    "sensitivity": sensitivity,
-    "appendix-a": appendix_a,
-    "ablation": ablation,
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.select import HoihoResult
+    from repro.core.types import TrainingItem
+    from repro.eval.context import ExperimentContext
+    from repro.store import ArtifactStore
+
+# Building the parser imports only the two modules above.  Every
+# handler imports what it runs, so a verb loads its own code alone:
+# ``serve-http`` never imports the learner, the pipeline or an
+# experiment.
+
+#: The experiment verbs and their one-line help: the first line of the
+#: verb's module in :mod:`repro.eval` (``appendix-a`` is
+#: ``appendix_a``), imported when the verb runs.
+_EXPERIMENTS: Dict[str, str] = {
+    "ablation": "Ablations: what each learning phase and each bdrmapIT "
+                "heuristic buys.",
+    "appendix-a": "Appendix A: merging regexes vs building regex sets.",
+    "figure5": "Figure 5: classification of naming conventions across "
+               "training sets.",
+    "figure6": "Figure 6: evaluation of usable conventions on their "
+               "training data.",
+    "section5": "Section 5 headline numbers: using conventions in "
+                "bdrmapIT.",
+    "section7": "Section 7: future directions, quantified.",
+    "sensitivity": "Section-6 limitations, quantified: sensitivity to "
+                   "stale hostnames.",
+    "table1": "Table 1: taxonomy of how and where operators embed ASNs.",
+    "table2": "Table 2: validation of the modified bdrmapIT's decisions.",
 }
+
+
+def _experiment(name: str) -> ModuleType:
+    """The :mod:`repro.eval` module of experiment verb ``name``."""
+    return importlib.import_module("repro.eval." + name.replace("-", "_"))
 
 
 def _non_negative_int(text: str) -> int:
@@ -101,8 +101,10 @@ def _resolve_policies(args: argparse.Namespace) -> None:
     ``--retries -1``); :func:`main` turns that into exit code 2 instead
     of a traceback."""
     if "jobs" in args:
+        from repro.core.parallel import ParallelConfig
         args.parallel = ParallelConfig.from_jobs(args.jobs)
     if "retries" in args:
+        from repro.core.resilience import RetryPolicy
         args.retry = RetryPolicy.from_flags(args.retries,
                                             backoff=args.retry_backoff)
 
@@ -112,6 +114,7 @@ def _store_from_args(args: argparse.Namespace) -> Optional[ArtifactStore]:
     is off (no ``--cache-dir``/``REPRO_CACHE_DIR``, or ``--no-cache``)."""
     if args.no_cache or not args.cache_dir:
         return None
+    from repro.store import ArtifactStore
     return ArtifactStore(args.cache_dir)
 
 
@@ -126,6 +129,8 @@ def _history_path(args: argparse.Namespace) -> Optional[str]:
 
 
 def _read_training(path: str) -> List[TrainingItem]:
+    from repro.core.types import TrainingItem
+
     items: List[TrainingItem] = []
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
@@ -143,7 +148,7 @@ def _read_training(path: str) -> List[TrainingItem]:
 
 
 def _run_experiment(name: str, context: ExperimentContext) -> str:
-    module = _EXPERIMENTS[name]
+    module = _experiment(name)
     result = module.run(context)
     return module.render(result)
 
@@ -156,6 +161,9 @@ def _learn_items(items: List[TrainingItem],
     so any change to either re-learns; worker count is deliberately
     not keyed (parallel results are bit-identical to serial).
     """
+    from repro.core.hoiho import Hoiho, HoihoConfig
+    from repro.store import KIND_HOIHO
+
     store = _store_from_args(args)
     payload = {"kind": "learn-cli",
                "items": [(it.hostname, it.train_asn) for it in items],
@@ -172,6 +180,8 @@ def _learn_items(items: List[TrainingItem],
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
+    from repro.core.io import conventions_to_json
+
     if args.hostnames is None:
         print("learn requires --hostnames FILE", file=sys.stderr)
         return 2
@@ -195,6 +205,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.core.report import render_result
+    from repro.core.types import group_by_suffix
+
     if args.hostnames is None:
         print("report requires --hostnames FILE", file=sys.stderr)
         return 2
@@ -209,6 +222,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     alias): streaming input, chunked ``--jobs`` fan-out, TSV/JSONL
     sinks.  Memory stays bounded by the chunk window however large the
     input is."""
+    from repro.serve.engine import BulkAnnotator, Checkpoint
+    from repro.serve.service import AnnotationService, iter_hostnames
+
     if args.conventions is None or args.hostnames is None:
         print("%s requires --conventions FILE and --hostnames FILE "
               "('-' = stdin)" % args.command, file=sys.stderr)
@@ -263,6 +279,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     before exiting -- an interrupted session keeps its numbers."""
     import signal as _signal
 
+    from repro.serve.http import write_snapshot
+    from repro.serve.service import AnnotationService, iter_hostnames
+
     if args.conventions is None:
         print("serve requires --conventions FILE", file=sys.stderr)
         return 2
@@ -313,6 +332,7 @@ def _stop_serving(signum: int, frame: object) -> None:
 def _cmd_serve_http(args: argparse.Namespace) -> int:
     """The network annotation server (see :mod:`repro.serve.http`)."""
     from repro.serve.http import HttpConfig, serve_http
+    from repro.serve.service import AnnotationService
 
     if args.conventions is None:
         print("serve-http requires --conventions FILE", file=sys.stderr)
@@ -369,6 +389,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.serve.loadgen import LoadGenConfig, run_loadgen
+    from repro.serve.service import iter_hostnames
 
     if args.hostnames:
         source = sys.stdin if args.hostnames == "-" \
@@ -411,6 +432,10 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
     A ``--metrics`` snapshot additionally renders as Prometheus text
     exposition (``--format prom``) or raw JSON (``--json``)."""
     import json as _json
+
+    from repro.obs.metrics import MetricsRegistry, render_snapshot
+    from repro.obs.prom import to_prometheus
+
     if args.metrics:
         snapshots = []
         for path in args.metrics:
@@ -426,7 +451,6 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
             # included; merging would drop non-instrument keys.
             snapshot = snapshots[0]
         else:
-            from repro.obs.metrics import MetricsRegistry
             merged = MetricsRegistry()
             try:
                 for payload in snapshots:
@@ -716,6 +740,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.store import ArtifactStore
+
     if not args.cache_dir:
         print("cache requires --cache-dir DIR (or REPRO_CACHE_DIR)",
               file=sys.stderr)
@@ -758,6 +784,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _context(args: argparse.Namespace) -> ExperimentContext:
     """The experiment context the world, store, jobs/retry and trace
     flags select."""
+    from repro.eval.context import ExperimentContext, Scale
+    from repro.obs.trace import NULL_TRACER, Tracer
+
     return ExperimentContext(
         seed=args.seed, scale=Scale(args.scale), parallel=args.parallel,
         store=_store_from_args(args), retry=args.retry,
@@ -775,6 +804,8 @@ def _finish_trace(context: ExperimentContext, args: argparse.Namespace,
     tracer = context.tracer
     if not tracer.enabled:
         return
+    from repro.obs.manifest import write_manifest
+
     tracer.close()
     manifest_path = args.manifest_out or \
         os.path.splitext(args.trace_out)[0] + ".manifest.json"
@@ -823,6 +854,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Render a recorded trace file (``trace summary FILE``)."""
+    from repro.obs.summary import render_summary
+    from repro.obs.trace import load_trace
+
     try:
         records = load_trace(args.file)
     except (OSError, ValueError) as exc:
@@ -839,8 +873,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 _FLAGS: Dict[str, Dict[str, object]] = {
     "--seed": dict(type=int, default=2020,
                    help="master seed for the synthetic world"),
-    "--scale": dict(choices=[s.value for s in Scale],
-                    default=Scale.SMALL.value,
+    "--scale": dict(choices=("tiny", "small", "full"), default="small",
                     help="world size (tiny/small/full)"),
     "--cache-dir": dict(metavar="DIR",
                         help="persistent artifact store for worlds, "
@@ -876,12 +909,12 @@ _FLAGS: Dict[str, Dict[str, object]] = {
                               "it left off"),
     "--out": dict(metavar="FILE", default="-",
                   help="output destination (default '-' = stdout)"),
-    "--format": dict(choices=sorted(SINKS), default="tsv",
+    "--format": dict(choices=("jsonl", "tsv"), default="tsv",
                      help="output format (default tsv)"),
     "--chunk-size": dict(type=int, default=None, metavar="N",
                          help="hostnames per dispatched chunk (default: "
-                              "adaptive ramp, %d fixed for the serial "
-                              "path)" % DEFAULT_CHUNK_SIZE),
+                              "adaptive ramp, 2048 fixed for the serial "
+                              "path)"),
     "--memo-size": dict(type=_non_negative_int, default=DEFAULT_MEMO_SIZE,
                         metavar="N",
                         help="hostname-memo capacity (0 disables "
@@ -1077,9 +1110,8 @@ _VERBS: Tuple[_Verb, ...] = (
           "the core pipeline end to end (world, timeline, learning)",
           _PIPELINE),
     _Verb("all", _cmd_experiments, "every experiment", _PIPELINE),
-) + tuple(_Verb(name, _cmd_experiments,
-                (module.__doc__ or name).splitlines()[0], _PIPELINE)
-          for name, module in sorted(_EXPERIMENTS.items()))
+) + tuple(_Verb(name, _cmd_experiments, help, _PIPELINE)
+          for name, help in sorted(_EXPERIMENTS.items()))
 
 
 def _build_parser() -> argparse.ArgumentParser:

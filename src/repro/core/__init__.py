@@ -23,117 +23,45 @@ This package is the paper's primary contribution (sections 3 and 4):
 * :mod:`repro.core.hoiho` -- the end-to-end learner.
 """
 
-from repro.core.types import TrainingItem, SuffixDataset, group_by_suffix
-from repro.core.asname import (
-    NameConvention,
-    NameHoiho,
-    NameLearnerConfig,
-    learn_name_suffix,
-)
-from repro.core.routername import (
-    RouterItem,
-    RouterNameConvention,
-    learn_router_names,
-    learn_router_suffix,
-)
-from repro.core.io import (
-    conventions_from_json,
-    conventions_to_json,
-    training_from_jsonl,
-    training_to_jsonl,
-)
-from repro.core.report import render_convention, render_result
-from repro.core.congruence import (
-    Outcome,
-    apparent_asn_runs,
-    classify_extraction,
-    congruent,
-)
-from repro.core.regex_model import (
-    Alt,
-    Any_,
-    Cap,
-    ClassSeq,
-    Exclude,
-    Lit,
-    Regex,
-)
-from repro.core.evaluate import NCScore, evaluate_nc, evaluate_regex
-from repro.core.matchcache import CacheStats, ComposedNC, MatchCache, \
-    MatchVector
-from repro.core.parallel import ParallelConfig, parallel_map, stream_map
-from repro.core.resilience import (
-    FaultInjector,
-    PoisonItemError,
-    ResilienceStats,
-    RetryPolicy,
-    TransientError,
-)
-from repro.core.select import NCClass, LearnedConvention, select_best, classify_nc
-from repro.core.taxonomy import Taxonomy, taxonomy_of
-from repro.core.hoiho import (
-    Hoiho,
-    HoihoConfig,
-    HoihoResult,
-    LearnTrace,
-    learn_suffix,
-    learn_suffix_traced,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TrainingItem",
-    "SuffixDataset",
-    "group_by_suffix",
-    "NameConvention",
-    "NameHoiho",
-    "NameLearnerConfig",
-    "learn_name_suffix",
-    "RouterItem",
-    "RouterNameConvention",
-    "learn_router_names",
-    "learn_router_suffix",
-    "conventions_from_json",
-    "conventions_to_json",
-    "training_from_jsonl",
-    "training_to_jsonl",
-    "render_convention",
-    "render_result",
-    "Outcome",
-    "apparent_asn_runs",
-    "classify_extraction",
-    "congruent",
-    "Alt",
-    "Any_",
-    "Cap",
-    "ClassSeq",
-    "Exclude",
-    "Lit",
-    "Regex",
-    "NCScore",
-    "evaluate_nc",
-    "evaluate_regex",
-    "CacheStats",
-    "ComposedNC",
-    "MatchCache",
-    "MatchVector",
-    "FaultInjector",
-    "ParallelConfig",
-    "PoisonItemError",
-    "ResilienceStats",
-    "RetryPolicy",
-    "TransientError",
-    "parallel_map",
-    "stream_map",
-    "NCClass",
-    "LearnedConvention",
-    "select_best",
-    "classify_nc",
-    "Taxonomy",
-    "taxonomy_of",
-    "Hoiho",
-    "HoihoConfig",
-    "HoihoResult",
-    "LearnTrace",
-    "learn_suffix",
-    "learn_suffix_traced",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.types": ("TrainingItem", "SuffixDataset", "group_by_suffix"),
+    "repro.core.asname": (
+        "NameConvention", "NameHoiho", "NameLearnerConfig",
+        "learn_name_suffix",
+    ),
+    "repro.core.routername": (
+        "RouterItem", "RouterNameConvention", "learn_router_names",
+        "learn_router_suffix",
+    ),
+    "repro.core.io": (
+        "conventions_from_json", "conventions_to_json", "training_from_jsonl",
+        "training_to_jsonl",
+    ),
+    "repro.core.report": ("render_convention", "render_result"),
+    "repro.core.congruence": (
+        "Outcome", "apparent_asn_runs", "classify_extraction", "congruent",
+    ),
+    "repro.core.regex_model": (
+        "Alt", "Any_", "Cap", "ClassSeq", "Exclude", "Lit", "Regex",
+    ),
+    "repro.core.evaluate": ("NCScore", "evaluate_nc", "evaluate_regex"),
+    "repro.core.matchcache": (
+        "CacheStats", "ComposedNC", "MatchCache", "MatchVector",
+    ),
+    "repro.core.parallel": ("ParallelConfig", "parallel_map", "stream_map"),
+    "repro.core.resilience": (
+        "FaultInjector", "PoisonItemError", "ResilienceStats", "RetryPolicy",
+        "TransientError",
+    ),
+    "repro.core.select": (
+        "NCClass", "LearnedConvention", "HoihoResult", "select_best",
+        "classify_nc",
+    ),
+    "repro.core.taxonomy": ("Taxonomy", "taxonomy_of"),
+    "repro.core.hoiho": (
+        "Hoiho", "HoihoConfig", "LearnTrace", "learn_suffix",
+        "learn_suffix_traced",
+    ),
+})

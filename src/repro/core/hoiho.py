@@ -23,13 +23,12 @@ from repro.core.phase2 import merge_regexes
 from repro.core.phase3 import specialise_regex
 from repro.core.phase4 import build_regex_sets
 from repro.core.regex_model import Regex
-from repro.core.select import (
+from repro.core.select import (  # HoihoResult also for old pickles
+    HoihoResult,
     LearnedConvention,
-    NCClass,
     classify_nc,
     select_best,
 )
-from repro.core.taxonomy import Taxonomy, taxonomy_of
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.psl import PublicSuffixList, default_psl
 from repro.util.ipaddr import embedded_ip_spans
@@ -197,48 +196,6 @@ class LearnTrace:
         """Top-n base regexes by rank."""
         return sorted(self.phase1_scored,
                       key=lambda pair: pair[1].rank_key())[:n]
-
-
-@dataclass
-class HoihoResult:
-    """Learned conventions for every suffix that yielded one."""
-
-    conventions: Dict[str, LearnedConvention] = field(default_factory=dict)
-    suffixes_examined: int = 0
-
-    def by_class(self, nc_class: NCClass) -> List[LearnedConvention]:
-        """Conventions of one class, sorted by suffix."""
-        return [self.conventions[s] for s in sorted(self.conventions)
-                if self.conventions[s].nc_class is nc_class]
-
-    def usable(self) -> List[LearnedConvention]:
-        """Good + promising conventions, sorted by suffix."""
-        return [self.conventions[s] for s in sorted(self.conventions)
-                if self.conventions[s].usable]
-
-    def class_counts(self) -> Dict[str, int]:
-        """{'good': n, 'promising': n, 'poor': n} summary."""
-        counts = {c.value: 0 for c in NCClass}
-        for convention in self.conventions.values():
-            counts[convention.nc_class.value] += 1
-        return counts
-
-    def taxonomy_of(self, suffix: str) -> Taxonomy:
-        """Table-1 class of the convention learned for ``suffix``."""
-        return taxonomy_of(self.conventions[suffix].regexes)
-
-    def extract(self, hostname: str,
-                psl: Optional[PublicSuffixList] = None) -> Optional[int]:
-        """Extract an ASN from an arbitrary hostname, if a learned
-        convention covers its suffix."""
-        psl = psl or default_psl()
-        suffix = psl.registered_domain(hostname.lower())
-        if suffix is None:
-            return None
-        convention = self.conventions.get(suffix)
-        if convention is None:
-            return None
-        return convention.extract(hostname)
 
 
 def _has_enough_apparent(dataset: SuffixDataset, config: HoihoConfig) -> bool:

@@ -17,9 +17,8 @@ import json
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.evaluate import NCScore
-from repro.core.hoiho import HoihoResult
 from repro.core.regex_model import Regex
-from repro.core.select import LearnedConvention, NCClass
+from repro.core.select import HoihoResult, LearnedConvention, NCClass
 from repro.core.types import TrainingItem
 
 

@@ -13,14 +13,16 @@ with PPV >= 50%; good and promising are *usable*; the rest are *poor*.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.evaluate import NCScore
 from repro.core.regex_model import Regex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.matchcache import MatchCache
+    from repro.core.taxonomy import Taxonomy
+    from repro.psl import PublicSuffixList
 
 
 class NCClass(enum.Enum):
@@ -110,3 +112,53 @@ class LearnedConvention:
     def __repr__(self) -> str:
         return "LearnedConvention(%s, %s, %s)" % (
             self.suffix, self.nc_class.value, " | ".join(self.patterns()))
+
+
+@dataclass
+class HoihoResult:
+    """Learned conventions for every suffix that yielded one.
+
+    It lives beside :class:`LearnedConvention`, not with the learner
+    in :mod:`repro.core.hoiho` (which re-exports it, so results pickled
+    under that name still load): serving holds results and never
+    imports the learner.
+    """
+
+    conventions: Dict[str, LearnedConvention] = field(default_factory=dict)
+    suffixes_examined: int = 0
+
+    def by_class(self, nc_class: NCClass) -> List[LearnedConvention]:
+        """Conventions of one class, sorted by suffix."""
+        return [self.conventions[s] for s in sorted(self.conventions)
+                if self.conventions[s].nc_class is nc_class]
+
+    def usable(self) -> List[LearnedConvention]:
+        """Good + promising conventions, sorted by suffix."""
+        return [self.conventions[s] for s in sorted(self.conventions)
+                if self.conventions[s].usable]
+
+    def class_counts(self) -> Dict[str, int]:
+        """{'good': n, 'promising': n, 'poor': n} summary."""
+        counts = {c.value: 0 for c in NCClass}
+        for convention in self.conventions.values():
+            counts[convention.nc_class.value] += 1
+        return counts
+
+    def taxonomy_of(self, suffix: str) -> Taxonomy:
+        """Table-1 class of the convention learned for ``suffix``."""
+        from repro.core.taxonomy import taxonomy_of
+        return taxonomy_of(self.conventions[suffix].regexes)
+
+    def extract(self, hostname: str,
+                psl: Optional[PublicSuffixList] = None) -> Optional[int]:
+        """Extract an ASN from an arbitrary hostname, if a learned
+        convention covers its suffix."""
+        from repro.psl import default_psl
+        psl = psl or default_psl()
+        suffix = psl.registered_domain(hostname.lower())
+        if suffix is None:
+            return None
+        convention = self.conventions.get(suffix)
+        if convention is None:
+            return None
+        return convention.extract(hostname)

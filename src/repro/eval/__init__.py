@@ -19,29 +19,12 @@ ablation   contribution of each learning phase / heuristic
 ========== ================================================
 """
 
-from repro.eval.context import ExperimentContext, Scale
-from repro.eval import (
-    figure5,
-    figure6,
-    table1,
-    table2,
-    section5,
-    section7,
-    sensitivity,
-    appendix_a,
-    ablation,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentContext",
-    "Scale",
-    "figure5",
-    "figure6",
-    "table1",
-    "table2",
-    "section5",
-    "section7",
-    "sensitivity",
-    "appendix_a",
-    "ablation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.eval.context": ("ExperimentContext", "Scale"),
+    __name__: (
+        "figure5", "figure6", "table1", "table2", "section5", "section7",
+        "sensitivity", "appendix_a", "ablation",
+    ),
+})

@@ -8,7 +8,9 @@ text serialization; :mod:`repro.itdk.builder` assembles snapshots from
 traceroute campaigns over a synthetic world.
 """
 
-from repro.itdk.snapshot import ITDKSnapshot
-from repro.itdk.builder import BuildConfig, build_snapshot
+from repro._lazy import lazy_exports
 
-__all__ = ["ITDKSnapshot", "BuildConfig", "build_snapshot"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.itdk.snapshot": ("ITDKSnapshot",),
+    "repro.itdk.builder": ("BuildConfig", "build_snapshot"),
+})

@@ -12,34 +12,16 @@ stale hostnames, single-edit typos (figure 3a), and sibling-ASN
 annotations.
 """
 
-from repro.naming.conventions import (
-    ConventionProfile,
-    EmbedKind,
-    IXPNamingMode,
-    Style,
-    profile_for_as,
-    ixp_mode_for,
-)
-from repro.naming.assigner import (
-    HostnameRecord,
-    NamingConfig,
-    NamingOutcome,
-    NamingPlan,
-    assign_hostnames,
-)
-from repro.naming.asnames import as_name_tokens
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConventionProfile",
-    "EmbedKind",
-    "IXPNamingMode",
-    "Style",
-    "profile_for_as",
-    "ixp_mode_for",
-    "HostnameRecord",
-    "NamingConfig",
-    "NamingOutcome",
-    "NamingPlan",
-    "assign_hostnames",
-    "as_name_tokens",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.naming.conventions": (
+        "ConventionProfile", "EmbedKind", "IXPNamingMode", "Style",
+        "profile_for_as", "ixp_mode_for",
+    ),
+    "repro.naming.assigner": (
+        "HostnameRecord", "NamingConfig", "NamingOutcome", "NamingPlan",
+        "assign_hostnames",
+    ),
+    "repro.naming.asnames": ("as_name_tokens",),
+})

@@ -20,70 +20,23 @@ One package owns introspection for the whole pipeline:
 See docs/OBSERVABILITY.md for the span model and file formats.
 """
 
-from repro.obs.logjson import (
-    JsonLogger,
-    NULL_LOG,
-    new_request_id,
-    open_json_logger,
-)
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_LATENCY_BOUNDS,
-    DEFAULT_PERCENTILES,
-    Histogram,
-    LabelledCounter,
-    MetricsRegistry,
-    merge_outcomes,
-    render_snapshot,
-)
-from repro.obs.slo import (
-    SloTarget,
-    evaluate_history,
-    render_slo_report,
-)
-from repro.obs.timeseries import (
-    HistoryStore,
-    RollingWindows,
-    diff_snapshot,
-    history_deltas,
-)
-from repro.obs.trace import (
-    Captured,
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    load_trace,
-    resilience_to_span,
-    retry_to_span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Captured",
-    "Counter",
-    "DEFAULT_LATENCY_BOUNDS",
-    "DEFAULT_PERCENTILES",
-    "Histogram",
-    "HistoryStore",
-    "JsonLogger",
-    "LabelledCounter",
-    "MetricsRegistry",
-    "NULL_LOG",
-    "NULL_TRACER",
-    "NullTracer",
-    "RollingWindows",
-    "SloTarget",
-    "Span",
-    "Tracer",
-    "diff_snapshot",
-    "evaluate_history",
-    "history_deltas",
-    "load_trace",
-    "merge_outcomes",
-    "new_request_id",
-    "open_json_logger",
-    "render_slo_report",
-    "render_snapshot",
-    "resilience_to_span",
-    "retry_to_span",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.logjson": (
+        "JsonLogger", "NULL_LOG", "new_request_id", "open_json_logger",
+    ),
+    "repro.obs.metrics": (
+        "Counter", "DEFAULT_LATENCY_BOUNDS", "DEFAULT_PERCENTILES",
+        "Histogram", "LabelledCounter", "MetricsRegistry", "merge_outcomes",
+        "render_snapshot",
+    ),
+    "repro.obs.slo": ("SloTarget", "evaluate_history", "render_slo_report"),
+    "repro.obs.timeseries": (
+        "HistoryStore", "RollingWindows", "diff_snapshot", "history_deltas",
+    ),
+    "repro.obs.trace": (
+        "Captured", "NULL_TRACER", "NullTracer", "Span", "Tracer",
+        "load_trace", "resilience_to_span", "retry_to_span",
+    ),
+})

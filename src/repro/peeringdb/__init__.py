@@ -8,13 +8,9 @@ hostname embeds the sibling ASN actually used at the exchange, plus a
 small rate of stale records.
 """
 
-from repro.peeringdb.snapshot import IXRecord, NetIXLan, PeeringDBSnapshot
-from repro.peeringdb.builder import PeeringDBConfig, build_peeringdb
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IXRecord",
-    "NetIXLan",
-    "PeeringDBSnapshot",
-    "PeeringDBConfig",
-    "build_peeringdb",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.peeringdb.snapshot": ("IXRecord", "NetIXLan", "PeeringDBSnapshot"),
+    "repro.peeringdb.builder": ("PeeringDBConfig", "build_peeringdb"),
+})

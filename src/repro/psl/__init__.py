@@ -7,6 +7,8 @@ exception ``!`` rules), an embedded snapshot of the rules the synthetic
 world and tests need, and registered-domain extraction.
 """
 
-from repro.psl.psl import PublicSuffixList, default_psl
+from repro._lazy import lazy_exports
 
-__all__ = ["PublicSuffixList", "default_psl"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.psl.psl": ("PublicSuffixList", "default_psl"),
+})

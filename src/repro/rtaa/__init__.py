@@ -1,5 +1,7 @@
 """RouterToAsAssignment: the 2010-2017 ITDK annotation baseline."""
 
-from repro.rtaa.rtaa import assign_asns
+from repro._lazy import lazy_exports
 
-__all__ = ["assign_asns"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.rtaa.rtaa": ("assign_asns",),
+})

@@ -45,93 +45,30 @@ CLI surface: ``repro-hoiho annotate`` (bulk), ``repro-hoiho serve``
 apply`` is a thin alias of ``annotate``.  See ``docs/SERVING.md``.
 """
 
-from repro.serve.engine import (
-    BulkAnnotator,
-    Checkpoint,
-    DEFAULT_CHUNK_SIZE,
-    DeadLetter,
-    SINKS,
-    iter_hostnames,
-    jsonl_line,
-    tsv_line,
-)
-from repro.serve.http import (
-    AnnotationHTTPServer,
-    HttpConfig,
-    ServerProcess,
-    serve_http,
-    wait_applied,
-    wait_ready,
-)
-from repro.serve.index import (
-    AnnotationPlan,
-    DispatchIndex,
-    MAX_FUSED_GROUPS,
-    fuse_patterns,
-    normalize_hostname,
-)
-from repro.serve.memo import (
-    ABSENT,
-    AnnotationMemo,
-    DEFAULT_MEMO_SIZE,
-)
-from repro.serve.loadgen import (
-    LoadGenConfig,
-    run_loadgen,
-    workload_fingerprint,
-)
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    LabelledCounter,
-    MetricsRegistry,
-    render_snapshot,
-)
-from repro.serve.service import AnnotationService
-from repro.serve.shadow import (
-    EXAMPLE_CAP,
-    ShadowLedger,
-    ShadowService,
-    merge_shadow_reports,
-    render_shadow_report,
-    shadow_report_from_snapshot,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ABSENT",
-    "AnnotationHTTPServer",
-    "AnnotationMemo",
-    "AnnotationPlan",
-    "AnnotationService",
-    "BulkAnnotator",
-    "Checkpoint",
-    "Counter",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MEMO_SIZE",
-    "DeadLetter",
-    "DispatchIndex",
-    "EXAMPLE_CAP",
-    "Histogram",
-    "HttpConfig",
-    "LabelledCounter",
-    "LoadGenConfig",
-    "MAX_FUSED_GROUPS",
-    "MetricsRegistry",
-    "SINKS",
-    "ServerProcess",
-    "ShadowLedger",
-    "ShadowService",
-    "fuse_patterns",
-    "iter_hostnames",
-    "jsonl_line",
-    "merge_shadow_reports",
-    "normalize_hostname",
-    "render_shadow_report",
-    "render_snapshot",
-    "run_loadgen",
-    "serve_http",
-    "shadow_report_from_snapshot",
-    "tsv_line",
-    "wait_applied",
-    "wait_ready",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.engine": (
+        "BulkAnnotator", "Checkpoint", "DEFAULT_CHUNK_SIZE", "DeadLetter",
+        "SINKS", "jsonl_line", "tsv_line",
+    ),
+    "repro.serve.http": (
+        "AnnotationHTTPServer", "HttpConfig", "ServerProcess", "serve_http",
+        "wait_applied", "wait_ready",
+    ),
+    "repro.serve.index": (
+        "AnnotationPlan", "DispatchIndex", "MAX_FUSED_GROUPS", "fuse_patterns",
+        "normalize_hostname",
+    ),
+    "repro.serve.memo": ("ABSENT", "AnnotationMemo", "DEFAULT_MEMO_SIZE"),
+    "repro.serve.loadgen": ("LoadGenConfig", "run_loadgen"),
+    "repro.obs.metrics": (
+        "Counter", "Histogram", "LabelledCounter", "MetricsRegistry",
+        "render_snapshot",
+    ),
+    "repro.serve.service": ("AnnotationService", "iter_hostnames"),
+    "repro.serve.shadow": (
+        "EXAMPLE_CAP", "ShadowLedger", "ShadowService", "merge_shadow_reports",
+        "render_shadow_report", "shadow_report_from_snapshot",
+    ),
+})

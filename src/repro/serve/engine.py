@@ -4,10 +4,11 @@ The engine turns an :class:`~repro.serve.service.AnnotationService`
 into a pipeline for bulk workloads (the paper applies its conventions
 to millions of PTR records):
 
-* **streaming input** -- :func:`iter_hostnames` parses hostname files
-  (or stdin) lazily: first whitespace-separated field per line, blank
-  lines and ``#`` comments skipped.  Nothing is materialised, so memory
-  stays bounded by the chunk window regardless of input size.
+* **streaming input** -- :func:`~repro.serve.service.iter_hostnames`
+  parses hostname files (or stdin) lazily: first whitespace-separated
+  field per line, blank lines and ``#`` comments skipped.  Nothing is
+  materialised, so memory stays bounded by the chunk window regardless
+  of input size.
 * **chunked fan-out** -- hostnames are grouped into chunks (a
   deterministic adaptive ramp by default, fixed-size on request); under
   a parallel :class:`~repro.core.parallel.ParallelConfig` the chunks
@@ -86,7 +87,7 @@ from repro.core.resilience import PoisonItemError, RetryPolicy
 from repro.obs.metrics import merge_outcomes
 from repro.obs.trace import NULL_TRACER
 from repro.serve.memo import DEFAULT_MEMO_SIZE
-from repro.serve.service import AnnotationService
+from repro.serve.service import AnnotationService, iter_hostnames
 
 #: Hostnames per dispatched chunk when a fixed ``chunk_size`` is
 #: requested (``chunk_size=None`` -- the default -- uses the adaptive
@@ -98,19 +99,6 @@ DEFAULT_CHUNK_SIZE = 2048
 
 #: Fault-injection site label for the bulk annotation fan-out.
 SITE_BULK_ANNOTATE = "bulk-annotate"
-
-
-def iter_hostnames(lines: Iterable[str]) -> Iterator[str]:
-    """Hostnames from raw input lines, lazily.
-
-    Mirrors the CLI's historical parsing: first whitespace-separated
-    field, blank lines and ``#`` comments skipped.
-    """
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line.split()[0]
 
 
 def _chunked(items: Iterable[str], size: int) -> Iterator[List[str]]:

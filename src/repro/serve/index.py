@@ -58,8 +58,7 @@ import re
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Pattern, Tuple
 
-from repro.core.hoiho import HoihoResult
-from repro.core.select import LearnedConvention, NCClass
+from repro.core.select import HoihoResult, LearnedConvention, NCClass
 
 #: Trie-node key holding the node's plan (labels are plain strings, so
 #: any non-string sentinel cannot collide).

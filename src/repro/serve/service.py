@@ -51,8 +51,8 @@ import time
 from collections import OrderedDict
 from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.hoiho import HoihoResult
 from repro.core.io import conventions_from_json, conventions_to_json
+from repro.core.select import HoihoResult
 from repro.serve.index import DispatchIndex, normalize_hostname
 from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE, \
     Entry
@@ -66,6 +66,19 @@ _NO_MATCH: Tuple[None, None] = (None, None)
 #: What the kernel probes when the memo is off: always empty, never
 #: written.
 _NO_MEMO: "OrderedDict[str, Entry]" = OrderedDict()
+
+
+def iter_hostnames(lines: Iterable[str]) -> Iterator[str]:
+    """Hostnames from raw input lines, lazily.
+
+    Mirrors the CLI's historical parsing: first whitespace-separated
+    field, blank lines and ``#`` comments skipped.
+    """
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield line.split()[0]
 
 
 class Annotator:

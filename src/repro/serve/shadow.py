@@ -60,8 +60,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.hoiho import HoihoResult
 from repro.core.io import conventions_from_json
+from repro.core.select import HoihoResult
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.index import DispatchIndex
 from repro.serve.memo import AnnotationMemo, Entry

@@ -20,36 +20,17 @@ paper), so a router operated by AS B can only be observed via an address
 registered and routed by AS A.
 """
 
-from repro.topology.asgraph import ASGraph, ASNode, IXPSpec, Tier, generate_asgraph, ASGraphConfig
-from repro.topology.addressing import AddressPlan, build_address_plan
-from repro.topology.routers import (
-    Interface,
-    InterfaceKind,
-    Link,
-    LinkKind,
-    Router,
-    RouterLevelTopology,
-    build_router_topology,
-)
-from repro.topology.world import World, WorldConfig, generate_world
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ASGraph",
-    "ASNode",
-    "IXPSpec",
-    "Tier",
-    "generate_asgraph",
-    "ASGraphConfig",
-    "AddressPlan",
-    "build_address_plan",
-    "Interface",
-    "InterfaceKind",
-    "Link",
-    "LinkKind",
-    "Router",
-    "RouterLevelTopology",
-    "build_router_topology",
-    "World",
-    "WorldConfig",
-    "generate_world",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.asgraph": (
+        "ASGraph", "ASNode", "IXPSpec", "Tier", "generate_asgraph",
+        "ASGraphConfig",
+    ),
+    "repro.topology.addressing": ("AddressPlan", "build_address_plan"),
+    "repro.topology.routers": (
+        "Interface", "InterfaceKind", "Link", "LinkKind", "Router",
+        "RouterLevelTopology", "build_router_topology",
+    ),
+    "repro.topology.world": ("World", "WorldConfig", "generate_world"),
+})

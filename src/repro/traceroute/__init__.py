@@ -14,17 +14,12 @@
   are built from, or only the addresses those traces observe.
 """
 
-from repro.traceroute.routing import RoutingModel
-from repro.traceroute.probe import Prober, Trace, TraceSet
-from repro.traceroute.campaign import CampaignConfig, observe_campaign, \
-    run_campaign
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RoutingModel",
-    "Prober",
-    "Trace",
-    "TraceSet",
-    "CampaignConfig",
-    "observe_campaign",
-    "run_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.traceroute.routing": ("RoutingModel",),
+    "repro.traceroute.probe": ("Prober", "Trace", "TraceSet"),
+    "repro.traceroute.campaign": (
+        "CampaignConfig", "observe_campaign", "run_campaign",
+    ),
+})

@@ -15,24 +15,13 @@ cycles:
   experiment is reproducible from a single seed.
 """
 
-from repro.util.strings import damerau_levenshtein, digit_runs, DigitRun
-from repro.util.ipaddr import (
-    IPv4Prefix,
-    ip_to_int,
-    int_to_ip,
-    embedded_ip_spans,
-)
-from repro.util.radix import PrefixTable
-from repro.util.rand import substream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "damerau_levenshtein",
-    "digit_runs",
-    "DigitRun",
-    "IPv4Prefix",
-    "ip_to_int",
-    "int_to_ip",
-    "embedded_ip_spans",
-    "PrefixTable",
-    "substream",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.util.strings": ("damerau_levenshtein", "digit_runs", "DigitRun"),
+    "repro.util.ipaddr": (
+        "IPv4Prefix", "ip_to_int", "int_to_ip", "embedded_ip_spans",
+    ),
+    "repro.util.radix": ("PrefixTable",),
+    "repro.util.rand": ("substream",),
+})

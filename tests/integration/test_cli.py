@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _VERBS, _build_parser, main
+from repro.cli import _EXPERIMENTS, _FLAGS, _VERBS, _build_parser, \
+    _experiment, main
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -112,9 +113,9 @@ class TestCliCache:
 
         # Warm run must not learn again: break Hoiho.run and rely on
         # the cached result.
-        import repro.cli as cli_module
+        from repro.core.hoiho import Hoiho
         monkeypatch.setattr(
-            cli_module.Hoiho, "run",
+            Hoiho, "run",
             lambda self, items: pytest.fail("re-learned on warm cache"))
         assert main(["learn", "--hostnames", str(training),
                      "--cache-dir", str(cache)]) == 0
@@ -802,6 +803,32 @@ class TestVerbTable:
     def test_serve_stats_formats(self, capsys):
         assert main(["serve-stats", "--format", "jsonl"]) == 2
         assert "invalid choice: 'jsonl'" in capsys.readouterr().err
+
+
+class TestParserLiterals:
+    """Building the parser imports no experiment, ``Scale`` or
+    ``serve.engine``, so the values it would take from them are
+    literals; these pins keep each equal to its source."""
+
+    @pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
+    def test_experiment_help_is_its_module_docstring(self, name):
+        helps = {verb.name: verb.help for verb in _VERBS}
+        assert helps[name] == _EXPERIMENTS[name] \
+            == _experiment(name).__doc__.splitlines()[0]
+
+    def test_scale_choices(self):
+        from repro.eval.context import Scale
+        assert list(_FLAGS["--scale"]["choices"]) \
+            == [scale.value for scale in Scale]
+        assert _FLAGS["--scale"]["default"] == Scale.SMALL.value
+
+    def test_format_choices(self):
+        from repro.serve.engine import SINKS
+        assert list(_FLAGS["--format"]["choices"]) == sorted(SINKS)
+
+    def test_chunk_size_help(self):
+        from repro.serve.engine import DEFAULT_CHUNK_SIZE
+        assert " %d " % DEFAULT_CHUNK_SIZE in _FLAGS["--chunk-size"]["help"]
 
 
 #: A line invoking the CLI: the command runs from the token to a shell

@@ -28,7 +28,7 @@ from typing import Dict, NamedTuple
 
 import pytest
 
-from repro.cli import _EXPERIMENTS
+from repro.cli import _EXPERIMENTS, _experiment
 from repro.eval.context import ExperimentContext, Scale
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -53,7 +53,7 @@ def run_experiments(seed: int = SEED,
     """Run every experiment once, in ``all``'s order, on one shared
     context."""
     context = ExperimentContext(seed, scale)
-    return ExperimentRun(context, {name: _EXPERIMENTS[name].run(context)
+    return ExperimentRun(context, {name: _experiment(name).run(context)
                                    for name in sorted(_EXPERIMENTS)})
 
 
@@ -62,7 +62,7 @@ def digest_of(run: ExperimentRun) -> dict:
     its line count."""
     experiments = {}
     for name, result in run.results.items():
-        text = _EXPERIMENTS[name].render(result)
+        text = _experiment(name).render(result)
         experiments[name] = {
             "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "lines": len(text.splitlines()),
