@@ -27,5 +27,8 @@ test-faults:
 bench:
 	$(PYTHON) -m repro.cli bench $(foreach s,$(SECTIONS),--section $(s))
 
+# Compile every module in memory with warnings as errors, stdlib only
+# and writing no .pyc: a syntax error or a warning such as an invalid
+# escape sequence fails the target, naming the file and line.
 lint:
-	$(PYTHON) -m pyflakes src/repro tests benchmarks 2>/dev/null || true
+	$(PYTHON) -W error -c 'import pathlib, sys; [compile(p.read_bytes(), str(p), "exec") for d in sys.argv[1:] for p in sorted(pathlib.Path(d).rglob("*.py"))]' src/repro tests benchmarks

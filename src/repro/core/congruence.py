@@ -103,15 +103,21 @@ def apparent_runs(hostname: str, train_asn: int,
 
     Memoised process-wide: the pre-check gate, phase-1 generation and
     the evaluation cache's FN baseline all ask for it, for every
-    training set that holds the observation.
+    training set that holds the observation.  The congruent runs are
+    found first and the IP spans only looked up when there is one: most
+    observations have none, and the two filters commute.
 
     >>> [r.text for r in apparent_runs("as209.x.net", 209, None)]
     ['209']
     >>> apparent_runs("209-1-2-3.x.net", 209, None)
     ()
     """
-    return apparent_asn_runs(hostname, train_asn,
-                             embedded_ip_spans(hostname, address))
+    runs = apparent_asn_runs(hostname, train_asn, ())
+    if not runs:
+        return runs
+    ip_spans = embedded_ip_spans(hostname, address)
+    return tuple(run for run in runs
+                 if not _in_spans(run.start, run.end, ip_spans))
 
 
 def classify_extraction(extracted: Optional[str],

@@ -16,8 +16,9 @@ Two layers use these plans:
   ``run_datasets``) and
   :meth:`~repro.eval.context.ExperimentContext.learn_timeline` -- learns
   through :func:`learn_artifacts`: plan, dedupe identical suffix
-  training sets, dispatch the unique ones in one fan-out, and assemble
-  the results.  With a store attached, plans are first resolved
+  training sets, reject the unique ones that fail the learner's cheap
+  prechecks, dispatch the rest in one fan-out, and assemble the
+  results.  With a store attached, plans are first resolved
   against its ``suffixes/`` namespace and only the misses are learned
   and written back, so warm relearning cost is proportional to the
   delta, not the corpus;
@@ -29,6 +30,7 @@ Two layers use these plans:
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -38,6 +40,8 @@ from repro.core.hoiho import (
     HoihoConfig,
     SuffixArtifact,
     _learn_artifact_worker,
+    precheck,
+    precheck_artifact,
     suffix_fingerprinter,
 )
 from repro.core.parallel import ParallelConfig, parallel_map
@@ -45,6 +49,7 @@ from repro.core.resilience import RetryPolicy
 from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.store import KIND_SUFFIX
+from repro.util.ipaddr import embedded_ip_spans
 
 
 @dataclass
@@ -68,9 +73,17 @@ class SuffixPlan:
 
 def plan_datasets(datasets: Sequence[SuffixDataset],
                   config: HoihoConfig,
-                  label: str = "") -> List[SuffixPlan]:
-    """Fingerprint every dataset, in sorted-suffix order."""
-    fingerprint = suffix_fingerprinter(config)
+                  label: str = "",
+                  fingerprint: Optional[Callable[[SuffixDataset], str]]
+                  = None) -> List[SuffixPlan]:
+    """Fingerprint every dataset, in sorted-suffix order.
+
+    ``fingerprint`` is a :func:`~repro.core.hoiho.suffix_fingerprinter`
+    of ``config``, made here when omitted; sets planned together share
+    one, so each distinct item is encoded once.
+    """
+    if fingerprint is None:
+        fingerprint = suffix_fingerprinter(config)
     return [SuffixPlan(label=label, suffix=dataset.suffix, dataset=dataset,
                        fingerprint=fingerprint(dataset))
             for dataset in sorted(datasets, key=lambda d: d.suffix)]
@@ -79,13 +92,15 @@ def plan_datasets(datasets: Sequence[SuffixDataset],
 def plan_items(items: Iterable[TrainingItem], config: HoihoConfig,
                label: str = "", psl=None, tracer=NULL_TRACER,
                domains: Optional[Dict[str, Optional[str]]] = None,
-               ) -> List[SuffixPlan]:
+               fingerprint: Optional[Callable[[SuffixDataset], str]]
+               = None) -> List[SuffixPlan]:
     """Group ``items`` by public suffix, in a ``learn.group`` span, and
     plan the resulting datasets.
 
     ``domains`` is the ``{hostname: registered domain}`` memo
-    :func:`~repro.core.types.group_by_suffix` fills; sets planned
-    together share one.  The span's ``hostnames`` counts the hostnames
+    :func:`~repro.core.types.group_by_suffix` fills, and ``fingerprint``
+    the fingerprinter :func:`plan_datasets` takes; sets planned
+    together share both.  The span's ``hostnames`` counts the hostnames
     this set added to it, the ones looked up in the public suffix list.
     """
     if domains is None:
@@ -95,7 +110,8 @@ def plan_items(items: Iterable[TrainingItem], config: HoihoConfig,
         datasets = group_by_suffix(items, psl, domains=domains)
         group.set(items=sum(len(d) for d in datasets.values()),
                   suffixes=len(datasets), hostnames=len(domains) - known)
-    return plan_datasets(list(datasets.values()), config, label=label)
+    return plan_datasets(list(datasets.values()), config, label=label,
+                         fingerprint=fingerprint)
 
 
 @dataclass
@@ -195,14 +211,17 @@ def plan_timeline(training_sets: Sequence, config: HoihoConfig,
     ``tracer``), so assembling the resulting artifacts per label
     gives exactly a ``Hoiho.run`` of that label's items.  The sets
     share one hostname-to-domain memo, so a hostname held by many sets
-    is looked up in the public suffix list once.
+    is looked up in the public suffix list once, and one fingerprinter,
+    so an item held by many sets is encoded once.
     """
     domains: Dict[str, Optional[str]] = {}
+    fingerprint = suffix_fingerprinter(config)
     label_plans = [
         LabelPlan(label=training_set.label,
                   suffixes=plan_items(training_set.items, config,
                                       label=training_set.label, psl=psl,
-                                      tracer=tracer, domains=domains))
+                                      tracer=tracer, domains=domains,
+                                      fingerprint=fingerprint))
         for training_set in training_sets]
     deltas = [
         diff_fingerprints(label_plans[i - 1].fingerprints(),
@@ -228,8 +247,8 @@ def resolve_plans(store, plans: Sequence[SuffixPlan],
     """
     hits: List[Tuple[SuffixPlan, SuffixArtifact]] = []
     misses: List[SuffixPlan] = []
-    for plan in plans:
-        artifact = store.get(KIND_SUFFIX, None, key=plan.fingerprint)
+    found = store.get_many(KIND_SUFFIX, [plan.fingerprint for plan in plans])
+    for plan, artifact in zip(plans, found):
         if isinstance(artifact, SuffixArtifact):
             hits.append((plan, artifact))
         else:
@@ -286,18 +305,25 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
                     ) -> Tuple[TimelinePlan, Dict[str, SuffixArtifact]]:
     """Learn every planned suffix, each unique training problem once.
 
-    ``make_plan`` (grouping included) and, when ``store`` is an
-    :class:`~repro.store.ArtifactStore`, the lookups in its
-    ``suffixes/`` namespace run under a ``learn.plan`` span.  The plans
-    left to learn are deduped by fingerprint and the unique ones
-    dispatched in ONE fan-out traced under ``span`` (so a pool spins up
-    once for a whole timeline), then written back to the store as one
-    pack (:meth:`~repro.store.ArtifactStore.put_many`).  With
+    ``make_plan`` (grouping included), when ``store`` is an
+    :class:`~repro.store.ArtifactStore`, the one lookup of every plan in
+    its ``suffixes/`` namespace, and the prechecks run under a
+    ``learn.plan`` span.  The plans left to learn are deduped by
+    fingerprint and each unique one prechecked
+    (:func:`~repro.core.hoiho.precheck`): a rejected one gets its
+    negative artifact there, and the rest are dispatched in ONE fan-out
+    traced under ``span`` (so a pool spins up once for a whole
+    timeline).  Every new artifact, negative ones included, is then
+    written back to the store as one pack
+    (:meth:`~repro.store.ArtifactStore.put_many`).  The ``learn.plan``
+    span counts the rejections by reason (``rejected.<reason>``) and
+    the hostnames the prechecks featurised (``features.computed``).  With
     ``store=None`` nothing is looked up or written.  Returns the plan
     and every plan's artifact keyed by fingerprint; dispatch is in plan
     order, so parallel results are byte-identical to serial ones.
     """
     with tracer.span("learn.plan") as plan_span:
+        features = embedded_ip_spans.cache_info().misses
         plan = make_plan()
         hits: List[Tuple[SuffixPlan, SuffixArtifact]] = []
         misses = plan.all_plans()
@@ -305,14 +331,33 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
             hits, misses = resolve_plans(store, misses, metrics=metrics)
             span.set(suffix_cache_hits=len(hits),
                      suffix_cache_misses=len(misses))
-        plan_span.set(plans=len(hits) + len(misses))
-    artifacts = {p.fingerprint: artifact for p, artifact in hits}
-    groups = dedupe_plans(misses)
+        # Each unique miss is prechecked here, in plan order; only the
+        # plans that pass are dispatched.  ``new`` keeps plan order, so
+        # the pack holds its artifacts in the order a learn of every
+        # miss would give them.
+        new: Dict[str, Optional[SuffixArtifact]] = {}
+        learn: List[SuffixPlan] = []
+        rejected: Counter = Counter()
+        for group in dedupe_plans(misses):
+            first = group[0]
+            reason = precheck(first.dataset, config)
+            if reason is None:
+                learn.append(first)
+                new[first.fingerprint] = None
+            else:
+                new[first.fingerprint] = precheck_artifact(
+                    first.dataset, config, reason)
+                rejected[reason] += 1
+        plan_span.set(plans=len(hits) + len(misses), **{
+            "features.computed":
+                embedded_ip_spans.cache_info().misses - features})
+        plan_span.set(**{"rejected." + reason: count
+                         for reason, count in rejected.items()})
     learned = parallel_map(functools.partial(_learn_artifact_worker, config),
-                           [group[0].dataset for group in groups],
+                           [first.dataset for first in learn],
                            parallel, retry=retry, site=SITE_LEARN, span=span)
-    new = {group[0].fingerprint: artifact
-           for group, artifact in zip(groups, learned)}
+    new.update(zip((first.fingerprint for first in learn), learned))
+    artifacts = {p.fingerprint: artifact for p, artifact in hits}
     artifacts.update(new)
     if store is not None:
         store.put_many(KIND_SUFFIX, new)

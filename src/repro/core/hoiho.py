@@ -37,8 +37,9 @@ logger = logging.getLogger(__name__)
 
 #: Fault-injection site label for the learning fan-out of
 #: :func:`repro.core.delta.learn_artifacts`: one item per unique suffix
-#: training problem (fingerprint) left to learn, in plan order --
-#: sorted-suffix order within each training set.
+#: training problem (fingerprint) left to learn that passes
+#: :func:`precheck`, in plan order -- sorted-suffix order within each
+#: training set.
 SITE_LEARN = "learn"
 
 
@@ -101,20 +102,34 @@ def suffix_fingerprinter(config: HoihoConfig,
     """The fingerprint function of suffix datasets learned under
     ``config``: ``fingerprint(suffix_cache_payload(dataset, config))``.
 
-    The config is made canonical once, here; each dataset's items go
-    to the JSON encoder as ``(hostname, train_asn, address)`` tuples,
-    which are canonical already (a str, an int and a str or ``None``),
-    so no item is walked by :func:`~repro.store.canonical`.
+    The config is made canonical and encoded once, here.  Each item's
+    ``(hostname, train_asn, address)`` JSON text is encoded once per
+    fingerprinter and kept in a memo the returned function owns, so
+    datasets that hold the same item objects -- the sets of one
+    timeline, whose equal items are one object -- encode it once.  The
+    memo is keyed by the item object and holds every item it encoded,
+    so no key can be reused while it lives.
     """
-    from repro.store import canonical, fingerprint_fields
-    hoiho_config = canonical(_config_payload(config))
+    from repro.store import canonical, encode_json, fingerprint_encoded
+    kind = encode_json("suffix")
+    hoiho_config = encode_json(canonical(_config_payload(config)))
+    texts: Dict[int, str] = {}
+    encoded: List[TrainingItem] = []
+
+    def item_text(item: TrainingItem) -> str:
+        text = texts.get(id(item))
+        if text is None:
+            text = texts[id(item)] = encode_json(
+                (item.hostname, item.train_asn, item.address))
+            encoded.append(item)
+        return text
 
     def suffix_fingerprint(dataset: SuffixDataset) -> str:
-        return fingerprint_fields({
-            "kind": "suffix",
-            "suffix": dataset.suffix,
-            "items": [(item.hostname, item.train_asn, item.address)
-                      for item in dataset.items],
+        return fingerprint_encoded({
+            "kind": kind,
+            "suffix": encode_json(dataset.suffix),
+            "items": "[%s]" % ",".join([item_text(item)
+                                        for item in dataset.items]),
             "hoiho_config": hoiho_config,
         })
 
@@ -218,6 +233,38 @@ def _has_enough_apparent(dataset: SuffixDataset, config: HoihoConfig) -> bool:
     return False
 
 
+def precheck(dataset: SuffixDataset, config: HoihoConfig) -> Optional[str]:
+    """Why ``dataset`` is rejected before phase 1, or ``None`` when it
+    goes on to learn.
+
+    The three cheap rejections, in the order the learner applies them:
+    too few hostnames, a single training ASN, and too few apparent
+    ASNs.  Most suffixes stop here.  The delta planner asks it before
+    dispatching a suffix and builds a rejection's artifact itself
+    (:func:`precheck_artifact`); the learner asks it first too, so a
+    direct :func:`learn_suffix` rejects alike.
+    """
+    if len(dataset) < config.min_hostnames:
+        return "too few hostnames"
+    if dataset.distinct_train_asns < config.min_distinct_asns:
+        return "single training ASN"
+    if not _has_enough_apparent(dataset, config):
+        return "not enough apparent ASNs"
+    return None
+
+
+def precheck_artifact(dataset: SuffixDataset, config: HoihoConfig,
+                      reason: str) -> SuffixArtifact:
+    """The artifact :func:`_learn_artifact_worker` returns for a
+    dataset :func:`precheck` rejects with ``reason``, field for field,
+    built without running the learner: no phase ran, and with the
+    match cache on its counters are all zero."""
+    record = LearnTrace(suffix=dataset.suffix, rejected_reason=reason,
+                        cache_stats=CacheStats() if config.enable_cache
+                        else None)
+    return _suffix_artifact(dataset, None, record)
+
+
 def learn_suffix(dataset: SuffixDataset,
                  config: Optional[HoihoConfig] = None,
                  tracer=NULL_TRACER) -> Optional[LearnedConvention]:
@@ -294,12 +341,9 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
                 span, record: LearnTrace,
                 cache: Optional[MatchCache], reject,
                 ) -> Tuple[Optional[LearnedConvention], LearnTrace]:
-    if len(dataset) < config.min_hostnames:
-        return reject("too few hostnames")
-    if dataset.distinct_train_asns < config.min_distinct_asns:
-        return reject("single training ASN")
-    if not _has_enough_apparent(dataset, config):
-        return reject("not enough apparent ASNs")
+    reason = precheck(dataset, config)
+    if reason is not None:
+        return reject(reason)
 
     with tracer.span("learn.phase1"):
         candidates = generate_base_regexes(

@@ -25,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Span attributes surfaced inline in the tree (order matters).
 _HIGHLIGHT_ATTRS = ("suffix", "snapshot", "kind", "candidates", "kept",
-                    "hit_rate", "hit", "items", "nodes", "annotated",
-                    "round", "retries", "chunk")
+                    "hit_rate", "hit", "keys", "hits", "items", "nodes",
+                    "annotated", "round", "retries", "chunk")
 
 #: Event names counted into the resilience table.
 _RESILIENCE_EVENTS = ("retry", "pool-rebuild", "timeout", "poisoned",
@@ -188,10 +188,13 @@ def _cache_table(records: Iterable[Dict[str, object]]) -> List[str]:
                                           "writes": 0})
             if name == "store.put":
                 row["writes"] += 1
-            elif attrs.get("hit"):
-                row["hits"] += 1
             else:
-                row["misses"] += 1
+                # A get counts its keys; a trace older than batched
+                # gets has one key per span and a boolean ``hit``.
+                keys = int(attrs.get("keys", 1))
+                hits = int(attrs.get("hits", bool(attrs.get("hit"))))
+                row["hits"] += hits
+                row["misses"] += keys - hits
     lines: List[str] = []
     if match_calls:
         lines += ["", "match cache",

@@ -37,6 +37,7 @@ rebuilt, so no class keeps a branch that reads an older layout.  Until
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -44,7 +45,8 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import IO, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (IO, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 logger = logging.getLogger(__name__)
 
@@ -144,29 +146,44 @@ def _envelope(payload: Mapping) -> Dict[str, object]:
     return {"schema": STORE_SCHEMA_VERSION, "payload": canonical(payload)}
 
 
-def _digest(envelope: Mapping) -> str:
-    text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+#: The JSON encoder of every fingerprint: compact separators, sorted
+#: keys, ASCII only.  A caller that encodes parts of a payload itself
+#: (:func:`fingerprint_encoded`) uses this one.
+encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+@functools.lru_cache(maxsize=None)
+def _envelope_text(version: int) -> str:
+    """:func:`_envelope`'s JSON text with ``%s`` for the payload's
+    text, rendered from :func:`_envelope` itself (its payload ``None``
+    is its only ``null``), so the envelope is spelled in one place.
+    Cached by the schema version it holds."""
+    return encode_json(_envelope(None)).replace("null", "%s")
+
+
+def _digest(payload_text: str) -> str:
+    """SHA-256 of ``encode_json(_envelope(payload))``, given the
+    canonical payload's :data:`encode_json` text."""
+    text = _envelope_text(STORE_SCHEMA_VERSION) % payload_text
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fingerprint(payload: Mapping) -> str:
     """SHA-256 of the canonical JSON of ``payload`` + schema version."""
-    return _digest(_envelope(payload))
+    return _digest(encode_json(canonical(payload)))
 
 
-def fingerprint_fields(fields: Mapping[str, object]) -> str:
-    """:func:`fingerprint` of a payload with string keys whose values
-    are canonical already, without walking them again.
+def fingerprint_encoded(fields: Mapping[str, str]) -> str:
+    """:func:`fingerprint` of a payload with string keys, given each
+    value as its :data:`encode_json` text, which is neither decoded nor
+    walked: a caller that has encoded a value once can reuse its text.
 
-    A value is canonical when :func:`canonical` would give back the
-    same JSON: a str, int, float, bool or ``None``, a list or tuple of
-    canonical values, or a dict :func:`canonical` returned.  The JSON
-    encoder writes a tuple as an array, as :func:`canonical` writes it
-    after making it a list, so the digest is the same.
+    The text must be what :data:`encode_json` writes for the value's
+    :func:`canonical` form (a tuple is written as the list
+    :func:`canonical` would make of it, so it may be encoded as is).
     """
-    return _digest({"schema": STORE_SCHEMA_VERSION,
-                    "payload": {_key_token(key): value
-                                for key, value in fields.items()}})
+    return _digest("{%s}" % ",".join(
+        "%s:%s" % (encode_json(token), text) for token, text in sorted(
+            (_key_token(key), text) for key, text in fields.items())))
 
 
 @dataclasses.dataclass
@@ -232,26 +249,53 @@ class ArtifactStore:
         """The stored artifact, or ``None`` on miss/corruption.
 
         ``key`` is ``payload``'s precomputed fingerprint, as in
-        :meth:`path_for`.  The entry file is read first, then the packs
-        of ``kind``: worlds, timelines and learned results are entry
-        files, suffix artifacts are packed.
+        :meth:`path_for`.  The one-key case of :meth:`get_many`.
         """
         path = self.path_for(kind, payload, key)
-        with self.tracer.span("store.get", kind=kind,
-                              fingerprint=path.stem) as span:
-            artifact = self._read(path)
-            if artifact is None:
-                artifact = self._packed(kind).get(path.stem)
-            hit = artifact is not None
-            span.set(hit=hit)
-            if hit:
-                self.stats.hits += 1
-            else:
-                self.stats.misses += 1
+        return self.get_many(kind, [path.stem])[0]
+
+    def get_many(self, kind: str,
+                 keys: Sequence[str]) -> List[Optional[object]]:
+        """The stored artifact of each fingerprint in ``keys``, in
+        order, ``None`` for a miss or a corrupt entry.
+
+        The directory is listed once and only the entry files it holds
+        are opened; the keys no entry file answers are looked up in the
+        packs of ``kind``, read once.  Worlds, timelines and learned
+        results are entry files, suffix artifacts are packed.  Hits and
+        misses are counted per key, as one :meth:`get` per key would
+        count them, under one ``store.get`` span (``keys``, ``hits``;
+        ``fingerprint`` too when there is one key).
+        """
+        _check_kind(kind)
+        if not keys:
+            return []
+        folder = self.root / kind
+        attrs = {"fingerprint": keys[0]} if len(keys) == 1 else {}
+        with self.tracer.span("store.get", kind=kind, keys=len(keys),
+                              **attrs) as span:
+            try:
+                names = set(os.listdir(folder))
+            except OSError:
+                names = set()
+            found = [self._read(folder / (key + ".pkl"))
+                     if key + ".pkl" in names else None for key in keys]
+            if names and any(artifact is None for artifact in found):
+                packed = self._packed(kind)
+                found = [packed.get(key) if artifact is None else artifact
+                         for key, artifact in zip(keys, found)]
+            hits = sum(artifact is not None for artifact in found)
+            misses = len(keys) - hits
+            span.set(hits=hits)
+            self.stats.hits += hits
+            self.stats.misses += misses
             if self.metrics is not None:
-                name = "store_hits" if hit else "store_misses"
-                self.metrics.counter(name).inc()
-        return artifact
+                # A counter is made only when a lookup moves it.
+                if hits:
+                    self.metrics.counter("store_hits").inc(hits)
+                if misses:
+                    self.metrics.counter("store_misses").inc(misses)
+        return found
 
     def _read(self, path: Path) -> Optional[object]:
         if not path.is_file():
@@ -313,7 +357,8 @@ class ArtifactStore:
         the hash.
         """
         envelope = _envelope(payload)
-        path = self.path_for(kind, payload, _digest(envelope))
+        path = self.path_for(kind, payload,
+                             _digest(encode_json(envelope["payload"])))
 
         def sidecar(handle) -> None:
             json.dump(envelope, handle, indent=2, sort_keys=True)

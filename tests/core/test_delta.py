@@ -4,9 +4,13 @@ import dataclasses
 
 import pytest
 
+import repro.core.delta as delta_module
 from repro.core.delta import (
+    LabelPlan,
+    TimelinePlan,
     dedupe_plans,
     diff_fingerprints,
+    learn_artifacts,
     plan_datasets,
     plan_timeline,
     resolve_plans,
@@ -15,9 +19,13 @@ from repro.core.hoiho import (
     Hoiho,
     HoihoConfig,
     SuffixArtifact,
+    _learn_artifact_worker,
+    precheck,
+    precheck_artifact,
     suffix_cache_payload,
     suffix_fingerprint,
 )
+from repro.core.parallel import ParallelConfig
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -203,3 +211,77 @@ class TestHoihoSuffixCache:
         counters = metrics.snapshot()["counters"]
         assert counters["suffix_cache_misses"] == 1
         assert counters["suffix_cache_hits"] == 1
+
+
+#: One dataset per cheap rejection, keyed by the reason it gets.
+REJECTED = {
+    "too few hostnames": SuffixDataset("few.com", [
+        TrainingItem("as1.few.com", 1), TrainingItem("as2.few.com", 2)]),
+    "single training ASN": SuffixDataset("one.com", [
+        TrainingItem("as100.r%d.one.com" % i, 100) for i in range(6)]),
+    "not enough apparent ASNs": SuffixDataset("names.com", [
+        TrainingItem("rtr%d.names.com" % i, 100 + i) for i in range(6)]),
+}
+
+
+class TestPrecheckGate:
+    """The planner rejects what the learner's prechecks reject, with
+    the artifact the learner would have returned."""
+
+    @pytest.mark.parametrize("enable_cache", [True, False])
+    @pytest.mark.parametrize("reason", sorted(REJECTED))
+    def test_planner_artifact_equals_the_learners(self, reason,
+                                                  enable_cache):
+        config = dataclasses.replace(FAST, enable_cache=enable_cache)
+        dataset = REJECTED[reason]
+        assert precheck(dataset, config) == reason
+        [plan] = plan_datasets([dataset], config)
+        _, artifacts = learn_artifacts(
+            None, lambda: TimelinePlan([LabelPlan("", [plan])], []),
+            config, ParallelConfig.serial(), None)
+        built = artifacts[plan.fingerprint]
+        assert built == precheck_artifact(dataset, config, reason) \
+            == _learn_artifact_worker(config, dataset)
+        assert built.rejected_reason == reason
+        assert bool(built.cache_stats) == enable_cache
+
+    def test_a_learnable_dataset_passes(self):
+        assert precheck(_dataset(), FAST) is None
+
+    def _items(self):
+        items = [item for dataset in REJECTED.values()
+                 for item in dataset.items]
+        return items + _dataset(n=16).items
+
+    def test_rejections_are_not_dispatched(self, monkeypatch):
+        learned = []
+        real = delta_module._learn_artifact_worker
+
+        def worker(config, dataset, **kwargs):
+            learned.append(dataset.suffix)
+            return real(config, dataset, **kwargs)
+        monkeypatch.setattr(delta_module, "_learn_artifact_worker", worker)
+        tracer = Tracer()
+        result = Hoiho(FAST, tracer=tracer).run(self._items())
+        assert learned == ["alpha-inc.org"]
+        assert sorted(result.conventions) == ["alpha-inc.org"]
+        assert result.suffixes_examined == 4
+        [plan] = [r["attrs"] for r in tracer.records
+                  if r["name"] == "learn.plan"]
+        assert {key: value for key, value in plan.items()
+                if key.startswith("rejected.")} \
+            == {"rejected." + reason: 1 for reason in REJECTED}
+        assert [r["attrs"]["suffix"] for r in tracer.records
+                if r["name"] == "learn.suffix"] == ["alpha-inc.org"]
+
+    def test_storeless_and_stored_runs_agree(self, store):
+        items = self._items()
+        storeless = Hoiho(FAST).run(items)
+        assert Hoiho(FAST, store=store).run(items) == storeless
+        # Every rejection is in the pack, as the learner would give it.
+        for reason, dataset in REJECTED.items():
+            key = suffix_fingerprint(dataset, FAST)
+            assert store.get(KIND_SUFFIX, None, key=key) \
+                == _learn_artifact_worker(FAST, dataset)
+        assert store.info()["kinds"][KIND_SUFFIX]["entries"] == 4
+        assert Hoiho(FAST, store=store).run(items) == storeless

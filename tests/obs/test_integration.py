@@ -6,6 +6,7 @@ spans re-parented under coordinator stages, store spans and counters,
 and a manifest whose stages account for the run.
 """
 
+from repro.core.congruence import apparent_runs
 from repro.core.hoiho import Hoiho
 from repro.core.parallel import ParallelConfig
 from repro.core.types import TrainingItem
@@ -96,17 +97,24 @@ class TestTracedContext:
         assert roots == ["stage.world", "stage.timeline", "stage.learn"]
 
     def test_suffix_spans_count_featurised_hostnames(self):
-        # Built before the memo is cleared, so only learning fills it.
+        # Built before the memos are cleared, so only learning fills
+        # them: the planner's prechecks under learn.plan, the rest under
+        # each learn.suffix.
         context = self._context()
         context.timeline
+        apparent_runs.cache_clear()
         embedded_ip_spans.cache_clear()
         context.learn_timeline()
         context.tracer.close()
+        [planned] = [r["attrs"]["features.computed"]
+                     for r in context.tracer.records
+                     if r["name"] == "learn.plan"]
         computed = [r["attrs"]["features.computed"]
                     for r in context.tracer.records
                     if r["name"] == "learn.suffix"]
-        assert computed and sum(computed) > 0
-        assert sum(computed) == embedded_ip_spans.cache_info().currsize
+        assert planned > 0 and computed and sum(computed) > 0
+        assert planned + sum(computed) \
+            == embedded_ip_spans.cache_info().currsize
 
     def test_snapshot_worker_spans_nest_under_timeline(self):
         context = self._context()
@@ -156,11 +164,10 @@ class TestTracedContext:
         warm.learn_timeline()
         warm.tracer.close()
         warm_names = _by_name(warm.tracer.records)
-        hits = [r for r in warm_names["store.get"]
-                if r["attrs"].get("hit")]
+        # A store.get span counts the hits of all its keys.
+        hits = sum(r["attrs"]["hits"] for r in warm_names["store.get"])
         assert hits
-        assert warm.metrics.snapshot()["counters"]["store_hits"] == \
-            len(hits)
+        assert warm.metrics.snapshot()["counters"]["store_hits"] == hits
 
     def test_manifest_validates_and_covers_stages(self):
         context = self._context()

@@ -95,7 +95,8 @@ def test_cached_counts_only_whole_result_store_hits(tmp_path):
     records = context.tracer.records
     hoiho_gets = [r for r in records if r["name"] == "store.get"
                   and r["attrs"].get("kind") == "hoiho"]
-    assert [g["attrs"]["hit"] for g in hoiho_gets] == [False, False]
+    assert [(g["attrs"]["keys"], g["attrs"]["hits"])
+            for g in hoiho_gets] == [(1, 0), (1, 0)]
     learns = [r for r in records if r["name"] == "stage.learn"]
     assert [r["attrs"]["cached"] for r in learns] == [0, 0]
     assert [r["attrs"]["sets"] for r in learns] == [1, 1]

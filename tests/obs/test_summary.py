@@ -2,6 +2,7 @@
 
 from repro.obs.summary import render_summary
 from repro.obs.trace import Tracer, load_trace
+from repro.store import KIND_SUFFIX, ArtifactStore
 
 
 def _trace_with_learning():
@@ -124,6 +125,33 @@ class TestTables:
         row = next(l for l in text.splitlines()
                    if l.strip().startswith("world"))
         assert row.split() == ["world", "1", "1", "1"]
+
+    def test_store_table_counts_batched_gets_by_key(self):
+        tracer = Tracer()
+        with tracer.span("store.get", kind="suffixes", keys=5, hits=3):
+            pass
+        with tracer.span("store.get", kind="suffixes", keys=1, hits=0,
+                         fingerprint="ab"):
+            pass
+        with tracer.span("store.put", kind="suffixes", entries=3):
+            pass
+        row = next(l for l in render_summary(tracer.export()).splitlines()
+                   if l.strip().startswith("suffixes"))
+        assert row.split() == ["suffixes", "3", "3", "1"]
+
+    def test_store_table_counts_a_real_batched_get(self, tmp_path):
+        tracer = Tracer()
+        store = ArtifactStore(tmp_path, tracer=tracer)
+        store.put_many(KIND_SUFFIX, {"a" * 64: 1, "b" * 64: 2})
+        store.get_many(KIND_SUFFIX, ["a" * 64, "c" * 64, "b" * 64])
+        lines = render_summary(tracer.export()).splitlines()
+        row = next(l for l in lines if l.strip().startswith("suffixes"))
+        assert row.split() == ["suffixes", "2", "1", "1"]
+        # The span tree shows the get's outcome too.
+        get = next(l for l in lines if "store.get" in l)
+        assert "keys=3" in get and "hits=2" in get
+        assert store.stats.as_dict() == {"hits": 2, "misses": 1,
+                                         "writes": 1}
 
 
 def _span(span_id, parent, name, wall):

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.congruence import apparent_runs, congruent
+from repro.core.congruence import apparent_asn_runs, apparent_runs, congruent
 from repro.util.ipaddr import embedded_ip_spans
 from repro.util.strings import digit_runs
 
@@ -234,3 +234,33 @@ def test_memoised_features_equal_fresh(observations):
 def test_memoised_features_equal_fresh_on_any_text(text, address):
     for _ in range(2):
         _check(text, 64500, address)
+
+
+@st.composite
+def wide_asn_observation(draw):
+    """An :func:`observation` whose ASN may also be any up to 2**70, or
+    a digit run of the hostname with a digit changed (a typo the
+    congruence rule may accept)."""
+    hostname, train_asn, address = draw(observation())
+    runs = [text for _, _, text in ref_digit_runs(hostname)]
+    shape = draw(st.sampled_from(["drawn", "wide", "typo"]))
+    if shape == "wide":
+        train_asn = draw(st.integers(min_value=0, max_value=2 ** 70))
+    elif shape == "typo" and runs:
+        text = draw(st.sampled_from(runs))
+        at = draw(st.integers(min_value=0, max_value=len(text) - 1))
+        digit = draw(st.sampled_from("0123456789"))
+        train_asn = int(text[:at] + digit + text[at + 1:])
+    return hostname, train_asn, address
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wide_asn_observation(), min_size=1, max_size=6))
+def test_apparent_runs_equal_spans_first_derivation(observations):
+    """:func:`apparent_runs` looks up the embedded-IP spans only when a
+    congruent run exists; the result must be the runs the spans-first
+    composition gives, on hit and miss alike."""
+    for hostname, train_asn, address in observations + observations[::-1]:
+        assert apparent_runs(hostname, train_asn, address) \
+            == apparent_asn_runs(hostname, train_asn,
+                                 embedded_ip_spans(hostname, address))

@@ -67,3 +67,63 @@ def test_one_fingerprinter_serves_every_dataset(datasets, config):
         dataset = SuffixDataset(suffix, item_list)
         assert encode(dataset) \
             == fingerprint(suffix_cache_payload(dataset, config))
+
+
+@given(st.lists(st.builds(TrainingItem,
+                          # Few hostnames, so items often share one and
+                          # differ only in ASN or address.
+                          hostname=st.sampled_from(["as1.例え.jp", "X.com"])
+                          | text,
+                          train_asn=st.integers(-2 ** 70, 2 ** 70),
+                          address=st.none() | text),
+                min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.tuples(text, st.lists(st.sampled_from(pool))),
+                          min_size=1, max_size=5)),
+       configs)
+def test_one_item_memo_serves_datasets_sharing_items(datasets, config):
+    """A fingerprinter encodes each distinct item once and reuses the
+    text for every later dataset holding it: the datasets here draw
+    from one pool of item objects, so most items are memo hits, and
+    the second pass (reversed) is all hits."""
+    encode = suffix_fingerprinter(config)
+    built = [SuffixDataset(suffix, item_list)
+             for suffix, item_list in datasets]
+    for dataset in built + built[::-1]:
+        assert encode(dataset) \
+            == fingerprint(suffix_cache_payload(dataset, config))
+
+
+def test_item_memo_with_non_ascii_and_unknown_addresses():
+    shared = [TrainingItem("as64500.zürich.例え.jp", 64500),
+              TrainingItem("as64501.zürich.例え.jp", 64501, "192.0.2.1"),
+              TrainingItem("as64501.zürich.例え.jp", 64502, "192.0.2.1"),
+              TrainingItem("as64501.zürich.例え.jp", 64501, None),
+              TrainingItem('as1."\\x.例え.jp', 2 ** 70, None)]
+    config = HoihoConfig()
+    encode = suffix_fingerprinter(config)
+    for dataset in (SuffixDataset("例え.jp", shared),
+                    SuffixDataset("例え.jp", shared[:2]),
+                    SuffixDataset("例え.jp", shared[1:] + shared[:1])):
+        assert encode(dataset) \
+            == fingerprint(suffix_cache_payload(dataset, config))
+
+
+def test_items_of_unusual_types_encode_as_the_payload_does():
+    """An ASN that is a bool or an int subclass, or an address that is
+    a str subclass, still digests as the payload does."""
+    import enum
+
+    class Asn(enum.IntEnum):
+        EXAMPLE = 64500
+
+    class Name(str):
+        pass
+
+    config = HoihoConfig()
+    encode = suffix_fingerprinter(config)
+    for item in (TrainingItem("as1.x.com", True),
+                 TrainingItem("as64500.x.com", Asn.EXAMPLE),
+                 TrainingItem("as64500.x.com", 64500, Name("192.0.2.1"))):
+        dataset = SuffixDataset("x.com", [item])
+        assert encode(dataset) \
+            == fingerprint(suffix_cache_payload(dataset, config))

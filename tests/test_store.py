@@ -22,6 +22,7 @@ from repro.core.hoiho import HoihoConfig, SuffixArtifact, suffix_cache_payload
 from repro.core.parallel import ParallelConfig
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.eval.context import ExperimentContext, Scale
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.store import (
     KIND_HOIHO,
@@ -520,6 +521,71 @@ class TestPacks:
         store.get(KIND_SUFFIX, None, key=key)
         store.get(KIND_SUFFIX, None, key=key)
         assert sum(p.name.startswith(PACK_PREFIX) for p in loads) == 2
+
+
+class TestGetMany:
+    """One lookup of many keys: one directory listing, one pack view,
+    and the entry files that exist, counted as one ``get`` per key."""
+
+    def _populated(self, root):
+        store = ArtifactStore(root)
+        entry = store.put(KIND_SUFFIX, {"suffix": "entry.com"}, "per-entry")
+        corrupt = store.put(KIND_SUFFIX, {"suffix": "bad.com"}, "fine")
+        corrupt.write_bytes(b"not a pickle")
+        batch = _batch(2)
+        store.put_many(KIND_SUFFIX, batch)
+        keys = [entry.stem, corrupt.stem, *batch, fingerprint({"n": 9})]
+        return keys, ["per-entry", None, *batch.values(), None]
+
+    def test_entry_pack_and_corrupt_entry(self, tmp_path, monkeypatch):
+        keys, expected = self._populated(tmp_path / "cache")
+        tracer = Tracer()
+        store = ArtifactStore(tmp_path / "cache", tracer=tracer)
+        loads = _spy_reads(store, monkeypatch)
+        assert store.get_many(KIND_SUFFIX, keys) == expected
+        # The two entry files on disk and the pack, each read once.
+        assert sorted(path.name for path in loads) == sorted(
+            [keys[0] + ".pkl", keys[1] + ".pkl"]
+            + [p.name for p in store.entries(KIND_SUFFIX)
+               if p.name.startswith(PACK_PREFIX)])
+        [get] = [r for r in tracer.records if r["name"] == "store.get"]
+        assert get["attrs"] == {"kind": KIND_SUFFIX, "keys": 5, "hits": 3}
+
+    def test_counts_as_one_get_per_key(self, tmp_path):
+        keys, _ = self._populated(tmp_path / "cache")
+        batched = ArtifactStore(tmp_path / "cache",
+                                metrics=MetricsRegistry())
+        single = ArtifactStore(tmp_path / "cache",
+                               metrics=MetricsRegistry())
+        batched.get_many(KIND_SUFFIX, keys + keys[:1])
+        for key in keys + keys[:1]:
+            single.get(KIND_SUFFIX, None, key=key)
+        assert batched.stats.as_dict() == single.stats.as_dict() \
+            == {"hits": 4, "misses": 2, "writes": 0}
+        assert batched.metrics.snapshot() == single.metrics.snapshot()
+
+    def test_all_misses_make_no_hit_counter(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache", metrics=MetricsRegistry())
+        assert store.get_many(KIND_WORLD, ["a" * 64, "b" * 64]) \
+            == [None, None]
+        counters = store.metrics.snapshot()["counters"]
+        assert counters == {"store_misses": 2}
+
+    def test_no_keys_is_no_lookup(self, tmp_path):
+        tracer = Tracer()
+        store = ArtifactStore(tmp_path / "cache", tracer=tracer)
+        assert store.get_many(KIND_SUFFIX, []) == []
+        assert tracer.records == [] and store.stats.misses == 0
+        with pytest.raises(ValueError, match="unknown artifact namespace"):
+            store.get_many("scratch", ["a" * 64])
+
+    def test_one_key_get_names_its_fingerprint(self, store):
+        tracer = store.tracer = Tracer()
+        path = store.put(KIND_WORLD, {"seed": 1}, "a world")
+        assert store.get(KIND_WORLD, {"seed": 1}) == "a world"
+        [get] = [r for r in tracer.records if r["name"] == "store.get"]
+        assert get["attrs"] == {"kind": KIND_WORLD, "keys": 1, "hits": 1,
+                                "fingerprint": path.stem}
 
 
 @pytest.fixture(scope="module")
