@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-slow test-faults bench lint
+.PHONY: test test-slow test-faults lint
 
 # Tier-1: slow (full-scale pipeline) and smoke tests are excluded by the
 # default pytest addopts; `make test-slow` runs only the slow ones.
@@ -20,12 +20,6 @@ test-faults:
 	$(PYTHON) -m pytest -q -m slow tests/core/test_resilience.py \
 		tests/serve/test_faults.py tests/eval/test_timeline_parallel.py \
 		tests/traceroute/test_walk_oracle.py
-
-# Refresh BENCH_learner.json: every section, or only the ones named in
-# SECTIONS (e.g. `make bench SECTIONS="serve http"`; the names are the
-# rows of repro.bench.SECTIONS).
-bench:
-	$(PYTHON) -m repro.cli bench $(foreach s,$(SECTIONS),--section $(s))
 
 # Compile every module in memory with warnings as errors, stdlib only
 # and writing no .pyc: a syntax error or a warning such as an invalid

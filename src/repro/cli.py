@@ -11,7 +11,7 @@ The verbs follow the paper's workflow:
 * ``annotate`` (alias ``apply``), ``serve``, ``serve-http`` and
   ``loadgen`` apply learned conventions through :mod:`repro.serve`;
 * ``serve-stats``, ``shadow-report``, ``watch``, ``slo-report``,
-  ``trace``, ``cache`` and ``bench`` inspect what the others recorded.
+  ``trace`` and ``cache`` inspect what the others recorded.
 
 Each verb is one row of :data:`_VERBS` and accepts only the flags it
 reads; ``repro-hoiho <verb> --help`` lists them.
@@ -78,17 +78,6 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
     return value
-
-
-def _bench_section(name: str) -> str:
-    """argparse type for ``bench --section``: a row of
-    :data:`repro.bench.SECTIONS` (imported only when the flag is
-    given)."""
-    from repro.bench import SECTIONS
-    if name not in SECTIONS:
-        raise argparse.ArgumentTypeError("%r is not one of %s"
-                                         % (name, ", ".join(SECTIONS)))
-    return name
 
 
 def _resolve_policies(args: argparse.Namespace) -> None:
@@ -383,9 +372,9 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive a running ``serve-http`` instance and report throughput
     and latency percentiles.  The hostname stream is ``--hostnames``
-    (bare hostnames) or, by default, the bench's deterministic Zipf
-    stream -- the same workload the in-process serve bench measures,
-    so the numbers are comparable."""
+    (bare hostnames) or, by default, the deterministic Zipf stream of
+    :func:`repro.bench.zipf_hostnames` -- the workload the in-process
+    serve bounds measure, so the numbers are comparable."""
     import json as _json
 
     from repro.serve.loadgen import LoadGenConfig, run_loadgen
@@ -425,70 +414,44 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_stats(args: argparse.Namespace) -> int:
-    """Render a saved metrics snapshot (``--metrics FILE``, repeatable
+    """Render saved metrics snapshots (``--metrics FILE``, repeatable
     -- several files merge additively via ``merge_snapshot``, e.g. the
-    per-worker flushes of a pre-fork server) or the ``serve`` section
-    of the bench report (``--output``, default ``BENCH_learner.json``).
-    A ``--metrics`` snapshot additionally renders as Prometheus text
+    per-worker flushes of a pre-fork server) as text, Prometheus text
     exposition (``--format prom``) or raw JSON (``--json``)."""
     import json as _json
 
     from repro.obs.metrics import MetricsRegistry, render_snapshot
     from repro.obs.prom import to_prometheus
 
-    if args.metrics:
-        snapshots = []
-        for path in args.metrics:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    snapshots.append(_json.load(handle))
-            except (OSError, ValueError) as exc:
-                print("cannot read metrics snapshot %s: %s"
-                      % (path, exc), file=sys.stderr)
-                return 2
-        if len(snapshots) == 1:
-            # One file renders verbatim, extras (memo, fused_plans)
-            # included; merging would drop non-instrument keys.
-            snapshot = snapshots[0]
-        else:
-            merged = MetricsRegistry()
-            try:
-                for payload in snapshots:
-                    merged.merge_snapshot(payload)
-            except ValueError as exc:
-                print("cannot merge metrics snapshots: %s" % exc,
-                      file=sys.stderr)
-                return 2
-            snapshot = merged.snapshot()
-        if args.json:
-            print(_json.dumps(snapshot, indent=2, sort_keys=True))
-        elif args.format == "prom":
-            print(to_prometheus(snapshot), end="")
-        else:
-            print(render_snapshot(snapshot))
-        return 0
-    if args.format == "prom":
-        print("serve-stats --format prom requires --metrics FILE "
-              "(the bench serve section is not a metrics snapshot)",
-              file=sys.stderr)
-        return 2
-    from repro.bench import render_serve_section
-    try:
-        with open(args.output, encoding="utf-8") as handle:
-            report = _json.load(handle)
-    except (OSError, ValueError) as exc:
-        print("cannot read bench report %s: %s" % (args.output, exc),
-              file=sys.stderr)
-        return 2
-    section = report.get("serve")
-    if not section:
-        print("no serve section in %s (run `make bench SECTIONS=serve`)"
-              % args.output, file=sys.stderr)
-        return 2
+    snapshots = []
+    for path in args.metrics:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                snapshots.append(_json.load(handle))
+        except (OSError, ValueError) as exc:
+            print("cannot read metrics snapshot %s: %s"
+                  % (path, exc), file=sys.stderr)
+            return 2
+    if len(snapshots) == 1:
+        # One file renders verbatim, extras (memo, fused_plans)
+        # included; merging would drop non-instrument keys.
+        snapshot = snapshots[0]
+    else:
+        merged = MetricsRegistry()
+        try:
+            for payload in snapshots:
+                merged.merge_snapshot(payload)
+        except ValueError as exc:
+            print("cannot merge metrics snapshots: %s" % exc,
+                  file=sys.stderr)
+            return 2
+        snapshot = merged.snapshot()
     if args.json:
-        print(_json.dumps(section, indent=2, sort_keys=True))
-        return 0
-    print(render_serve_section(section))
+        print(_json.dumps(snapshot, indent=2, sort_keys=True))
+    elif args.format == "prom":
+        print(to_prometheus(snapshot), end="")
+    else:
+        print(render_snapshot(snapshot))
     return 0
 
 
@@ -703,40 +666,6 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
     else:
         print(render_slo_report(report))
     return 0 if report["ok"] else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Measure the ``--section`` rows of :data:`repro.bench.SECTIONS`
-    (every one by default) into ``--output``.  ``--check`` evaluates
-    :data:`repro.bench.FLOORS` and exits 1 if any fails: after
-    ``--section`` runs it applies the live bounds to the sections just
-    measured (one CI round); alone it measures nothing and applies the
-    committed bounds to ``--output``."""
-    import json as _json
-
-    from repro.bench import check_floors, render_report, write_sections
-
-    if args.check and not args.section:
-        try:
-            with open(args.output, encoding="utf-8") as handle:
-                report = _json.load(handle)
-        except (OSError, ValueError) as exc:
-            print("cannot read %s: %s" % (args.output, exc),
-                  file=sys.stderr)
-            return 1
-    else:
-        report = write_sections(args.output, args.section,
-                                rounds=args.rounds, jobs=args.jobs)
-        print(render_report(report))
-        print("# report written to %s" % args.output)
-        if not args.check:
-            return 0
-    results = check_floors(report, live=args.section)
-    for _, line in results:
-        print(line)
-    failed = sum(1 for ok, _ in results if not ok)
-    print("# %d floor(s) checked, %d failed" % (len(results), failed))
-    return 1 if failed else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -980,19 +909,6 @@ _FLAGS: Dict[str, Dict[str, object]] = {
     "--metrics": dict(metavar="FILE", action="append",
                       help="a saved metrics snapshot (repeat to merge "
                            "several additively)"),
-    "--output": dict(metavar="FILE", default="BENCH_learner.json",
-                     help="the bench report JSON (default "
-                          "BENCH_learner.json)"),
-    "--section": dict(action="append", type=_bench_section,
-                      metavar="NAME",
-                      help="measure only this section (repeatable; a "
-                           "row of repro.bench.SECTIONS)"),
-    "--rounds": dict(type=int, default=None, metavar="N",
-                     help="best-of rounds per timing (default: each "
-                          "section's own)"),
-    "--check": dict(action="store_true",
-                    help="evaluate repro.bench.FLOORS; exit 1 if any "
-                         "fails"),
     "--json": dict(action="store_true",
                    help="emit raw JSON instead of the human rendering"),
     "--top": dict(type=int, default=10, metavar="N",
@@ -1063,16 +979,15 @@ _VERBS: Tuple[_Verb, ...] = (
     _Verb("loadgen", _cmd_loadgen,
           "drive a running serve-http and report latency",
           (("--hostnames", dict(help="bare hostnames to send (default: "
-                                     "the bench's Zipf stream)")),)
+                                     "repro.bench's Zipf stream)")),)
           + _ADDRESS + ("--mode", "--requests", "--concurrency", "--rate",
                         "--batch-size", "--loadgen-out")),
     _Verb("serve-stats", _cmd_serve_stats,
-          "render a metrics snapshot or the bench serve section",
-          ("--metrics",
+          "render saved metrics snapshots",
+          (("--metrics", dict(required=True)),
            ("--format", dict(choices=("prom", "text"), default="text",
-                             help="rendering of a --metrics snapshot "
-                                  "(default text)")),
-           "--json", "--output")),
+                             help="rendering (default text)")),
+           "--json")),
     _Verb("shadow-report", _cmd_shadow_report,
           "the shadow disagreement ledger",
           ("--history", "--metrics") + _ADDRESS + ("--json", "--top")),
@@ -1085,17 +1000,6 @@ _VERBS: Tuple[_Verb, ...] = (
                                    "<cache-dir>/history/"
                                    "serve-http.jsonl)")),
            "--slo", "--json") + _STORE),
-    _Verb("bench", _cmd_bench,
-          "measure BENCH_learner.json and check its floors",
-          (("--output", dict(help="the report to write, or to check "
-                                  "with --check alone (default "
-                                  "BENCH_learner.json)")),
-           "--section", "--rounds", "--check",
-           ("--jobs", dict(default=0,
-                           help="worker processes for the fan-out "
-                                "sections (0 = one per CPU, the "
-                                "default, at most 4 where a section "
-                                "caps it; 1 = serial)")))),
     _Verb("cache", _cmd_cache, "inspect or empty the artifact store",
           (("action", dict(nargs="?", choices=("info", "clear"),
                            default="info",

@@ -22,9 +22,9 @@ Two layers use these plans:
   against its ``suffixes/`` namespace and only the misses are learned
   and written back, so warm relearning cost is proportional to the
   delta, not the corpus;
-* the bench/CI incremental sections report the
-  :class:`DeltaSummary` numbers (changed/unchanged per consecutive
-  snapshot pair) and the cache hit rates.
+* ``stage.learn`` spans report the :class:`DeltaSummary` numbers
+  (changed/unchanged per consecutive snapshot pair) and the cache hit
+  rates.
 """
 
 from __future__ import annotations

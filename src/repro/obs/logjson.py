@@ -27,8 +27,8 @@ Design constraints that shaped the implementation:
   encodes pending records and writes them as one batch of whole lines
   every ``flush_seconds`` (or sooner when a batch builds up).  That
   keeps the hot-path cost per request to ~a microsecond -- measured
-  and budgeted by the ``obs_window`` bench section -- at the usual
-  access-log price: the tail of the log rides ~``flush_seconds``
+  and budgeted by ``tests/test_bench.py::TestObsWindowSection`` -- at
+  the usual access-log price: the tail of the log rides ~``flush_seconds``
   behind the traffic (``flush()``/``close()`` drain it synchronously),
   and a drainer that cannot keep up drops records beyond
   ``buffer_records`` rather than stall requests (counted in

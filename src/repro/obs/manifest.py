@@ -25,7 +25,8 @@ import platform
 import sys
 from typing import Dict, Iterable, List, Optional
 
-MANIFEST_SCHEMA_VERSION = 1
+#: v2: ``versions`` drops ``bench_schema``.
+MANIFEST_SCHEMA_VERSION = 2
 
 #: JSON-Schema (subset) for manifest.json; mirrored at
 #: docs/schemas/manifest.schema.json.
@@ -38,13 +39,11 @@ MANIFEST_SCHEMA: Dict[str, object] = {
         "fingerprint": {"type": "string"},
         "versions": {
             "type": "object",
-            "required": ["repro", "python", "store_schema",
-                         "bench_schema", "platform"],
+            "required": ["repro", "python", "store_schema", "platform"],
             "properties": {
                 "repro": {"type": "string"},
                 "python": {"type": "string"},
                 "store_schema": {"type": "integer"},
-                "bench_schema": {"type": "integer"},
                 "platform": {"type": "string"},
             },
         },
@@ -186,7 +185,6 @@ def build_manifest(fingerprint: str, seed: int, scale: str,
                    ) -> Dict[str, object]:
     """Assemble the manifest document for one run."""
     from repro import __version__
-    from repro.bench import BENCH_VERSION
     from repro.store import STORE_SCHEMA_VERSION
 
     return {
@@ -196,7 +194,6 @@ def build_manifest(fingerprint: str, seed: int, scale: str,
             "repro": __version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
             "store_schema": STORE_SCHEMA_VERSION,
-            "bench_schema": BENCH_VERSION,
             "platform": platform.platform(),
         },
         "seed": seed,

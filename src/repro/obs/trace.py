@@ -16,9 +16,9 @@ file back.
 **No-op mode.**  :data:`NULL_TRACER` is an always-off tracer whose
 ``span()`` returns a shared inert span.  Every instrumented call site
 defaults to it, so tracing-off costs one method call and an empty
-``with`` block per span site -- the ``obs`` section of the benchmark
-report measures this at well under the 2% budget
-(``repro.bench.run_obs_bench``).
+``with`` block per span site -- ``repro.bench.run_obs_bench``
+measures this, and ``tests/test_bench.py`` holds it under the 2%
+budget.
 
 **Worker capture.**  Only work that crosses a process is captured.
 In process, ``parallel_map``/``stream_map`` (:mod:`repro.core.parallel`)

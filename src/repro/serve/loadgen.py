@@ -19,9 +19,10 @@ Two loop disciplines, because they answer different questions:
   absorbed (the coordinated-omission correction).  Measures *behaviour
   at a given offered load*.
 
-Determinism: the caller supplies the hostname stream (the bench reuses
-``repro.bench.zipf_hostnames``, the PR-6 Zipf workload, so HTTP numbers
-are comparable with the in-process memo/dispatch kernels) and
+Determinism: the caller supplies the hostname stream (``repro-hoiho
+loadgen`` defaults to ``repro.bench.zipf_hostnames``, the Zipf workload
+the in-process memo/dispatch kernels time, so the numbers are
+comparable) and
 :func:`workload_fingerprint` hashes it into the result, so two reports
 claiming the same fingerprint measured byte-identical workloads.
 
@@ -59,10 +60,9 @@ LOADGEN_LATENCY_BOUNDS = (
 def workload_fingerprint(hostnames: Sequence[str]) -> str:
     """SHA-256 over the exact hostname stream (order-sensitive).
 
-    Recorded in every loadgen result and in the bench ``http`` section:
-    equal fingerprints mean byte-identical workloads, so throughput
-    numbers are comparable across runs and against the in-process
-    serve bench, which fingerprints the same ``zipf_hostnames`` stream.
+    Recorded in every loadgen result: equal fingerprints mean
+    byte-identical workloads, so throughput numbers are comparable
+    across runs.
     """
     digest = hashlib.sha256()
     for hostname in hostnames:

@@ -41,8 +41,8 @@ Design points:
   through the existing atomic ``reload_result`` machinery and clears
   the ledger.
   Each side keeps its own memo, so the dual-annotation cost on a
-  memo-warm Zipf stream stays near 2x a single set (the bench ``shadow``
-  section holds it under 2.2x).
+  memo-warm Zipf stream stays near 2x a single set
+  (``tests/integration/test_serve_bounds.py`` holds it under 3.0x).
 
 Divergence classes per request (the suffix label is the side that
 annotated; ``(none)`` when both missed):

@@ -189,3 +189,13 @@ class TestLearnerIntegration:
             SuffixDataset("z.org", items),
             HoihoConfig(enable_cache=False))
         assert trace.cache_stats is None
+
+    def test_one_cached_learn_does_pinned_work(self):
+        """The cache's work on one 80-hostname suffix is deterministic:
+        8 vectors each matched over every item, then served 38 times
+        and composed 33 times."""
+        from repro.bench import bench_dataset
+        _, trace = learn_suffix_traced(bench_dataset(), HoihoConfig())
+        stats = trace.cache_stats
+        assert (stats.vectors_built, stats.vector_hits, stats.match_calls,
+                stats.compositions) == (8, 38, 640, 33)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.obs.trace import Tracer
 
 SCHEMAS_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
                            "docs", "schemas")
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def _records():
@@ -116,8 +119,22 @@ class TestManifest:
     def test_build_manifest_matches_schema(self):
         manifest = self._manifest()
         assert validate_schema(manifest, MANIFEST_SCHEMA) == []
-        assert manifest["manifest_schema"] == MANIFEST_SCHEMA_VERSION
+        assert manifest["manifest_schema"] == MANIFEST_SCHEMA_VERSION == 2
         assert manifest["versions"]["python"].count(".") == 2
+        assert set(manifest["versions"]) \
+            == {"repro", "python", "store_schema", "platform"}
+
+    def test_build_manifest_imports_no_bench_module(self):
+        # A fresh interpreter: this one has imported repro.bench.
+        script = ("import sys\n"
+                  "from repro.obs.manifest import build_manifest\n"
+                  "build_manifest('f', 1, 'tiny', [], 0.0)\n"
+                  "print('repro.bench' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_write_and_validate_round_trip(self, tmp_path):
         path = str(tmp_path / "manifest.json")
