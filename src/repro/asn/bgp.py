@@ -9,7 +9,7 @@ through to the following hop).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.ipaddr import IPv4Prefix, int_to_ip
 from repro.util.radix import PrefixTable

@@ -46,7 +46,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.regex_model": (
         "Alt", "Any_", "Cap", "ClassSeq", "Exclude", "Lit", "Regex",
     ),
-    "repro.core.evaluate": ("NCScore", "evaluate_nc", "evaluate_regex"),
+    "repro.core.evaluate": ("NCScore", "evaluate_nc"),
     "repro.core.matchcache": (
         "CacheStats", "ComposedNC", "MatchCache", "MatchVector",
     ),

@@ -12,8 +12,7 @@ Consecutive snapshots are also diffed fingerprint-by-fingerprint into
 
 Two layers use these plans:
 
-* every learner call -- :class:`~repro.core.hoiho.Hoiho` (``run`` and
-  ``run_datasets``) and
+* every learner call -- :meth:`~repro.core.hoiho.Hoiho.run` and
   :meth:`~repro.eval.context.ExperimentContext.learn_timeline` -- learns
   through :func:`learn_artifacts`: plan, dedupe identical suffix
   training sets, reject the unique ones that fail the learner's cheap
@@ -346,7 +345,7 @@ def learn_artifacts(store, make_plan: Callable[[], TimelinePlan],
                 new[first.fingerprint] = None
             else:
                 new[first.fingerprint] = precheck_artifact(
-                    first.dataset, config, reason)
+                    first.dataset, reason)
                 rejected[reason] += 1
         plan_span.set(plans=len(hits) + len(misses), **{
             "features.computed":

@@ -9,14 +9,11 @@ distinct congruent extracted ASNs that gates usability (section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.congruence import Outcome, classify_extraction
+from repro.core.congruence import Outcome
 from repro.core.regex_model import Regex
 from repro.core.types import SuffixDataset
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.matchcache import MatchCache
 
 
 @dataclass
@@ -60,62 +57,15 @@ class NCScore:
 
 
 def evaluate_nc(regexes: Sequence[Regex], dataset: SuffixDataset,
-                keep_outcomes: bool = False,
-                cache: "Optional[MatchCache]" = None) -> NCScore:
-    """Score an ordered regex set over ``dataset``.
+                keep_outcomes: bool = False) -> NCScore:
+    """Score an ordered regex set over ``dataset`` once.
 
     The first matching regex supplies the extraction for a hostname;
     hostnames matching no regex are FNs when they contain an apparent
     ASN.  With ``keep_outcomes`` the per-item classifications are
-    retained (used by phase analysis and reporting).  With ``cache`` (a
-    :class:`~repro.core.matchcache.MatchCache` bound to ``dataset``) the
-    score is composed from per-regex match vectors, so already-scored
-    regexes are never re-matched.
+    retained (used by reporting).  The score comes from a fresh
+    :class:`~repro.core.matchcache.MatchCache`, the one scorer; callers
+    that score many regexes over one dataset keep a cache instead.
     """
-    if cache is not None:
-        return cache.score_nc(regexes, keep_outcomes=keep_outcomes)
-    score = NCScore()
-    for index, item in enumerate(dataset.items):
-        extracted: Optional[str] = None
-        span: Optional[Tuple[int, int]] = None
-        for regex in regexes:
-            hit = regex.extract(item.hostname)
-            if hit is not None:
-                extracted, span = hit
-                break
-        outcome = classify_extraction(extracted, span, item.hostname,
-                                      item.train_asn,
-                                      dataset.ip_spans(index))
-        if extracted is not None:
-            score.matches += 1
-        if outcome is Outcome.TP:
-            score.tp += 1
-            score.distinct_asns.add(int(extracted))  # type: ignore[arg-type]
-        elif outcome is Outcome.FP:
-            score.fp += 1
-        elif outcome is Outcome.FN:
-            score.fn += 1
-        if keep_outcomes:
-            score.outcomes.append((outcome, extracted))
-    return score
-
-
-def evaluate_regex(regex: Regex, dataset: SuffixDataset,
-                   keep_outcomes: bool = False,
-                   cache: "Optional[MatchCache]" = None) -> NCScore:
-    """Score a single regex (an NC of one)."""
-    if cache is not None:
-        return cache.score_regex(regex, keep_outcomes=keep_outcomes)
-    return evaluate_nc((regex,), dataset, keep_outcomes=keep_outcomes)
-
-
-def matched_indices(regex: Regex, dataset: SuffixDataset,
-                    cache: "Optional[MatchCache]" = None) -> List[int]:
-    """Indices of items the regex matches (used by phase 3)."""
-    if cache is not None:
-        return cache.matched_indices(regex)
-    out: List[int] = []
-    for index, item in enumerate(dataset.items):
-        if regex.compiled.match(item.hostname) is not None:
-            out.append(index)
-    return out
+    from repro.core.matchcache import MatchCache
+    return MatchCache(dataset).score_nc(regexes, keep_outcomes=keep_outcomes)

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.evaluate import NCScore, evaluate_regex
+from repro.core.evaluate import NCScore
 from repro.core.matchcache import CacheStats, MatchCache
 from repro.core.parallel import ParallelConfig
 from repro.core.resilience import RetryPolicy
@@ -48,7 +48,7 @@ class HoihoConfig:
     """Learner knobs.
 
     The defaults mirror the paper's behaviour; the phase switches exist
-    for the ablation benchmarks.
+    for the ablation experiment.
     """
 
     min_hostnames: int = 4          # smallest suffix worth learning
@@ -63,7 +63,6 @@ class HoihoConfig:
     enable_merge: bool = True       # phase 2
     enable_classes: bool = True     # phase 3
     enable_sets: bool = True        # phase 4
-    enable_cache: bool = True       # match-vector evaluation cache
 
 
 def _config_payload(config: HoihoConfig) -> Dict[str, object]:
@@ -78,11 +77,9 @@ def suffix_cache_payload(dataset: SuffixDataset,
 
     Everything the learned convention is a function of: the suffix, its
     full (normalised, deduplicated, sorted) training observations, and
-    every :class:`HoihoConfig` field.  The config participates whole --
-    even ``enable_cache``, which cannot change *which* convention is
-    selected but does change whether per-item outcomes ride along on
-    the winning score -- so a cached artifact is exactly what a fresh
-    learn under the same config would have produced, field for field.
+    every :class:`HoihoConfig` field.  The config participates whole,
+    so a cached artifact is exactly what a fresh learn under the same
+    config would have produced, field for field.
 
     Its :func:`~repro.store.fingerprint` is the suffix's fingerprint;
     :func:`suffix_fingerprinter` computes the same digest without
@@ -179,10 +176,10 @@ def _suffix_artifact(dataset: SuffixDataset,
         "phase3_added": len(record.phase3_added),
         "conventions": len(record.conventions),
     }
-    stats = record.cache_stats.as_dict() if record.cache_stats else {}
     return SuffixArtifact(suffix=dataset.suffix, convention=convention,
                           rejected_reason=record.rejected_reason,
-                          phases=phases, cache_stats=stats)
+                          phases=phases,
+                          cache_stats=record.cache_stats.as_dict())
 
 
 @dataclass
@@ -205,7 +202,7 @@ class LearnTrace:
     conventions: List[Tuple[Tuple[Regex, ...], NCScore]] = field(
         default_factory=list)
     rejected_reason: Optional[str] = None
-    cache_stats: Optional[CacheStats] = None
+    cache_stats: CacheStats = field(default_factory=CacheStats)
 
     def best_phase1(self, n: int = 5) -> List[Tuple[Regex, NCScore]]:
         """Top-n base regexes by rank."""
@@ -253,15 +250,13 @@ def precheck(dataset: SuffixDataset, config: HoihoConfig) -> Optional[str]:
     return None
 
 
-def precheck_artifact(dataset: SuffixDataset, config: HoihoConfig,
+def precheck_artifact(dataset: SuffixDataset,
                       reason: str) -> SuffixArtifact:
     """The artifact :func:`_learn_artifact_worker` returns for a
     dataset :func:`precheck` rejects with ``reason``, field for field,
-    built without running the learner: no phase ran, and with the
-    match cache on its counters are all zero."""
-    record = LearnTrace(suffix=dataset.suffix, rejected_reason=reason,
-                        cache_stats=CacheStats() if config.enable_cache
-                        else None)
+    built without running the learner: no phase ran, so the match
+    cache's counters are all zero."""
+    record = LearnTrace(suffix=dataset.suffix, rejected_reason=reason)
     return _suffix_artifact(dataset, None, record)
 
 
@@ -296,11 +291,18 @@ def learn_suffix_traced(dataset: SuffixDataset,
     timing record.
     """
     config = config or HoihoConfig()
+    cache = MatchCache(dataset)
+    record = LearnTrace(suffix=dataset.suffix, cache_stats=cache.stats)
     with tracer.span("learn.suffix", suffix=dataset.suffix,
                      items=len(dataset)) as span:
         misses = embedded_ip_spans.cache_info().misses
-        convention, record = _learn_suffix_phases(dataset, config, tracer,
-                                                  span)
+        try:
+            convention = _run_phases(dataset, config, tracer, span, record,
+                                     cache)
+        finally:
+            span.set(match_calls=cache.stats.match_calls,
+                     vector_hits=cache.stats.vector_hits,
+                     hit_rate=cache.stats.hit_rate)
         span.set(kept=len(convention.regexes)
                  if convention is not None else 0)
         span.set(**{"features.computed":
@@ -310,37 +312,15 @@ def learn_suffix_traced(dataset: SuffixDataset,
     return convention, record
 
 
-def _learn_suffix_phases(dataset: SuffixDataset, config: HoihoConfig,
-                         tracer, span,
-                         ) -> Tuple[Optional[LearnedConvention], LearnTrace]:
-    """The phase 1-4 + select body of :func:`learn_suffix_traced`.
-
-    Split out so the ``learn.suffix`` span brackets everything --
-    including the cheap pre-check rejections that exit before phase 1.
-    """
-    record = LearnTrace(suffix=dataset.suffix)
-    cache = MatchCache(dataset) if config.enable_cache else None
-    if cache is not None:
-        record.cache_stats = cache.stats
-
-    def reject(reason: str):
-        record.rejected_reason = reason
-        return None, record
-
-    try:
-        return _run_phases(dataset, config, tracer, span, record, cache,
-                           reject)
-    finally:
-        if cache is not None:
-            span.set(match_calls=cache.stats.match_calls,
-                     vector_hits=cache.stats.vector_hits,
-                     hit_rate=cache.stats.hit_rate)
-
-
 def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
-                span, record: LearnTrace,
-                cache: Optional[MatchCache], reject,
-                ) -> Tuple[Optional[LearnedConvention], LearnTrace]:
+                span, record: LearnTrace, cache: MatchCache,
+                ) -> Optional[LearnedConvention]:
+    """The precheck, phases 1-4 and selection of
+    :func:`learn_suffix_traced`; a rejection's reason goes to
+    ``record``."""
+    def reject(reason: str) -> None:
+        record.rejected_reason = reason
+
     reason = precheck(dataset, config)
     if reason is not None:
         return reject(reason)
@@ -356,7 +336,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
 
         scored: Dict[Regex, NCScore] = {}
         for regex in candidates:
-            score = evaluate_regex(regex, dataset, cache=cache)
+            score = cache.score_regex(regex)
             if score.tp > 0:
                 scored[regex] = score
         record.phase1_scored = list(scored.items())
@@ -371,7 +351,7 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
     if config.enable_merge:
         with tracer.span("learn.phase2"):
             for regex in merge_regexes(list(scored)):
-                score = evaluate_regex(regex, dataset, cache=cache)
+                score = cache.score_regex(regex)
                 if score.tp > 0:
                     scored[regex] = score
                     record.phase2_added.append((regex, score))
@@ -379,20 +359,19 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
     if config.enable_classes:
         with tracer.span("learn.phase3"):
             for regex in list(scored):
-                specialised = specialise_regex(regex, dataset, cache=cache)
+                specialised = specialise_regex(regex, cache)
                 if specialised is None or specialised in scored:
                     continue
-                score = evaluate_regex(specialised, dataset, cache=cache)
+                score = cache.score_regex(specialised)
                 if score.atp >= scored[regex].atp:
                     scored[specialised] = score
                     record.phase3_added.append((specialised, score))
 
     with tracer.span("learn.phase4"):
         if config.enable_sets:
-            conventions = build_regex_sets(scored, dataset,
+            conventions = build_regex_sets(scored, cache,
                                            pool_size=config.set_pool,
-                                           n_seeds=config.n_seeds,
-                                           cache=cache)
+                                           n_seeds=config.n_seeds)
         else:
             ranked = sorted(scored,
                             key=lambda r: scored[r].rank_key()
@@ -402,17 +381,19 @@ def _run_phases(dataset: SuffixDataset, config: HoihoConfig, tracer,
         record.conventions = conventions[:10]
 
     with tracer.span("learn.select"):
-        selection = select_best(conventions, cache=cache)
-    if selection is None:
-        return reject("no convention selected")
-    regexes, score = selection
+        selection = select_best(conventions)
+        if selection is None:
+            return reject("no convention selected")
+        # Attach the winner's per-item outcomes -- a vector composition,
+        # not a re-match -- so reporting renders the per-hostname view
+        # without scoring again.
+        regexes = selection[0]
+        score = cache.score_nc(regexes, keep_outcomes=True)
     if score.distinct < config.min_distinct_asns or score.tp < config.min_tp:
         return reject("below usability gates "
                       "(distinct=%d tp=%d)" % (score.distinct, score.tp))
-    convention = LearnedConvention(suffix=dataset.suffix, regexes=regexes,
-                                   score=score,
-                                   nc_class=classify_nc(score))
-    return convention, record
+    return LearnedConvention(suffix=dataset.suffix, regexes=regexes,
+                             score=score, nc_class=classify_nc(score))
 
 
 def _learn_artifact_worker(config: HoihoConfig, dataset: SuffixDataset,
@@ -475,13 +456,6 @@ class Hoiho:
         return self._learn(lambda: plan_items(items, self.config,
                                               psl=self.psl,
                                               tracer=self.tracer))
-
-    def run_datasets(self,
-                     datasets: Iterable[SuffixDataset]) -> HoihoResult:
-        """Learn over pre-grouped datasets."""
-        from repro.core.delta import plan_datasets
-        return self._learn(lambda: plan_datasets(list(datasets),
-                                                 self.config))
 
     def _learn(self, make_plans: Callable[[], list]) -> HoihoResult:
         """Learn the suffix plans ``make_plans`` builds, under a

@@ -4,9 +4,9 @@ The four learning phases evaluate the same regexes against the same
 suffix dataset over and over: phase 1 scores every candidate, phase 2
 scores merges of those candidates, phase 3 re-scores specialisations,
 and phase 4 builds regex *sets* by repeatedly scoring supersets of
-regexes it has already measured.  Every one of those evaluations walks
-the whole dataset calling ``re.match`` and re-deriving the apparent-ASN
-baseline for unmatched hostnames.
+regexes it has already measured.  Scored directly, every one of those
+evaluations would walk the whole dataset calling ``re.match`` and
+re-deriving the apparent-ASN baseline for unmatched hostnames.
 
 A :class:`MatchCache` computes, once per regex, a per-item *match
 vector* -- did the regex match, what text/span it extracted, and the
@@ -25,6 +25,11 @@ is computed once per dataset instead of once per unmatched item per
 evaluation.  :class:`CacheStats` counts the work performed and avoided;
 ``learn.suffix`` spans carry the counts, and
 ``tests/core/test_matchcache.py`` pins them on one suffix.
+
+It is the only scorer: every phase and
+:func:`~repro.core.evaluate.evaluate_nc` score through it.  The direct
+first-match loop it replaces lives on in ``tests/reference_scoring.py``
+as the oracle its scores are held to.
 """
 
 from __future__ import annotations
@@ -159,12 +164,6 @@ class MatchCache:
         self._vectors[regex.pattern] = vector
         self.stats.vectors_built += 1
         return vector
-
-    def matched_indices(self, regex: Regex) -> List[int]:
-        """Indices of items the regex matches (vector-backed)."""
-        vector = self.vector(regex)
-        return [index for index, hit in enumerate(vector.hits)
-                if hit is not None]
 
     def score_regex(self, regex: Regex,
                     keep_outcomes: bool = False) -> NCScore:

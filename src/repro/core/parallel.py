@@ -1,7 +1,7 @@
 """Parallel execution policy for the learner and the eval harness.
 
 Learning is embarrassingly parallel at two granularities: suffix
-datasets are independent (``Hoiho.run_datasets``), and the timeline's
+datasets are independent (``Hoiho.run``), and the timeline's
 training sets are independent (``ExperimentContext``).  A
 :class:`ParallelConfig` describes how to fan either out; the default is
 serial, and parallel runs are constructed to be *bit-identical* to

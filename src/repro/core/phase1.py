@@ -10,10 +10,10 @@ regex -- with ``.+``.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.core.regex_model import Any_, Cap, Element, Exclude, Lit, Regex
-from repro.core.types import SuffixDataset, TrainingItem
+from repro.core.types import SuffixDataset
 
 
 def _segment_offsets(tokens: Sequence[str]) -> List[int]:

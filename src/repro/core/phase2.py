@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.core.regex_model import Alt, Cap, Element, Lit, Regex
+from repro.core.regex_model import Alt, Element, Lit, Regex
 
 _MAX_OPTIONS = 6
 _MAX_OPTION_LEN = 8

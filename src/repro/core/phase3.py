@@ -9,9 +9,9 @@ scores at least as well, increasing specificity without losing coverage.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, \
-    Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
+from repro.core.matchcache import MatchCache
 from repro.core.regex_model import (
     CLASS_ALPHA,
     CLASS_DIGIT,
@@ -21,10 +21,6 @@ from repro.core.regex_model import (
     Regex,
     instrumented_pattern,
 )
-from repro.core.types import SuffixDataset
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.matchcache import MatchCache
 
 
 def _atoms_for(texts: Sequence[str]) -> FrozenSet[str]:
@@ -42,35 +38,31 @@ def _atoms_for(texts: Sequence[str]) -> FrozenSet[str]:
 
 
 def specialise_regex(regex: Regex,
-                     dataset: SuffixDataset,
-                     cache: "Optional[MatchCache]" = None) -> Optional[Regex]:
-    """The character-class specialisation of ``regex``, if one exists.
+                     cache: MatchCache) -> Optional[Regex]:
+    """The character-class specialisation of ``regex`` over the dataset
+    ``cache`` is bound to, if one exists.
 
     Returns ``None`` when the regex has no exclusion components or never
-    matches the dataset.  With ``cache`` a regex whose (already cached)
-    match vector is empty is skipped without the instrumented re-match.
+    matches the dataset; a regex whose match vector is empty is skipped
+    without the instrumented re-match.
     """
     exclude_positions = [i for i, el in enumerate(regex.elements)
                          if isinstance(el, Exclude)]
     if not exclude_positions:
         return None
-    if cache is not None and cache.vector(regex).n_matched == 0:
+    if cache.vector(regex).n_matched == 0:
         return None
     variable_positions = [i for i, el in enumerate(regex.elements)
                           if el.variable]
     compiled, group_numbers = instrumented_pattern(regex)
     matched_texts: Dict[int, List[str]] = {i: [] for i in exclude_positions}
-    matched_any = False
-    for item in dataset.items:
+    for item in cache.dataset.items:
         match = compiled.match(item.hostname)
         if match is None:
             continue
-        matched_any = True
         for position, group in zip(variable_positions, group_numbers):
             if position in matched_texts:
                 matched_texts[position].append(match.group(group))
-    if not matched_any:
-        return None
     new_elements: List[Element] = list(regex.elements)
     changed = False
     for position in exclude_positions:

@@ -10,14 +10,11 @@ surface (the training ASN might be the wrong one).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.evaluate import NCScore, evaluate_nc
+from repro.core.evaluate import NCScore
+from repro.core.matchcache import ComposedNC, MatchCache
 from repro.core.regex_model import Regex
-from repro.core.types import SuffixDataset
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.matchcache import MatchCache
 
 
 def rank_regexes(scored: Dict[Regex, NCScore]) -> List[Regex]:
@@ -33,10 +30,9 @@ def rank_regexes(scored: Dict[Regex, NCScore]) -> List[Regex]:
 
 
 def build_regex_sets(scored: Dict[Regex, NCScore],
-                     dataset: SuffixDataset,
+                     cache: MatchCache,
                      pool_size: int = 25,
                      n_seeds: int = 6,
-                     cache: "Optional[MatchCache]" = None,
                      ) -> List[Tuple[Tuple[Regex, ...], NCScore]]:
     """Candidate naming conventions (regex sets) with their scores.
 
@@ -45,10 +41,10 @@ def build_regex_sets(scored: Dict[Regex, NCScore],
     result always includes the single-regex conventions for the pool, so
     selection (section 3.6) can prefer fewer regexes.
 
-    With ``cache`` each candidate superset is scored by extending a
+    Each candidate superset is scored by extending a
     :class:`~repro.core.matchcache.ComposedNC` -- O(items) per candidate
-    from already-built match vectors -- instead of re-running every
-    regex in the set against every hostname.
+    from the match vectors ``cache`` already built -- instead of
+    re-running every regex in the set against every hostname.
     """
     ranked = rank_regexes(scored)[:pool_size]
     conventions: Dict[Tuple[Regex, ...], NCScore] = {}
@@ -60,22 +56,13 @@ def build_regex_sets(scored: Dict[Regex, NCScore],
         seed = ranked[seed_index]
         working: List[Regex] = [seed]
         current = scored[seed]
-        if cache is not None:
-            from repro.core.matchcache import ComposedNC
-            composed = ComposedNC.of(cache, (seed,))
-            for regex in ranked[seed_index + 1:]:
-                candidate = composed.extend(regex)
-                if candidate.score.atp > current.atp:
-                    working.append(regex)
-                    composed = candidate
-                    current = candidate.score
-        else:
-            for regex in ranked[seed_index + 1:]:
-                candidate_score = evaluate_nc(
-                    tuple(working) + (regex,), dataset)
-                if candidate_score.atp > current.atp:
-                    working.append(regex)
-                    current = candidate_score
+        composed = ComposedNC.of(cache, (seed,))
+        for regex in ranked[seed_index + 1:]:
+            candidate = composed.extend(regex)
+            if candidate.score.atp > current.atp:
+                working.append(regex)
+                composed = candidate
+                current = candidate.score
         key = tuple(working)
         if key not in conventions:
             conventions[key] = current

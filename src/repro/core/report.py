@@ -9,7 +9,7 @@ and the extraction).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.core.congruence import Outcome
 from repro.core.evaluate import evaluate_nc

@@ -17,8 +17,8 @@ a router or merging different routers under one name.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.regex_model import Regex, escape_literal
 from repro.psl import PublicSuffixList, default_psl

@@ -20,7 +20,6 @@ from repro.core.evaluate import NCScore
 from repro.core.regex_model import Regex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.matchcache import MatchCache
     from repro.core.taxonomy import Taxonomy
     from repro.psl import PublicSuffixList
 
@@ -49,15 +48,11 @@ def classify_nc(score: NCScore) -> NCClass:
 
 def select_best(
     conventions: Sequence[Tuple[Tuple[Regex, ...], NCScore]],
-    cache: "Optional[MatchCache]" = None,
 ) -> Optional[Tuple[Tuple[Regex, ...], NCScore]]:
     """Pick the best convention from phase-4 candidates.
 
     ``conventions`` must already be ordered best-first by ATP rank (as
-    :func:`repro.core.phase4.build_regex_sets` returns them).  With
-    ``cache`` the winner's score is re-composed with per-item outcomes
-    attached -- a vector composition, not a re-match -- so reporting can
-    render the per-hostname view without evaluating again.
+    :func:`repro.core.phase4.build_regex_sets` returns them).
     """
     if not conventions:
         return None
@@ -68,8 +63,6 @@ def select_best(
                 and score.tp >= best_score.tp
                 and score.fp <= best_score.fp + 1):
             best_regexes, best_score = regexes, score
-    if cache is not None and not best_score.outcomes:
-        best_score = cache.score_nc(best_regexes, keep_outcomes=True)
     return best_regexes, best_score
 
 

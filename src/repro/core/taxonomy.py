@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Sequence, Tuple
 
-from repro.core.regex_model import Alt, Cap, Element, Lit, Regex
+from repro.core.regex_model import Alt, Element, Lit, Regex
 
 
 class Taxonomy(enum.Enum):

@@ -11,11 +11,10 @@ suffix overlap analysis in section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
 from repro.eval.common import render_table
 from repro.eval.context import ExperimentContext
-from repro.eval.timeline import KIND_ITDK, KIND_PDB
 
 
 @dataclass

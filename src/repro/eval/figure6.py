@@ -10,7 +10,7 @@ reproduces the series and the sibling adjustment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.core.congruence import Outcome
 from repro.core.evaluate import evaluate_nc

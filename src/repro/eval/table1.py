@@ -11,7 +11,7 @@ while operators labelling a *neighbor* put it at the start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.select import LearnedConvention
 from repro.core.taxonomy import Taxonomy, taxonomy_of

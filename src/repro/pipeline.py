@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from repro.asn.org import ASOrgMap
 from repro.bdrmapit.algorithm import AnnotationConfig, annotate
 from repro.bdrmapit.graph import RouterGraph, build_router_graph
 from repro.core.types import TrainingItem

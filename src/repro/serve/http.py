@@ -102,8 +102,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterator, List, NamedTuple, \
     Optional, Tuple, Union
 
-from repro.obs.logjson import JsonLogger, NULL_LOG, new_request_id, \
-    open_json_logger
+from repro.obs.logjson import JsonLogger, new_request_id, open_json_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import to_prometheus
 from repro.obs.timeseries import HistoryStore, RollingWindows

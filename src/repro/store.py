@@ -19,7 +19,7 @@ Layout on disk::
                                       ITDK snapshot result as a pickled
                                       body that loads on first use
       hoiho/...                       whole-result learned conventions
-      suffixes/pack-v4-<hash>.pkl     per-suffix learned conventions
+      suffixes/pack-v5-<hash>.pkl     per-suffix learned conventions
                                       (content-addressed by training set
                                       + learner config; the incremental
                                       relearning substrate): packs named
@@ -55,7 +55,9 @@ logger = logging.getLogger(__name__)
 #: tokens and the payload nests beside the schema version.  v3: a
 #: world's RouteTable holds one hash table per prefix length, not a trie.
 #: v4: results store no traces or naming; suffixes live only in packs.
-STORE_SCHEMA_VERSION = 4
+#: v5: ``HoihoConfig`` lost ``enable_cache`` (the match cache is the
+#: only scorer), so every suffix, ``hoiho/`` and run key moved.
+STORE_SCHEMA_VERSION = 5
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).
 KIND_WORLD = "worlds"

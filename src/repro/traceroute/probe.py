@@ -20,16 +20,13 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
 
 from repro.topology.routers import (
     Interface,
-    InterfaceKind,
     Link,
     LinkKind,
     Router,
-    RouterLevelTopology,
 )
 from repro.topology import geo
 from repro.topology.world import World
 from repro.traceroute.routing import RoutingModel
-from repro.util.ipaddr import IPv4Prefix
 from repro.util.radix import PrefixTable
 from repro.util.rand import substream
 

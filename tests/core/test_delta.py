@@ -25,6 +25,7 @@ from repro.core.hoiho import (
     suffix_cache_payload,
     suffix_fingerprint,
 )
+from repro.core.matchcache import CacheStats
 from repro.core.parallel import ParallelConfig
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.obs.metrics import MetricsRegistry
@@ -59,9 +60,6 @@ class TestSuffixFingerprint:
         assert suffix_fingerprint(_dataset(base=101), FAST) != base
 
     def test_every_config_field_moves_fingerprint(self):
-        # enable_cache included: a MatchCache-backed run attaches
-        # per-item outcomes to the winning score, so cached and
-        # uncached results are NOT interchangeable artifacts.
         base = suffix_fingerprint(_dataset(), FAST)
         for field in dataclasses.fields(FAST):
             value = getattr(FAST, field.name)
@@ -228,22 +226,19 @@ class TestPrecheckGate:
     """The planner rejects what the learner's prechecks reject, with
     the artifact the learner would have returned."""
 
-    @pytest.mark.parametrize("enable_cache", [True, False])
     @pytest.mark.parametrize("reason", sorted(REJECTED))
-    def test_planner_artifact_equals_the_learners(self, reason,
-                                                  enable_cache):
-        config = dataclasses.replace(FAST, enable_cache=enable_cache)
+    def test_planner_artifact_equals_the_learners(self, reason):
         dataset = REJECTED[reason]
-        assert precheck(dataset, config) == reason
-        [plan] = plan_datasets([dataset], config)
+        assert precheck(dataset, FAST) == reason
+        [plan] = plan_datasets([dataset], FAST)
         _, artifacts = learn_artifacts(
             None, lambda: TimelinePlan([LabelPlan("", [plan])], []),
-            config, ParallelConfig.serial(), None)
+            FAST, ParallelConfig.serial(), None)
         built = artifacts[plan.fingerprint]
-        assert built == precheck_artifact(dataset, config, reason) \
-            == _learn_artifact_worker(config, dataset)
+        assert built == precheck_artifact(dataset, reason) \
+            == _learn_artifact_worker(FAST, dataset)
         assert built.rejected_reason == reason
-        assert bool(built.cache_stats) == enable_cache
+        assert built.cache_stats == CacheStats().as_dict()
 
     def test_a_learnable_dataset_passes(self):
         assert precheck(_dataset(), FAST) is None

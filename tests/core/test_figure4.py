@@ -8,11 +8,18 @@ NC #7 with ATP 8.
 
 import pytest
 
-from repro.core.evaluate import evaluate_nc, evaluate_regex
 from repro.core.hoiho import learn_suffix
+from repro.core.matchcache import MatchCache
 from repro.core.regex_model import Regex
 from repro.core.select import NCClass
 from repro.eval.appendix_a import FIGURE4_ITEMS, figure4_dataset
+from tests.reference_scoring import evaluate_nc
+
+
+def _scores(regexes, dataset):
+    """The set's score by the reference loop and by the match cache."""
+    return [evaluate_nc(regexes, dataset),
+            MatchCache(dataset).score_nc(regexes)]
 
 
 @pytest.fixture(scope="module")
@@ -27,57 +34,59 @@ class TestPaperScores:
         # ^(\d+)\.[^\.]+\.equinix\.com$: TP a,b,c; FP n,o; 7 FNs -> -7...
         # the paper counts ATP -7 with FN d,e,f,g,h,i,j,k (8 FNs? the
         # figure lists 8 letters) -- TP 3, FP 2, FN 8 -> ATP -7.
-        score = evaluate_regex(
-            Regex.raw(r"^(\d+)\.[^\.]+\.equinix\.com$"), dataset)
-        assert score.tp == 3
-        assert score.fp == 2
-        assert score.atp == -7
+        for score in _scores(
+                (Regex.raw(r"^(\d+)\.[^\.]+\.equinix\.com$"),), dataset):
+            assert score.tp == 3
+            assert score.fp == 2
+            assert score.atp == -7
 
     def test_regex2(self, dataset):
-        score = evaluate_regex(
-            Regex.raw(r"^p(\d+)\.[^\.]+\.equinix\.com$"), dataset)
-        assert score.tp == 2
-        assert score.fp == 0
-        assert score.atp == -7
+        for score in _scores(
+                (Regex.raw(r"^p(\d+)\.[^\.]+\.equinix\.com$"),), dataset):
+            assert score.tp == 2
+            assert score.fp == 0
+            assert score.atp == -7
 
     def test_regex3(self, dataset):
-        score = evaluate_regex(
-            Regex.raw(r"^s(\d+)\.[^\.]+\.equinix\.com$"), dataset)
-        assert score.tp == 2
-        assert score.atp == -7
+        for score in _scores(
+                (Regex.raw(r"^s(\d+)\.[^\.]+\.equinix\.com$"),), dataset):
+            assert score.tp == 2
+            assert score.atp == -7
 
     def test_regex4(self, dataset):
         # ^(\d+)-.+\.equinix\.com$: TP h,i,j,k; FP p -> ATP -4.
-        score = evaluate_regex(
-            Regex.raw(r"^(\d+)-.+\.equinix\.com$"), dataset)
-        assert score.tp == 4
-        assert score.fp == 1
-        assert score.atp == -4
+        for score in _scores(
+                (Regex.raw(r"^(\d+)-.+\.equinix\.com$"),), dataset):
+            assert score.tp == 4
+            assert score.fp == 1
+            assert score.atp == -4
 
     def test_regex5_merged(self, dataset):
-        score = evaluate_regex(
-            Regex.raw(r"^(?:p|s)?(\d+)\.[^\.]+\.equinix\.com$"), dataset)
-        assert score.tp == 7
-        assert score.fp == 2
-        assert score.fn == 4
-        assert score.atp == 1
+        for score in _scores(
+                (Regex.raw(r"^(?:p|s)?(\d+)\.[^\.]+\.equinix\.com$"),),
+                dataset):
+            assert score.tp == 7
+            assert score.fp == 2
+            assert score.fn == 4
+            assert score.atp == 1
 
     def test_regex6_char_classes(self, dataset):
-        score = evaluate_regex(
-            Regex.raw(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"), dataset)
-        assert score.tp == 7
-        assert score.fp == 2
-        assert score.atp == 1
+        for score in _scores(
+                (Regex.raw(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"),),
+                dataset):
+            assert score.tp == 7
+            assert score.fp == 2
+            assert score.atp == 1
 
     def test_nc7_set(self, dataset):
-        score = evaluate_nc(
-            (Regex.raw(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"),
-             Regex.raw(r"^(\d+)-.+\.equinix\.com$")), dataset)
-        assert score.tp == 11
-        assert score.fp == 3
-        assert score.fn == 0
-        assert score.atp == 8
-        assert score.matches == 14
+        for score in _scores(
+                (Regex.raw(r"^(?:p|s)?(\d+)\.[a-z\d]+\.equinix\.com$"),
+                 Regex.raw(r"^(\d+)-.+\.equinix\.com$")), dataset):
+            assert score.tp == 11
+            assert score.fp == 3
+            assert score.fn == 0
+            assert score.atp == 8
+            assert score.matches == 14
 
 
 class TestLearnedConvention:

@@ -1,9 +1,9 @@
-"""Unit tests for the match-vector evaluation cache."""
+"""Unit tests for the match-vector evaluation cache, held to the
+direct scoring loop of :mod:`tests.reference_scoring`."""
 
 import pytest
 
-from repro.core.evaluate import evaluate_nc, evaluate_regex, \
-    matched_indices
+from repro.core import evaluate
 from repro.core.hoiho import HoihoConfig, learn_suffix, \
     learn_suffix_traced
 from repro.core.matchcache import ComposedNC, MatchCache
@@ -11,8 +11,9 @@ from repro.core.phase1 import generate_base_regexes
 from repro.core.phase3 import specialise_regex
 from repro.core.phase4 import build_regex_sets
 from repro.core.regex_model import Regex
-from repro.core.select import select_best
 from repro.core.types import SuffixDataset, TrainingItem
+from tests.reference_scoring import evaluate_nc, evaluate_regex, \
+    learn_with_reference, matched_indices
 
 
 @pytest.fixture
@@ -49,14 +50,17 @@ class TestEquivalence:
         cached = cache.score_nc(regexes, keep_outcomes=True)
         assert _score_tuple(cached, True) == _score_tuple(reference, True)
 
-    def test_evaluate_helpers_accept_cache(self, dataset):
+    def test_evaluate_helpers_match_reference(self, dataset):
         cache = MatchCache(dataset)
-        assert _score_tuple(evaluate_regex(SPECIFIC, dataset, cache=cache)) \
+        assert _score_tuple(cache.score_regex(SPECIFIC)) \
             == _score_tuple(evaluate_regex(SPECIFIC, dataset))
         assert _score_tuple(
-            evaluate_nc((SPECIFIC, RESCUE), dataset, cache=cache)) \
-            == _score_tuple(evaluate_nc((SPECIFIC, RESCUE), dataset))
-        assert matched_indices(SPECIFIC, dataset, cache=cache) \
+            evaluate.evaluate_nc((SPECIFIC, RESCUE), dataset,
+                                 keep_outcomes=True), True) \
+            == _score_tuple(evaluate_nc((SPECIFIC, RESCUE), dataset,
+                                        keep_outcomes=True), True)
+        assert [index for index, hit
+                in enumerate(cache.vector(SPECIFIC).hits) if hit] \
             == matched_indices(SPECIFIC, dataset)
 
     def test_composed_extend_matches_full_evaluation(self, dataset):
@@ -102,19 +106,21 @@ class TestCaching:
         plain = cache.score_regex(SPECIFIC)
         assert plain.outcomes == []
 
-    def test_select_best_attaches_outcomes_via_cache(self, dataset):
-        cache = MatchCache(dataset)
-        conventions = [((SPECIFIC, RESCUE), cache.score_nc((SPECIFIC,
-                                                            RESCUE)))]
-        _, score = select_best(conventions, cache=cache)
-        assert len(score.outcomes) == len(dataset)
+    def test_learner_attaches_outcomes_via_cache(self):
+        items = [TrainingItem("as%d.z.org" % asn, asn)
+                 for asn in (3356, 1299, 174, 2914, 6453)]
+        dataset = SuffixDataset("z.org", items)
+        convention = learn_suffix(dataset)
+        assert len(convention.score.outcomes) == len(dataset)
+        assert convention.score.outcomes == evaluate_nc(
+            convention.regexes, dataset, keep_outcomes=True).outcomes
 
     def test_phase3_skips_never_matching_regex(self, dataset):
         from repro.core.regex_model import Cap, Exclude, Lit
         regex = Regex([Lit("zz"), Cap(), Lit("."),
                        Exclude(frozenset("."))], suffix="x.com")
         cache = MatchCache(dataset)
-        assert specialise_regex(regex, dataset, cache=cache) is None
+        assert specialise_regex(regex, cache) is None
         # The decision came from the cached vector, not an instrumented
         # re-match.
         assert cache.stats.vectors_built == 1
@@ -146,7 +152,7 @@ class TestNoRedundantMatching:
         monkeypatch.setattr(Regex, "extract", counting_extract)
         before_match_calls = cache.stats.match_calls
 
-        conventions = build_regex_sets(scored, dataset, cache=cache)
+        conventions = build_regex_sets(scored, cache)
 
         assert calls["extract"] == 0
         assert cache.stats.match_calls == before_match_calls
@@ -167,7 +173,7 @@ class TestLearnerIntegration:
                   for i in range(5)]
         dataset = SuffixDataset("y.net", items)
         cached = learn_suffix(dataset, HoihoConfig())
-        uncached = learn_suffix(dataset, HoihoConfig(enable_cache=False))
+        uncached, _ = learn_with_reference(dataset, HoihoConfig())
         assert cached is not None and uncached is not None
         assert cached.patterns() == uncached.patterns()
         assert repr(cached.score) == repr(uncached.score)
@@ -181,14 +187,6 @@ class TestLearnerIntegration:
         assert trace.cache_stats.vectors_built > 0
         assert trace.cache_stats.match_calls \
             == trace.cache_stats.vectors_built * len(items)
-
-    def test_trace_without_cache_has_no_stats(self):
-        items = [TrainingItem("as%d.z.org" % asn, asn)
-                 for asn in (3356, 1299, 174, 2914, 6453)]
-        _, trace = learn_suffix_traced(
-            SuffixDataset("z.org", items),
-            HoihoConfig(enable_cache=False))
-        assert trace.cache_stats is None
 
     def test_one_cached_learn_does_pinned_work(self):
         """The cache's work on one 80-hostname suffix is deterministic:

@@ -17,7 +17,7 @@ from repro.core.parallel import (
     stream_map,
 )
 from repro.core.resilience import PoisonItemError, RetryPolicy
-from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
+from repro.core.types import TrainingItem
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
 
 
@@ -124,11 +124,9 @@ class TestDeterminism:
 
     def test_run_datasets_accepts_unsorted_input(self):
         items = _small_world_items()
-        datasets = list(group_by_suffix(items).values())
-        forward = Hoiho().run_datasets(datasets)
+        forward = Hoiho().run(items)
         backward = Hoiho(parallel=ParallelConfig(
-            workers=2, backend=BACKEND_PROCESS)).run_datasets(
-                list(reversed(datasets)))
+            workers=2, backend=BACKEND_PROCESS)).run(list(reversed(items)))
         assert conventions_to_json(forward) == conventions_to_json(backward)
 
 

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.evaluate import evaluate_nc, evaluate_regex
+from repro.core.matchcache import MatchCache
 from repro.core.phase1 import candidates_for_item, generate_base_regexes
 from repro.core.phase2 import merge_regexes
 from repro.core.phase3 import specialise_regex
 from repro.core.phase4 import build_regex_sets, rank_regexes
 from repro.core.regex_model import Alt, Cap, Exclude, Lit, Regex
 from repro.core.types import SuffixDataset, TrainingItem
+from tests.reference_scoring import evaluate_nc, evaluate_regex
 
 
 @pytest.fixture
@@ -133,7 +134,7 @@ class TestPhase3:
     def test_specialises_to_alnum_class(self, equinix):
         regex = Regex([Alt(("p", "s"), optional=True), Cap(), Lit("."),
                        Exclude(frozenset("."))], "equinix.com")
-        specialised = specialise_regex(regex, equinix)
+        specialised = specialise_regex(regex, MatchCache(equinix))
         assert specialised is not None
         # Hostname c (714.me1) contains a digit in the second portion.
         assert specialised.pattern == \
@@ -145,7 +146,7 @@ class TestPhase3:
         dataset = SuffixDataset("x.com", items)
         regex = Regex([Lit("as"), Cap(), Lit("."),
                        Exclude(frozenset("."))], "x.com")
-        specialised = specialise_regex(regex, dataset)
+        specialised = specialise_regex(regex, MatchCache(dataset))
         assert specialised.pattern == "^as(\\d+)\\.[a-z]+\\.x\\.com$"
 
     def test_digit_class(self):
@@ -154,17 +155,17 @@ class TestPhase3:
         dataset = SuffixDataset("x.com", items)
         regex = Regex([Lit("as"), Cap(), Lit("."),
                        Exclude(frozenset("."))], "x.com")
-        specialised = specialise_regex(regex, dataset)
+        specialised = specialise_regex(regex, MatchCache(dataset))
         assert specialised.pattern == "^as(\\d+)\\.\\d+\\.x\\.com$"
 
     def test_none_when_no_exclude(self, equinix):
         regex = Regex([Lit("as"), Cap()], "equinix.com")
-        assert specialise_regex(regex, equinix) is None
+        assert specialise_regex(regex, MatchCache(equinix)) is None
 
     def test_none_when_never_matches(self, equinix):
         regex = Regex([Lit("zzz"), Cap(), Lit("."),
                        Exclude(frozenset("."))], "equinix.com")
-        assert specialise_regex(regex, equinix) is None
+        assert specialise_regex(regex, MatchCache(equinix)) is None
 
 
 class TestPhase4:
@@ -181,7 +182,7 @@ class TestPhase4:
         for regex in (Regex.raw(r"^(\d+)\.[a-z\d]+\.equinix\.com$"),
                       Regex.raw(r"^(\d+)-.+\.equinix\.com$")):
             scored[regex] = evaluate_regex(regex, equinix)
-        conventions = build_regex_sets(scored, equinix)
+        conventions = build_regex_sets(scored, MatchCache(equinix))
         sizes = {len(regexes) for regexes, _ in conventions}
         assert 1 in sizes
         assert 2 in sizes

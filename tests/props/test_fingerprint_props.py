@@ -45,8 +45,7 @@ configs = st.builds(
     n_seeds=st.integers(1, 8),
     enable_merge=st.booleans(),
     enable_classes=st.booleans(),
-    enable_sets=st.booleans(),
-    enable_cache=st.booleans())
+    enable_sets=st.booleans())
 
 
 @given(text, items, configs)

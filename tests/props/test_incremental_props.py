@@ -109,8 +109,7 @@ def test_config_change_forces_full_relearn_and_stays_equivalent(snap):
     # match its own from-scratch learning (no cross-config aliasing --
     # every HoihoConfig field is part of the suffix fingerprint).
     changed = HoihoConfig(max_candidates=61, generation_sample=20,
-                          eval_pool=20, set_pool=6, n_seeds=2,
-                          enable_cache=False)
+                          eval_pool=20, set_pool=6, n_seeds=2)
     with tempfile.TemporaryDirectory(prefix="repro-inc-prop-") as tmp:
         store = ArtifactStore(tmp)
         items = _items(snap)

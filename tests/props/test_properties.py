@@ -21,7 +21,6 @@ from repro.core.regex_model import (
     escape_literal,
 )
 from repro.core.types import SuffixDataset, TrainingItem
-from repro.core.evaluate import evaluate_regex
 from repro.psl import default_psl
 from repro.util.ipaddr import IPv4Prefix, int_to_ip, ip_to_int
 from repro.util.radix import PrefixTable
@@ -243,7 +242,8 @@ def test_escape_literal_never_changes_semantics(text):
 
 
 # ---------------------------------------------------------------------------
-# Match cache: cached scoring is equivalent to the uncached reference.
+# Match cache: cached scoring is equivalent to the direct reference loop
+# (tests/reference_scoring.py).
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -272,8 +272,8 @@ def cache_scenarios(draw):
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_cached_evaluate_nc_matches_reference(scenario):
-    from repro.core.evaluate import evaluate_nc
     from repro.core.matchcache import ComposedNC, MatchCache
+    from tests.reference_scoring import evaluate_nc
     regexes, dataset = scenario
     cache = MatchCache(dataset)
     reference = evaluate_nc(regexes, dataset, keep_outcomes=True)
@@ -292,6 +292,64 @@ def test_cached_evaluate_nc_matches_reference(scenario):
                 composed.score.matches, composed.score.distinct_asns) == \
             (prefix.tp, prefix.fp, prefix.fn, prefix.matches,
              prefix.distinct_asns)
+
+
+#: Hostname shapes for :func:`learnable_suffixes`: a figure-4 mix of
+#: formats, so that merging, class embedding and set building all run.
+_SHAPES = ("as{asn}.{pop}.example.net", "{asn}-{pop}.example.net",
+           "p{asn}.{pop}.example.net", "s{asn}.{pop}.example.net",
+           "{pop}.as{asn}.cust.example.net", "lo0.{pop}.example.net")
+
+
+@st.composite
+def learnable_suffixes(draw):
+    """A suffix dataset of mixed hostname shapes, some items trained on
+    a different ASN than the one they embed, and a learner config with
+    random phase switches."""
+    asns = draw(st.lists(st.integers(min_value=100, max_value=99999),
+                         min_size=2, max_size=6, unique=True))
+    items = []
+    for _ in range(draw(st.integers(min_value=4, max_value=16))):
+        asn = draw(st.sampled_from(asns))
+        hostname = draw(st.sampled_from(_SHAPES)).format(
+            asn=asn, pop=draw(st.sampled_from(["lon", "fra1", "nyc2",
+                                               "ams-ix"])))
+        train = asn if draw(st.integers(0, 4)) else draw(
+            st.sampled_from(asns))
+        items.append(TrainingItem(hostname, train))
+    from repro.core.hoiho import HoihoConfig
+    config = HoihoConfig(enable_merge=draw(st.booleans()),
+                         enable_classes=draw(st.booleans()),
+                         enable_sets=draw(st.booleans()))
+    return SuffixDataset("example.net", items), config
+
+
+def _learned_view(convention, trace):
+    """Everything a learn decided, as comparable values."""
+    def scored(pairs):
+        return [(regex.pattern, repr(score)) for regex, score in pairs]
+    phases = (trace.rejected_reason, trace.phase1_generated,
+              scored(trace.phase1_scored), scored(trace.phase2_added),
+              scored(trace.phase3_added),
+              [([r.pattern for r in regexes], repr(score))
+               for regexes, score in trace.conventions])
+    if convention is None:
+        return phases, None
+    return phases, (convention.patterns(), repr(convention.score),
+                    convention.score.outcomes, convention.nc_class)
+
+
+@given(learnable_suffixes())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_learner_with_reference_scorer_learns_alike(case):
+    """The learner decides the same at every phase whether its scores
+    come from the match cache or from the direct reference loop."""
+    from repro.core.hoiho import learn_suffix_traced
+    from tests.reference_scoring import learn_with_reference
+    dataset, config = case
+    assert _learned_view(*learn_suffix_traced(dataset, config)) \
+        == _learned_view(*learn_with_reference(dataset, config))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +385,8 @@ def test_learner_perfect_on_clean_simple_data(items):
           suppress_health_check=[HealthCheck.too_slow])
 def test_nc_score_never_below_best_phase1(items):
     """Phases 2-4 must never select something worse than phase 1's best."""
-    from repro.core.evaluate import evaluate_regex
     from repro.core.hoiho import learn_suffix
+    from tests.reference_scoring import evaluate_regex
     from repro.core.phase1 import generate_base_regexes
     dataset = SuffixDataset("example.com", items)
     base = generate_base_regexes(dataset)

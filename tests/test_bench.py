@@ -8,27 +8,31 @@ The serve and shadow bounds are smoke tests
 import pytest
 
 import repro.bench as bench
-from repro.core.evaluate import evaluate_nc, evaluate_regex
 from repro.core.hoiho import HoihoConfig, learn_suffix
 from repro.core.matchcache import MatchCache
 from repro.core.regex_model import Regex
+from tests.reference_scoring import evaluate_nc, evaluate_regex, \
+    learn_with_reference
 
 
 class TestWorkload:
-    @pytest.mark.parametrize("enable_cache", [True, False])
-    def test_learner_finds_every_annotated_item(self, enable_cache):
-        """One suffix learned with and without the match-vector cache."""
-        convention = learn_suffix(bench.bench_dataset(),
-                                  HoihoConfig(enable_cache=enable_cache))
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_learner_finds_every_annotated_item(self, cached):
+        """One suffix learned with the match-vector cache, and with the
+        direct reference loop scoring in its place."""
+        dataset = bench.bench_dataset()
+        convention = learn_suffix(dataset, HoihoConfig()) if cached \
+            else learn_with_reference(dataset, HoihoConfig())[0]
         assert convention is not None
         assert convention.score.tp == 60
 
     def test_one_regex_scores_every_annotated_item(self):
         regex = Regex.raw(r"^as(\d+)-10ge-pop\d+\.example\.net$")
         assert evaluate_regex(regex, bench.bench_dataset()).tp == 60
+        assert MatchCache(bench.bench_dataset()).score_regex(regex).tp == 60
 
     def test_regex_set_scores_alike_on_every_path(self):
-        """``evaluate_nc`` per item, a cold cache and a warm one."""
+        """The reference loop per item, a cold cache and a warm one."""
         dataset = bench.bench_dataset()
         regexes = bench.bench_regex_set()
         assert evaluate_nc(regexes, dataset).tp == 60

@@ -9,8 +9,10 @@ this one has imported everything already.
 
 Every ``repro`` package resolves its exports lazily (PEP 562); the
 names, ``from pkg import *`` and ``dir()`` behave as eager imports did.
+And every import in ``src/repro`` is used by the module that makes it.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -150,7 +152,7 @@ class TestHoihoResultHome:
     def test_result_pickled_under_the_learner_name_loads(self):
         """A ``hoiho/`` store entry written before the class moved names
         it ``repro.core.hoiho.HoihoResult``; it loads as the moved
-        class, and the store schema is unchanged."""
+        class under the current store schema."""
         from repro.core.select import HoihoResult
         from repro.store import STORE_SCHEMA_VERSION
         result = serve_conventions(3)
@@ -162,4 +164,83 @@ class TestHoihoResultHome:
         loaded = pickle.loads(old)
         assert type(loaded) is HoihoResult
         assert loaded == result
-        assert STORE_SCHEMA_VERSION == 4
+        assert STORE_SCHEMA_VERSION == 5
+
+
+def _names_read(tree: ast.AST) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def _annotations(tree: ast.AST):
+    """Every annotation expression in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            found = [node.returns] + [
+                arg.annotation for arg in args.posonlyargs + args.args
+                + args.kwonlyargs + [args.vararg, args.kwarg]
+                if arg is not None]
+        elif isinstance(node, ast.AnnAssign):
+            found = [node.annotation]
+        else:
+            continue
+        yield from (annotation for annotation in found if annotation)
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never uses.
+
+    A name is used when code reads it, when a string annotation names
+    it, or when ``__all__`` lists it.  ``__future__`` imports are
+    directives, not names.  The lazy tables of package ``__init__``
+    files name their exports as strings and import nothing, so they
+    need no exemption.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _names_read(tree)
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _names_read(ast.parse(node.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used |= {elt.value for elt in ast.walk(node.value)
+                     if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+class TestUnusedImports:
+    def test_every_import_in_src_is_used(self):
+        found = ["%s:%d %s" % (path.relative_to(SRC), line, name)
+                 for path in sorted((SRC / "repro").rglob("*.py"))
+                 for line, name in unused_imports(path.read_text("utf-8"))]
+        assert found == []
+
+    @pytest.mark.parametrize("source, unused", [
+        ("import os\n", [(1, "os")]),
+        ("import os.path\nos.sep\n", []),
+        ("from a import b as c\nb\n", [(1, "c")]),
+        ("from __future__ import annotations\n", []),
+        ("from typing import List\nx: 'List[int]' = []\n", []),
+        ("from typing import List\ndef f() -> 'List[int]': pass\n", []),
+        ("from a import b\n__all__ = ['b']\n", []),
+        ("from a import b\nb = 1\n", [(1, "b")]),
+        ("from a import b\n'b'\n", [(1, "b")]),
+    ])
+    def test_what_counts_as_a_use(self, source, unused):
+        assert unused_imports(source) == unused

@@ -77,16 +77,16 @@ class TestFingerprint:
         assert fingerprint(payload) != before
 
     def test_v3_worlds_are_not_read_by_v4(self, monkeypatch, store):
-        # v4 code has no branch that reads a v3 layout, so an entry a
+        # v5 code has no branch that reads a v3 layout, so an entry a
         # v3 checkout stored must miss, not unpickle into a layout the
         # code no longer reads.
-        assert STORE_SCHEMA_VERSION == 4
+        assert STORE_SCHEMA_VERSION == 5
         payload = ExperimentContext(7, Scale.TINY)._world_payload()
-        v4 = fingerprint(payload)
+        v5 = fingerprint(payload)
         monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 3)
-        assert fingerprint(payload) != v4
+        assert fingerprint(payload) != v5
         store.put(KIND_WORLD, payload, "world pickled by v3")
-        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 4)
+        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 5)
         assert store.get(KIND_WORLD, payload) is None
 
     def test_payload_schema_key_does_not_mask_version(self, monkeypatch):
@@ -163,12 +163,12 @@ class TestStoreRoundTrip:
 
 
 #: A suffix artifact as the schema-v3 code stored it: a per-entry file
-#: and its sidecar (see :func:`_fixture_suffix`).  Under v4 it must miss.
+#: and its sidecar (see :func:`_fixture_suffix`).  Under v5 it must miss.
 V3_FIXTURE = Path(__file__).parent / "fixtures" / "store_v3"
 V3_SUFFIX_KEY = \
     "6a7aeb8c443a916ac86a509fa491f30aad40ee516cd4de391a3e1a83022baec9"
-V4_SUFFIX_KEY = \
-    "456176e7bf7f05afa991431b6ddbc5ffad1fe8159d12e5426f4b6a8aaefa81f0"
+V5_SUFFIX_KEY = \
+    "c99683707c3e849f8d3dcd3ff53eeda48777e8f155e973be9e3d49da553df4b3"
 
 
 def _fixture_suffix():
@@ -185,24 +185,26 @@ class TestPinnedKeys:
         payload = {"kind": "world", "seed": 7, "f": 2.5,
                    "m": {1: "a", "z": (1, 2), None: {3, 2}}}
         assert fingerprint(payload) == \
-            "054550011e564d1b49c150ca9a6d0a1d6115eeb38ae5a184a6f6b0fb8f071697"
+            "809cfea51444ea66feeeaa1a8a12e0e9dfc128d10add00a753ef50526dbb0daa"
 
     def test_suffix_payload_digest(self):
         payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
-        assert fingerprint(payload) == V4_SUFFIX_KEY
+        assert fingerprint(payload) == V5_SUFFIX_KEY
 
     def test_sidecar_matches_committed_entry(self, store):
         """The sidecar's bytes are pinned by their SHA-256; they differ
-        from the committed v3 entry's only in the schema version."""
+        from the committed v3 entry's only in the schema version and in
+        the learner config, which lost ``enable_cache`` in v5."""
         payload = suffix_cache_payload(_fixture_suffix(), HoihoConfig())
         path = store.put(KIND_SUFFIX, payload,
                          SuffixArtifact("alpha-inc.org", None, "fixture"))
         sidecar = path.with_suffix(".json").read_bytes()
         assert hashlib.sha256(sidecar).hexdigest() == \
-            "a0f9ebb29bad509687cf5876160336ea5389f6c98e771eb2b6d23f208e488308"
+            "806823ecb936a8d4e9e303b810d68957b894625a25846b2b9f30e6736d4d38ba"
         committed = V3_FIXTURE / KIND_SUFFIX / (V3_SUFFIX_KEY + ".json")
         assert sidecar == committed.read_bytes().replace(
-            b'"schema": 3', b'"schema": 4')
+            b'"schema": 3', b'"schema": 5').replace(
+                b'      "s:enable_cache": true,\n', b"")
 
     def test_entry_from_v3_code_misses(self, tmp_path):
         """The committed v3 entry misses: the planner relearns what a
@@ -210,7 +212,7 @@ class TestPinnedKeys:
         shutil.copytree(V3_FIXTURE, tmp_path / "cache")
         store = ArtifactStore(tmp_path / "cache")
         plans = plan_datasets([_fixture_suffix()], HoihoConfig())
-        assert plans[0].fingerprint == V4_SUFFIX_KEY
+        assert plans[0].fingerprint == V5_SUFFIX_KEY
 
         def learn(store):
             return learn_artifacts(
@@ -603,7 +605,7 @@ def v3_store(tmp_path_factory):
 
 
 class TestV3StoreMisses:
-    """Under v4 a store the v3 code wrote is a cold store."""
+    """Under v5 a store the v3 code wrote is a cold store."""
 
     def test_every_lookup_misses(self, v3_store, tmp_path):
         shutil.copytree(v3_store, tmp_path / "cache")
