@@ -32,12 +32,11 @@ Endpoints (JSON in/out, HTTP/1.1 keep-alive; the routes are
 
 The admin ops are the rows of :data:`ADMIN_OPS` and reach every worker
 one way: the endpoint appends the op to the :class:`OpLog`
-(generation-numbered files in the shared metrics directory pre-fork,
-a list with one process) and applies it on its own worker; every
-sibling's flush loop applies each op above its ``applied_generation``
-in order and stamps that generation into its flushed snapshot.  The
-reply carries the op's ``generation``: 200 once every worker has
-applied it (always, with one process), 202 while siblings still have
+(generation-numbered files in the tree's metrics directory) and
+applies it on its own worker; every sibling's flush loop applies each
+op above its ``applied_generation`` in order and stamps that generation
+into its flushed snapshot.  The reply carries the op's ``generation``:
+200 once every worker has applied it, 202 while siblings still have
 to, 500 when it failed on the answering worker.
 
 Protection: request bodies above ``max_body`` are rejected with 413
@@ -51,35 +50,42 @@ The wire: :class:`AnnotationHandler` reads each request itself, not
 through the stdlib's ``email``-based header parse, and answers every
 head it cannot read with a counted JSON error.
 
-Scale-out is a **pre-fork worker pool**: the parent builds and warms
-the service once, then forks ``workers`` processes that inherit the
-fully-built fused :class:`~repro.serve.index.DispatchIndex` (the PR-6
-fork-inheritance property -- no per-worker JSON re-parse, no duplicate
-compile work).  Where ``SO_REUSEPORT`` exists the parent *binds without
-listening* to reserve the port (resolving ``port=0`` once) and each
-worker opens its own listening socket on it, giving kernel-level accept
-balancing; elsewhere the workers share the parent's inherited listener.
+Every tree has one shape (:func:`serve_http`): a metrics directory
+(``metrics_dir``, or a private temp dir removed at exit) holding the op
+log and one snapshot file per worker, and ``workers`` copies of one
+worker body.  ``workers=1`` runs that body in the calling process, so
+the process that serves is the one a caller measures; more workers are
+a **pre-fork pool**: the parent builds and warms the service once,
+then forks processes that inherit the fully-built fused
+:class:`~repro.serve.index.DispatchIndex` (no per-worker JSON re-parse,
+no duplicate compile work).  Where ``SO_REUSEPORT`` exists the tree
+*binds without listening* to reserve the port (resolving ``port=0``
+once) and each worker opens its own listening socket on it, giving
+kernel-level accept balancing; elsewhere the workers share one
+listener.
 
-Metrics aggregation: after ``fork`` each worker's registry diverges, so
-workers periodically flush ``service.stats()`` snapshots to a shared
-metrics directory (atomic ``os.replace``), and ``GET /metrics`` merges
-every worker's latest snapshot through
+Metrics aggregation: each worker periodically flushes its
+``service.stats()`` snapshot to the metrics directory (atomic
+``os.replace``), and ``GET /metrics`` merges every worker's latest
+snapshot through
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` -- one
 scrape, fleet-wide counters (staleness bounded by ``flush_interval``).
+The same merge of the worker files makes each ``history`` entry and
+the ``metrics_out`` file.
 
 Shutdown: SIGTERM/SIGINT starts a **graceful drain** -- ``/readyz``
 flips to 503, responses carry ``Connection: close``, the worker keeps
 serving (so ``/healthz`` stays green) for ``drain_grace`` seconds and
 until in-flight annotation requests hit zero (bounded by
 ``drain_timeout``), then stops accepting, flushes a final metrics
-snapshot, and exits 0.  The parent forwards SIGTERM/SIGINT, reaps
-every worker, merges their final snapshots, and writes ``metrics_out``.
-SIGHUP submits a ``reload`` op (pre-fork, the parent appends it to the
-log and the workers ignore SIGHUP).
+snapshot, and exits 0.  A pre-fork parent forwards SIGTERM/SIGINT to
+its workers and reaps them.  The tree then merges the final snapshots
+and writes ``metrics_out``.  SIGHUP to the tree appends a ``reload``
+op, which every worker's flush loop applies (forked workers ignore
+SIGHUP).
 
-``ServerProcess`` wraps the whole tree (parent + workers) in one child
-process for tests, benchmarks, and the load generator
-(:mod:`repro.serve.loadgen`).
+``ServerProcess`` wraps the whole tree in one child process for tests,
+benchmarks, and the load generator (:mod:`repro.serve.loadgen`).
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ from repro.obs.trace import Tracer
 from repro.serve.memo import DEFAULT_MEMO_SIZE
 from repro.serve.service import AnnotationService
 from repro.serve.shadow import ShadowService, merge_shadow_reports, \
-    merge_shadow_snapshots, shadow_report_from_snapshot
+    merge_shadow_snapshots
 
 #: Default request-body ceiling (bytes): 8 MiB fits ~100k hostnames.
 DEFAULT_MAX_BODY = 8 * 1024 * 1024
@@ -184,9 +190,10 @@ class HttpConfig:
     #: Refuse ``/admin/shadow/promote`` while the merged disagreement
     #: fraction exceeds this (``None`` = no gate).
     promote_threshold: Optional[float] = None
-    #: Where the parent writes the merged snapshot after shutdown.
+    #: Where the tree writes the merged snapshot after shutdown.
     metrics_out: Optional[str] = None
-    #: Shared snapshot directory (default: a private temp dir).
+    #: The tree's snapshot and op-log directory (default: a private
+    #: temp dir, removed at exit).
     metrics_dir: Optional[str] = None
     #: Structured JSON access log: a path (workers append; O_APPEND +
     #: one-write-per-line keeps lines whole across processes), ``"-"``
@@ -197,7 +204,7 @@ class HttpConfig:
     #: JSONL sink for sampled request spans.
     trace_out: Optional[str] = None
     #: JSONL history of merged snapshots (``HistoryStore``); the
-    #: parent appends every ``history_interval`` seconds and once at
+    #: tree appends every ``history_interval`` seconds and once at
     #: shutdown, so even a short run leaves one comparable entry.
     history: Optional[str] = None
     history_interval: float = 10.0
@@ -265,7 +272,7 @@ def _reserve_port(host: str, port: int) -> socket.socket:
 
 
 class MetricsDir:
-    """The shared per-worker snapshot directory behind ``/metrics``.
+    """The per-worker snapshot directory behind ``/metrics``.
 
     Each worker owns one file (``worker-<id>.json``), written atomically
     (temp file + ``os.replace``) so a concurrent reader never sees a
@@ -274,11 +281,13 @@ class MetricsDir:
     ``merge_snapshot`` ignores them.  ``flush`` stamps ``ts`` (epoch
     seconds), ``worker_id`` and ``applied_generation`` into every file,
     so scrape staleness (:meth:`ages`) and each worker's place in the
-    :class:`OpLog` are observed, not inferred.
+    :class:`OpLog` are observed, not inferred.  Without a ``path`` it
+    is a private temp dir, which :meth:`remove` deletes.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
+    def __init__(self, path: Optional[str] = None) -> None:
+        self._private = path is None
+        self.path = path or tempfile.mkdtemp(prefix="repro-serve-http-")
 
     def flush(self, worker_id: int, snapshot: Dict[str, object],
               applied_generation: int = 0) -> None:
@@ -320,6 +329,11 @@ class MetricsDir:
         for path in self._files():
             os.unlink(path)
 
+    def remove(self) -> None:
+        """Delete a private directory; a configured one stays."""
+        if self._private:
+            shutil.rmtree(self.path, ignore_errors=True)
+
     def merged(self) -> Dict[str, object]:
         """One registry snapshot folding every worker's together."""
         registry = MetricsRegistry()
@@ -344,25 +358,19 @@ class MetricsDir:
 class OpLog:
     """The admin ops every worker applies, numbered 1, 2, ... in order.
 
-    With one process it is a list.  Pre-fork it is files in the shared
-    metrics directory, ``op-<generation>.json`` holding ``{"generation",
-    "op", "ts"}``, each hard-linked whole from a temp file to the next
-    number; a writer that finds it taken (``FileExistsError``) tries the
-    one after.  So concurrent writers get distinct generations with no
-    lock, and ``n`` exists only once ``n - 1`` does: readers walk
-    forward until a number is missing."""
+    Files in the tree's metrics directory, ``op-<generation>.json``
+    holding ``{"generation", "op", "ts"}``, each hard-linked whole from
+    a temp file to the next number; a writer that finds it taken
+    (``FileExistsError``) tries the one after.  So concurrent writers,
+    threads or processes, get distinct generations with no lock, and
+    ``n`` exists only once ``n - 1`` does: readers walk forward until a
+    number is missing."""
 
-    def __init__(self, path: Optional[str] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._ops: List[str] = []
-        self._lock = threading.Lock()
 
     def append(self, op: str) -> int:
         """Record ``op`` as the next generation and return it."""
-        if self.path is None:
-            with self._lock:
-                self._ops.append(op)
-                return len(self._ops)
         generation = self.head()
         while True:
             generation += 1
@@ -381,8 +389,6 @@ class OpLog:
 
     def entries(self, after: int) -> List[Tuple[int, str]]:
         """Every ``(generation, op)`` above generation ``after``."""
-        if self.path is None:  # a slice is atomic
-            return list(enumerate(self._ops[after:], after + 1))
         found: List[Tuple[int, str]] = []
         while True:
             generation = after + len(found) + 1
@@ -444,26 +450,28 @@ ADMIN_OPS: Dict[str, AdminOp] = {
 class AnnotationHTTPServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` bound to one annotation service.
 
-    One instance per worker process (and the whole server when
-    ``workers=1``).  Connections get a thread each (keep-alive held
-    across requests); annotation work is bounded by the in-flight
-    budget, not the thread count.
+    One instance per worker, serving on the listening socket ``sock``.
+    It publishes its snapshots to ``metrics_dir`` and follows the
+    :class:`OpLog` there; a server given no directory makes a private
+    one and removes it on close.  Connections get a thread each
+    (keep-alive held across requests); annotation work is bounded by
+    the in-flight budget, not the thread count.
     """
 
     daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, service: AnnotationService, config: HttpConfig,
-                 sock: Optional[socket.socket] = None,
-                 worker_id: int = 0,
+                 sock: socket.socket, worker_id: int = 0,
                  metrics_dir: Optional[MetricsDir] = None) -> None:
         self.service = service
         self.config = config
         self.worker_id = worker_id
-        self.metrics_dir = metrics_dir
-        self.op_log = OpLog(metrics_dir and metrics_dir.path)
-        #: The newest op applied here; a forked worker starts at the
-        #: head at fork time, so a reused metrics dir is not replayed.
+        self.metrics_dir = metrics_dir or MetricsDir()
+        self._removes_metrics_dir = metrics_dir is None
+        self.op_log = OpLog(self.metrics_dir.path)
+        #: The newest op applied here; a tree's worker starts at the
+        #: head the tree saw, so a reused metrics dir is not replayed.
         self.applied_generation = self.op_log.head()
         self._apply_lock = threading.RLock()  # serialises ``reconcile``
         self.draining = threading.Event()
@@ -479,8 +487,8 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         self.started_monotonic = time.monotonic()
         self.started_ts = time.time()
         #: Windowed telemetry behind ``/admin/status``; fed the fleet's
-        #: merged snapshot (or the live stats when single-process) by
-        #: the flush loop and on-demand by the status endpoint.
+        #: merged snapshot by the flush loop and on demand by the
+        #: status endpoint.
         self.windows = RollingWindows(config.window_seconds,
                                       config.window_count)
         # Baseline at boot: the first real sample then diffs against
@@ -504,21 +512,13 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
             # JSONL whole (same discipline as the access log).
             self._tracer = Tracer(
                 stream=open(config.trace_out, "a", encoding="utf-8"))
-        #: HistoryStore in single-process mode (the pre-fork parent
-        #: owns the history instead -- see ``_serve_prefork``).
-        self.history: Optional[HistoryStore] = None
-        address = (config.host, config.port)
-        super().__init__(address, AnnotationHandler,
+        super().__init__((config.host, config.port), AnnotationHandler,
                          bind_and_activate=False)
-        if sock is not None:
-            self.socket.close()
-            self.socket = sock
-            self.server_address = sock.getsockname()
-            self.server_name = config.host
-            self.server_port = self.server_address[1]
-        else:
-            self.server_bind()
-            self.server_activate()
+        self.socket.close()
+        self.socket = sock
+        self.server_address = sock.getsockname()
+        self.server_name = config.host
+        self.server_port = self.server_address[1]
 
     # -- in-flight budget --------------------------------------------------
 
@@ -568,34 +568,29 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         return text
 
     def flush_metrics(self) -> None:
-        """Publish this worker's snapshot to the shared directory."""
-        if self.metrics_dir is not None:
-            # Read before the stats: ``apply`` moves the generation
-            # only after the op's effects, so a snapshot stamped with
-            # generation g always holds op g's counters.
-            applied = self.applied_generation
-            self.metrics_dir.flush(self.worker_id, self.stats(), applied)
+        """Publish this worker's snapshot to the metrics directory."""
+        # Read before the stats: ``apply`` moves the generation only
+        # after the op's effects, so a snapshot stamped with generation
+        # g always holds op g's counters.
+        applied = self.applied_generation
+        self.metrics_dir.flush(self.worker_id, self.stats(), applied)
         self._last_flush = time.monotonic()
 
     def maybe_flush(self) -> None:
         """Flush if the published snapshot has gone stale."""
-        if self.metrics_dir is None:
-            return
         if time.monotonic() - self._last_flush >= self.config.flush_interval:
             self.flush_metrics()
 
     def merged_metrics(self) -> str:
         """Prometheus exposition of the whole fleet's counters.
 
-        Pre-fork, the text ends with a hand-rendered
+        The text ends with a hand-rendered
         ``repro_snapshot_age_seconds`` gauge (one sample per worker,
         from the ``ts`` stamped into each flushed file) --
         ``to_prometheus`` only knows the three registry instrument
         kinds, and a gauge that *should* go down is exactly what they
         are not.
         """
-        if self.metrics_dir is None:
-            return to_prometheus(self.stats())
         self.flush_metrics()  # the merge must include this worker, live
         text = to_prometheus(self.metrics_dir.merged())
         ages = self.metrics_dir.ages()
@@ -612,17 +607,13 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
     # -- windowed telemetry ------------------------------------------------
 
     def record_windows(self, ts: Optional[float] = None) -> None:
-        """Fold the cumulative snapshot into the windows: the fleet's
-        merged one when a metrics dir exists (any worker can then
-        answer ``/admin/status`` for the whole fleet), else the live
-        ``stats()``."""
-        self.windows.record(self.stats() if self.metrics_dir is None
-                            else self.metrics_dir.merged(), ts)
+        """Fold the fleet's merged snapshot into the windows, so any
+        worker can answer ``/admin/status`` for the whole fleet."""
+        self.windows.record(self.metrics_dir.merged(), ts)
 
     def status_payload(self) -> Dict[str, object]:
         """The ``GET /admin/status`` body: uptime + windowed health."""
-        if self.metrics_dir is not None:
-            self.flush_metrics()  # the window must see this worker, live
+        self.flush_metrics()  # the window must see this worker, live
         self.record_windows()
         now = time.time()
         window = self.windows.window_snapshot(now)
@@ -652,11 +643,10 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
                 "latency": self.windows.percentiles(
                     "http_request_seconds", now=now),
             },
-        }
-        if self.metrics_dir is not None:
-            payload["snapshot_age_seconds"] = {
+            "snapshot_age_seconds": {
                 str(worker): age for worker, age
-                in sorted(self.metrics_dir.ages(now).items())}
+                in sorted(self.metrics_dir.ages(now).items())},
+        }
         applied = self.applied_generations()
         payload["generation"] = head = self.op_log.head()
         payload["applied_generation"] = {
@@ -725,21 +715,13 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
 
         threading.Thread(target=_loop, daemon=True).start()
 
-    def start_history_loop(self) -> None:
-        """Append the live stats to the history until draining.
-
-        Single-process mode only (the pre-fork parent appends the
-        merged snapshot instead); a final append happens at drain
-        time so even a short-lived run leaves one comparable entry.
-        """
-        if self.history is not None:
-            _append_history(self.history, self.stats, self.draining,
-                            self.config.history_interval)
-
     def server_close(self) -> None:
-        """Close the socket, then drain the buffered access log."""
+        """Close the socket, drain the buffered access log, and remove
+        a metrics directory this server made."""
         super().server_close()
         self.access_log.close()
+        if self._removes_metrics_dir:
+            self.metrics_dir.remove()
 
     # -- admin operations --------------------------------------------------
 
@@ -785,24 +767,16 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
             return generation, self.reconcile()[generation]
 
     def applied_generations(self) -> Dict[int, int]:
-        """Each worker's ``applied_generation``: live with one process,
-        else as stamped in the workers' flushed snapshots."""
-        if self.metrics_dir is None:
-            return {self.worker_id: self.applied_generation}
+        """Each worker's ``applied_generation``, as stamped in the
+        workers' flushed snapshots."""
         return self.metrics_dir.stamped(  # type: ignore[return-value]
             "applied_generation")
 
     def shadow_report(self) -> Dict[str, object]:
-        """The disagreement report this worker can see.
-
-        Pre-fork: flush this worker's live counters, then fold every
-        worker's latest snapshot (``merge_shadow_reports``).  Single
-        process: straight from the live ``stats()``.
-        """
-        if self.metrics_dir is not None:
-            self.flush_metrics()
-            return merge_shadow_reports(self.metrics_dir.snapshots())
-        return shadow_report_from_snapshot(self.stats())
+        """The fleet's disagreement report: flush this worker's live
+        counters, then fold every worker's latest snapshot."""
+        self.flush_metrics()
+        return merge_shadow_reports(self.metrics_dir.snapshots())
 
     # -- drain -------------------------------------------------------------
 
@@ -1127,8 +1101,8 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         An op re-reads the file it was configured with: a body naming
         another is a 400, and none configured a 409.  Otherwise the
         reply carries the op's ``generation``: 200 once every worker
-        has applied it (always, with one process), 202 while siblings
-        still have to, 500 when it failed here.
+        has applied it, 202 while siblings still have to, 500 when it
+        failed here.
         """
         server = self.server
         op = ADMIN_OPS[name]
@@ -1230,25 +1204,6 @@ _ROUTES: Dict[str, Dict[str, Callable[[AnnotationHandler], None]]] = {
 # -- process orchestration -------------------------------------------------
 
 
-def _install_signals(server: AnnotationHTTPServer, hup: bool) -> None:
-    """SIGTERM/SIGINT drain; SIGHUP submits a ``reload``, or is
-    ignored by a pre-fork worker (``hup=False``: the parent appends
-    it).  Both run off-thread: ``shutdown`` must not be called from the
-    ``serve_forever`` thread, and admin work should not stall accepts.
-    """
-
-    def _term(signum: int, frame: object) -> None:
-        threading.Thread(target=server.drain, daemon=True).start()
-
-    def _hup(signum: int, frame: object) -> None:
-        threading.Thread(target=server.submit, args=("reload",),
-                         daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _term)
-    signal.signal(signal.SIGINT, _term)
-    signal.signal(signal.SIGHUP, _hup if hup else signal.SIG_IGN)
-
-
 def _append_history(history: HistoryStore,
                     snapshot: Callable[[], Dict[str, object]],
                     stop: threading.Event, interval: float) -> None:
@@ -1272,96 +1227,73 @@ def write_snapshot(path: str, snapshot: Dict[str, object]) -> None:
         handle.write("\n")
 
 
-def _serve_single(service: AnnotationService, config: HttpConfig,
-                  ready: Optional[Callable[[int], None]] = None) -> int:
-    """One process, one threading server (``workers=1``)."""
-    sock = create_listener(config.host, config.port)
-    server = AnnotationHTTPServer(service, config, sock=sock)
-    if config.history:
-        server.history = HistoryStore(config.history)
-    _install_signals(server, hup=True)
-    server.start_flush_loop()  # no metrics dir: the windows, the op list
-    server.start_history_loop()
-    if ready is not None:
-        ready(server.server_port)
-    try:
-        server.serve_forever(poll_interval=0.05)
-    finally:
-        server.server_close()
-    if server.history is not None:
-        # Final entry: even a run shorter than history_interval leaves
-        # one snapshot to compare against the next lifetime's.
-        server.history.append(server.stats())
-    if config.metrics_out:
-        write_snapshot(config.metrics_out, server.stats())
-    return 0
-
-
-def _worker_main(service: AnnotationService, config: HttpConfig,
-                 shared: Optional[socket.socket], port: int,
-                 worker_id: int, metrics_dir: MetricsDir,
-                 generation: int, ready_fd: int) -> None:
-    """A forked worker's whole life; never returns (``os._exit``)."""
-    code = 1
+def _run_worker(service: AnnotationService, config: HttpConfig,
+                shared: Optional[socket.socket], port: int,
+                worker_id: int, metrics_dir: MetricsDir, generation: int,
+                started: Callable[[], None]) -> int:
+    """One worker's whole life, forked or in the tree's own process:
+    listen, call ``started()``, serve until drained, and publish a
+    final snapshot.  Returns its exit code."""
     try:
         if shared is None:
             sock = create_listener(config.host, port, reuse_port=True)
         else:
             sock = shared
-        server = AnnotationHTTPServer(service, config, sock=sock,
+        server = AnnotationHTTPServer(service, config, sock,
                                       worker_id=worker_id,
                                       metrics_dir=metrics_dir)
-        server.applied_generation = generation  # the head at fork time
-        _install_signals(server, hup=False)
+        server.applied_generation = generation  # the head the tree saw
+
+        def _drain(signum: int, frame: object) -> None:
+            # Off-thread: ``shutdown`` must not be called from the
+            # ``serve_forever`` thread.
+            threading.Thread(target=server.drain, daemon=True).start()
+
+        signal.signal(signal.SIGTERM, _drain)
+        signal.signal(signal.SIGINT, _drain)
         server.start_flush_loop()
-        os.write(ready_fd, b"1")
-        os.close(ready_fd)
+        started()
         server.serve_forever(poll_interval=0.05)
         server.flush_metrics()  # final snapshot: drain must not lose it
         server.server_close()
-        code = 0
     except Exception:
         import traceback
         traceback.print_exc(file=sys.stderr)
-    finally:
-        os._exit(code)
+        return 1
+    return 0
 
 
-def _serve_prefork(service: AnnotationService, config: HttpConfig,
-                   ready: Optional[Callable[[int], None]] = None) -> int:
-    """Fork ``config.workers`` servers sharing one warmed service."""
-    # Per-worker SO_REUSEPORT listeners where the platform has them,
-    # else one listener the workers inherit.
-    reuse = hasattr(socket, "SO_REUSEPORT")
-    owns_metrics_dir = config.metrics_dir is None
-    metrics_path = config.metrics_dir or tempfile.mkdtemp(
-        prefix="repro-serve-http-")
-    metrics_dir = MetricsDir(metrics_path)
-    metrics_dir.clear()
-    reservation: Optional[socket.socket] = None
-    shared: Optional[socket.socket] = None
-    if reuse:
-        reservation = _reserve_port(config.host, config.port)
-        port = reservation.getsockname()[1]
-    else:
-        shared = create_listener(config.host, config.port)
-        port = shared.getsockname()[1]
+def _fork_workers(workers: int,
+                  run: Callable[[int, Callable[[], None]], int],
+                  shared: Optional[socket.socket], log: JsonLogger,
+                  started: Callable[[], None]) -> int:
+    """Fork ``workers`` processes, each ``run(worker_id, ready)``.
 
-    op_log = OpLog(metrics_path)
-    generation = op_log.head()
-    parent_log = JsonLogger()  # supervisor diagnostics on stderr
+    Once every worker has called its ``ready``, SIGTERM/SIGINT are
+    forwarded to them and ``started()`` fires; then every worker is
+    reaped.  Returns 1 if one failed to start or exited non-zero.
+    """
     pids: List[int] = []
     ready_fds: List[int] = []
-    for worker_id in range(config.workers):
+    for worker_id in range(workers):
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
             os.close(read_fd)
             for fd in ready_fds:
                 os.close(fd)
-            _worker_main(service, config, shared, port, worker_id,
-                         metrics_dir, generation, write_fd)
-            # _worker_main never returns
+            # The parent appends the reload a SIGHUP asks for.
+            signal.signal(signal.SIGHUP, signal.SIG_IGN)
+
+            def _ready() -> None:
+                os.write(write_fd, b"1")
+                os.close(write_fd)
+
+            code = 1
+            try:
+                code = run(worker_id, _ready)
+            finally:
+                os._exit(code)
         os.close(write_fd)
         pids.append(pid)
         ready_fds.append(read_fd)
@@ -1372,7 +1304,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
     for pid, read_fd in zip(pids, ready_fds):
         if os.read(read_fd, 1) != b"1":
             failures += 1
-            parent_log.log("worker_start_failed", level="error", pid=pid)
+            log.log("worker_start_failed", level="error", pid=pid)
         os.close(read_fd)
 
     def _forward(signum: int, frame: object) -> None:
@@ -1382,30 +1314,9 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
             except ProcessLookupError:
                 pass
 
-    def _hup(signum: int, frame: object) -> None:
-        try:
-            op_log.append("reload")  # every worker's flush loop applies it
-        except OSError as exc:
-            parent_log.log("op_append_failed", level="error", op="reload",
-                           error=str(exc))
-
     signal.signal(signal.SIGTERM, _forward)
     signal.signal(signal.SIGINT, _forward)
-    signal.signal(signal.SIGHUP, _hup)
-
-    if ready is not None:
-        ready(port)
-
-    # Counters *and* the ledger meta, so ``shadow-report --history``
-    # can compare candidates across server lifetimes.
-    def merged() -> Dict[str, object]:
-        return merge_shadow_snapshots(metrics_dir.snapshots())
-
-    history = HistoryStore(config.history) if config.history else None
-    history_stop = threading.Event()
-    if history is not None:
-        _append_history(history, merged, history_stop,
-                        config.history_interval)
+    started()
 
     status = 1 if failures else 0
     remaining = set(pids)
@@ -1416,23 +1327,8 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
             code = os.waitstatus_to_exitcode(wait_status)
             if code != 0:
                 status = 1
-            parent_log.log("worker_exit",
-                           level="error" if code != 0 else "info",
-                           pid=pid, exit_code=code)
-
-    history_stop.set()
-    if history is not None:
-        # Final fleet-wide entry (ledger included): short smoke runs
-        # still leave one snapshot for slo-report / shadow-report.
-        history.append(merged())
-
-    merged = metrics_dir.merged()
-    if config.metrics_out:
-        write_snapshot(config.metrics_out, merged)
-    if reservation is not None:
-        reservation.close()
-    if owns_metrics_dir:
-        shutil.rmtree(metrics_path, ignore_errors=True)
+            log.log("worker_exit", level="error" if code != 0 else "info",
+                    pid=pid, exit_code=code)
     return status
 
 
@@ -1441,12 +1337,71 @@ def serve_http(service: AnnotationService, config: HttpConfig,
     """Run the server tree; blocks until drained.  Returns exit code.
 
     ``ready(port)`` fires once every worker is listening -- with
-    ``port=0`` this is how the caller learns the bound port.
+    ``port=0`` this is how the caller learns the bound port.  One
+    worker runs in this process; more are forked.
     """
     config.validate()
+    # Per-worker SO_REUSEPORT listeners where the platform has them,
+    # else one listener every worker shares.
+    reservation: Optional[socket.socket] = None
+    shared: Optional[socket.socket] = None
+    if hasattr(socket, "SO_REUSEPORT"):
+        reservation = _reserve_port(config.host, config.port)
+        port = reservation.getsockname()[1]
+    else:
+        shared = create_listener(config.host, config.port)
+        port = shared.getsockname()[1]
+    metrics_dir = MetricsDir(config.metrics_dir)
+    metrics_dir.clear()
+    op_log = OpLog(metrics_dir.path)
+    generation = op_log.head()
+    log = JsonLogger()  # the tree's diagnostics on stderr
+
+    def _hup(signum: int, frame: object) -> None:
+        try:
+            op_log.append("reload")  # every worker's flush loop applies it
+        except OSError as exc:
+            log.log("op_append_failed", level="error", op="reload",
+                    error=str(exc))
+
+    signal.signal(signal.SIGHUP, _hup)
+
+    # Counters *and* the ledger meta, so ``shadow-report`` can read
+    # either file and compare candidates across server lifetimes.
+    def merged() -> Dict[str, object]:
+        return merge_shadow_snapshots(metrics_dir.snapshots())
+
+    history = HistoryStore(config.history) if config.history else None
+    history_stop = threading.Event()
+
+    def started() -> None:
+        # After any fork: a forked child must not inherit this thread.
+        if history is not None:
+            _append_history(history, merged, history_stop,
+                            config.history_interval)
+        if ready is not None:
+            ready(port)
+
+    def run(worker_id: int, worker_ready: Callable[[], None]) -> int:
+        return _run_worker(service, config, shared, port, worker_id,
+                           metrics_dir, generation, worker_ready)
+
     if config.workers == 1:
-        return _serve_single(service, config, ready=ready)
-    return _serve_prefork(service, config, ready=ready)
+        status = run(0, started)
+    else:
+        status = _fork_workers(config.workers, run, shared, log, started)
+
+    history_stop.set()
+    final = merged()
+    if history is not None:
+        # Even a run shorter than history_interval leaves one entry.
+        history.append(final)
+    if config.metrics_out:
+        write_snapshot(config.metrics_out, final)
+    if reservation is not None:
+        reservation.close()
+    metrics_dir.remove()
+    return status
 
 
 # -- test/bench harness ----------------------------------------------------
@@ -1523,15 +1478,17 @@ def _server_process_entry(conventions_json: str, config: HttpConfig,
 
 
 class ServerProcess:
-    """A whole server tree (pre-fork parent + workers) as one child.
+    """A whole server tree (:func:`serve_http`) as one child process.
 
     The handle tests, benchmarks, and the load generator share::
 
         with ServerProcess(conventions_json, config) as server:
             ...  # server.host, server.port are live and ready
 
-    ``stop()`` sends SIGTERM (graceful drain) and returns the parent's
-    exit code; leaving the ``with`` block does the same.
+    With one worker the child is the worker; with more it is their
+    pre-fork parent.  ``stop()`` sends the child SIGTERM (graceful
+    drain) and returns its exit code; leaving the ``with`` block does
+    the same.
     """
 
     def __init__(self, conventions_json: str, config: HttpConfig,
@@ -1566,7 +1523,7 @@ class ServerProcess:
         return self
 
     def signal(self, signum: int) -> None:
-        """Deliver ``signum`` to the server parent (e.g. SIGHUP)."""
+        """Deliver ``signum`` to the tree's process (e.g. SIGHUP)."""
         if self._process is not None and self._process.pid:
             os.kill(self._process.pid, signum)
 

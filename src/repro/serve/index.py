@@ -204,25 +204,22 @@ class AnnotationPlan:
     traffic so no request pays the compile.
     """
 
-    __slots__ = ("suffix", "patterns", "nc_class", "fuse", "_compiled",
-                 "_matcher")
+    __slots__ = ("suffix", "patterns", "nc_class", "_compiled", "_matcher")
 
     def __init__(self, suffix: str, patterns: Iterable[str],
-                 nc_class: NCClass = NCClass.GOOD,
-                 fuse: bool = True) -> None:
+                 nc_class: NCClass = NCClass.GOOD) -> None:
         self.suffix = suffix
         self.patterns: Tuple[str, ...] = tuple(patterns)
         self.nc_class = nc_class
-        self.fuse = fuse
         self._compiled: Optional[Tuple[Pattern[str], ...]] = None
         self._matcher = None
 
     @classmethod
-    def from_convention(cls, convention: LearnedConvention,
-                        fuse: bool = True) -> "AnnotationPlan":
+    def from_convention(cls, convention: LearnedConvention
+                        ) -> "AnnotationPlan":
         """The plan equivalent of a learned convention."""
         return cls(convention.suffix, convention.patterns(),
-                   convention.nc_class, fuse=fuse)
+                   convention.nc_class)
 
     @property
     def usable(self) -> bool:
@@ -247,8 +244,7 @@ class AnnotationPlan:
         matcher = self._matcher
         if matcher is None:
             compiled = self.compiled
-            matcher = (fuse_patterns(self.patterns, compiled)
-                       if self.fuse else None) \
+            matcher = fuse_patterns(self.patterns, compiled) \
                 or _SequentialMatcher(compiled)
             self._matcher = matcher
         return matcher
@@ -300,13 +296,10 @@ class DispatchIndex:
 
     @classmethod
     def from_result(cls, result: HoihoResult,
-                    usable_only: bool = False,
-                    fuse: bool = True) -> "DispatchIndex":
+                    usable_only: bool = False) -> "DispatchIndex":
         """Index every convention of ``result`` (optionally only the
-        usable ones).  ``fuse=False`` pins every plan to the sequential
-        matcher -- the reference path the fused program is property-
-        tested against."""
-        return cls(AnnotationPlan.from_convention(convention, fuse=fuse)
+        usable ones)."""
+        return cls(AnnotationPlan.from_convention(convention)
                    for convention in result.conventions.values()
                    if not usable_only or convention.usable)
 

@@ -135,18 +135,16 @@ class AnnotationService(Annotator):
     def __init__(self, result: HoihoResult,
                  metrics: Optional[MetricsRegistry] = None,
                  usable_only: bool = False,
-                 memo_size: int = DEFAULT_MEMO_SIZE,
-                 fuse: bool = True) -> None:
+                 memo_size: int = DEFAULT_MEMO_SIZE) -> None:
         self.metrics = metrics or MetricsRegistry()
         self.usable_only = usable_only
         self.memo_size = memo_size
-        self.fuse = fuse
         self.result = result
         # The authoritative (index, memo) pair: read once per kernel
         # call, swapped as one assignment on reload, so every call sees
         # a consistent index/memo combination (GIL-atomic either way).
         self._state: Tuple[DispatchIndex, Optional[AnnotationMemo]] = (
-            DispatchIndex.from_result(result, usable_only, fuse=fuse),
+            DispatchIndex.from_result(result, usable_only),
             AnnotationMemo(memo_size) if memo_size else None)
         # Counters retired from memos replaced by reloads, so memo
         # totals stay cumulative over the service's lifetime.
@@ -224,8 +222,7 @@ class AnnotationService(Annotator):
         the reload invalidates the memo atomically.  The replaced
         memo's counters are retired into the cumulative totals.
         """
-        index = DispatchIndex.from_result(result, self.usable_only,
-                                          fuse=self.fuse)
+        index = DispatchIndex.from_result(result, self.usable_only)
         index.warm()
         memo = AnnotationMemo(self.memo_size) if self.memo_size else None
         with self._fold_lock:

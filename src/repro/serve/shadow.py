@@ -262,8 +262,7 @@ class ShadowService(Annotator):
         candidate = AnnotationService(result,
                                       metrics=MetricsRegistry(),
                                       usable_only=self.primary.usable_only,
-                                      memo_size=self.primary.memo_size,
-                                      fuse=self.primary.fuse)
+                                      memo_size=self.primary.memo_size)
         candidate.warm()
         with self._swap_lock:
             self._candidate = candidate
@@ -320,10 +319,6 @@ class ShadowService(Annotator):
     @property
     def usable_only(self) -> bool:
         return self.primary.usable_only
-
-    @property
-    def fuse(self) -> bool:
-        return self.primary.fuse
 
     def to_json(self) -> str:
         """The *primary* convention set, serialized (what fan-out and
@@ -424,7 +419,7 @@ def shadow_report_from_snapshot(snapshot: Mapping) -> dict:
 
     Works on any snapshot carrying the ``shadow_*`` instruments -- a
     live service's, a flushed worker file's, or a merged one -- so the
-    single-process and pre-fork report paths share this code.
+    in-process report and the server's merged one share this code.
     """
     counters = snapshot.get("counters") or {}
     labelled = snapshot.get("labelled") or {}

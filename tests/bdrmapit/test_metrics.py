@@ -1,7 +1,5 @@
 """Unit tests for the agreement/accuracy metrics."""
 
-import pytest
-
 from repro.alias.midar import AliasResolution, InferredNode
 from repro.asn.org import ASOrgMap
 from repro.bdrmapit.metrics import (

@@ -1,7 +1,5 @@
 """Unit tests for the section-3.1 congruence and classification rules."""
 
-import pytest
-
 from repro.core.congruence import (
     Outcome,
     apparent_asn_runs,

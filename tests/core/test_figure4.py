@@ -11,8 +11,7 @@ import pytest
 from repro.core.hoiho import learn_suffix
 from repro.core.matchcache import MatchCache
 from repro.core.regex_model import Regex
-from repro.core.select import NCClass
-from repro.eval.appendix_a import FIGURE4_ITEMS, figure4_dataset
+from repro.eval.appendix_a import figure4_dataset
 from tests.reference_scoring import evaluate_nc
 
 

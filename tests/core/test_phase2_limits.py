@@ -1,7 +1,5 @@
 """Edge-case tests for phase-2 merging limits."""
 
-import pytest
-
 from repro.core.phase2 import _MAX_OPTIONS, merge_regexes
 from repro.core.regex_model import Cap, Exclude, Lit, Regex
 

@@ -1,7 +1,5 @@
 """Unit tests for the structured regex AST."""
 
-import pytest
-
 from repro.core.regex_model import (
     Alt,
     Any_,
@@ -12,7 +10,6 @@ from repro.core.regex_model import (
     Exclude,
     Lit,
     Regex,
-    escape_literal,
     instrumented_pattern,
 )
 

@@ -1,7 +1,5 @@
 """Tests for the router-name (alias resolution) learning mode."""
 
-import pytest
-
 from repro.core.regex_model import Regex
 from repro.core.routername import (
     RouterDataset,
@@ -9,7 +7,6 @@ from repro.core.routername import (
     RouterNameConfig,
     candidate_patterns,
     evaluate_router_regex,
-    group_router_items,
     learn_router_names,
     learn_router_suffix,
 )

@@ -1,7 +1,5 @@
 """Unit tests for the Table-1 taxonomy classifier."""
 
-import pytest
-
 from repro.core.regex_model import (
     Alt,
     Any_,
@@ -9,7 +7,6 @@ from repro.core.regex_model import (
     CLASS_ALPHA,
     CLASS_DIGIT,
     ClassSeq,
-    Exclude,
     Lit,
     Regex,
 )

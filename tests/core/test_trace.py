@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.hoiho import HoihoConfig, learn_suffix, learn_suffix_traced
+from repro.core.hoiho import learn_suffix, learn_suffix_traced
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.paperdata import FIGURE4_ITEMS
 

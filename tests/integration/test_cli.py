@@ -431,6 +431,7 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert "# TYPE repro_requests counter" in out
         assert "repro_requests 1" in out
+        assert "# TYPE repro_latency_seconds histogram" in out
         assert 'le="+Inf"' in out
 
     def test_serve_stats_json(self, tmp_path, capsys, monkeypatch):
@@ -500,7 +501,6 @@ class TestCliHttp:
         import signal
         import subprocess
         import sys
-        import time
         saved = self._conventions_file(tmp_path, capsys)
         metrics = tmp_path / "metrics.json"
         process = subprocess.Popen(

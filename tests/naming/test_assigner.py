@@ -8,7 +8,7 @@ from repro.naming.assigner import (
     assign_hostnames,
     host_hostname,
 )
-from repro.naming.conventions import EmbedKind, IXPNamingMode
+from repro.naming.conventions import EmbedKind
 from repro.topology.routers import InterfaceKind
 from repro.topology.world import WorldConfig, generate_world
 from repro.util.strings import damerau_levenshtein

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.trace import (
     NULL_TRACER,
-    Captured,
     NullTracer,
     Tracer,
     load_trace,

@@ -3,8 +3,9 @@
 The serving hot path stacks three optimisations on top of the proven
 sequential dispatch loop: fused alternation regexes, the bounded LRU
 memo, and the batch fast path that inlines the memo's internals.  Each
-must be *result-identical* to the unoptimised reference
-(``AnnotationService(result, fuse=False, memo_size=0)``); these
+must be *result-identical* to the unoptimised reference (a service
+without a memo whose plans run the sequential first-match loop of
+``tests/reference_matching.py``); these
 properties drive random hostname streams -- well-formed, malformed,
 trailing-dot, uppercase, unknown-suffix -- through both and require
 byte-equal answers, plus the memo-invalidation-on-reload contract.
@@ -17,6 +18,7 @@ from repro.core.hoiho import Hoiho
 from repro.core.types import TrainingItem
 from repro.serve.index import DispatchIndex
 from repro.serve.service import AnnotationService
+from tests.reference_matching import first_match, sequential_service
 
 # One learned convention set shared by every example (building it is
 # the expensive part; the services under test are cheap).
@@ -62,12 +64,12 @@ hostname_stream = st.lists(
 
 def reference_service():
     """The unoptimised oracle: sequential matchers, no memo."""
-    return AnnotationService(RESULT, fuse=False, memo_size=0)
+    return sequential_service(RESULT)
 
 
 def hot_service(memo_size=256):
     """The full hot path: fused matchers + LRU memo."""
-    return AnnotationService(RESULT, fuse=True, memo_size=memo_size)
+    return AnnotationService(RESULT, memo_size=memo_size)
 
 
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -131,16 +133,14 @@ def test_reload_invalidated_memo_matches_fresh_service(hostnames):
 @given(st.lists(st.one_of(convention_like, dotted),
                 min_size=0, max_size=30))
 def test_fused_plan_extract_matches_sequential(hostnames):
-    # Plan-level check, below the service: same patterns compiled both
-    # ways agree on every already-normalised hostname.
+    # Plan-level check, below the service: each served plan agrees
+    # with the loop over its patterns on every already-normalised
+    # hostname.
+    index = DispatchIndex.from_result(RESULT)
     for suffix in ("example.com", "example.org"):
-        fused_index = DispatchIndex.from_result(RESULT, fuse=True)
-        seq_index = DispatchIndex.from_result(RESULT, fuse=False)
-        fused = fused_index.plan_for(suffix)
-        sequential = seq_index.plan_for(suffix)
-        if fused is None:
-            assert sequential is None
+        plan = index.plan_for(suffix)
+        if plan is None:
             continue
         for hostname in hostnames:
-            assert fused.extract(hostname.lower()) == \
-                sequential.extract(hostname.lower())
+            assert plan.extract(hostname.lower()) == \
+                first_match(plan.patterns, hostname.lower())

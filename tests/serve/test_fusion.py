@@ -1,12 +1,11 @@
 """Tests for fused-regex matchers: equivalence with the sequential
-first-match loop, every fallback condition, and thread-safe lazy
-compilation (complete-then-publish)."""
+first-match loop (the oracle in ``tests/reference_matching.py``), every
+fallback condition, and thread-safe lazy compilation
+(complete-then-publish)."""
 
 import re
 import threading
 
-from repro.core.hoiho import Hoiho
-from repro.core.types import TrainingItem
 from repro.serve.index import (
     MAX_FUSED_GROUPS,
     AnnotationPlan,
@@ -15,6 +14,7 @@ from repro.serve.index import (
     _SequentialMatcher,
     fuse_patterns,
 )
+from tests.reference_matching import SequentialLoop
 
 PATTERNS = (
     r"^as(\d+)-et\d+\.pop\d+\.example\.com$",
@@ -34,18 +34,16 @@ HOSTNAMES = [
 
 
 def plan_pair(patterns=PATTERNS):
-    """The same plan compiled fused and pinned sequential."""
-    return (AnnotationPlan("example.com", patterns, fuse=True),
-            AnnotationPlan("example.com", patterns, fuse=False))
+    """The plan as served, and the sequential first-match oracle."""
+    return (AnnotationPlan("example.com", patterns),
+            SequentialLoop(patterns))
 
 
 class TestFusion:
     def test_multi_pattern_plan_fuses(self):
-        fused, sequential = plan_pair()
+        fused, _ = plan_pair()
         assert fused.fused is True
         assert isinstance(fused.matcher, _FusedMatcher)
-        assert sequential.fused is False
-        assert isinstance(sequential.matcher, _SequentialMatcher)
 
     def test_fused_equals_sequential_on_corpus(self):
         fused, sequential = plan_pair()
@@ -88,6 +86,7 @@ class TestFallbacks:
     def test_single_pattern_is_not_fused(self):
         plan = AnnotationPlan("example.com", PATTERNS[:1])
         assert plan.fused is False
+        assert isinstance(plan.matcher, _SequentialMatcher)
         assert plan.extract("as3356-et0.pop1.example.com") == 3356
 
     def test_zero_group_pattern_falls_back(self):
@@ -140,20 +139,6 @@ class TestFallbacks:
         plan = AnnotationPlan("example.com", many)
         assert plan.fused is False
         assert plan.extract("p61-3356.example.com") == 3356
-
-    def test_fuse_flag_false_pins_sequential(self):
-        plan = AnnotationPlan("example.com", PATTERNS, fuse=False)
-        assert plan.fused is False
-        assert isinstance(plan.matcher, _SequentialMatcher)
-
-    def test_from_result_fuse_false_pins_every_plan(self):
-        result = Hoiho().run([
-            TrainingItem("as%d.pop%d.example.com" % (a, i % 3), a)
-            for i, a in enumerate([3356, 1299, 174, 2914, 6453])])
-        index = DispatchIndex.from_result(result, fuse=False)
-        assert index.fused_plans() == 0
-        for suffix in index.suffixes():
-            assert index.plan_for(suffix).fused is False
 
 
 class TestFusePatterns:

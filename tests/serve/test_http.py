@@ -4,9 +4,10 @@ Two tiers: fast in-thread servers (an :class:`AnnotationHTTPServer`
 running on a background thread inside this process) exercise the
 endpoint contract -- routing, guards, keep-alive, backpressure, drain
 state, admin ops and their op log -- and a handful of real-process
-tests boot the whole pre-fork tree through :class:`ServerProcess` to
-verify fork inheritance, merged ``/metrics``, admin ops reaching every
-worker by generation (over HTTP and on SIGHUP), and the graceful
+tests boot whole trees (one worker in process, or a pre-fork pool)
+through :class:`ServerProcess` to verify fork inheritance, merged
+``/metrics``, ``--history`` and ``--metrics-out``, admin ops reaching
+every worker by generation (over HTTP and on SIGHUP), and the graceful
 SIGTERM drain actually exiting 0.
 """
 
@@ -24,6 +25,7 @@ import pytest
 
 from repro.bench import serve_conventions, zipf_hostnames
 from repro.core.io import conventions_to_json
+from repro.obs.timeseries import HistoryStore
 from repro.serve.http import (
     AnnotationHTTPServer,
     HttpConfig,
@@ -32,7 +34,6 @@ from repro.serve.http import (
     ServerProcess,
     create_listener,
     wait_applied,
-    wait_ready,
 )
 from repro.serve.service import AnnotationService
 
@@ -95,6 +96,25 @@ def merged_counter(port, name):
         if line.startswith("repro_%s " % name):
             return int(float(line.split()[1]))
     return 0
+
+
+def wait_merged(port, name, at_least, polls=600):
+    """Poll the merged ``/metrics`` until counter ``name`` reaches
+    ``at_least``; returns its value.
+
+    A worker flushes its snapshot after its reply has gone out, so a
+    sibling's last request can be missing from a merge made at once.
+    ``polls`` (50 ms apart) only turns a count that never gets there
+    into a ``TimeoutError``, not a hang.
+    """
+    value = 0
+    for _ in range(polls):
+        value = merged_counter(port, name)
+        if value >= at_least:
+            return value
+        time.sleep(0.05)
+    raise TimeoutError("merged %s stayed at %d, below %d"
+                       % (name, value, at_least))
 
 
 def raw_request(port, data, host="127.0.0.1"):
@@ -345,10 +365,9 @@ class TestMetricsDir:
 
 
 class TestOpLog:
-    @pytest.mark.parametrize("in_dir", [True, False])
     def test_concurrent_appends_get_distinct_gap_free_generations(
-            self, tmp_path, in_dir):
-        log = OpLog(str(tmp_path) if in_dir else None)
+            self, tmp_path):
+        log = OpLog(str(tmp_path))
         writers = 8  # more writers than cores
         start = threading.Barrier(writers)
         taken = [[] for _ in range(writers)]
@@ -374,12 +393,11 @@ class TestOpLog:
         assert log.head() == 80
         assert [generation for generation, _ in log.entries(78)] \
             == [79, 80]
-        if in_dir:
-            record = json.loads((tmp_path / "op-7.json").read_text())
-            assert record["generation"] == 7
-            assert record["op"] == "reload"
-            assert not [name for name in os.listdir(tmp_path)
-                        if name.startswith(".")]  # no temp file left
+        record = json.loads((tmp_path / "op-7.json").read_text())
+        assert record["generation"] == 7
+        assert record["op"] == "reload"
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.startswith(".")]  # no temp file left
 
     def test_reconcile_applies_each_op_once(self, conventions_path,
                                             tmp_path):
@@ -415,7 +433,7 @@ class TestConfig:
 
 
 class TestPreFork:
-    """The real process tree: fork, merge, reload, drain."""
+    """Real process trees: fork, merge, reload, drain."""
 
     def test_prefork_serves_merges_reloads_and_drains(
             self, conventions_path, tmp_path):
@@ -437,16 +455,9 @@ class TestPreFork:
                 assert status == 200
                 assert body["asns"] == expected
             # /metrics merges both workers' registries: whichever
-            # worker answers, the merged requests counter covers all
-            # four batches above.
-            status, _, prom = request(server.port, "GET", "/metrics")
-            assert status == 200
-            merged_requests = [
-                line for line in prom.splitlines()
-                if line.startswith("repro_requests ")]
-            assert merged_requests
-            assert int(float(merged_requests[0].split()[1])) \
-                >= 4 * len(hostnames)
+            # worker answers, the merged requests counter comes to
+            # cover all four batches above.
+            wait_merged(server.port, "requests", 4 * len(hostnames))
             # Reload over HTTP: this worker applies it before replying
             # (202 until the sibling has too), and both reach the
             # reload's generation.
@@ -566,6 +577,36 @@ class TestPreFork:
                     break
             assert saw_draining
             assert server.stop() == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_tree_applies_ops_everywhere_and_merges_its_outputs(
+            self, conventions_path, tmp_path, workers):
+        # One worker in the tree's process or two forked: SIGHUP and
+        # POST /admin/reload each reach every worker, and the history
+        # and --metrics-out files come from the same merge.
+        history = tmp_path / "history.jsonl"
+        metrics_out = tmp_path / "merged.json"
+        config = HttpConfig(port=0, workers=workers,
+                            conventions=conventions_path,
+                            metrics_out=str(metrics_out),
+                            history=str(history), history_interval=0.05)
+        with ServerProcess(conventions_to_json(serve_conventions()),
+                           config) as server:
+            server.signal(signal.SIGHUP)
+            wait_applied("127.0.0.1", server.port, 1, workers)
+            status, _, body = request(server.port, "POST",
+                                      "/admin/reload", {})
+            assert status in (200, 202)
+            assert (body["generation"], body["workers"]) == (2, workers)
+            payload = wait_applied("127.0.0.1", server.port, 2, workers)
+            assert payload["generation_skew"] == 0
+            assert merged_counter(server.port, "reloads") == 2 * workers
+            assert server.stop() == 0
+        last = HistoryStore(str(history)).entries()[-1]["snapshot"]
+        written = json.loads(metrics_out.read_text(encoding="utf-8"))
+        assert sorted(last) == sorted(written) \
+            == ["counters", "histograms", "labelled", "shadow"]
+        assert written["counters"]["reloads"] == 2 * workers
 
     def test_single_worker_process_drains_cleanly(self, conventions_path):
         config = HttpConfig(port=0, workers=1,

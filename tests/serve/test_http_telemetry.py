@@ -374,26 +374,3 @@ class TestShadowReportHistoryCli:
     def test_empty_history_exits_one(self, tmp_path, capsys):
         history = tmp_path / "none.jsonl"
         assert main(["shadow-report", "--history", str(history)]) == 1
-
-
-class TestHistoryLoop:
-    def test_single_process_server_appends_history(self,
-                                                   conventions_path,
-                                                   tmp_path):
-        history = tmp_path / "history.jsonl"
-        with live_server(conventions_path,
-                         history=str(history),
-                         history_interval=0.05) as (server, port):
-            server.history = HistoryStore(str(history))
-            server.start_history_loop()
-            request(port, "POST", "/annotate",
-                    {"hostname": "as3356.lon1.example.com"})
-            deadline = time.time() + 5.0
-            while time.time() < deadline:
-                if HistoryStore(str(history)).entries():
-                    break
-                time.sleep(0.05)
-        entries = HistoryStore(str(history)).entries()
-        assert entries
-        snapshot = entries[-1]["snapshot"]
-        assert snapshot["counters"]["http_requests"] >= 1

@@ -15,9 +15,7 @@ from repro.core.types import TrainingItem
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.service import AnnotationService
 from repro.serve.shadow import (
-    CLASS_AGREE,
     CLASS_CANDIDATE_ONLY,
-    CLASS_CONFLICT,
     CLASS_PRIMARY_ONLY,
     DIVERGENCE_CLASSES,
     EXAMPLE_CAP,

@@ -9,7 +9,8 @@ this one has imported everything already.
 
 Every ``repro`` package resolves its exports lazily (PEP 562); the
 names, ``from pkg import *`` and ``dir()`` behave as eager imports did.
-And every import in ``src/repro`` is used by the module that makes it.
+And every import in ``src/repro`` and ``tests`` is used by the module
+that makes it.
 """
 
 import ast
@@ -224,12 +225,18 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def _unused_under(root: Path) -> list:
+    return ["%s:%d %s" % (path.relative_to(root.parent), line, name)
+            for path in sorted(root.rglob("*.py"))
+            for line, name in unused_imports(path.read_text("utf-8"))]
+
+
 class TestUnusedImports:
     def test_every_import_in_src_is_used(self):
-        found = ["%s:%d %s" % (path.relative_to(SRC), line, name)
-                 for path in sorted((SRC / "repro").rglob("*.py"))
-                 for line, name in unused_imports(path.read_text("utf-8"))]
-        assert found == []
+        assert _unused_under(SRC / "repro") == []
+
+    def test_every_import_in_tests_is_used(self):
+        assert _unused_under(Path(__file__).resolve().parent) == []
 
     @pytest.mark.parametrize("source, unused", [
         ("import os\n", [(1, "os")]),

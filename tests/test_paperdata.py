@@ -1,8 +1,6 @@
 """The paper's published examples behave exactly as the paper says."""
 
-import pytest
-
-from repro.core.congruence import Outcome, apparent_asn_runs, congruent
+from repro.core.congruence import apparent_asn_runs, congruent
 from repro.core.hoiho import learn_suffix
 from repro.core.types import SuffixDataset, group_by_suffix
 from repro.paperdata import (

@@ -1,7 +1,5 @@
 """Unit tests for the pipeline glue functions."""
 
-import pytest
-
 from repro.alias.midar import AliasResolution, InferredNode
 from repro.itdk.snapshot import ITDKSnapshot
 from repro.peeringdb.snapshot import NetIXLan, PeeringDBSnapshot

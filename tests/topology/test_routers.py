@@ -3,7 +3,7 @@
 import pytest
 
 from repro.topology.addressing import build_address_plan
-from repro.topology.asgraph import ASGraphConfig, Tier, generate_asgraph
+from repro.topology.asgraph import ASGraphConfig, generate_asgraph
 from repro.topology.routers import InterfaceKind, LinkKind, build_router_topology
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the longest-prefix-match table."""
 
-import pytest
-
 from repro.util.ipaddr import IPv4Prefix, ip_to_int
 from repro.util.radix import PrefixTable
 
